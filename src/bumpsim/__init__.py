@@ -37,6 +37,7 @@ from .hybrid import (
     Mode,
     SimMode,
     Trace,
+    contact_pairs,
     detect_event,
     jump,
     metrics,
@@ -56,7 +57,6 @@ from .redesign import (
     impulse,
     local_control,
     local_duration,
-    reactivation_check,
     select_escape_heading,
     tangent_rays,
 )

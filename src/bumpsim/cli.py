@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -171,11 +172,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.dt is not None and args.dt <= 0:
-        print("error: --dt must be positive", file=sys.stderr)
+    if args.dt is not None and not 0.0 < args.dt < math.inf:
+        print("error: --dt must be positive and finite", file=sys.stderr)
         return EXIT_INVALID
-    if args.t_max is not None and args.t_max <= 0:
-        print("error: --t-max must be positive", file=sys.stderr)
+    if args.t_max is not None and not 0.0 < args.t_max < math.inf:
+        print("error: --t-max must be positive and finite", file=sys.stderr)
         return EXIT_INVALID
     cfg = RunConfig(
         scenario_path=args.scenario,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .collision import (
     CONTACT_TOL,
@@ -38,7 +38,7 @@ from .redesign import (
     select_escape_heading,
     tangent_rays,
 )
-from .scenario import Body, ControlInput, RobotState, Scenario, validate_scenario
+from .scenario import ControlInput, RobotState, Scenario, validate_scenario
 
 EVENT_TIME_TOL = 1e-12
 
@@ -134,9 +134,6 @@ class Trace:
     sim_mode: SimMode
     records: list
 
-    def of_type(self, record_type: type) -> list:
-        return [r for r in self.records if isinstance(r, record_type)]
-
     def samples(self, robot_id: int) -> list[FlowSample]:
         return [r for r in self.records if isinstance(r, FlowSample) and r.robot_id == robot_id]
 
@@ -161,15 +158,15 @@ def step_flow(state: RobotState, u: ControlInput, dt: float) -> RobotState:
     v, w = u.v, u.w
     th1 = state.theta
     k1x, k1y = v * math.cos(th1), v * math.sin(th1)
+    # The heading flow does not depend on position, so the two midpoint
+    # stages see the same heading: k3 == k2.
     th2 = state.theta + 0.5 * dt * w
     k2x, k2y = v * math.cos(th2), v * math.sin(th2)
-    th3 = state.theta + 0.5 * dt * w
-    k3x, k3y = v * math.cos(th3), v * math.sin(th3)
     th4 = state.theta + dt * w
     k4x, k4y = v * math.cos(th4), v * math.sin(th4)
     return RobotState(
-        x=state.x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
-        y=state.y + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
+        x=state.x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k2x + k4x),
+        y=state.y + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k2y + k4y),
         theta=state.theta + dt * w,
     )
 
@@ -185,20 +182,46 @@ class EventHit:
     simultaneous: tuple[tuple[int, int], ...] = ()
 
 
-def _contact_pairs(scenario: Scenario) -> list[tuple[int, int, float, bool]]:
-    """(robot_id, other_id, radii sum, other_is_robot), robots sorted."""
-    pairs: list[tuple[int, int, float, bool]] = []
+class ContactPair(NamedTuple):
+    """One entry of the pair table: robot i against body j, their radii
+    sum, and j's fixed position when j is an obstacle (None for a robot)."""
+
+    i: int
+    j: int
+    rsum: float
+    fixed: tuple[float, float] | None
+
+
+def contact_pairs(scenario: Scenario) -> list[ContactPair]:
+    """The pair table: the robot-robot pair first, then every robot against
+    every obstacle, robots sorted by id."""
+    pairs: list[ContactPair] = []
     robots = sorted(scenario.robots(), key=lambda b: b.id)
     if len(robots) == 2:
-        pairs.append((robots[0].id, robots[1].id, robots[0].radius + robots[1].radius, True))
+        pairs.append(ContactPair(robots[0].id, robots[1].id, robots[0].radius + robots[1].radius, None))
     for robot in robots:
         for obstacle in scenario.obstacles():
-            pairs.append((robot.id, obstacle.id, robot.radius + obstacle.radius, False))
+            pairs.append(
+                ContactPair(robot.id, obstacle.id, robot.radius + obstacle.radius, obstacle.position)
+            )
     return pairs
 
 
+def gap(pair: ContactPair, states: Mapping[int, RobotState]) -> float:
+    """Center distance minus radii sum: positive apart, zero touching,
+    negative overlapping.  `states` maps robot id to anything with x, y."""
+    i, j, rsum, fixed = pair
+    si = states[i]
+    if fixed is None:
+        sj = states[j]
+        jx, jy = sj.x, sj.y
+    else:
+        jx, jy = fixed
+    return math.hypot(jx - si.x, jy - si.y) - rsum
+
+
 def detect_event(
-    scenario: Scenario,
+    pairs: list[ContactPair],
     states: Mapping[int, RobotState],
     inputs: Mapping[int, ControlInput],
     h: float,
@@ -216,35 +239,19 @@ def detect_event(
     if next_states is None:
         next_states = {rid: step_flow(states[rid], inputs[rid], h) for rid in states}
 
-    def gap_at(pair: tuple[int, int, float, bool], tau: float) -> float:
-        i, j, rsum, j_is_robot = pair
-        si = step_flow(states[i], inputs[i], tau)
-        if j_is_robot:
-            sj = step_flow(states[j], inputs[j], tau)
-            jx, jy = sj.x, sj.y
-        else:
-            jb = scenario.body(j)
-            jx, jy = jb.x, jb.y
-        return math.hypot(jx - si.x, jy - si.y) - rsum
-
     hits: list[tuple[float, int, int]] = []
-    for pair in _contact_pairs(scenario):
-        i, j, rsum, j_is_robot = pair
-        si0, si1 = states[i], next_states[i]
-        if j_is_robot:
-            j0 = states[j]
-            j1 = next_states[j]
-            gap0 = math.hypot(j0.x - si0.x, j0.y - si0.y) - rsum
-            gap1 = math.hypot(j1.x - si1.x, j1.y - si1.y) - rsum
-        else:
-            jb = scenario.body(j)
-            gap0 = math.hypot(jb.x - si0.x, jb.y - si0.y) - rsum
-            gap1 = math.hypot(jb.x - si1.x, jb.y - si1.y) - rsum
-        if gap0 > 0.0 and gap1 < 0.0:
+    for pair in pairs:
+        if gap(pair, states) > 0.0 and gap(pair, next_states) < 0.0:
+            i, j, _, fixed = pair
+            probe: dict[int, RobotState] = {}
             lo, hi = 0.0, h
             while hi - lo > time_tol:
                 mid = 0.5 * (lo + hi)
-                if gap_at(pair, mid) > 0.0:
+                # each probe steps only the pair's robots
+                probe[i] = step_flow(states[i], inputs[i], mid)
+                if fixed is None:
+                    probe[j] = step_flow(states[j], inputs[j], mid)
+                if gap(pair, probe) > 0.0:
                     lo = mid
                 else:
                     hi = mid
@@ -409,52 +416,22 @@ def jump(
 
     for rid, other_id, other_body, oc in outcomes:
         pre_state = out.states[rid]
-        q_after = out.modes[rid].value
         post_speeds[rid] = oc.v_plus
-
+        switch_needed = rid in escapes and out.modes[rid] is Mode.PREDEFINED
         if oc.redesign_needed:
-            # Physics heading applies first; the impulse then retargets it.
-            out.states[rid] = RobotState(pre_state.x, pre_state.y, oc.theta_plus)
-            if sim_mode is SimMode.REDESIGNED:
-                theta_escape = escapes[rid]
-                dtheta = impulse(theta_escape, oc.theta_plus)[2]
-                out.states[rid] = RobotState(pre_state.x, pre_state.y, theta_escape)
-                v_loc = scenario.params.m_v
-                phase = LocalPhase(
-                    collided_id=other_id,
-                    p_ic=(pre_state.x, pre_state.y),
-                    theta_escape=theta_escape,
-                    v_loc=v_loc,
-                    t_dur=local_duration(v_loc, other_body.is_robot, other_body.radius),
-                )
-                switch_needed = out.modes[rid] is Mode.PREDEFINED
-                out.phases[rid] = phase
-                out.modes[rid] = Mode.LOCAL
-                q_after = Mode.LOCAL.value
-                records.append(
-                    CollisionRecord(
-                        t=out.t,
-                        robot_id=rid,
-                        other_id=other_id,
-                        x=pre_state.x,
-                        y=pre_state.y,
-                        theta_pre=oc.theta_pre,
-                        theta_post=oc.theta_plus,
-                        v_pre=oc.v_pre,
-                        v_post=oc.v_plus,
-                        phi=query.frame.phi,
-                        lam=oc.lam,
-                        mu=oc.mu,
-                        q=q_after,
-                    )
-                )
-                records.append(
-                    ImpulseRecord(t=out.t, robot_id=rid, theta_escape=theta_escape, dtheta=dtheta)
-                )
-                if switch_needed:
-                    records.append(SwitchRecord(t=out.t, robot_id=rid, q_from=0, q_to=1))
-                continue
-
+            # The physics heading theta_plus applies first; in REDESIGNED
+            # mode the impulse then retargets it onto the escape heading.
+            out.states[rid] = RobotState(pre_state.x, pre_state.y, escapes.get(rid, oc.theta_plus))
+        if rid in escapes:
+            v_loc = scenario.params.m_v
+            out.phases[rid] = LocalPhase(
+                collided_id=other_id,
+                p_ic=(pre_state.x, pre_state.y),
+                theta_escape=escapes[rid],
+                v_loc=v_loc,
+                t_dur=local_duration(v_loc, other_body.is_robot, other_body.radius),
+            )
+            out.modes[rid] = Mode.LOCAL
         records.append(
             CollisionRecord(
                 t=out.t,
@@ -469,9 +446,16 @@ def jump(
                 phi=query.frame.phi,
                 lam=oc.lam,
                 mu=oc.mu,
-                q=q_after,
+                q=out.modes[rid].value,
             )
         )
+        if rid in escapes:
+            dtheta = impulse(escapes[rid], oc.theta_plus)[2]
+            records.append(
+                ImpulseRecord(t=out.t, robot_id=rid, theta_escape=escapes[rid], dtheta=dtheta)
+            )
+            if switch_needed:
+                records.append(SwitchRecord(t=out.t, robot_id=rid, q_from=0, q_to=1))
 
     out.jumps += sum(1 for r in records if isinstance(r, (CollisionRecord, SwitchRecord)))
     return (out, records, post_speeds)
@@ -479,6 +463,26 @@ def jump(
 
 # --------------------------------------------------------------------------
 # Executor
+
+
+def reactivation_due(
+    pairs: list[ContactPair],
+    states: Mapping[int, RobotState],
+    rid: int,
+    phase: LocalPhase | None,
+) -> bool:
+    """The reactivation rule for robot rid's local phase.
+
+    True when the phase has expired and every pair containing rid has a
+    strictly positive gap.  An expired phase without that clearance is
+    extended by t_dur / 10 instead (NonSeparableError past the cap).
+    """
+    if phase is None or not phase.expired():
+        return False
+    if all(gap(pair, states) > 0.0 for pair in pairs if rid in (pair.i, pair.j)):
+        return True
+    phase.extend()
+    return False
 
 
 def _norm3(state: RobotState, target: RobotState) -> float:
@@ -504,11 +508,8 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
     robot_ids = [b.id for b in robots]
     bodies = scenario.bodies
     params = scenario.params
-    pairs = _contact_pairs(scenario)
-    # Clearance list per robot for the reactivation test: every other body.
-    other_bodies: dict[int, list[Body]] = {
-        rid: [b for b in bodies if b.id != rid] for rid in robot_ids
-    }
+    body = {b.id: b for b in bodies}
+    pairs = contact_pairs(scenario)
 
     hs = HybridState(
         t=0.0,
@@ -523,18 +524,6 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
     # involved in a collision, and the pairs already resolved.
     collided_marks: set[int] = set()
     resolved_pairs: set[tuple[int, int]] = set()
-
-    def clearance_ok(rid: int) -> bool:
-        px, py = hs.states[rid].position
-        r_i = scenario.body(rid).radius
-        for b in other_bodies[rid]:
-            if b.is_robot:
-                bx, by = hs.states[b.id].position
-            else:
-                bx, by = b.x, b.y
-            if math.hypot(px - bx, py - by) <= r_i + b.radius:
-                return False
-        return True
 
     def cap_fault() -> bool:
         nonlocal fatal
@@ -582,28 +571,21 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
         progress = True
         while progress and not fatal:
             progress = False
-            for (i, j, rsum, j_is_robot) in pairs:
-                state_i = hs.states[i]
-                if j_is_robot:
-                    state_j = hs.states[j]
-                    jx, jy = state_j.x, state_j.y
-                else:
-                    jb = scenario.body(j)
-                    jx, jy = jb.x, jb.y
-                gap = math.hypot(jx - state_i.x, jy - state_i.y) - rsum
-                if gap > CONTACT_TOL:
+            for pair in pairs:
+                if gap(pair, hs.states) > CONTACT_TOL:
                     continue
-                body_i = scenario.body(i)
-                body_j = scenario.body(j)
+                i, j, _, fixed = pair
+                j_is_robot = fixed is None
+                state_i = hs.states[i]
                 query = ContactQuery.build(
                     i_id=i,
                     j_id=j,
                     p_i=state_i.position,
-                    p_j=(jx, jy),
-                    r_i=body_i.radius,
-                    r_j=body_j.radius,
-                    m_i=body_i.mass,
-                    m_j=body_j.mass,
+                    p_j=hs.states[j].position if j_is_robot else fixed,
+                    r_i=body[i].radius,
+                    r_j=body[j].radius,
+                    m_i=body[i].mass,
+                    m_j=body[j].mass,
                     v_i=inputs[i].v,
                     v_j=inputs[j].v if j_is_robot else 0.0,
                     theta_i=state_i.theta,
@@ -639,17 +621,11 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
                     return
 
     while True:
-        # Local-phase expiries: reactivate when clearance holds, otherwise
-        # extend the phase (bounded; raises NonSeparableError at the cap).
         if not fatal:
             for rid in robot_ids:
-                phase = hs.phases[rid]
-                if phase is not None and phase.expired():
-                    if clearance_ok(rid):
-                        if apply_jump(ReactivationEvent(rid), None):
-                            break
-                    else:
-                        phase.extend()
+                if reactivation_due(pairs, hs.states, rid, hs.phases[rid]):
+                    if apply_jump(ReactivationEvent(rid), None):
+                        break
         if not fatal:
             for rid in robot_ids:
                 if not reached[rid] and _norm3(hs.states[rid], scenario.targets[rid]) <= scenario.target_tolerance:
@@ -681,7 +657,7 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
                     h = min(h, remaining)
 
         next_states = {rid: step_flow(hs.states[rid], inputs[rid], h) for rid in robot_ids}
-        hit = detect_event(scenario, hs.states, inputs, h, next_states)
+        hit = detect_event(pairs, hs.states, inputs, h, next_states)
         if hit is None:
             hs.states = next_states
             advance = h
@@ -768,8 +744,7 @@ def metrics(trace: Trace) -> TraceMetrics:
     """Pure fold over the trace records."""
     scenario = trace.scenario
     robot_ids = sorted(scenario.robot_ids())
-    radii = {b.id: b.radius for b in scenario.bodies}
-    obstacles = [(b.x, b.y, b.radius) for b in scenario.obstacles()]
+    pairs = contact_pairs(scenario)
 
     per_robot = {
         rid: RobotMetrics(reached=False, completion_time=None, collisions=0, min_clearance=None)
@@ -778,7 +753,8 @@ def metrics(trace: Trace) -> TraceMetrics:
     total_jumps = 0
     fault = False
     reasons: list[str] = []
-    last_sample: dict[int, FlowSample] = {}
+    # One sampling pass writes a FlowSample per robot, in id order.
+    sample_pass: dict[int, FlowSample] = {}
 
     def update_clearance(rid: int, value: float) -> None:
         m = per_robot[rid]
@@ -787,20 +763,13 @@ def metrics(trace: Trace) -> TraceMetrics:
 
     for record in trace.records:
         if isinstance(record, FlowSample):
-            rid = record.robot_id
-            for (ox, oy, orad) in obstacles:
-                update_clearance(
-                    rid, math.hypot(record.x - ox, record.y - oy) - (radii[rid] + orad)
-                )
-            for other_id, other in last_sample.items():
-                if other_id != rid and other.t == record.t:
-                    clearance = (
-                        math.hypot(record.x - other.x, record.y - other.y)
-                        - (radii[rid] + radii[other_id])
-                    )
-                    update_clearance(rid, clearance)
-                    update_clearance(other_id, clearance)
-            last_sample[rid] = record
+            sample_pass[record.robot_id] = record
+            if record.robot_id == robot_ids[-1]:
+                for pair in pairs:
+                    clearance = gap(pair, sample_pass)
+                    update_clearance(pair.i, clearance)
+                    if pair.fixed is None:
+                        update_clearance(pair.j, clearance)
         elif isinstance(record, CollisionRecord):
             per_robot[record.robot_id].collisions += 1
             total_jumps += 1

@@ -4,15 +4,17 @@ After a collision at position p_ic against body j, the robot's heading is
 reset (by an instantaneous impulse) onto the tangent line of the contact
 circle of radius r_i + r_j around p_j, choosing the tangent ray closer in
 angle to the segment from p_ic to the robot's target position.  A
-constant-heading local controller (v, 0) then drives the robot a fixed
-escape distance away from p_ic before normal control resumes.
+constant-heading local controller (v_loc, 0) then runs for the local
+phase's duration t_dur = escape distance / v_loc.  At expiry the executor
+applies its one reactivation rule (`hybrid.reactivation_due`): normal
+control resumes when the robot has a strictly positive gap to every other
+body; otherwise the phase is extended by t_dur / 10, up to 10x t_dur.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .scenario import ControlInput
 
@@ -76,10 +78,6 @@ class LocalPhase:
             raise ValueError(f"local speed must be positive, got {self.v_loc}")
         if not self.t_dur > 0.0:
             raise ValueError(f"local duration must be positive, got {self.t_dur}")
-
-    @property
-    def escape_dist(self) -> float:
-        return self.v_loc * self.t_dur
 
     def expired(self, tol: float = 1e-12) -> bool:
         return self.elapsed >= self.t_dur + self.extension - tol
@@ -189,7 +187,7 @@ def local_control(phase: LocalPhase) -> ControlInput:
 
 
 def escape_distance(other_is_robot: bool, r_other: float) -> float:
-    """Distance from p_ic at which normal control resumes.
+    """Distance the local phase covers from p_ic in its nominal duration.
 
     Half the other robot's radius for robot-robot contacts (both parties
     move away), the full radius for robot-obstacle contacts.
@@ -202,57 +200,3 @@ def local_duration(v_loc: float, other_is_robot: bool, r_other: float) -> float:
     if not v_loc > 0.0:
         raise ValueError(f"local speed must be positive, got {v_loc}")
     return escape_distance(other_is_robot, r_other) / v_loc
-
-
-def local_duration_profile(
-    speed: Callable[[float], float],
-    other_is_robot: bool,
-    r_other: float,
-    dt: float = 1e-4,
-) -> float:
-    """Sampled-integral duration for a time-varying speed profile.
-
-    Accumulates trapezoid slices of speed(t) until the escape distance is
-    covered, linearly interpolating the final slice.  Not used by the
-    executor (constant speeds are the default); provided for profiles.
-    """
-    target = escape_distance(other_is_robot, r_other)
-    travelled = 0.0
-    t = 0.0
-    v_prev = speed(0.0)
-    if v_prev <= 0.0:
-        raise ValueError("speed profile must be positive on (0, M_v]")
-    while True:
-        v_next = speed(t + dt)
-        if v_next <= 0.0:
-            raise ValueError("speed profile must stay positive")
-        slice_dist = 0.5 * (v_prev + v_next) * dt
-        if travelled + slice_dist >= target:
-            remaining = target - travelled
-            return t + dt * remaining / slice_dist
-        travelled += slice_dist
-        t += dt
-        v_prev = v_next
-
-
-def reactivation_check(
-    p_i: tuple[float, float],
-    r_i: float,
-    others: list[tuple[tuple[float, float], float]],
-    phase: LocalPhase,
-    tol: float | None = None,
-) -> bool:
-    """True when normal control may resume.
-
-    Requires strict clearance from every other body AND the distance from
-    the collision position to equal the escape distance within tol
-    (default 1e-6 * max(1, escape distance)).
-    """
-    dist_goal = phase.escape_dist
-    if tol is None:
-        tol = 1e-6 * max(1.0, dist_goal)
-    for (pos, radius) in others:
-        if math.hypot(p_i[0] - pos[0], p_i[1] - pos[1]) <= r_i + radius:
-            return False
-    travelled = math.hypot(p_i[0] - phase.p_ic[0], p_i[1] - phase.p_ic[1])
-    return abs(travelled - dist_goal) <= tol

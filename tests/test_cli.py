@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from bumpsim.cli import main
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -112,3 +114,12 @@ def test_dt_override_changes_sampling(tmp_path):
     assert code == 0
     rows = (out / "plot_robot1.csv").read_text().strip().split("\n")
     assert len(rows) == 1 + 101  # header + samples at 0.01 steps over 1 s
+
+
+@pytest.mark.parametrize("option", ["--dt", "--t-max"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+def test_run_rejects_non_positive_or_non_finite_overrides(tmp_path, option, value):
+    out = tmp_path / "out"
+    code = run_cli("run", "--scenario", SCENARIOS / "open_field.json", option, value, "--out", out)
+    assert code == 2
+    assert not out.exists()

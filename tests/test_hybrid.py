@@ -16,9 +16,11 @@ from bumpsim.hybrid import (
     SwitchRecord,
     TargetReachedRecord,
     Trace,
+    contact_pairs,
     detect_event,
     jump,
     metrics,
+    reactivation_due,
     simulate,
     step_flow,
     trace_to_csv,
@@ -83,7 +85,7 @@ def test_event_linear_closing():
     )
     states = {1: RobotState(0.0, 0.0, 0.0)}
     inputs = {1: ControlInput(1.0, 0.0)}
-    hit = detect_event(sc, states, inputs, 0.1)
+    hit = detect_event(contact_pairs(sc), states, inputs, 0.1)
     assert hit is not None
     assert (hit.robot_id, hit.other_id) == (1, 3)
     assert hit.t_offset == pytest.approx(0.05, abs=1e-9)
@@ -96,7 +98,7 @@ def test_event_separating_none():
     )
     states = {1: RobotState(0.0, 0.0, math.pi)}
     inputs = {1: ControlInput(1.0, 0.0)}
-    assert detect_event(sc, states, inputs, 0.1) is None
+    assert detect_event(contact_pairs(sc), states, inputs, 0.1) is None
 
 
 def test_event_robot_robot_closing():
@@ -106,7 +108,7 @@ def test_event_robot_robot_closing():
     )
     states = {1: RobotState(0.0, 0.0, 0.0), 2: RobotState(2.1, 0.0, math.pi)}
     inputs = {1: ControlInput(1.0, 0.0), 2: ControlInput(1.0, 0.0)}
-    hit = detect_event(sc, states, inputs, 0.1)
+    hit = detect_event(contact_pairs(sc), states, inputs, 0.1)
     assert hit is not None
     assert (hit.robot_id, hit.other_id) == (1, 2)
     # gap 0.1 closes at combined speed 2
@@ -142,12 +144,38 @@ def test_event_tie_reports_smallest_pair():
     )
     states = {1: RobotState(0.0, 0.0, 0.0)}
     inputs = {1: ControlInput(1.0, 0.0)}
-    hit = detect_event(sc, states, inputs, 3.0)
+    hit = detect_event(contact_pairs(sc), states, inputs, 3.0)
     assert hit is not None
     assert (hit.robot_id, hit.other_id) == (1, 3)
     assert (1, 4) in hit.simultaneous
     # linear closed form: sqrt((3 - t)^2 + 1.2^2) = 1.5 at t = 3 - 0.9
     assert hit.t_offset == pytest.approx(2.1, abs=1e-9)
+
+
+# --- reactivation rule -------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    ("obstacle_x", "elapsed", "due", "extension"),
+    [
+        (-2.0, 1.0, False, 0.1),  # distance 1: overlap, so the phase extends
+        (-3.0, 1.0, False, 0.1),  # distance 2: exact touch, gap == 0.0
+        (-3.5, 1.0, True, 0.0),  # distance 2.5: clear gap
+        (-3.5, 0.5, False, 0.0),  # clear, but the phase has not expired
+    ],
+)
+def test_reactivation_needs_expiry_and_strictly_positive_gaps(obstacle_x, elapsed, due, extension):
+    # robot 1 (r = 1) escaping from obstacle 3 now sits at (-1, 2)
+    sc = make_scenario(
+        [robot(1, -10.0, -10.0), obstacle(3, 0.0, 4.0), obstacle(4, obstacle_x, 2.0)],
+        {"1": {"x": 10.0, "y": 0.0, "theta": 0.0}},
+    )
+    states = {1: RobotState(-1.0, 2.0, math.pi)}
+    phase = LocalPhase(
+        collided_id=3, p_ic=(0.0, 2.0), theta_escape=math.pi, v_loc=1.0, t_dur=1.0, elapsed=elapsed
+    )
+    assert reactivation_due(contact_pairs(sc), states, 1, phase) is due
+    assert phase.extension == extension
 
 
 # --- jump --------------------------------------------------------------------

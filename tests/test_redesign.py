@@ -12,8 +12,6 @@ from bumpsim.redesign import (
     impulse,
     local_control,
     local_duration,
-    local_duration_profile,
-    reactivation_check,
     select_escape_heading,
     tangent_rays,
 )
@@ -187,39 +185,9 @@ def test_duration_unit_ratio():
     assert local_duration(1.0, other_is_robot=False, r_other=1.0) == 1.0
 
 
-def test_duration_profile_matches_constant():
-    got = local_duration_profile(lambda t: 5.0, other_is_robot=False, r_other=1.0, dt=1e-5)
-    assert got == pytest.approx(0.2, abs=1e-6)
-
-
 def test_phase_extension_cap():
     phase = LocalPhase(collided_id=9, p_ic=(0.0, 0.0), theta_escape=0.0, v_loc=5.0, t_dur=0.2)
     for _ in range(90):
         phase.extend()
     with pytest.raises(NonSeparableError):
         phase.extend()
-
-
-# --- reactivation ---------------------------------------------------------------
-
-
-def _phase(v_loc=1.0, t_dur=1.0, p_ic=(0.0, 2.0)):
-    return LocalPhase(collided_id=3, p_ic=p_ic, theta_escape=math.pi, v_loc=v_loc, t_dur=t_dur)
-
-
-def test_reactivation_at_escape_distance():
-    # obstacle at (0,4) r=1, robot r=1 collided at (0,2); robot now at (-1,2)
-    phase = _phase()
-    ok = reactivation_check((-1.0, 2.0), 1.0, [((0.0, 4.0), 1.0)], phase)
-    assert ok
-
-
-def test_reactivation_not_departed():
-    phase = _phase()
-    assert not reactivation_check((0.0, 2.0), 1.0, [((0.0, 4.0), 1.0)], phase)
-
-
-def test_reactivation_blocked_by_overlap():
-    phase = _phase()
-    others = [((0.0, 4.0), 1.0), ((-2.0, 2.0), 1.0)]  # second body overlaps the checkpoint
-    assert not reactivation_check((-1.0, 2.0), 1.0, others, phase)
