@@ -1,5 +1,6 @@
 """Golden outputs: SHA-256 of `trace_to_csv` and of the `metrics` summary for
-every shipped scenario in both modes, at the shipped `dt`.
+every shipped scenario in both modes, at the shipped `dt`, and for the
+in-file wedge scenario that reaches both simultaneous-contact deferrals.
 
 A refactor must leave these bits unchanged.  A change that alters them on
 purpose updates the hashes here and says why.
@@ -15,6 +16,22 @@ from bumpsim.hybrid import SimMode, metrics, simulate, trace_to_csv
 from bumpsim.scenario import load_scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+# Robot 1 drives into the wedge between obstacles 3 and 4, which it touches
+# at the same instant: the event defers one crossing and the contact sweep
+# defers the other.  Obstacle 5 stays far away.
+WEDGE = {
+    "workspace": {"x_min": -50, "x_max": 50, "y_min": -50, "y_max": 50},
+    "bodies": [
+        {"id": 1, "kind": "robot", "radius": 1.0, "mass": 1.0, "x": 0.0, "y": 0.0, "theta": 0.0},
+        {"id": 3, "kind": "obstacle", "radius": 0.5, "mass": "unbounded", "x": 3.0, "y": 1.2},
+        {"id": 4, "kind": "obstacle", "radius": 0.5, "mass": "unbounded", "x": 3.0, "y": -1.2},
+        {"id": 5, "kind": "obstacle", "radius": 1.0, "mass": "unbounded", "x": -40.0, "y": 0.0},
+    ],
+    "targets": {"1": {"x": 10.0, "y": 0.0, "theta": 0.0}},
+    "params": {"rho": 9, "sigma1": 1.25, "sigma2": 0.6, "sigma3": 1.2, "mv": 5, "mw": 5},
+    "sim": {"t_max": 4.0, "jump_cap": 200},
+}
 
 PREDEFINED = SimMode.PREDEFINED_ONLY
 REDESIGNED = SimMode.REDESIGNED
@@ -45,6 +62,16 @@ GOLDEN = {
         "cdf0773ee23946c244575e4d1b592d724fc200abf11c223b5edd53509918653b",
         "663c1415bfbe7cf822381c9456e8999a4b5deec5eea1d28643d4be1af6cf4617",
     ),
+    # In redesigned mode the robot never leaves the wedge: the jump cap ends
+    # the run with collisions alternating between obstacles 3 and 4.
+    ("wedge", PREDEFINED): (
+        "812f54fb0c75d905a49b62f4331561e3bfef45eccef2553314a203ffc67d7561",
+        "ca1374be7a2257aef3278520ce90fae3615dcbb6f54164087126f9e35f84e4a0",
+    ),
+    ("wedge", REDESIGNED): (
+        "4bc54d2aec43097056f55d5ac63870ff918747dd3b83d90c338200c4e8af8ad9",
+        "77e0d90e78bee798cd9121c8ed14d898097e4597d88c64e64641c95fc8107f0e",
+    ),
 }
 
 
@@ -56,7 +83,10 @@ def sha256(text: str) -> str:
     ("name", "mode"), list(GOLDEN), ids=[f"{n}-{m.value}" for n, m in GOLDEN]
 )
 def test_golden_trace_and_metrics(name, mode):
-    scenario = load_scenario((SCENARIOS / f"{name}.json").read_text(encoding="utf-8"))
+    if name == "wedge":
+        scenario = load_scenario(json.dumps(WEDGE))
+    else:
+        scenario = load_scenario((SCENARIOS / f"{name}.json").read_text(encoding="utf-8"))
     trace = simulate(scenario, mode)
     trace_hash, metrics_hash = GOLDEN[(name, mode)]
     assert sha256(trace_to_csv(trace)) == trace_hash
