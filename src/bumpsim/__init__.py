@@ -34,7 +34,6 @@ from .frames import (
 )
 from .hybrid import (
     EventHit,
-    Mode,
     SimMode,
     Trace,
     contact_pairs,

@@ -2,13 +2,16 @@
 
 Each robot carries a discrete mode q alongside its pose: q = 0 runs the
 predefined controller, q = 1 runs the constant-heading local escape
-controller installed after a heading-changing collision.  The executor
+controller installed after a heading-changing collision.  q is 1 exactly
+while the robot holds a LocalPhase; `HybridState.phases` is its only
+record.  Every contact, found by event localization or by the sweep at an
+instant, goes through one pair-table row and one ContactQuery.  The executor
 integrates the unicycle flow with fixed-step classical RK4 under
 zero-order-hold inputs, localizes contact events by bisection inside a
 step, applies the collision/impulse jump maps, and records everything in
 an ordered trace.
 
-Two simulation modes exist: REDESIGNED runs the full strategy, while
+The SimMode REDESIGNED runs the full strategy, while
 PREDEFINED_ONLY still resolves collision physics (headings and speeds
 jump) but never applies impulses or local phases - the ablation that
 exhibits chattering/deadlock.
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import Enum
 from typing import Mapping, NamedTuple
 
 from .collision import (
@@ -38,14 +41,9 @@ from .redesign import (
     select_escape_heading,
     tangent_rays,
 )
-from .scenario import ControlInput, RobotState, Scenario, validate_scenario
+from .scenario import Body, ControlInput, RobotState, Scenario, validate_scenario
 
 EVENT_TIME_TOL = 1e-12
-
-
-class Mode(IntEnum):
-    PREDEFINED = 0
-    LOCAL = 1
 
 
 class SimMode(Enum):
@@ -220,6 +218,38 @@ def gap(pair: ContactPair, states: Mapping[int, RobotState]) -> float:
     return math.hypot(jx - si.x, jy - si.y) - rsum
 
 
+def contact_query(
+    pair: ContactPair,
+    states: Mapping[int, RobotState],
+    inputs: Mapping[int, ControlInput],
+    body: Mapping[int, Body],
+) -> ContactQuery:
+    """The pair's contact snapshot under the commanded speeds; an obstacle
+    j sits at the pair's fixed position with v = theta = 0."""
+    i, j, _, fixed = pair
+    si = states[i]
+    if fixed is None:
+        sj = states[j]
+        p_j, v_j, theta_j = sj.position, inputs[j].v, sj.theta
+    else:
+        p_j, v_j, theta_j = fixed, 0.0, 0.0
+    bi, bj = body[i], body[j]
+    return ContactQuery.build(
+        i_id=i,
+        j_id=j,
+        p_i=si.position,
+        p_j=p_j,
+        r_i=bi.radius,
+        r_j=bj.radius,
+        m_i=bi.mass,
+        m_j=bj.mass,
+        v_i=inputs[i].v,
+        v_j=v_j,
+        theta_i=si.theta,
+        theta_j=theta_j,
+    )
+
+
 def detect_event(
     pairs: list[ContactPair],
     states: Mapping[int, RobotState],
@@ -277,7 +307,6 @@ def detect_event(
 class HybridState:
     t: float
     states: dict[int, RobotState]
-    modes: dict[int, Mode]
     phases: dict[int, LocalPhase | None]
     jumps: int = 0
 
@@ -285,21 +314,9 @@ class HybridState:
         return HybridState(
             t=self.t,
             states=dict(self.states),
-            modes=dict(self.modes),
             phases=dict(self.phases),
             jumps=self.jumps,
         )
-
-
-@dataclass(frozen=True, slots=True)
-class ContactEvent:
-    """A localized collision between a robot and another body, carrying the
-    currently commanded speeds of both parties (0 for static bodies)."""
-
-    robot_id: int
-    other_id: int
-    v_robot: float
-    v_other: float = 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -307,29 +324,17 @@ class ReactivationEvent:
     robot_id: int
 
 
-def _escape_geometry(
-    scenario: Scenario,
-    robot_id: int,
-    p_robot: tuple[float, float],
-    p_other: tuple[float, float],
-    contact_radius: float,
-) -> tuple[float, float]:
-    rays = tangent_rays(p_other, p_robot, contact_radius)
-    target = scenario.targets[robot_id]
-    return select_escape_heading(rays, (target.x, target.y))
-
-
 def jump(
     hstate: HybridState,
-    event: ContactEvent | ReactivationEvent,
+    event: ContactQuery | ReactivationEvent,
     scenario: Scenario,
     sim_mode: SimMode = SimMode.REDESIGNED,
 ) -> tuple[HybridState, list, dict[int, float]]:
     """Apply one hybrid jump and return (new state, records, post speeds).
 
     A ReactivationEvent clears the robot's local phase and switches it back
-    to the predefined controller with the pose untouched.  A ContactEvent
-    resolves the collision physics for the pair; robots whose heading
+    to the predefined controller with the pose untouched.  A ContactQuery
+    resolves the collision physics for its pair; robots whose heading
     changes get the redesign treatment (escape impulse plus a fresh local
     phase) in REDESIGNED mode, while PREDEFINED_ONLY applies the heading
     jump alone.  Headings unchanged within tolerance leave the robot
@@ -343,81 +348,45 @@ def jump(
     if isinstance(event, ReactivationEvent):
         rid = event.robot_id
         out.phases[rid] = None
-        out.modes[rid] = Mode.PREDEFINED
         records.append(SwitchRecord(t=out.t, robot_id=rid, q_from=1, q_to=0))
         out.jumps += 1
         return (out, records, post_speeds)
 
-    i, j = event.robot_id, event.other_id
-    body_i = scenario.body(i)
-    body_j = scenario.body(j)
-    state_i = out.states[i]
-    if body_j.is_robot:
-        state_j = out.states[j]
-        p_j = state_j.position
-        theta_j = state_j.theta
-    else:
-        state_j = None
-        p_j = body_j.position
-        theta_j = 0.0
-
-    query = ContactQuery.build(
-        i_id=i,
-        j_id=j,
-        p_i=state_i.position,
-        p_j=p_j,
-        r_i=body_i.radius,
-        r_j=body_j.radius,
-        m_i=body_i.mass,
-        m_j=body_j.mass,
-        v_i=event.v_robot,
-        v_j=event.v_other,
-        theta_i=state_i.theta,
-        theta_j=theta_j,
-    )
+    query = event
+    i, j = query.i_id, query.j_id
+    j_is_robot = j in out.states
     delta = scenario.params.delta
     out_i, out_j = resolve_collision(
         query,
         delta_i=delta,
-        delta_j=delta if body_j.is_robot else 0.0,
-        body_j_is_robot=body_j.is_robot,
+        delta_j=delta if j_is_robot else 0.0,
+        body_j_is_robot=j_is_robot,
     )
 
-    outcomes = [(i, j, body_j, out_i)]
+    # (robot, other body, robot position, other position, other radius, outcome)
+    outcomes = [(i, j, query.p_i, query.p_j, query.r_j, out_i)]
     if out_j is not None:
-        outcomes.append((j, i, body_i, out_j))
-
-    redesigning = [
-        (rid, other_id, other_body, oc)
-        for (rid, other_id, other_body, oc) in outcomes
-        if oc.redesign_needed and sim_mode is SimMode.REDESIGNED
-    ]
+        outcomes.append((j, i, query.p_j, query.p_i, query.r_i, out_j))
 
     # Escape headings, deconflicted when both robots of a robot-robot
     # contact need the redesign.
     escapes: dict[int, float] = {}
-    if redesigning:
+    if sim_mode is SimMode.REDESIGNED:
         geo: dict[int, tuple[float, float]] = {}
-        for rid, other_id, other_body, oc in redesigning:
-            p_robot = out.states[rid].position
-            p_other = out.states[other_id].position if other_body.is_robot else other_body.position
-            contact_radius = scenario.body(rid).radius + other_body.radius
-            geo[rid] = _escape_geometry(scenario, rid, p_robot, p_other, contact_radius)
-        if len(redesigning) == 2:
-            ids = [entry[0] for entry in redesigning]
-            th1, th2 = deconflict_headings(
-                geo[ids[0]][0], geo[ids[1]][0], geo[ids[0]][1], geo[ids[1]][1]
-            )
-            escapes[ids[0]] = th1
-            escapes[ids[1]] = th2
-        else:
-            rid = redesigning[0][0]
-            escapes[rid] = geo[rid][0]
+        for rid, _, p_robot, p_other, _, oc in outcomes:
+            if oc.redesign_needed:
+                rays = tangent_rays(p_other, p_robot, query.r_i + query.r_j)
+                target = scenario.targets[rid]
+                geo[rid] = select_escape_heading(rays, (target.x, target.y))
+        escapes = {rid: theta for rid, (theta, _) in geo.items()}
+        if len(geo) == 2:
+            (id1, (th1, phi1)), (id2, (th2, phi2)) = geo.items()
+            escapes[id1], escapes[id2] = deconflict_headings(th1, th2, phi1, phi2)
 
-    for rid, other_id, other_body, oc in outcomes:
+    for rid, other_id, _, _, r_other, oc in outcomes:
         pre_state = out.states[rid]
         post_speeds[rid] = oc.v_plus
-        switch_needed = rid in escapes and out.modes[rid] is Mode.PREDEFINED
+        switch_needed = rid in escapes and out.phases[rid] is None
         if oc.redesign_needed:
             # The physics heading theta_plus applies first; in REDESIGNED
             # mode the impulse then retargets it onto the escape heading.
@@ -426,12 +395,9 @@ def jump(
             v_loc = scenario.params.m_v
             out.phases[rid] = LocalPhase(
                 collided_id=other_id,
-                p_ic=(pre_state.x, pre_state.y),
-                theta_escape=escapes[rid],
                 v_loc=v_loc,
-                t_dur=local_duration(v_loc, other_body.is_robot, other_body.radius),
+                t_dur=local_duration(v_loc, other_id in out.states, r_other),
             )
-            out.modes[rid] = Mode.LOCAL
         records.append(
             CollisionRecord(
                 t=out.t,
@@ -446,7 +412,7 @@ def jump(
                 phi=query.frame.phi,
                 lam=oc.lam,
                 mu=oc.mu,
-                q=out.modes[rid].value,
+                q=int(out.phases[rid] is not None),
             )
         )
         if rid in escapes:
@@ -510,11 +476,11 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
     params = scenario.params
     body = {b.id: b for b in bodies}
     pairs = contact_pairs(scenario)
+    pair_by_ids = {(pair.i, pair.j): pair for pair in pairs}
 
     hs = HybridState(
         t=0.0,
         states={b.id: b.state() for b in robots},
-        modes={b.id: Mode.PREDEFINED for b in robots},
         phases={b.id: None for b in robots},
     )
     records: list = []
@@ -543,8 +509,9 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
         positions = {rid: hs.states[rid].position for rid in robot_ids}
         out: dict[int, ControlInput] = {}
         for rid in robot_ids:
-            if hs.modes[rid] is Mode.LOCAL:
-                out[rid] = local_control(hs.phases[rid])
+            phase = hs.phases[rid]
+            if phase is not None:
+                out[rid] = local_control(phase)
             else:
                 decision = predefined_control(
                     rid, hs.states[rid], scenario.targets[rid], bodies, positions, params
@@ -552,14 +519,19 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
                 out[rid] = decision.u
         return out
 
-    def apply_jump(event: ContactEvent | ReactivationEvent, inputs: dict[int, ControlInput] | None):
+    def apply_jump(event: ContactQuery | ReactivationEvent, inputs: dict[int, ControlInput] | None):
         nonlocal hs
         hs, recs, post_speeds = jump(hs, event, scenario, sim_mode)
         records.extend(recs)
+        if isinstance(event, ContactQuery):
+            # post_speeds is keyed by exactly the robots of the contact
+            collided_marks.update(post_speeds)
+            resolved_pairs.add((event.i_id, event.j_id))
         if inputs is not None:
             for rid, v_plus in post_speeds.items():
-                if hs.modes[rid] is Mode.LOCAL and hs.phases[rid] is not None:
-                    inputs[rid] = local_control(hs.phases[rid])
+                phase = hs.phases[rid]
+                if phase is not None:
+                    inputs[rid] = local_control(phase)
                 else:
                     inputs[rid] = ControlInput(v_plus, inputs[rid].w)
         return cap_fault()
@@ -572,31 +544,14 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
         while progress and not fatal:
             progress = False
             for pair in pairs:
-                if gap(pair, hs.states) > CONTACT_TOL:
+                i, j = pair.i, pair.j
+                if gap(pair, hs.states) > CONTACT_TOL or (i, j) in resolved_pairs:
+                    # apart, or already jumped at this instant: it flows on
                     continue
-                i, j, _, fixed = pair
-                j_is_robot = fixed is None
-                state_i = hs.states[i]
-                query = ContactQuery.build(
-                    i_id=i,
-                    j_id=j,
-                    p_i=state_i.position,
-                    p_j=hs.states[j].position if j_is_robot else fixed,
-                    r_i=body[i].radius,
-                    r_j=body[j].radius,
-                    m_i=body[i].mass,
-                    m_j=body[j].mass,
-                    v_i=inputs[i].v,
-                    v_j=inputs[j].v if j_is_robot else 0.0,
-                    theta_i=state_i.theta,
-                    theta_j=hs.states[j].theta if j_is_robot else 0.0,
-                )
+                query = contact_query(pair, hs.states, inputs, body)
                 if check_collision(query) is not ContactStatus.JUMP:
                     continue
-                if (i, j) in resolved_pairs:
-                    # this pair already jumped at this instant; it flows on
-                    continue
-                if i in collided_marks or (j_is_robot and j in collided_marks):
+                if i in collided_marks or j in collided_marks:
                     # a robot can take only one collision per instant
                     records.append(
                         FaultRecord(
@@ -606,18 +561,8 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
                         )
                     )
                     continue
-                event = ContactEvent(
-                    robot_id=i,
-                    other_id=j,
-                    v_robot=inputs[i].v,
-                    v_other=inputs[j].v if j_is_robot else 0.0,
-                )
-                collided_marks.add(i)
-                if j_is_robot:
-                    collided_marks.add(j)
-                resolved_pairs.add((i, j))
                 progress = True
-                if apply_jump(event, inputs):
+                if apply_jump(query, inputs):
                     return
 
     while True:
@@ -641,7 +586,8 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
             u = inputs[rid]
             records.append(
                 FlowSample(
-                    t=hs.t, robot_id=rid, x=s.x, y=s.y, theta=s.theta, v=u.v, w=u.w, q=hs.modes[rid].value
+                    t=hs.t, robot_id=rid, x=s.x, y=s.y, theta=s.theta, v=u.v, w=u.w,
+                    q=int(hs.phases[rid] is not None),
                 )
             )
 
@@ -686,17 +632,8 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
                         fatal=False,
                     )
                 )
-            event = ContactEvent(
-                robot_id=hit.robot_id,
-                other_id=hit.other_id,
-                v_robot=inputs[hit.robot_id].v,
-                v_other=inputs[hit.other_id].v if hit.other_id in inputs else 0.0,
-            )
-            collided_marks.add(hit.robot_id)
-            if hit.other_id in inputs:
-                collided_marks.add(hit.other_id)
-            resolved_pairs.add((hit.robot_id, hit.other_id))
-            if apply_jump(event, None):
+            pair = pair_by_ids[(hit.robot_id, hit.other_id)]
+            if apply_jump(contact_query(pair, hs.states, inputs, body), None):
                 # Cap hit exactly at this event: fall through to emit the
                 # closing samples on the next loop pass.
                 continue

@@ -66,8 +66,6 @@ class LocalPhase:
     """
 
     collided_id: int
-    p_ic: tuple[float, float]
-    theta_escape: float
     v_loc: float
     t_dur: float
     elapsed: float = 0.0

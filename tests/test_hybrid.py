@@ -5,18 +5,17 @@ import pytest
 
 from bumpsim.hybrid import (
     CollisionRecord,
-    ContactEvent,
     FaultRecord,
     FlowSample,
     HybridState,
     ImpulseRecord,
-    Mode,
     ReactivationEvent,
     SimMode,
     SwitchRecord,
     TargetReachedRecord,
     Trace,
     contact_pairs,
+    contact_query,
     detect_event,
     jump,
     metrics,
@@ -25,6 +24,7 @@ from bumpsim.hybrid import (
     step_flow,
     trace_to_csv,
 )
+from bumpsim.frames import build_local_frame
 from bumpsim.redesign import LocalPhase
 from bumpsim.scenario import ControlInput, RobotState, load_scenario
 
@@ -123,13 +123,9 @@ def test_loss_coefficient_damps_rebound():
         params={"rho": 9, "sigma1": 1.25, "sigma2": 0.6, "sigma3": 1.2, "mv": 5, "mw": 5, "delta": 0.5},
         sim={"t_max": 2.0, "jump_cap": 50},
     )
-    hs = HybridState(
-        t=0.0,
-        states={1: RobotState(0.0, 6.0, -0.5 * math.pi)},
-        modes={1: Mode.PREDEFINED},
-        phases={1: None},
-    )
-    out, records, post_speeds = jump(hs, ContactEvent(1, 3, v_robot=2.0), sc, SimMode.PREDEFINED_ONLY)
+    hs = HybridState(t=0.0, states={1: RobotState(0.0, 6.0, -0.5 * math.pi)}, phases={1: None})
+    query = first_contact_query(sc, hs, {1: ControlInput(2.0, 0.0)})
+    out, records, post_speeds = jump(hs, query, sc, SimMode.PREDEFINED_ONLY)
     col = records[0]
     # reflected normal component (1 - 0.5) * (-2.0), reported along the pair y-axis
     assert col.lam == pytest.approx(-1.0, abs=1e-12)
@@ -171,11 +167,44 @@ def test_reactivation_needs_expiry_and_strictly_positive_gaps(obstacle_x, elapse
         {"1": {"x": 10.0, "y": 0.0, "theta": 0.0}},
     )
     states = {1: RobotState(-1.0, 2.0, math.pi)}
-    phase = LocalPhase(
-        collided_id=3, p_ic=(0.0, 2.0), theta_escape=math.pi, v_loc=1.0, t_dur=1.0, elapsed=elapsed
-    )
+    phase = LocalPhase(collided_id=3, v_loc=1.0, t_dur=1.0, elapsed=elapsed)
     assert reactivation_due(contact_pairs(sc), states, 1, phase) is due
     assert phase.extension == extension
+
+
+# --- contact_query -----------------------------------------------------------
+
+
+def first_contact_query(sc, hs, inputs):
+    """The contact query of the scenario's first pair-table row."""
+    body = {b.id: b for b in sc.bodies}
+    return contact_query(contact_pairs(sc)[0], hs.states, inputs, body)
+
+
+@pytest.mark.parametrize(
+    ("other", "j_motion"),
+    [
+        (obstacle(3, 2.0, 0.5, radius=0.5), (0.0, 0.0)),  # static: v = theta = 0
+        (robot(2, 2.0, 0.5, theta=1.5), (0.7, 1.5)),  # commanded speed, pose heading
+    ],
+    ids=["obstacle", "robot"],
+)
+def test_contact_query_fills_the_pair_row(other, j_motion):
+    bodies = [robot(1, 0.0, 0.0, theta=0.3), other]
+    targets = {
+        str(b["id"]): {"x": 10.0, "y": 5.0 * b["id"], "theta": 0.0} for b in bodies if b["kind"] == "robot"
+    }
+    sc = make_scenario(bodies, targets)
+    states = {b.id: b.state() for b in sc.robots()}
+    inputs = {1: ControlInput(2.0, 0.1), 2: ControlInput(0.7, -0.2)}
+    pair = contact_pairs(sc)[0]
+    query = contact_query(pair, states, inputs, {b.id: b for b in sc.bodies})
+    assert (query.i_id, query.j_id) == (1, other["id"])
+    assert (query.p_i, query.v_i, query.theta_i) == ((0.0, 0.0), 2.0, 0.3)
+    assert query.p_j == (2.0, 0.5)
+    assert (query.v_j, query.theta_j) == j_motion
+    assert (query.r_j, query.m_j) == (other["radius"], sc.body(other["id"]).mass)
+    assert query.frame.phi == build_local_frame(query.p_i, query.p_j).phi
 
 
 # --- jump --------------------------------------------------------------------
@@ -190,13 +219,9 @@ def head_on_scenario():
 
 def test_jump_head_on_obstacle_redesign():
     sc = head_on_scenario()
-    hs = HybridState(
-        t=1.0,
-        states={1: RobotState(0.0, 6.0, -0.5 * math.pi)},
-        modes={1: Mode.PREDEFINED},
-        phases={1: None},
-    )
-    out, records, post_speeds = jump(hs, ContactEvent(1, 3, v_robot=3.0), sc, SimMode.REDESIGNED)
+    hs = HybridState(t=1.0, states={1: RobotState(0.0, 6.0, -0.5 * math.pi)}, phases={1: None})
+    query = first_contact_query(sc, hs, {1: ControlInput(3.0, 0.0)})
+    out, records, post_speeds = jump(hs, query, sc, SimMode.REDESIGNED)
     kinds = [type(r) for r in records]
     assert kinds == [CollisionRecord, ImpulseRecord, SwitchRecord]
     col, imp, sw = records
@@ -206,7 +231,7 @@ def test_jump_head_on_obstacle_redesign():
     assert imp.theta_escape == pytest.approx(math.pi, abs=1e-12)
     assert out.states[1].theta == imp.theta_escape
     assert (out.states[1].x, out.states[1].y) == (0.0, 6.0)  # position continuous
-    assert out.modes[1] is Mode.LOCAL
+    assert out.phases[1] is not None
     assert out.phases[1].t_dur == pytest.approx(0.2, abs=1e-15)  # r_j / m_v = 1/5
     assert (sw.q_from, sw.q_to) == (0, 1)
     assert post_speeds[1] == pytest.approx(3.0, abs=1e-12)
@@ -215,30 +240,24 @@ def test_jump_head_on_obstacle_redesign():
 
 def test_jump_predefined_only_applies_physics_without_redesign():
     sc = head_on_scenario()
-    hs = HybridState(
-        t=0.5,
-        states={1: RobotState(0.0, 6.0, -0.5 * math.pi)},
-        modes={1: Mode.PREDEFINED},
-        phases={1: None},
-    )
-    out, records, _ = jump(hs, ContactEvent(1, 3, v_robot=3.0), sc, SimMode.PREDEFINED_ONLY)
+    hs = HybridState(t=0.5, states={1: RobotState(0.0, 6.0, -0.5 * math.pi)}, phases={1: None})
+    query = first_contact_query(sc, hs, {1: ControlInput(3.0, 0.0)})
+    out, records, _ = jump(hs, query, sc, SimMode.PREDEFINED_ONLY)
     assert [type(r) for r in records] == [CollisionRecord]
     # reflected heading applied, no mode change, no phase
     assert out.states[1].theta == pytest.approx(0.5 * math.pi, abs=1e-12)
-    assert out.modes[1] is Mode.PREDEFINED
     assert out.phases[1] is None
 
 
 def test_jump_reactivation_identity_on_state():
     sc = head_on_scenario()
     state = RobotState(-1.0, 6.0, math.pi)
-    phase = LocalPhase(collided_id=3, p_ic=(0.0, 6.0), theta_escape=math.pi, v_loc=5.0, t_dur=0.2, elapsed=0.2)
-    hs = HybridState(t=2.0, states={1: state}, modes={1: Mode.LOCAL}, phases={1: phase})
+    phase = LocalPhase(collided_id=3, v_loc=5.0, t_dur=0.2, elapsed=0.2)
+    hs = HybridState(t=2.0, states={1: state}, phases={1: phase})
     out, records, _ = jump(hs, ReactivationEvent(1), sc, SimMode.REDESIGNED)
     assert [type(r) for r in records] == [SwitchRecord]
     assert records[0].q_from == 1 and records[0].q_to == 0
     assert out.states[1] is state  # bitwise unchanged
-    assert out.modes[1] is Mode.PREDEFINED
     assert out.phases[1] is None
 
 
@@ -253,17 +272,15 @@ def test_jump_rear_end_same_heading_no_redesign():
     hs = HybridState(
         t=0.0,
         states={1: RobotState(0.0, 0.0, 0.5 * math.pi), 2: RobotState(0.0, 2.0, 0.5 * math.pi)},
-        modes={1: Mode.PREDEFINED, 2: Mode.PREDEFINED},
         phases={1: None, 2: None},
     )
-    out, records, post_speeds = jump(
-        hs, ContactEvent(1, 2, v_robot=2.0, v_other=0.5), sc, SimMode.REDESIGNED
-    )
+    query = first_contact_query(sc, hs, {1: ControlInput(2.0, 0.0), 2: ControlInput(0.5, 0.0)})
+    out, records, post_speeds = jump(hs, query, sc, SimMode.REDESIGNED)
     # speeds swap, headings unchanged: physics only, no impulse, no switches
     assert [type(r) for r in records] == [CollisionRecord, CollisionRecord]
     assert out.states[1].theta == 0.5 * math.pi
     assert out.states[2].theta == 0.5 * math.pi
-    assert out.modes[1] is Mode.PREDEFINED and out.modes[2] is Mode.PREDEFINED
+    assert out.phases[1] is None and out.phases[2] is None
     assert post_speeds[1] == pytest.approx(0.5, abs=1e-12)
     assert post_speeds[2] == pytest.approx(2.0, abs=1e-12)
 

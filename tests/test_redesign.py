@@ -163,14 +163,14 @@ def test_impulse_no_wrapping():
 
 
 def test_local_control_constant():
-    phase = LocalPhase(collided_id=9, p_ic=(0.0, 0.0), theta_escape=0.0, v_loc=5.0, t_dur=0.2)
+    phase = LocalPhase(collided_id=9, v_loc=5.0, t_dur=0.2)
     u = local_control(phase)
     assert (u.v, u.w) == (5.0, 0.0)
 
 
 def test_local_speed_must_be_positive():
     with pytest.raises(ValueError):
-        LocalPhase(collided_id=9, p_ic=(0.0, 0.0), theta_escape=0.0, v_loc=0.0, t_dur=0.2)
+        LocalPhase(collided_id=9, v_loc=0.0, t_dur=0.2)
 
 
 def test_duration_obstacle():
@@ -186,7 +186,7 @@ def test_duration_unit_ratio():
 
 
 def test_phase_extension_cap():
-    phase = LocalPhase(collided_id=9, p_ic=(0.0, 0.0), theta_escape=0.0, v_loc=5.0, t_dur=0.2)
+    phase = LocalPhase(collided_id=9, v_loc=5.0, t_dur=0.2)
     for _ in range(90):
         phase.extend()
     with pytest.raises(NonSeparableError):
