@@ -15,10 +15,8 @@ from .controller import (
     ControllerTerms,
     Region,
     RegionError,
-    cbf_value,
     classify_region,
     clf_value,
-    lie_derivatives,
     nominal_control,
     predefined_control,
     saturate,

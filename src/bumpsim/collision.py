@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .frames import LocalFrame, build_local_frame
+from .frames import LocalFrame, build_local_frame, decompose_velocity
 
 TWO_PI = 2.0 * math.pi
 
@@ -121,15 +121,6 @@ class CollisionOutcome:
     redesign_needed: bool
 
 
-def normal_speeds(query: ContactQuery) -> tuple[float, float]:
-    """Velocity components of both bodies along the line of centers."""
-    phi = query.frame.phi
-    return (
-        query.v_i * math.sin(query.theta_i - phi),
-        query.v_j * math.sin(query.theta_j - phi),
-    )
-
-
 def check_collision(query: ContactQuery, tol: float = CONTACT_TOL) -> ContactStatus:
     """Decide whether the pair flows or jumps at this instant.
 
@@ -145,7 +136,10 @@ def check_collision(query: ContactQuery, tol: float = CONTACT_TOL) -> ContactSta
         )
     if gap > tol:
         return ContactStatus.FLOW
-    v_iy, v_jy = normal_speeds(query)
+    # components along the line of centers
+    phi = query.frame.phi
+    v_iy = decompose_velocity(query.v_i, query.theta_i - phi)[1]
+    v_jy = decompose_velocity(query.v_j, query.theta_j - phi)[1]
     if v_iy - v_jy > APPROACH_EPS:
         return ContactStatus.JUMP
     return ContactStatus.FLOW
@@ -209,12 +203,8 @@ def resolve_collision(
     zero velocity and no outcome is produced for it unless it is a robot.
     """
     phi = query.frame.phi
-    theta_bar_i = query.theta_i - phi
-    theta_bar_j = query.theta_j - phi
-    mu_i = query.v_i * math.cos(theta_bar_i)
-    v_iy = query.v_i * math.sin(theta_bar_i)
-    mu_j = query.v_j * math.cos(theta_bar_j)
-    v_jy = query.v_j * math.sin(theta_bar_j)
+    mu_i, v_iy = decompose_velocity(query.v_i, query.theta_i - phi)
+    mu_j, v_jy = decompose_velocity(query.v_j, query.theta_j - phi)
 
     lam_i, lam_j = resolve_normal(query.m_i, query.m_j, v_iy, v_jy, delta_i, delta_j)
 

@@ -6,9 +6,11 @@ V = 0.5*|state - target|^2 with a summed clearance function
     h_i = |p1 - p2|^2 - (r1 + r2)^2 + sum_k (|p_i - p_k|^2 - (r_i + r_k)^2)
 
 over all obstacles k (the robot-robot term is dropped when the scenario has
-a single robot).  The nominal input is picked from one of four closed-form
-branches depending on which of the two inequality constraints is active,
-then saturated component-wise to the input box.
+a single robot).  h and its position gradient fold over the robot's rows of
+the executor's pair table (`hybrid.contact_pairs`), in table order.  The
+nominal input is picked from one of four closed-form branches depending on
+which of the two inequality constraints is active, then saturated
+component-wise to the input box.
 """
 
 from __future__ import annotations
@@ -16,9 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .scenario import Body, ControlInput, ControllerParams, RobotState
+from .scenario import ControlInput, ControllerParams, RobotState
+
+if TYPE_CHECKING:
+    from .hybrid import ContactPair
 
 # Below this magnitude a division denominator counts as degenerate: the
 # affected region test is decided without the ratio and the affected nominal
@@ -74,74 +79,6 @@ def clf_value(state: RobotState, target: RobotState) -> float:
     return 0.5 * (dx * dx + dy * dy + dth * dth)
 
 
-def _pair_position(body: Body, robot_positions: Mapping[int, tuple[float, float]]) -> tuple[float, float]:
-    if body.is_robot:
-        return robot_positions.get(body.id, body.position)
-    return body.position
-
-
-def cbf_value(
-    robot_id: int,
-    bodies: Sequence[Body],
-    robot_positions: Mapping[int, tuple[float, float]],
-) -> float:
-    """Summed clearance of robot `robot_id` against every other body.
-
-    Positive when the clearances are jointly positive in the summed sense;
-    individual pairs may still touch while the sum stays positive.
-    """
-    own_body = None
-    other_robot = None
-    for b in bodies:
-        if b.id == robot_id:
-            own_body = b
-        elif b.is_robot:
-            other_robot = b
-    if own_body is None:
-        raise KeyError(f"no robot with id {robot_id}")
-    px, py = robot_positions.get(robot_id, own_body.position)
-
-    total = 0.0
-    if other_robot is not None:
-        ox, oy = _pair_position(other_robot, robot_positions)
-        rr = own_body.radius + other_robot.radius
-        total += (px - ox) ** 2 + (py - oy) ** 2 - rr * rr
-    for b in bodies:
-        if b.is_robot:
-            continue
-        rr = own_body.radius + b.radius
-        total += (px - b.x) ** 2 + (py - b.y) ** 2 - rr * rr
-    return total
-
-
-def lie_derivatives(
-    robot_id: int,
-    state: RobotState,
-    target: RobotState,
-    bodies: Sequence[Body],
-    robot_positions: Mapping[int, tuple[float, float]],
-) -> tuple[float, float, float]:
-    """Input-direction gradients (c, s, e) of V and h at the current state.
-
-    c = (x - xd)*cos(theta) + (y - yd)*sin(theta), s = theta - theta_d, and
-    e is the position gradient of h dotted with the heading.  The angular
-    component of the h gradient is identically zero (h is position-only).
-    """
-    c = (state.x - target.x) * math.cos(state.theta) + (state.y - target.y) * math.sin(state.theta)
-    s = state.theta - target.theta
-
-    gx = 0.0
-    gy = 0.0
-    for b in bodies:
-        if b.id == robot_id:
-            continue
-        bx, by = _pair_position(b, robot_positions)
-        gx += 2.0 * (state.x - bx)
-        gy += 2.0 * (state.y - by)
-    e = gx * math.cos(state.theta) + gy * math.sin(state.theta)
-    return (c, s, e)
-
-
 def gain(x: float, sigma1: float) -> float:
     """Piecewise gain: sigma1 * x for x >= 0 (sigma1 >= 1), identity below."""
     return sigma1 * x if x >= 0.0 else x
@@ -149,23 +86,45 @@ def gain(x: float, sigma1: float) -> float:
 
 def controller_terms(
     robot_id: int,
-    state: RobotState,
+    states: Mapping[int, RobotState],
     target: RobotState,
-    bodies: Sequence[Body],
-    robot_positions: Mapping[int, tuple[float, float]],
+    rows: Sequence[ContactPair],
     params: ControllerParams,
 ) -> ControllerTerms:
+    """V, h and the input-direction gradients (c, s, e) in one pass.
+
+    `rows` are the pair-table rows that contain `robot_id`; h and its
+    position gradient fold over them in table order.  The other body sits
+    at the row's fixed position, or at its state for the robot-robot row.
+    c = (x - xd)*cos(theta) + (y - yd)*sin(theta), s = theta - theta_d and
+    e is the h gradient dotted with the heading (h is position-only).
+    """
+    state = states[robot_id]
+    h = 0.0
+    gx = 0.0
+    gy = 0.0
+    for i, j, rsum, fixed in rows:
+        if fixed is None:
+            other = states[j if i == robot_id else i]
+            ox, oy = other.x, other.y
+        else:
+            ox, oy = fixed
+        dx = state.x - ox
+        dy = state.y - oy
+        h += dx ** 2 + dy ** 2 - rsum * rsum
+        gx += 2.0 * dx
+        gy += 2.0 * dy
+    cos_th = math.cos(state.theta)
+    sin_th = math.sin(state.theta)
     V = clf_value(state, target)
-    h = cbf_value(robot_id, bodies, robot_positions)
-    c, s, e = lie_derivatives(robot_id, state, target, bodies, robot_positions)
     return ControllerTerms(
         V=V,
         h=h,
         a=gain(params.sigma2 * V, params.sigma1),
         b=params.sigma3 * h,
-        c=c,
-        s=s,
-        e=e,
+        c=(state.x - target.x) * cos_th + (state.y - target.y) * sin_th,
+        s=state.theta - target.theta,
+        e=gx * cos_th + gy * sin_th,
     )
 
 
@@ -244,19 +203,18 @@ def saturate(u: ControlInput, m_v: float, m_w: float) -> ControlInput:
 
 def predefined_control(
     robot_id: int,
-    state: RobotState,
+    states: Mapping[int, RobotState],
     target: RobotState,
-    bodies: Sequence[Body],
-    robot_positions: Mapping[int, tuple[float, float]],
+    rows: Sequence[ContactPair],
     params: ControllerParams,
 ) -> ControlDecision:
     """Evaluate the full controller pipeline at one state snapshot.
 
-    Clearance terms are evaluated against the body positions passed in
-    `robot_positions`, i.e. a snapshot taken at the integration step
-    boundary.  The returned input always lies inside the input box.
+    Clearance terms are evaluated against the robot poses in `states`, i.e.
+    a snapshot taken at the integration step boundary, and the robot's
+    pair-table `rows`.  The returned input always lies inside the input box.
     """
-    terms = controller_terms(robot_id, state, target, bodies, robot_positions, params)
+    terms = controller_terms(robot_id, states, target, rows, params)
     region = classify_region(terms, params.rho)
     u_nom, degenerate = nominal_control(terms, region, params.rho)
     u = saturate(u_nom, params.m_v, params.m_w)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from .collision import (
     CONTACT_TOL,
@@ -190,15 +190,16 @@ class ContactPair(NamedTuple):
     fixed: tuple[float, float] | None
 
 
-def contact_pairs(scenario: Scenario) -> list[ContactPair]:
+def contact_pairs(bodies: Sequence[Body]) -> list[ContactPair]:
     """The pair table: the robot-robot pair first, then every robot against
-    every obstacle, robots sorted by id."""
+    every obstacle in body order, robots sorted by id."""
     pairs: list[ContactPair] = []
-    robots = sorted(scenario.robots(), key=lambda b: b.id)
+    robots = sorted((b for b in bodies if b.is_robot), key=lambda b: b.id)
+    obstacles = [b for b in bodies if not b.is_robot]
     if len(robots) == 2:
         pairs.append(ContactPair(robots[0].id, robots[1].id, robots[0].radius + robots[1].radius, None))
     for robot in robots:
-        for obstacle in scenario.obstacles():
+        for obstacle in obstacles:
             pairs.append(
                 ContactPair(robot.id, obstacle.id, robot.radius + obstacle.radius, obstacle.position)
             )
@@ -432,20 +433,20 @@ def jump(
 
 
 def reactivation_due(
-    pairs: list[ContactPair],
+    rows: list[ContactPair],
     states: Mapping[int, RobotState],
-    rid: int,
     phase: LocalPhase | None,
 ) -> bool:
-    """The reactivation rule for robot rid's local phase.
+    """The reactivation rule for a robot's local phase.
 
-    True when the phase has expired and every pair containing rid has a
-    strictly positive gap.  An expired phase without that clearance is
-    extended by t_dur / 10 instead (NonSeparableError past the cap).
+    True when the phase has expired and every one of the robot's pair-table
+    rows has a strictly positive gap.  An expired phase without that
+    clearance is extended by t_dur / 10 instead (NonSeparableError past the
+    cap).
     """
     if phase is None or not phase.expired():
         return False
-    if all(gap(pair, states) > 0.0 for pair in pairs if rid in (pair.i, pair.j)):
+    if all(gap(pair, states) > 0.0 for pair in rows):
         return True
     phase.extend()
     return False
@@ -472,10 +473,11 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
 
     robots = sorted(scenario.robots(), key=lambda b: b.id)
     robot_ids = [b.id for b in robots]
-    bodies = scenario.bodies
     params = scenario.params
-    body = {b.id: b for b in bodies}
-    pairs = contact_pairs(scenario)
+    body = {b.id: b for b in scenario.bodies}
+    pairs = contact_pairs(scenario.bodies)
+    # each robot's own rows of the pair table, in table order
+    rows = {rid: [p for p in pairs if rid in (p.i, p.j)] for rid in robot_ids}
     pair_by_ids = {(pair.i, pair.j): pair for pair in pairs}
 
     hs = HybridState(
@@ -506,17 +508,13 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
         return False
 
     def compute_inputs() -> dict[int, ControlInput]:
-        positions = {rid: hs.states[rid].position for rid in robot_ids}
         out: dict[int, ControlInput] = {}
         for rid in robot_ids:
             phase = hs.phases[rid]
             if phase is not None:
                 out[rid] = local_control(phase)
             else:
-                decision = predefined_control(
-                    rid, hs.states[rid], scenario.targets[rid], bodies, positions, params
-                )
-                out[rid] = decision.u
+                out[rid] = predefined_control(rid, hs.states, scenario.targets[rid], rows[rid], params).u
         return out
 
     def apply_jump(event: ContactQuery | ReactivationEvent, inputs: dict[int, ControlInput] | None):
@@ -568,7 +566,7 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
     while True:
         if not fatal:
             for rid in robot_ids:
-                if reactivation_due(pairs, hs.states, rid, hs.phases[rid]):
+                if reactivation_due(rows[rid], hs.states, hs.phases[rid]):
                     if apply_jump(ReactivationEvent(rid), None):
                         break
         if not fatal:
@@ -681,7 +679,7 @@ def metrics(trace: Trace) -> TraceMetrics:
     """Pure fold over the trace records."""
     scenario = trace.scenario
     robot_ids = sorted(scenario.robot_ids())
-    pairs = contact_pairs(scenario)
+    pairs = contact_pairs(scenario.bodies)
 
     per_robot = {
         rid: RobotMetrics(reached=False, completion_time=None, collisions=0, min_clearance=None)

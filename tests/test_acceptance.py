@@ -19,6 +19,7 @@ from bumpsim.hybrid import (
     ImpulseRecord,
     SimMode,
     SwitchRecord,
+    contact_pairs,
     metrics,
     simulate,
     step_flow,
@@ -293,7 +294,8 @@ def test_c8_controller_suite():
             bodies.append(Body(3 + k, BodyKind.OBSTACLE, 1.0, math.inf, rng.uniform(-10, 10), rng.uniform(-10, 10)))
         state = RobotState(p1[0], p1[1], rng.uniform(-7, 7))
         target = RobotState(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(-7, 7))
-        decision = predefined_control(1, state, target, bodies, {1: p1, 2: p2}, params)
+        rows = [p for p in contact_pairs(bodies) if 1 in (p.i, p.j)]
+        decision = predefined_control(1, {1: state, 2: RobotState(p2[0], p2[1], 0.0)}, target, rows, params)
         ok = ok and abs(decision.u.v) <= params.m_v and abs(decision.u.w) <= params.m_w
         terms = decision.terms
         if abs(terms.e) >= 1e-9:

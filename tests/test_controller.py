@@ -7,15 +7,14 @@ from bumpsim.controller import (
     ControllerTerms,
     Region,
     RegionError,
-    cbf_value,
     classify_region,
     clf_value,
     controller_terms,
-    lie_derivatives,
     nominal_control,
     predefined_control,
     saturate,
 )
+from bumpsim.hybrid import contact_pairs
 from bumpsim.scenario import Body, BodyKind, ControlInput, ControllerParams, RobotState
 
 UNBOUNDED = math.inf
@@ -40,6 +39,15 @@ def two_robot_bodies(p1, p2, obstacles=()):
     return bodies
 
 
+def rows_of(bodies, robot_id):
+    """The robot's rows of the pair table, as the executor hands them over."""
+    return [p for p in contact_pairs(bodies) if robot_id in (p.i, p.j)]
+
+
+def terms_at(bodies, states, target=RobotState(0.0, 0.0, 0.0)):
+    return controller_terms(1, states, target, rows_of(bodies, 1), EX1_PARAMS)
+
+
 # --- scalar terms -----------------------------------------------------------
 
 
@@ -60,28 +68,24 @@ def test_clf_unit_displacement():
 
 def test_cbf_single_robot_form():
     bodies = ex1_bodies()
-    assert cbf_value(1, bodies, {1: (0.0, 7.0)}) == pytest.approx(5.0, abs=1e-12)
+    assert terms_at(bodies, {1: RobotState(0.0, 7.0, 0.0)}).h == pytest.approx(5.0, abs=1e-12)
 
 
 def test_cbf_contact_is_zero():
     bodies = ex1_bodies()
-    assert cbf_value(1, bodies, {1: (0.0, 6.0)}) == pytest.approx(0.0, abs=1e-12)
+    assert terms_at(bodies, {1: RobotState(0.0, 6.0, 0.0)}).h == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cbf_two_robots_at_contact():
     bodies = two_robot_bodies((0.0, 0.0), (2.0, 0.0))
-    assert cbf_value(1, bodies, {1: (0.0, 0.0), 2: (2.0, 0.0)}) == pytest.approx(0.0, abs=1e-12)
+    states = {1: RobotState(0.0, 0.0, 0.0), 2: RobotState(2.0, 0.0, 0.0)}
+    assert terms_at(bodies, states).h == pytest.approx(0.0, abs=1e-12)
 
 
 def test_lie_derivatives_example():
     bodies = ex1_bodies()
-    c, s, e = lie_derivatives(
-        1,
-        RobotState(0.0, 7.0, 0.5 * math.pi),
-        RobotState(0.0, 0.0, 0.5 * math.pi),
-        bodies,
-        {1: (0.0, 7.0)},
-    )
+    t = terms_at(bodies, {1: RobotState(0.0, 7.0, 0.5 * math.pi)}, RobotState(0.0, 0.0, 0.5 * math.pi))
+    c, s, e = t.c, t.s, t.e
     assert c == pytest.approx(7.0, abs=1e-12)
     assert s == 0.0
     assert e == pytest.approx(6.0, abs=1e-12)
@@ -90,7 +94,8 @@ def test_lie_derivatives_example():
 def test_lie_derivatives_zero_at_target():
     bodies = ex1_bodies()
     s0 = RobotState(0.0, 7.0, 0.5 * math.pi)
-    c, s, _ = lie_derivatives(1, s0, s0, bodies, {1: (0.0, 7.0)})
+    t = terms_at(bodies, {1: s0}, s0)
+    c, s = t.c, t.s
     assert c == 0.0
     assert s == 0.0
 
@@ -100,10 +105,45 @@ def test_lie_derivative_gradient_dot_heading():
         Body(1, BodyKind.ROBOT, 1.0, 1.0, 3.0, 0.0, 0.0),
         Body(3, BodyKind.OBSTACLE, 1.0, UNBOUNDED, 0.0, 0.0),
     ]
-    _, _, e = lie_derivatives(
-        1, RobotState(3.0, 0.0, 0.0), RobotState(0.0, 0.0, 0.0), bodies, {1: (3.0, 0.0)}
-    )
+    e = terms_at(bodies, {1: RobotState(3.0, 0.0, 0.0)}).e
     assert e == pytest.approx(6.0, abs=1e-12)
+
+
+def _summed_clearance_oracle(robot_id, bodies, states):
+    """h and e of robot_id summed over the Body list, independent of the pair
+    table: every other body, robots at their state and obstacles in place."""
+    own = next(b for b in bodies if b.id == robot_id)
+    p = states[robot_id]
+    h = gx = gy = 0.0
+    for b in bodies:
+        if b.id == robot_id:
+            continue
+        ox, oy = (states[b.id].x, states[b.id].y) if b.kind is BodyKind.ROBOT else (b.x, b.y)
+        rr = own.radius + b.radius
+        h += (p.x - ox) ** 2 + (p.y - oy) ** 2 - rr * rr
+        gx += 2.0 * (p.x - ox)
+        gy += 2.0 * (p.y - oy)
+    return h, gx * math.cos(p.theta) + gy * math.sin(p.theta)
+
+
+@pytest.mark.parametrize("rid", [1, 2])
+def test_terms_match_body_list_oracle(rid):
+    # robot 2 is the j of the (1, 2) row, so its "other" is robot 1
+    rng = random.Random(20240904 + rid)
+    for _ in range(300):
+        states = {k: RobotState(rng.uniform(-8, 8), rng.uniform(-8, 8), rng.uniform(-7, 7)) for k in (1, 2)}
+        bodies = [
+            Body(k, BodyKind.ROBOT, rng.uniform(0.3, 1.5), 1.0, states[k].x, states[k].y, states[k].theta)
+            for k in (1, 2)
+        ]
+        for k in range(3, 3 + rng.randrange(0, 3)):
+            radius, x, y = rng.uniform(0.3, 1.5), rng.uniform(-8, 8), rng.uniform(-8, 8)
+            bodies.append(Body(k, BodyKind.OBSTACLE, radius, UNBOUNDED, x, y))
+        target = RobotState(rng.uniform(-8, 8), rng.uniform(-8, 8), rng.uniform(-7, 7))
+        t = controller_terms(rid, states, target, rows_of(bodies, rid), EX1_PARAMS)
+        h, e = _summed_clearance_oracle(rid, bodies, states)
+        assert t.h == pytest.approx(h, rel=1e-12)
+        assert t.e == pytest.approx(e, rel=1e-12)
 
 
 # --- region classification --------------------------------------------------
@@ -182,7 +222,7 @@ def test_saturate_clamps():
 def test_predefined_zero_at_exact_target():
     bodies = ex1_bodies(robot_xy=(0.0, 7.0))
     target = RobotState(0.0, 7.0, 0.5 * math.pi)
-    d = predefined_control(1, RobotState(0.0, 7.0, 0.5 * math.pi), target, bodies, {1: (0.0, 7.0)}, EX1_PARAMS)
+    d = predefined_control(1, {1: RobotState(0.0, 7.0, 0.5 * math.pi)}, target, rows_of(bodies, 1), EX1_PARAMS)
     assert (d.u.v, d.u.w) == (0.0, 0.0)
 
 
@@ -190,10 +230,9 @@ def test_predefined_example1_state_bounded():
     bodies = ex1_bodies(robot_xy=(0.0, 8.0), robot_theta=0.01 * math.pi)
     d = predefined_control(
         1,
-        RobotState(0.0, 8.0, 0.01 * math.pi),
+        {1: RobotState(0.0, 8.0, 0.01 * math.pi)},
         RobotState(0.0, 0.0, 0.5 * math.pi),
-        bodies,
-        {1: (0.0, 8.0)},
+        rows_of(bodies, 1),
         EX1_PARAMS,
     )
     assert abs(d.u.v) <= 5.0
@@ -205,7 +244,7 @@ def test_predefined_degenerate_flag():
     # lone robot with zero summed clearance terms: all terms vanish
     bodies = [Body(1, BodyKind.ROBOT, 1.0, 1.0, 0.0, 0.0, 0.0)]
     target = RobotState(0.0, 0.0, 0.0)
-    d = predefined_control(1, RobotState(0.0, 0.0, 0.0), target, bodies, {1: (0.0, 0.0)}, EX1_PARAMS)
+    d = predefined_control(1, {1: RobotState(0.0, 0.0, 0.0)}, target, rows_of(bodies, 1), EX1_PARAMS)
     assert (d.u.v, d.u.w) == (0.0, 0.0)
     assert d.degenerate
 
@@ -216,17 +255,17 @@ def _random_setup(rng):
     if math.hypot(p1[0] - p2[0], p1[1] - p2[1]) < 1e-3:
         p2 = (p1[0] + 3.0, p1[1])
     obstacles = [(rng.uniform(-8, 8), rng.uniform(-8, 8)) for _ in range(rng.randrange(0, 3))]
-    bodies = two_robot_bodies(p1, p2, obstacles)
+    rows = rows_of(two_robot_bodies(p1, p2, obstacles), 1)
     state = RobotState(p1[0], p1[1], rng.uniform(-7, 7))
     target = RobotState(rng.uniform(-8, 8), rng.uniform(-8, 8), rng.uniform(-7, 7))
-    return bodies, state, target, {1: p1, 2: p2}
+    return rows, {1: state, 2: RobotState(p2[0], p2[1], 0.0)}, target
 
 
 def test_random_states_bounded_and_total():
     rng = random.Random(20240902)
     for _ in range(3000):
-        bodies, state, target, positions = _random_setup(rng)
-        d = predefined_control(1, state, target, bodies, positions, EX1_PARAMS)
+        rows, states, target = _random_setup(rng)
+        d = predefined_control(1, states, target, rows, EX1_PARAMS)
         assert abs(d.u.v) <= EX1_PARAMS.m_v + 1e-15
         assert abs(d.u.w) <= EX1_PARAMS.m_w + 1e-15
         assert d.region is not Region.OMEGA1  # a >= 0 for real states
@@ -241,9 +280,9 @@ def test_random_states_bounded_and_total():
 
 def test_determinism_bit_identical():
     rng = random.Random(99)
-    bodies, state, target, positions = _random_setup(rng)
-    d1 = predefined_control(1, state, target, bodies, positions, EX1_PARAMS)
-    d2 = predefined_control(1, state, target, bodies, positions, EX1_PARAMS)
+    rows, states, target = _random_setup(rng)
+    d1 = predefined_control(1, states, target, rows, EX1_PARAMS)
+    d2 = predefined_control(1, states, target, rows, EX1_PARAMS)
     assert d1.u == d2.u
     assert d1.u_nom == d2.u_nom
     assert d1.region is d2.region
@@ -346,7 +385,7 @@ def test_nominal_matches_qp_active_set_oracle():
 def test_terms_nonnegative_a():
     rng = random.Random(5)
     for _ in range(500):
-        bodies, state, target, positions = _random_setup(rng)
-        t = controller_terms(1, state, target, bodies, positions, EX1_PARAMS)
+        rows, states, target = _random_setup(rng)
+        t = controller_terms(1, states, target, rows, EX1_PARAMS)
         assert t.V >= 0.0
         assert t.a >= 0.0

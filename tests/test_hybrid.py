@@ -85,7 +85,7 @@ def test_event_linear_closing():
     )
     states = {1: RobotState(0.0, 0.0, 0.0)}
     inputs = {1: ControlInput(1.0, 0.0)}
-    hit = detect_event(contact_pairs(sc), states, inputs, 0.1)
+    hit = detect_event(contact_pairs(sc.bodies), states, inputs, 0.1)
     assert hit is not None
     assert (hit.robot_id, hit.other_id) == (1, 3)
     assert hit.t_offset == pytest.approx(0.05, abs=1e-9)
@@ -98,7 +98,7 @@ def test_event_separating_none():
     )
     states = {1: RobotState(0.0, 0.0, math.pi)}
     inputs = {1: ControlInput(1.0, 0.0)}
-    assert detect_event(contact_pairs(sc), states, inputs, 0.1) is None
+    assert detect_event(contact_pairs(sc.bodies), states, inputs, 0.1) is None
 
 
 def test_event_robot_robot_closing():
@@ -108,7 +108,7 @@ def test_event_robot_robot_closing():
     )
     states = {1: RobotState(0.0, 0.0, 0.0), 2: RobotState(2.1, 0.0, math.pi)}
     inputs = {1: ControlInput(1.0, 0.0), 2: ControlInput(1.0, 0.0)}
-    hit = detect_event(contact_pairs(sc), states, inputs, 0.1)
+    hit = detect_event(contact_pairs(sc.bodies), states, inputs, 0.1)
     assert hit is not None
     assert (hit.robot_id, hit.other_id) == (1, 2)
     # gap 0.1 closes at combined speed 2
@@ -140,7 +140,7 @@ def test_event_tie_reports_smallest_pair():
     )
     states = {1: RobotState(0.0, 0.0, 0.0)}
     inputs = {1: ControlInput(1.0, 0.0)}
-    hit = detect_event(contact_pairs(sc), states, inputs, 3.0)
+    hit = detect_event(contact_pairs(sc.bodies), states, inputs, 3.0)
     assert hit is not None
     assert (hit.robot_id, hit.other_id) == (1, 3)
     assert (1, 4) in hit.simultaneous
@@ -168,7 +168,7 @@ def test_reactivation_needs_expiry_and_strictly_positive_gaps(obstacle_x, elapse
     )
     states = {1: RobotState(-1.0, 2.0, math.pi)}
     phase = LocalPhase(collided_id=3, v_loc=1.0, t_dur=1.0, elapsed=elapsed)
-    assert reactivation_due(contact_pairs(sc), states, 1, phase) is due
+    assert reactivation_due(contact_pairs(sc.bodies), states, phase) is due
     assert phase.extension == extension
 
 
@@ -178,7 +178,7 @@ def test_reactivation_needs_expiry_and_strictly_positive_gaps(obstacle_x, elapse
 def first_contact_query(sc, hs, inputs):
     """The contact query of the scenario's first pair-table row."""
     body = {b.id: b for b in sc.bodies}
-    return contact_query(contact_pairs(sc)[0], hs.states, inputs, body)
+    return contact_query(contact_pairs(sc.bodies)[0], hs.states, inputs, body)
 
 
 @pytest.mark.parametrize(
@@ -197,7 +197,7 @@ def test_contact_query_fills_the_pair_row(other, j_motion):
     sc = make_scenario(bodies, targets)
     states = {b.id: b.state() for b in sc.robots()}
     inputs = {1: ControlInput(2.0, 0.1), 2: ControlInput(0.7, -0.2)}
-    pair = contact_pairs(sc)[0]
+    pair = contact_pairs(sc.bodies)[0]
     query = contact_query(pair, states, inputs, {b.id: b for b in sc.bodies})
     assert (query.i_id, query.j_id) == (1, other["id"])
     assert (query.p_i, query.v_i, query.theta_i) == ((0.0, 0.0), 2.0, 0.3)
