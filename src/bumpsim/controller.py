@@ -10,15 +10,15 @@ a single robot).  h and its position gradient fold over the robot's rows of
 the executor's pair table (`hybrid.contact_pairs`), in table order.  The
 nominal input is picked from one of four closed-form branches depending on
 which of the two inequality constraints is active, then saturated
-component-wise to the input box.
+component-wise to the input box.  `ControllerTerms` and `ControlDecision`
+are immutable NamedTuples like `scenario.RobotState`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .scenario import ControlInput, ControllerParams, RobotState
 
@@ -42,8 +42,7 @@ class RegionError(RuntimeError):
     """No region matched; the terms violate the controller's contract."""
 
 
-@dataclass(frozen=True, slots=True)
-class ControllerTerms:
+class ControllerTerms(NamedTuple):
     """Scalar terms the branch selection and nominal branches consume.
 
     a = gain(sigma2 * V) >= 0 for any real state, b = sigma3 * h, (c, s) is
@@ -60,8 +59,7 @@ class ControllerTerms:
     e: float
 
 
-@dataclass(frozen=True, slots=True)
-class ControlDecision:
+class ControlDecision(NamedTuple):
     """Full controller output: saturated input plus diagnostic payload."""
 
     u: ControlInput
@@ -100,31 +98,31 @@ def controller_terms(
     e is the h gradient dotted with the heading (h is position-only).
     """
     state = states[robot_id]
+    x, y, theta = state
     h = 0.0
     gx = 0.0
     gy = 0.0
     for i, j, rsum, fixed in rows:
         if fixed is None:
-            other = states[j if i == robot_id else i]
-            ox, oy = other.x, other.y
+            ox, oy, _ = states[j if i == robot_id else i]
         else:
             ox, oy = fixed
-        dx = state.x - ox
-        dy = state.y - oy
+        dx = x - ox
+        dy = y - oy
         h += dx ** 2 + dy ** 2 - rsum * rsum
         gx += 2.0 * dx
         gy += 2.0 * dy
-    cos_th = math.cos(state.theta)
-    sin_th = math.sin(state.theta)
+    cos_th = math.cos(theta)
+    sin_th = math.sin(theta)
     V = clf_value(state, target)
     return ControllerTerms(
-        V=V,
-        h=h,
-        a=gain(params.sigma2 * V, params.sigma1),
-        b=params.sigma3 * h,
-        c=(state.x - target.x) * cos_th + (state.y - target.y) * sin_th,
-        s=state.theta - target.theta,
-        e=gx * cos_th + gy * sin_th,
+        V,
+        h,
+        gain(params.sigma2 * V, params.sigma1),
+        params.sigma3 * h,
+        (x - target.x) * cos_th + (y - target.y) * sin_th,
+        theta - target.theta,
+        gx * cos_th + gy * sin_th,
     )
 
 
@@ -218,4 +216,4 @@ def predefined_control(
     region = classify_region(terms, params.rho)
     u_nom, degenerate = nominal_control(terms, region, params.rho)
     u = saturate(u_nom, params.m_v, params.m_w)
-    return ControlDecision(u=u, u_nom=u_nom, region=region, terms=terms, degenerate=degenerate)
+    return ControlDecision(u, u_nom, region, terms, degenerate)

@@ -9,7 +9,8 @@ instant, goes through one pair-table row and one ContactQuery.  The executor
 integrates the unicycle flow with fixed-step classical RK4 under
 zero-order-hold inputs, localizes contact events by bisection inside a
 step, applies the collision/impulse jump maps, and records everything in
-an ordered trace.
+an ordered trace.  `FlowSample` is an immutable NamedTuple like
+`RobotState`, and `write_trace_csv` streams the trace row by row.
 
 The SimMode REDESIGNED runs the full strategy, while
 PREDEFINED_ONLY still resolves collision physics (headings and speeds
@@ -55,8 +56,9 @@ class SimMode(Enum):
 # Trace records
 
 
-@dataclass(frozen=True, slots=True)
-class FlowSample:
+class FlowSample(NamedTuple):
+    """One robot's sample; fields in the trace.csv sample row's column order."""
+
     t: float
     robot_id: int
     x: float
@@ -153,19 +155,19 @@ def step_flow(state: RobotState, u: ControlInput, dt: float) -> RobotState:
     Constant-heading motion (w = 0) integrates exactly; the general case
     carries O(dt^5) local error.
     """
-    v, w = u.v, u.w
-    th1 = state.theta
+    x, y, th1 = state
+    v, w = u
     k1x, k1y = v * math.cos(th1), v * math.sin(th1)
     # The heading flow does not depend on position, so the two midpoint
     # stages see the same heading: k3 == k2.
-    th2 = state.theta + 0.5 * dt * w
+    th2 = th1 + 0.5 * dt * w
     k2x, k2y = v * math.cos(th2), v * math.sin(th2)
-    th4 = state.theta + dt * w
+    th4 = th1 + dt * w
     k4x, k4y = v * math.cos(th4), v * math.sin(th4)
     return RobotState(
-        x=state.x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k2x + k4x),
-        y=state.y + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k2y + k4y),
-        theta=state.theta + dt * w,
+        x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k2x + k4x),
+        y + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k2y + k4y),
+        th1 + dt * w,
     )
 
 
@@ -580,14 +582,9 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
             contact_sweep(inputs)
 
         for rid in robot_ids:
-            s = hs.states[rid]
-            u = inputs[rid]
-            records.append(
-                FlowSample(
-                    t=hs.t, robot_id=rid, x=s.x, y=s.y, theta=s.theta, v=u.v, w=u.w,
-                    q=int(hs.phases[rid] is not None),
-                )
-            )
+            x, y, theta = hs.states[rid]
+            v, w = inputs[rid]
+            records.append(FlowSample(hs.t, rid, x, y, theta, v, w, int(hs.phases[rid] is not None)))
 
         if fatal or all(reached.values()) or hs.t >= scenario.t_max - 1e-12:
             break
@@ -737,14 +734,11 @@ def _fmt(value: float) -> str:
 
 
 def _csv_row(record: TraceRecord) -> str:
-    t = _fmt(record.t)
     if isinstance(record, FlowSample):
-        cells = [
-            t, "sample", str(record.robot_id), "",
-            _fmt(record.x), _fmt(record.y), _fmt(record.theta),
-            _fmt(record.v), _fmt(record.w), str(record.q), "",
-        ]
-    elif isinstance(record, CollisionRecord):
+        t, rid, x, y, theta, v, w, q = record
+        return f"{_fmt(t)},sample,{rid},,{_fmt(x)},{_fmt(y)},{_fmt(theta)},{_fmt(v)},{_fmt(w)},{q},"
+    t = _fmt(record.t)
+    if isinstance(record, CollisionRecord):
         extra = (
             f"theta_pre={_fmt(record.theta_pre)};v_pre={_fmt(record.v_pre)};"
             f"phi={_fmt(record.phi)};lam={_fmt(record.lam)};mu={_fmt(record.mu)}"
@@ -782,16 +776,16 @@ def trace_to_csv(trace: Trace) -> str:
 
 
 def write_trace_csv(trace: Trace, path) -> None:
+    """Stream the bytes of `trace_to_csv` to `path`, one row at a time."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(trace_to_csv(trace))
+        fh.write(CSV_HEADER + "\n")
+        fh.writelines(_csv_row(r) + "\n" for r in trace.records)
 
 
 def plot_csv(trace: Trace, robot_id: int) -> str:
     lines = ["t,x,y,theta,v,w"]
-    for s in trace.samples(robot_id):
-        lines.append(
-            ",".join((_fmt(s.t), _fmt(s.x), _fmt(s.y), _fmt(s.theta), _fmt(s.v), _fmt(s.w)))
-        )
+    for t, _, x, y, theta, v, w, _ in trace.samples(robot_id):
+        lines.append(f"{_fmt(t)},{_fmt(x)},{_fmt(y)},{_fmt(theta)},{_fmt(v)},{_fmt(w)}")
     return "\n".join(lines) + "\n"
 
 

@@ -4,7 +4,10 @@ A scenario is a single JSON document describing the workspace rectangle,
 the rigid bodies (one or two robots plus static cylindrical obstacles),
 per-robot target states, controller parameters and integration settings.
 All values are immutable after loading, so a scenario can be shared
-read-only across concurrent simulations.
+read-only across concurrent simulations.  The per-step values `RobotState`
+and `ControlInput` are NamedTuples, built positionally on the hot path: they
+are immutable (assigning a field raises AttributeError), hashable, unpack like
+tuples (`x, y, theta = state`) and compare equal to plain tuples.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from typing import Any, NamedTuple
 
 UNBOUNDED = math.inf
 
@@ -45,8 +48,7 @@ class BodyKind(Enum):
     OBSTACLE = "obstacle"
 
 
-@dataclass(frozen=True, slots=True)
-class RobotState:
+class RobotState(NamedTuple):
     """Planar pose (x, y, theta). theta is an unbounded real, never wrapped."""
 
     x: float
@@ -58,8 +60,7 @@ class RobotState:
         return (self.x, self.y)
 
 
-@dataclass(frozen=True, slots=True)
-class ControlInput:
+class ControlInput(NamedTuple):
     """Unicycle input: linear velocity v [m/s] and angular velocity w [rad/s]."""
 
     v: float

@@ -3,19 +3,22 @@ every shipped scenario in both modes, at the shipped `dt`, and for the
 in-file wedge scenario that reaches both simultaneous-contact deferrals.
 
 A refactor must leave these bits unchanged.  A change that alters them on
-purpose updates the hashes here and says why.
+purpose updates the hashes here, and in `bench/run_bench.py`'s `WORKLOADS`
+where it pins the same trace, and says why.
 """
 
 import hashlib
 import json
 from pathlib import Path
+from typing import get_args
 
 import pytest
 
-from bumpsim.hybrid import SimMode, metrics, simulate, trace_to_csv
+from bumpsim.hybrid import SimMode, TraceRecord, metrics, simulate, trace_to_csv, write_trace_csv
 from bumpsim.scenario import load_scenario
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
 
 # Robot 1 drives into the wedge between obstacles 3 and 4, which it touches
 # at the same instant: the event defers one crossing and the contact sweep
@@ -91,3 +94,28 @@ def test_golden_trace_and_metrics(name, mode):
     trace_hash, metrics_hash = GOLDEN[(name, mode)]
     assert sha256(trace_to_csv(trace)) == trace_hash
     assert sha256(json.dumps(metrics(trace).to_dict(), sort_keys=True)) == metrics_hash
+
+
+def test_written_trace_csv_matches_trace_to_csv(tmp_path):
+    """The CLI's streamed `trace.csv` holds exactly the hashed bytes; the two
+    crossing runs between them write every record type."""
+    kinds = set()
+    for mode in (PREDEFINED, REDESIGNED):
+        trace = simulate(load_scenario((SCENARIOS / "crossing.json").read_text(encoding="utf-8")), mode)
+        path = tmp_path / f"trace-{mode.value}.csv"
+        write_trace_csv(trace, path)
+        assert path.read_bytes() == trace_to_csv(trace).encode("utf-8")
+        kinds.update(type(r) for r in trace.records)
+    assert kinds == set(get_args(TraceRecord))
+
+
+def test_bench_workloads_pin_the_same_trace_hashes(monkeypatch):
+    # The benchmark's metrics hashes cover the CLI's metrics.json, a
+    # different serialization from the one above, so only traces compare.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import run_bench
+
+    assert run_bench.WORKLOADS
+    for wl in run_bench.WORKLOADS.values():
+        key = (Path(wl.scenario).stem, SimMode(wl.mode))
+        assert wl.trace_sha256 == GOLDEN[key][0], key
