@@ -1,6 +1,8 @@
-"""Contact detection and elastic collision resolution for cylinder pairs.
+"""Approach test and elastic collision resolution for cylinder pairs.
 
-A contact event changes only headings and linear speeds: positions and
+The executor decides whether a pair touches or overlaps, on the pair-table
+gap (`hybrid.gap`); this module takes a touching pair from there.  A
+contact event changes only headings and linear speeds: positions and
 angular velocities are untouched, and the velocity component along the
 pair frame's x-axis (tangential) is preserved exactly.  The component
 along the y-axis (the line of centers) follows the one-dimensional
@@ -121,21 +123,13 @@ class CollisionOutcome:
     redesign_needed: bool
 
 
-def check_collision(query: ContactQuery, tol: float = CONTACT_TOL) -> ContactStatus:
-    """Decide whether the pair flows or jumps at this instant.
+def check_collision(query: ContactQuery) -> ContactStatus:
+    """Decide whether a touching pair flows or jumps at this instant.
 
-    Jump requires touching (|distance - radii sum| <= tol) AND a strict
-    normal approach; touching pairs that drift apart or slide flow on.
-    Raises PenetrationError when the gap is below -tol.
+    Precondition: the caller has found the pair touching (|gap| <=
+    CONTACT_TOL).  The pair jumps on a strict normal approach; pairs that
+    drift apart or slide flow on.
     """
-    dist = math.hypot(query.p_j[0] - query.p_i[0], query.p_j[1] - query.p_i[1])
-    gap = dist - (query.r_i + query.r_j)
-    if gap < -tol:
-        raise PenetrationError(
-            f"bodies {query.i_id} and {query.j_id} overlap by {-gap:.3e} m (tolerance {tol:.1e})"
-        )
-    if gap > tol:
-        return ContactStatus.FLOW
     # components along the line of centers
     phi = query.frame.phi
     v_iy = decompose_velocity(query.v_i, query.theta_i - phi)[1]
@@ -184,10 +178,10 @@ def post_velocity(lam: float, mu: float, phi: float, theta_prev: float) -> tuple
     return (phi + math.atan2(lam, mu), v_plus)
 
 
-def heading_changed(theta_pre: float, theta_plus: float, tol: float = HEADING_TOL) -> bool:
-    """True when the two headings differ by more than tol modulo 2*pi."""
+def heading_changed(theta_pre: float, theta_plus: float) -> bool:
+    """True when the two headings differ by more than HEADING_TOL modulo 2*pi."""
     diff = (theta_plus - theta_pre) % TWO_PI
-    return min(diff, TWO_PI - diff) > tol
+    return min(diff, TWO_PI - diff) > HEADING_TOL
 
 
 def resolve_collision(

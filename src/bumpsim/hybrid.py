@@ -5,12 +5,15 @@ predefined controller, q = 1 runs the constant-heading local escape
 controller installed after a heading-changing collision.  q is 1 exactly
 while the robot holds a LocalPhase; `HybridState.phases` is its only
 record.  Every contact, found by event localization or by the sweep at an
-instant, goes through one pair-table row and one ContactQuery.  The executor
+instant, goes through one pair-table row and one ContactQuery.  The sweep
+decides touching and penetration on the one value `gap` returns, and
+`collision.check_collision` adds only the approach test.  The executor
 integrates the unicycle flow with fixed-step classical RK4 under
 zero-order-hold inputs, localizes contact events by bisection inside a
-step, applies the collision/impulse jump maps, and records everything in
+step, applies the collision/impulse jump maps (which change headings,
+speeds and phases in place, never positions), and records everything in
 an ordered trace.  `FlowSample` is an immutable NamedTuple like
-`RobotState`, and `write_trace_csv` streams the trace row by row.
+`RobotState`; `write_trace_csv` and `write_plot_csv` stream row by row.
 
 The SimMode REDESIGNED runs the full strategy, while
 PREDEFINED_ONLY still resolves collision physics (headings and speeds
@@ -29,6 +32,7 @@ from .collision import (
     CONTACT_TOL,
     ContactQuery,
     ContactStatus,
+    PenetrationError,
     check_collision,
     resolve_collision,
 )
@@ -133,9 +137,6 @@ class Trace:
     scenario: Scenario
     sim_mode: SimMode
     records: list
-
-    def samples(self, robot_id: int) -> list[FlowSample]:
-        return [r for r in self.records if isinstance(r, FlowSample) and r.robot_id == robot_id]
 
     def collisions(self, robot_id: int | None = None) -> list[CollisionRecord]:
         return [
@@ -259,14 +260,13 @@ def detect_event(
     inputs: Mapping[int, ControlInput],
     h: float,
     next_states: Mapping[int, RobotState] | None = None,
-    time_tol: float = EVENT_TIME_TOL,
 ) -> EventHit | None:
     """Find the earliest pair gap zero-crossing inside the step [0, h].
 
     A crossing needs a positive gap at the step start and a negative gap
     at the end; the hit time is then localized by bisection on the RK4
-    flow to `time_tol` seconds, landing on the non-penetrating side.
-    Simultaneous crossings (within time_tol) are reported with the
+    flow to EVENT_TIME_TOL seconds, landing on the non-penetrating side.
+    Simultaneous crossings (within EVENT_TIME_TOL) are reported with the
     lexicographically smallest pair first.
     """
     if next_states is None:
@@ -278,7 +278,7 @@ def detect_event(
             i, j, _, fixed = pair
             probe: dict[int, RobotState] = {}
             lo, hi = 0.0, h
-            while hi - lo > time_tol:
+            while hi - lo > EVENT_TIME_TOL:
                 mid = 0.5 * (lo + hi)
                 # each probe steps only the pair's robots
                 probe[i] = step_flow(states[i], inputs[i], mid)
@@ -293,7 +293,7 @@ def detect_event(
     if not hits:
         return None
     t_first = min(tau for (tau, _, _) in hits)
-    tied = sorted((i, j) for (tau, i, j) in hits if tau - t_first <= time_tol)
+    tied = sorted((i, j) for (tau, i, j) in hits if tau - t_first <= EVENT_TIME_TOL)
     return EventHit(
         t_offset=t_first,
         robot_id=tied[0][0],
@@ -313,14 +313,6 @@ class HybridState:
     phases: dict[int, LocalPhase | None]
     jumps: int = 0
 
-    def copy(self) -> "HybridState":
-        return HybridState(
-            t=self.t,
-            states=dict(self.states),
-            phases=dict(self.phases),
-            jumps=self.jumps,
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class ReactivationEvent:
@@ -328,13 +320,14 @@ class ReactivationEvent:
 
 
 def jump(
-    hstate: HybridState,
+    hs: HybridState,
     event: ContactQuery | ReactivationEvent,
     scenario: Scenario,
     sim_mode: SimMode = SimMode.REDESIGNED,
-) -> tuple[HybridState, list, dict[int, float]]:
-    """Apply one hybrid jump and return (new state, records, post speeds).
+) -> tuple[list, dict[int, float]]:
+    """Apply one hybrid jump to `hs` in place and return (records, post speeds).
 
+    A jump changes headings, speeds and local phases, never positions.
     A ReactivationEvent clears the robot's local phase and switches it back
     to the predefined controller with the pose untouched.  A ContactQuery
     resolves the collision physics for its pair; robots whose heading
@@ -344,20 +337,19 @@ def jump(
     flowing in its current mode.  The returned speeds are the
     post-collision linear speeds of the involved robots.
     """
-    out = hstate.copy()
     records: list = []
     post_speeds: dict[int, float] = {}
 
     if isinstance(event, ReactivationEvent):
         rid = event.robot_id
-        out.phases[rid] = None
-        records.append(SwitchRecord(t=out.t, robot_id=rid, q_from=1, q_to=0))
-        out.jumps += 1
-        return (out, records, post_speeds)
+        hs.phases[rid] = None
+        records.append(SwitchRecord(t=hs.t, robot_id=rid, q_from=1, q_to=0))
+        hs.jumps += 1
+        return (records, post_speeds)
 
     query = event
     i, j = query.i_id, query.j_id
-    j_is_robot = j in out.states
+    j_is_robot = j in hs.states
     delta = scenario.params.delta
     out_i, out_j = resolve_collision(
         query,
@@ -387,23 +379,23 @@ def jump(
             escapes[id1], escapes[id2] = deconflict_headings(th1, th2, phi1, phi2)
 
     for rid, other_id, _, _, r_other, oc in outcomes:
-        pre_state = out.states[rid]
+        pre_state = hs.states[rid]
         post_speeds[rid] = oc.v_plus
-        switch_needed = rid in escapes and out.phases[rid] is None
+        switch_needed = rid in escapes and hs.phases[rid] is None
         if oc.redesign_needed:
             # The physics heading theta_plus applies first; in REDESIGNED
             # mode the impulse then retargets it onto the escape heading.
-            out.states[rid] = RobotState(pre_state.x, pre_state.y, escapes.get(rid, oc.theta_plus))
+            hs.states[rid] = RobotState(pre_state.x, pre_state.y, escapes.get(rid, oc.theta_plus))
         if rid in escapes:
             v_loc = scenario.params.m_v
-            out.phases[rid] = LocalPhase(
+            hs.phases[rid] = LocalPhase(
                 collided_id=other_id,
                 v_loc=v_loc,
-                t_dur=local_duration(v_loc, other_id in out.states, r_other),
+                t_dur=local_duration(v_loc, other_id in hs.states, r_other),
             )
         records.append(
             CollisionRecord(
-                t=out.t,
+                t=hs.t,
                 robot_id=rid,
                 other_id=other_id,
                 x=pre_state.x,
@@ -415,19 +407,19 @@ def jump(
                 phi=query.frame.phi,
                 lam=oc.lam,
                 mu=oc.mu,
-                q=int(out.phases[rid] is not None),
+                q=int(hs.phases[rid] is not None),
             )
         )
         if rid in escapes:
-            dtheta = impulse(escapes[rid], oc.theta_plus)[2]
+            dtheta = impulse(escapes[rid], oc.theta_plus)
             records.append(
-                ImpulseRecord(t=out.t, robot_id=rid, theta_escape=escapes[rid], dtheta=dtheta)
+                ImpulseRecord(t=hs.t, robot_id=rid, theta_escape=escapes[rid], dtheta=dtheta)
             )
             if switch_needed:
-                records.append(SwitchRecord(t=out.t, robot_id=rid, q_from=0, q_to=1))
+                records.append(SwitchRecord(t=hs.t, robot_id=rid, q_from=0, q_to=1))
 
-    out.jumps += sum(1 for r in records if isinstance(r, (CollisionRecord, SwitchRecord)))
-    return (out, records, post_speeds)
+    hs.jumps += sum(1 for r in records if isinstance(r, (CollisionRecord, SwitchRecord)))
+    return (records, post_speeds)
 
 
 # --------------------------------------------------------------------------
@@ -495,20 +487,6 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
     collided_marks: set[int] = set()
     resolved_pairs: set[tuple[int, int]] = set()
 
-    def cap_fault() -> bool:
-        nonlocal fatal
-        if hs.jumps >= scenario.jump_cap:
-            records.append(
-                FaultRecord(
-                    t=hs.t,
-                    reason=f"non-convergent: jump counter reached the cap ({scenario.jump_cap})",
-                    fatal=True,
-                )
-            )
-            fatal = True
-            return True
-        return False
-
     def compute_inputs() -> dict[int, ControlInput]:
         out: dict[int, ControlInput] = {}
         for rid in robot_ids:
@@ -519,9 +497,10 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
                 out[rid] = predefined_control(rid, hs.states, scenario.targets[rid], rows[rid], params).u
         return out
 
-    def apply_jump(event: ContactQuery | ReactivationEvent, inputs: dict[int, ControlInput] | None):
-        nonlocal hs
-        hs, recs, post_speeds = jump(hs, event, scenario, sim_mode)
+    def apply_jump(event: ContactQuery | ReactivationEvent, inputs: dict[int, ControlInput] | None) -> bool:
+        """Jump, then report whether the jump counter reached the cap."""
+        nonlocal fatal
+        recs, post_speeds = jump(hs, event, scenario, sim_mode)
         records.extend(recs)
         if isinstance(event, ContactQuery):
             # post_speeds is keyed by exactly the robots of the contact
@@ -534,7 +513,16 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
                     inputs[rid] = local_control(phase)
                 else:
                     inputs[rid] = ControlInput(v_plus, inputs[rid].w)
-        return cap_fault()
+        if hs.jumps >= scenario.jump_cap:
+            records.append(
+                FaultRecord(
+                    t=hs.t,
+                    reason=f"non-convergent: jump counter reached the cap ({scenario.jump_cap})",
+                    fatal=True,
+                )
+            )
+            fatal = True
+        return fatal
 
     def contact_sweep(inputs: dict[int, ControlInput]) -> None:
         # Resolve all touching-and-approaching pairs at the current instant.
@@ -545,9 +533,14 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
             progress = False
             for pair in pairs:
                 i, j = pair.i, pair.j
-                if gap(pair, hs.states) > CONTACT_TOL or (i, j) in resolved_pairs:
-                    # apart, or already jumped at this instant: it flows on
+                g = gap(pair, hs.states)
+                if (i, j) in resolved_pairs or g > CONTACT_TOL:
+                    # already jumped at this instant, or apart: it flows on
                     continue
+                if g < -CONTACT_TOL:
+                    raise PenetrationError(
+                        f"bodies {i} and {j} overlap by {-g:.3e} m (tolerance {CONTACT_TOL:.1e})"
+                    )
                 query = contact_query(pair, hs.states, inputs, body)
                 if check_collision(query) is not ContactStatus.JUMP:
                     continue
@@ -628,10 +621,8 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
                     )
                 )
             pair = pair_by_ids[(hit.robot_id, hit.other_id)]
-            if apply_jump(contact_query(pair, hs.states, inputs, body), None):
-                # Cap hit exactly at this event: fall through to emit the
-                # closing samples on the next loop pass.
-                continue
+            # a cap fault here makes the next pass emit the closing samples
+            apply_jump(contact_query(pair, hs.states, inputs, body), None)
 
     return Trace(scenario=scenario, sim_mode=sim_mode, records=records)
 
@@ -782,13 +773,11 @@ def write_trace_csv(trace: Trace, path) -> None:
         fh.writelines(_csv_row(r) + "\n" for r in trace.records)
 
 
-def plot_csv(trace: Trace, robot_id: int) -> str:
-    lines = ["t,x,y,theta,v,w"]
-    for t, _, x, y, theta, v, w, _ in trace.samples(robot_id):
-        lines.append(f"{_fmt(t)},{_fmt(x)},{_fmt(y)},{_fmt(theta)},{_fmt(v)},{_fmt(w)}")
-    return "\n".join(lines) + "\n"
-
-
 def write_plot_csv(trace: Trace, robot_id: int, path) -> None:
+    """Stream the robot's samples to `path` as `t,x,y,theta,v,w` rows."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(plot_csv(trace, robot_id))
+        fh.write("t,x,y,theta,v,w\n")
+        for record in trace.records:
+            if isinstance(record, FlowSample) and record.robot_id == robot_id:
+                t, _, x, y, theta, v, w, _ = record
+                fh.write(f"{_fmt(t)},{_fmt(x)},{_fmt(y)},{_fmt(theta)},{_fmt(v)},{_fmt(w)}\n")

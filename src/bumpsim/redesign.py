@@ -77,8 +77,8 @@ class LocalPhase:
         if not self.t_dur > 0.0:
             raise ValueError(f"local duration must be positive, got {self.t_dur}")
 
-    def expired(self, tol: float = 1e-12) -> bool:
-        return self.elapsed >= self.t_dur + self.extension - tol
+    def expired(self) -> bool:
+        return self.elapsed >= self.t_dur + self.extension - 1e-12
 
     def extend(self) -> None:
         """Grant one extension increment; raises when the cap is exhausted."""
@@ -95,18 +95,17 @@ def tangent_rays(
     p_j: tuple[float, float],
     p_ic: tuple[float, float],
     contact_radius: float,
-    tol: float = ON_CIRCLE_TOL,
 ) -> TangentRays:
     """Tangent line of the contact circle around p_j, split at p_ic.
 
     p_ic must lie on the circle of radius contact_radius (= r_i + r_j)
-    within tol.  For a non-vertical tangent the slope is
+    within ON_CIRCLE_TOL.  For a non-vertical tangent the slope is
     kappa = -(x_j - x_ic) / (y_j - y_ic).
     """
     dx = p_j[0] - p_ic[0]
     dy = p_j[1] - p_ic[1]
     dist = math.hypot(dx, dy)
-    if abs(dist - contact_radius) > tol:
+    if abs(dist - contact_radius) > ON_CIRCLE_TOL:
         raise GeometryError(
             f"collision position {p_ic} is {dist:.6g} m from the body center, "
             f"expected the contact radius {contact_radius:.6g}"
@@ -170,13 +169,13 @@ def deconflict_headings(
     return (theta_1, theta_2 + math.pi)
 
 
-def impulse(theta_escape: float, theta_plus: float) -> tuple[float, float, float]:
-    """State increment that retargets the heading; positions untouched.
+def impulse(theta_escape: float, theta_plus: float) -> float:
+    """Heading increment that retargets the robot; positions are untouched.
 
-    The heading difference is raw (no 2*pi wrapping): headings live on the
-    real line.
+    The difference is raw (no 2*pi wrapping): headings live on the real
+    line.
     """
-    return (0.0, 0.0, theta_escape - theta_plus)
+    return theta_escape - theta_plus
 
 
 def local_control(phase: LocalPhase) -> ControlInput:

@@ -6,7 +6,6 @@ import pytest
 from bumpsim.collision import (
     ContactQuery,
     ContactStatus,
-    PenetrationError,
     check_collision,
     heading_changed,
     post_velocity,
@@ -47,17 +46,6 @@ def test_contact_with_approach_jumps():
 def test_contact_without_approach_flows():
     q = q_pair(v_i=0.0, v_j=0.0)
     assert check_collision(q) is ContactStatus.FLOW
-
-
-def test_separated_flows():
-    q = q_pair(p_j=(0.0, 3.0), v_i=5.0, theta_i=math.pi / 2)
-    assert check_collision(q) is ContactStatus.FLOW
-
-
-def test_penetration_raises():
-    q = q_pair(p_j=(0.0, 1.5))
-    with pytest.raises(PenetrationError):
-        check_collision(q)
 
 
 # --- resolve_normal --------------------------------------------------------

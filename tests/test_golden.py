@@ -14,7 +14,15 @@ from typing import get_args
 
 import pytest
 
-from bumpsim.hybrid import SimMode, TraceRecord, metrics, simulate, trace_to_csv, write_trace_csv
+from bumpsim.hybrid import (
+    SimMode,
+    TraceRecord,
+    metrics,
+    simulate,
+    trace_to_csv,
+    write_plot_csv,
+    write_trace_csv,
+)
 from bumpsim.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -96,17 +104,38 @@ def test_golden_trace_and_metrics(name, mode):
     assert sha256(json.dumps(metrics(trace).to_dict(), sort_keys=True)) == metrics_hash
 
 
-def test_written_trace_csv_matches_trace_to_csv(tmp_path):
+@pytest.fixture(scope="module")
+def crossing_traces():
+    scenario = load_scenario((SCENARIOS / "crossing.json").read_text(encoding="utf-8"))
+    return {mode: simulate(scenario, mode) for mode in (PREDEFINED, REDESIGNED)}
+
+
+def test_written_trace_csv_matches_trace_to_csv(tmp_path, crossing_traces):
     """The CLI's streamed `trace.csv` holds exactly the hashed bytes; the two
     crossing runs between them write every record type."""
     kinds = set()
-    for mode in (PREDEFINED, REDESIGNED):
-        trace = simulate(load_scenario((SCENARIOS / "crossing.json").read_text(encoding="utf-8")), mode)
+    for mode, trace in crossing_traces.items():
         path = tmp_path / f"trace-{mode.value}.csv"
         write_trace_csv(trace, path)
         assert path.read_bytes() == trace_to_csv(trace).encode("utf-8")
         kinds.update(type(r) for r in trace.records)
     assert kinds == set(get_args(TraceRecord))
+
+
+def test_plot_csv_is_the_sample_columns_of_trace_csv(tmp_path, crossing_traces):
+    """Each `plot_robot<i>.csv` holds exactly the t,x,y,theta,v,w cells of
+    robot i's sample rows in `trace.csv`."""
+    for mode, trace in crossing_traces.items():
+        rows = [line.split(",") for line in trace_to_csv(trace).splitlines()[1:]]
+        for rid in trace.scenario.robot_ids():
+            path = tmp_path / f"plot-{mode.value}-{rid}.csv"
+            write_plot_csv(trace, rid, path)
+            # trace.csv columns: t,record_type,robot_id,other_id,x,y,theta,v,w,q,extra
+            lines = ["t,x,y,theta,v,w"] + [
+                ",".join([r[0], *r[4:9]]) for r in rows if r[1] == "sample" and r[2] == str(rid)
+            ]
+            assert len(lines) > 1
+            assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def test_bench_workloads_pin_the_same_trace_hashes(monkeypatch):

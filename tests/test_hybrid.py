@@ -1,8 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from bumpsim import hybrid
+from bumpsim.collision import PenetrationError
 from bumpsim.hybrid import (
     CollisionRecord,
     FaultRecord,
@@ -125,7 +128,7 @@ def test_loss_coefficient_damps_rebound():
     )
     hs = HybridState(t=0.0, states={1: RobotState(0.0, 6.0, -0.5 * math.pi)}, phases={1: None})
     query = first_contact_query(sc, hs, {1: ControlInput(2.0, 0.0)})
-    out, records, post_speeds = jump(hs, query, sc, SimMode.PREDEFINED_ONLY)
+    records, post_speeds = jump(hs, query, sc, SimMode.PREDEFINED_ONLY)
     col = records[0]
     # reflected normal component (1 - 0.5) * (-2.0), reported along the pair y-axis
     assert col.lam == pytest.approx(-1.0, abs=1e-12)
@@ -221,7 +224,7 @@ def test_jump_head_on_obstacle_redesign():
     sc = head_on_scenario()
     hs = HybridState(t=1.0, states={1: RobotState(0.0, 6.0, -0.5 * math.pi)}, phases={1: None})
     query = first_contact_query(sc, hs, {1: ControlInput(3.0, 0.0)})
-    out, records, post_speeds = jump(hs, query, sc, SimMode.REDESIGNED)
+    records, post_speeds = jump(hs, query, sc, SimMode.REDESIGNED)
     kinds = [type(r) for r in records]
     assert kinds == [CollisionRecord, ImpulseRecord, SwitchRecord]
     col, imp, sw = records
@@ -229,24 +232,24 @@ def test_jump_head_on_obstacle_redesign():
     assert col.v_post == pytest.approx(3.0, abs=1e-12)  # unbounded body: speed preserved
     # escape heading: tie between the horizontal rays resolves to the first (-x)
     assert imp.theta_escape == pytest.approx(math.pi, abs=1e-12)
-    assert out.states[1].theta == imp.theta_escape
-    assert (out.states[1].x, out.states[1].y) == (0.0, 6.0)  # position continuous
-    assert out.phases[1] is not None
-    assert out.phases[1].t_dur == pytest.approx(0.2, abs=1e-15)  # r_j / m_v = 1/5
+    assert hs.states[1].theta == imp.theta_escape
+    assert (hs.states[1].x, hs.states[1].y) == (0.0, 6.0)  # position continuous
+    assert hs.phases[1] is not None
+    assert hs.phases[1].t_dur == pytest.approx(0.2, abs=1e-15)  # r_j / m_v = 1/5
     assert (sw.q_from, sw.q_to) == (0, 1)
     assert post_speeds[1] == pytest.approx(3.0, abs=1e-12)
-    assert out.jumps == 2  # one collision + one switch
+    assert hs.jumps == 2  # one collision + one switch
 
 
 def test_jump_predefined_only_applies_physics_without_redesign():
     sc = head_on_scenario()
     hs = HybridState(t=0.5, states={1: RobotState(0.0, 6.0, -0.5 * math.pi)}, phases={1: None})
     query = first_contact_query(sc, hs, {1: ControlInput(3.0, 0.0)})
-    out, records, _ = jump(hs, query, sc, SimMode.PREDEFINED_ONLY)
+    records, _ = jump(hs, query, sc, SimMode.PREDEFINED_ONLY)
     assert [type(r) for r in records] == [CollisionRecord]
     # reflected heading applied, no mode change, no phase
-    assert out.states[1].theta == pytest.approx(0.5 * math.pi, abs=1e-12)
-    assert out.phases[1] is None
+    assert hs.states[1].theta == pytest.approx(0.5 * math.pi, abs=1e-12)
+    assert hs.phases[1] is None
 
 
 def test_jump_reactivation_identity_on_state():
@@ -254,11 +257,11 @@ def test_jump_reactivation_identity_on_state():
     state = RobotState(-1.0, 6.0, math.pi)
     phase = LocalPhase(collided_id=3, v_loc=5.0, t_dur=0.2, elapsed=0.2)
     hs = HybridState(t=2.0, states={1: state}, phases={1: phase})
-    out, records, _ = jump(hs, ReactivationEvent(1), sc, SimMode.REDESIGNED)
+    records, _ = jump(hs, ReactivationEvent(1), sc, SimMode.REDESIGNED)
     assert [type(r) for r in records] == [SwitchRecord]
     assert records[0].q_from == 1 and records[0].q_to == 0
-    assert out.states[1] is state  # bitwise unchanged
-    assert out.phases[1] is None
+    assert hs.states[1] is state  # bitwise unchanged
+    assert hs.phases[1] is None
 
 
 def test_jump_rear_end_same_heading_no_redesign():
@@ -275,12 +278,12 @@ def test_jump_rear_end_same_heading_no_redesign():
         phases={1: None, 2: None},
     )
     query = first_contact_query(sc, hs, {1: ControlInput(2.0, 0.0), 2: ControlInput(0.5, 0.0)})
-    out, records, post_speeds = jump(hs, query, sc, SimMode.REDESIGNED)
+    records, post_speeds = jump(hs, query, sc, SimMode.REDESIGNED)
     # speeds swap, headings unchanged: physics only, no impulse, no switches
     assert [type(r) for r in records] == [CollisionRecord, CollisionRecord]
-    assert out.states[1].theta == 0.5 * math.pi
-    assert out.states[2].theta == 0.5 * math.pi
-    assert out.phases[1] is None and out.phases[2] is None
+    assert hs.states[1].theta == 0.5 * math.pi
+    assert hs.states[2].theta == 0.5 * math.pi
+    assert hs.phases[1] is None and hs.phases[2] is None
     assert post_speeds[1] == pytest.approx(0.5, abs=1e-12)
     assert post_speeds[2] == pytest.approx(2.0, abs=1e-12)
 
@@ -485,6 +488,17 @@ def test_trace_timestamps_non_decreasing():
     trace = simulate(ramming_scenario(), SimMode.REDESIGNED)
     times = [r.t for r in trace.records]
     assert all(t2 >= t1 for t1, t2 in zip(times, times[1:]))
+
+
+@pytest.mark.parametrize("mode", list(SimMode), ids=lambda m: m.value)
+def test_sweep_raises_on_penetration(monkeypatch, mode):
+    # Without event localization the crossing robots flow into each other,
+    # and the contact sweep meets the overlap on the pair's gap.
+    monkeypatch.setattr(hybrid, "detect_event", lambda *args: None)
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    sc = load_scenario((scenarios / "crossing.json").read_text())
+    with pytest.raises(PenetrationError, match=r"bodies \d and \d overlap"):
+        simulate(sc, mode)
 
 
 # --- metrics -----------------------------------------------------------------

@@ -146,17 +146,15 @@ def test_deconflict_output_distinct():
 
 
 def test_impulse_heading_difference():
-    assert impulse(math.pi, math.pi / 4) == (0.0, 0.0, math.pi - math.pi / 4)
+    assert impulse(math.pi, math.pi / 4) == math.pi - math.pi / 4
 
 
 def test_impulse_noop():
-    assert impulse(1.25, 1.25) == (0.0, 0.0, 0.0)
+    assert impulse(1.25, 1.25) == 0.0
 
 
 def test_impulse_no_wrapping():
-    dx, dy, dth = impulse(0.0, 1.9 * math.pi)
-    assert (dx, dy) == (0.0, 0.0)
-    assert dth == pytest.approx(-1.9 * math.pi, abs=1e-15)
+    assert impulse(0.0, 1.9 * math.pi) == pytest.approx(-1.9 * math.pi, abs=1e-15)
 
 
 # --- local controller and duration ---------------------------------------------
