@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -499,6 +500,51 @@ def test_sweep_raises_on_penetration(monkeypatch, mode):
     sc = load_scenario((scenarios / "crossing.json").read_text())
     with pytest.raises(PenetrationError, match=r"bodies \d and \d overlap"):
         simulate(sc, mode)
+
+
+# --- the jump cap's three stop sites --------------------------------------
+
+
+def shipped(name, **changes):
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    sc = load_scenario((scenarios / f"{name}.json").read_text())
+    return dataclasses.replace(sc, **changes)
+
+
+def test_cap_during_reactivation_closes_with_zero_inputs():
+    # The fifth jump is robot 1's switch back to q = 0; robot 2 is still in
+    # its local phase and keeps q = 1 in the closing samples.
+    records = simulate(shipped("crossing", jump_cap=5), SimMode.REDESIGNED).records
+    switch, fault, *closing = records[-4:]
+    assert (switch.robot_id, switch.q_from, switch.q_to) == (1, 1, 0)
+    assert isinstance(fault, FaultRecord) and fault.fatal
+    assert [(s.robot_id, s.t, s.v, s.w, s.q) for s in closing] == [
+        (1, fault.t, 0.0, 0.0, 0),
+        (2, fault.t, 0.0, 0.0, 1),
+    ]
+
+
+def test_cap_in_sweep_closes_with_the_refreshed_inputs():
+    records = simulate(shipped("example1"), SimMode.PREDEFINED_ONLY).records
+    collision, fault, closing = records[-3:]
+    assert isinstance(collision, CollisionRecord)
+    assert isinstance(fault, FaultRecord) and fault.fatal
+    assert isinstance(closing, FlowSample) and closing.t == collision.t == fault.t
+    assert closing.v == collision.v_post
+    assert closing.w != 0.0
+
+
+def test_cap_on_event_hit_closes_with_zero_inputs():
+    records = simulate(shipped("crossing"), SimMode.PREDEFINED_ONLY).records
+    *collisions, fault = records[-5:-2]
+    closing = records[-2:]
+    assert [(c.robot_id, c.other_id) for c in collisions] == [(1, 2), (2, 1)]
+    assert all(isinstance(c, CollisionRecord) for c in collisions)
+    assert isinstance(fault, FaultRecord) and fault.fatal
+    assert [(s.robot_id, s.t, s.v, s.w) for s in closing] == [
+        (1, fault.t, 0.0, 0.0),
+        (2, fault.t, 0.0, 0.0),
+    ]
 
 
 # --- metrics -----------------------------------------------------------------
