@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .collision import PenetrationError
@@ -25,17 +23,9 @@ EXIT_INVALID = 2
 EXIT_FAULT = 3
 
 
-@dataclass(slots=True)
-class RunConfig:
-    scenario_path: Path
-    mode: SimMode
-    out_dir: Path
-    dt: float | None = None
-    t_max: float | None = None
-    emit_trace: bool = True
-
-
-def _load_and_validate(path: Path) -> Scenario | None:
+def _load_and_validate(args: argparse.Namespace) -> Scenario | None:
+    """Load the scenario, apply the --dt/--t-max overrides, then validate."""
+    path = args.scenario
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -46,6 +36,8 @@ def _load_and_validate(path: Path) -> Scenario | None:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
+    overrides = {"dt": args.dt, "t_max": args.t_max}
+    scenario = dataclasses.replace(scenario, **{k: v for k, v in overrides.items() if v is not None})
     violations = validate_scenario(scenario)
     if violations:
         for violation in violations:
@@ -54,38 +46,29 @@ def _load_and_validate(path: Path) -> Scenario | None:
     return scenario
 
 
-def _apply_overrides(scenario: Scenario, cfg: RunConfig) -> Scenario:
-    changes = {}
-    if cfg.dt is not None:
-        changes["dt"] = cfg.dt
-    if cfg.t_max is not None:
-        changes["t_max"] = cfg.t_max
-    return dataclasses.replace(scenario, **changes) if changes else scenario
-
-
-def cmd_run(cfg: RunConfig) -> int:
-    scenario = _load_and_validate(cfg.scenario_path)
+def cmd_run(args: argparse.Namespace) -> int:
+    scenario = _load_and_validate(args)
     if scenario is None:
         return EXIT_INVALID
-    scenario = _apply_overrides(scenario, cfg)
+    mode = SimMode(args.mode)
 
     try:
-        trace = simulate(scenario, cfg.mode)
+        trace = simulate(scenario, mode)
     except (PenetrationError, NonSeparableError) as exc:
         print(f"simulation fault: {exc}", file=sys.stderr)
         return EXIT_FAULT
 
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     summary = metrics(trace)
-    if cfg.emit_trace:
-        write_trace_csv(trace, cfg.out_dir / "trace.csv")
+    if not args.no_trace:
+        write_trace_csv(trace, args.out / "trace.csv")
     payload = summary.to_dict()
-    payload["mode"] = cfg.mode.value
-    (cfg.out_dir / "metrics.json").write_text(
+    payload["mode"] = mode.value
+    (args.out / "metrics.json").write_text(
         json.dumps(payload, indent=2) + "\n", encoding="utf-8"
     )
     for rid in sorted(scenario.robot_ids()):
-        write_plot_csv(trace, rid, cfg.out_dir / f"plot_robot{rid}.csv")
+        write_plot_csv(trace, rid, args.out / f"plot_robot{rid}.csv")
 
     for rid, m in sorted(summary.robots.items()):
         status = f"reached at t={m.completion_time:.3f}s" if m.reached else "not reached"
@@ -110,11 +93,10 @@ def _metrics_or_error(scenario: Scenario, mode: SimMode) -> dict:
     return out
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    scenario = _load_and_validate(cfg.scenario_path)
+def cmd_compare(args: argparse.Namespace) -> int:
+    scenario = _load_and_validate(args)
     if scenario is None:
         return EXIT_INVALID
-    scenario = _apply_overrides(scenario, cfg)
 
     baseline = _metrics_or_error(scenario, SimMode.PREDEFINED_ONLY)
     redesigned = _metrics_or_error(scenario, SimMode.REDESIGNED)
@@ -130,9 +112,9 @@ def cmd_compare(cfg: RunConfig) -> int:
             "redesigned": redesigned.get("completed", False),
         }
 
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     payload = {"predefined": baseline, "redesigned": redesigned, "deltas": deltas}
-    (cfg.out_dir / "compare.json").write_text(
+    (args.out / "compare.json").write_text(
         json.dumps(payload, indent=2) + "\n", encoding="utf-8"
     )
 
@@ -172,23 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.dt is not None and not 0.0 < args.dt < math.inf:
-        print("error: --dt must be positive and finite", file=sys.stderr)
-        return EXIT_INVALID
-    if args.t_max is not None and not 0.0 < args.t_max < math.inf:
-        print("error: --t-max must be positive and finite", file=sys.stderr)
-        return EXIT_INVALID
-    cfg = RunConfig(
-        scenario_path=args.scenario,
-        mode=SimMode(getattr(args, "mode", SimMode.REDESIGNED.value)),
-        out_dir=args.out,
-        dt=args.dt,
-        t_max=args.t_max,
-        emit_trace=not getattr(args, "no_trace", False),
-    )
     if args.command == "run":
-        return cmd_run(cfg)
-    return cmd_compare(cfg)
+        return cmd_run(args)
+    return cmd_compare(args)
 
 
 if __name__ == "__main__":

@@ -113,7 +113,6 @@ class CollisionOutcome:
     v_plus * (cos(theta_plus - phi), sin(theta_plus - phi)) = (mu, lam).
     """
 
-    body_id: int
     theta_pre: float
     v_pre: float
     theta_plus: float
@@ -202,29 +201,17 @@ def resolve_collision(
 
     lam_i, lam_j = resolve_normal(query.m_i, query.m_j, v_iy, v_jy, delta_i, delta_j)
 
-    theta_i_plus, v_i_plus = post_velocity(lam_i, mu_i, phi, query.theta_i)
-    outcome_i = CollisionOutcome(
-        body_id=query.i_id,
-        theta_pre=query.theta_i,
-        v_pre=query.v_i,
-        theta_plus=theta_i_plus,
-        v_plus=v_i_plus,
-        lam=lam_i,
-        mu=mu_i,
-        redesign_needed=heading_changed(query.theta_i, theta_i_plus),
-    )
-
-    outcome_j = None
-    if body_j_is_robot:
-        theta_j_plus, v_j_plus = post_velocity(lam_j, mu_j, phi, query.theta_j)
-        outcome_j = CollisionOutcome(
-            body_id=query.j_id,
-            theta_pre=query.theta_j,
-            v_pre=query.v_j,
-            theta_plus=theta_j_plus,
-            v_plus=v_j_plus,
-            lam=lam_j,
-            mu=mu_j,
-            redesign_needed=heading_changed(query.theta_j, theta_j_plus),
+    def outcome(theta: float, v: float, lam: float, mu: float) -> CollisionOutcome:
+        theta_plus, v_plus = post_velocity(lam, mu, phi, theta)
+        return CollisionOutcome(
+            theta_pre=theta,
+            v_pre=v,
+            theta_plus=theta_plus,
+            v_plus=v_plus,
+            lam=lam,
+            mu=mu,
+            redesign_needed=heading_changed(theta, theta_plus),
         )
-    return (outcome_i, outcome_j)
+
+    outcome_j = outcome(query.theta_j, query.v_j, lam_j, mu_j) if body_j_is_robot else None
+    return (outcome(query.theta_i, query.v_i, lam_i, mu_i), outcome_j)

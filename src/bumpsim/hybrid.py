@@ -15,6 +15,10 @@ speeds and phases in place, never positions), and records everything in
 an ordered trace.  `FlowSample` is an immutable NamedTuple like
 `RobotState`; `write_trace_csv` and `write_plot_csv` stream row by row.
 
+Hybrid time is the pair (t, jumps).  A run stops at t_max, when every
+robot has reached its target, or when the jump counter reaches the
+scenario's cap; the counter is the only stop flag.
+
 The SimMode REDESIGNED runs the full strategy, while
 PREDEFINED_ONLY still resolves collision physics (headings and speeds
 jump) but never applies impulses or local phases - the ablation that
@@ -135,7 +139,6 @@ TraceRecord = (
 @dataclass(slots=True)
 class Trace:
     scenario: Scenario
-    sim_mode: SimMode
     records: list
 
     def collisions(self, robot_id: int | None = None) -> list[CollisionRecord]:
@@ -323,7 +326,7 @@ def jump(
     hs: HybridState,
     event: ContactQuery | ReactivationEvent,
     scenario: Scenario,
-    sim_mode: SimMode = SimMode.REDESIGNED,
+    sim_mode: SimMode,
 ) -> tuple[list, dict[int, float]]:
     """Apply one hybrid jump to `hs` in place and return (records, post speeds).
 
@@ -456,17 +459,17 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
     """Run one deterministic simulation and return the full trace.
 
     Terminates when every robot has been within target tolerance, when
-    t reaches t_max, or when the jump counter hits the scenario's cap
-    (recorded as a fatal non-convergence fault).  Raises
-    PenetrationError/NonSeparableError on integration or separation
+    t reaches t_max, or when the jump counter reaches the scenario's cap
+    (recorded as a fatal non-convergence fault).  The counter is the stop
+    rule: jumps happen only in `apply_jump`, and none follows the cap.
+    Raises PenetrationError/NonSeparableError on integration or separation
     failures, and ValueError when the scenario does not validate.
     """
     violations = validate_scenario(scenario)
     if violations:
         raise ValueError("scenario does not validate: " + "; ".join(violations))
 
-    robots = sorted(scenario.robots(), key=lambda b: b.id)
-    robot_ids = [b.id for b in robots]
+    robot_ids = sorted(scenario.robot_ids())
     params = scenario.params
     body = {b.id: b for b in scenario.bodies}
     pairs = contact_pairs(scenario.bodies)
@@ -476,60 +479,61 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
 
     hs = HybridState(
         t=0.0,
-        states={b.id: b.state() for b in robots},
-        phases={b.id: None for b in robots},
+        states={rid: body[rid].state() for rid in robot_ids},
+        phases={rid: None for rid in robot_ids},
     )
     records: list = []
-    reached = {rid: False for rid in robot_ids}
-    fatal = False
+    reached: set[int] = set()
+    stopped = {rid: ControlInput(0.0, 0.0) for rid in robot_ids}
     # Per-instant bookkeeping (cleared whenever t advances): robots already
     # involved in a collision, and the pairs already resolved.
     collided_marks: set[int] = set()
     resolved_pairs: set[tuple[int, int]] = set()
 
-    def compute_inputs() -> dict[int, ControlInput]:
-        out: dict[int, ControlInput] = {}
-        for rid in robot_ids:
-            phase = hs.phases[rid]
-            if phase is not None:
-                out[rid] = local_control(phase)
-            else:
-                out[rid] = predefined_control(rid, hs.states, scenario.targets[rid], rows[rid], params).u
-        return out
+    def capped() -> bool:
+        return hs.jumps >= scenario.jump_cap
 
-    def apply_jump(event: ContactQuery | ReactivationEvent, inputs: dict[int, ControlInput] | None) -> bool:
-        """Jump, then report whether the jump counter reached the cap."""
-        nonlocal fatal
+    def fault(reason: str, fatal: bool) -> None:
+        records.append(FaultRecord(t=hs.t, reason=reason, fatal=fatal))
+
+    def apply_jump(event: ContactQuery | ReactivationEvent) -> dict[int, float]:
+        """Jump, record it, and return the post-collision speeds."""
         recs, post_speeds = jump(hs, event, scenario, sim_mode)
         records.extend(recs)
         if isinstance(event, ContactQuery):
             # post_speeds is keyed by exactly the robots of the contact
             collided_marks.update(post_speeds)
             resolved_pairs.add((event.i_id, event.j_id))
-        if inputs is not None:
-            for rid, v_plus in post_speeds.items():
-                phase = hs.phases[rid]
-                if phase is not None:
-                    inputs[rid] = local_control(phase)
-                else:
-                    inputs[rid] = ControlInput(v_plus, inputs[rid].w)
-        if hs.jumps >= scenario.jump_cap:
-            records.append(
-                FaultRecord(
-                    t=hs.t,
-                    reason=f"non-convergent: jump counter reached the cap ({scenario.jump_cap})",
-                    fatal=True,
-                )
-            )
-            fatal = True
-        return fatal
+        if capped():
+            fault(f"non-convergent: jump counter reached the cap ({scenario.jump_cap})", True)
+        return post_speeds
 
-    def contact_sweep(inputs: dict[int, ControlInput]) -> None:
-        # Resolve all touching-and-approaching pairs at the current instant.
-        # Each robot participates in at most one collision per instant;
-        # extra simultaneous contacts are deferred with a warning.
+    def settle() -> dict[int, ControlInput]:
+        """Settle the instant hs.t and return the inputs its samples show:
+        reactivation, target marks, inputs, then the contact sweep."""
+        for rid in robot_ids:
+            if reactivation_due(rows[rid], hs.states, hs.phases[rid]):
+                apply_jump(ReactivationEvent(rid))
+                if capped():
+                    return stopped
+        for rid in robot_ids:
+            if rid not in reached and _norm3(hs.states[rid], scenario.targets[rid]) <= scenario.target_tolerance:
+                reached.add(rid)
+                records.append(TargetReachedRecord(t=hs.t, robot_id=rid))
+
+        inputs: dict[int, ControlInput] = {}
+        for rid in robot_ids:
+            phase = hs.phases[rid]
+            if phase is not None:
+                inputs[rid] = local_control(phase)
+            else:
+                inputs[rid] = predefined_control(rid, hs.states, scenario.targets[rid], rows[rid], params).u
+
+        # Resolve all touching-and-approaching pairs at this instant.  Each
+        # robot takes at most one collision per instant; extra simultaneous
+        # contacts are deferred with a warning.
         progress = True
-        while progress and not fatal:
+        while progress:
             progress = False
             for pair in pairs:
                 i, j = pair.i, pair.j
@@ -546,40 +550,27 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
                     continue
                 if i in collided_marks or j in collided_marks:
                     # a robot can take only one collision per instant
-                    records.append(
-                        FaultRecord(
-                            t=hs.t,
-                            reason=f"simultaneous contacts at one instant; pair ({i}, {j}) deferred",
-                            fatal=False,
-                        )
-                    )
+                    fault(f"simultaneous contacts at one instant; pair ({i}, {j}) deferred", False)
                     continue
                 progress = True
-                if apply_jump(query, inputs):
-                    return
+                for rid, v_plus in apply_jump(query).items():
+                    phase = hs.phases[rid]
+                    if phase is not None:
+                        inputs[rid] = local_control(phase)
+                    else:
+                        inputs[rid] = ControlInput(v_plus, inputs[rid].w)
+                if capped():
+                    return inputs
+        return inputs
 
     while True:
-        if not fatal:
-            for rid in robot_ids:
-                if reactivation_due(rows[rid], hs.states, hs.phases[rid]):
-                    if apply_jump(ReactivationEvent(rid), None):
-                        break
-        if not fatal:
-            for rid in robot_ids:
-                if not reached[rid] and _norm3(hs.states[rid], scenario.targets[rid]) <= scenario.target_tolerance:
-                    reached[rid] = True
-                    records.append(TargetReachedRecord(t=hs.t, robot_id=rid))
-
-        inputs = compute_inputs() if not fatal else {rid: ControlInput(0.0, 0.0) for rid in robot_ids}
-        if not fatal:
-            contact_sweep(inputs)
-
+        inputs = stopped if capped() else settle()
         for rid in robot_ids:
             x, y, theta = hs.states[rid]
             v, w = inputs[rid]
             records.append(FlowSample(hs.t, rid, x, y, theta, v, w, int(hs.phases[rid] is not None)))
 
-        if fatal or all(reached.values()) or hs.t >= scenario.t_max - 1e-12:
+        if capped() or len(reached) == len(robot_ids) or hs.t >= scenario.t_max - 1e-12:
             break
 
         h = min(scenario.dt, scenario.t_max - hs.t)
@@ -609,22 +600,13 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
         resolved_pairs.clear()
 
         if hit is not None:
-            for extra_pair in hit.simultaneous:
-                records.append(
-                    FaultRecord(
-                        t=hs.t,
-                        reason=(
-                            "simultaneous contact crossings; pair "
-                            f"({extra_pair[0]}, {extra_pair[1]}) deferred"
-                        ),
-                        fatal=False,
-                    )
-                )
+            for i, j in hit.simultaneous:
+                fault(f"simultaneous contact crossings; pair ({i}, {j}) deferred", False)
             pair = pair_by_ids[(hit.robot_id, hit.other_id)]
             # a cap fault here makes the next pass emit the closing samples
-            apply_jump(contact_query(pair, hs.states, inputs, body), None)
+            apply_jump(contact_query(pair, hs.states, inputs, body))
 
-    return Trace(scenario=scenario, sim_mode=sim_mode, records=records)
+    return Trace(scenario=scenario, records=records)
 
 
 # --------------------------------------------------------------------------

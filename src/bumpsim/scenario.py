@@ -318,7 +318,8 @@ def load_scenario(text: str) -> Scenario:
 
 
 def validate_scenario(scenario: Scenario) -> list[str]:
-    """Check physical consistency; returns a list of violations (empty = valid).
+    """Check physical consistency and the sim block; returns a list of
+    violations (empty = valid).
 
     Pure and idempotent: repeated calls on the same scenario return the
     same list and never mutate anything.
@@ -370,6 +371,15 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     for rid, target in sorted(scenario.targets.items()):
         if not all(math.isfinite(v) for v in (target.x, target.y, target.theta)):
             violations.append(f"target for robot {rid} has non-finite components")
+
+    # the bounds load_scenario applies to the sim block
+    for name in ("dt", "t_max", "target_tolerance"):
+        value = getattr(scenario, name)
+        if not 0.0 < value < math.inf:
+            violations.append(f"sim.{name} must be positive and finite, got {value:.6g}")
+    cap = scenario.jump_cap
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+        violations.append(f"sim.jump_cap must be a positive integer, got {cap!r}")
 
     return violations
 

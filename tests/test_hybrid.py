@@ -566,7 +566,7 @@ def test_metrics_fold_on_constructed_trace():
         TargetReachedRecord(t=12.3, robot_id=1),
         FaultRecord(t=13.0, reason="boom", fatal=True),
     ]
-    m = metrics(Trace(scenario=sc, sim_mode=SimMode.REDESIGNED, records=records))
+    m = metrics(Trace(scenario=sc, records=records))
     assert m.robots[1].reached and m.robots[1].completion_time == 12.3
     assert not m.robots[2].reached and m.robots[2].completion_time is None
     assert m.robots[2].collisions == 2
@@ -584,7 +584,7 @@ def test_metrics_min_clearance_tracks_samples():
         FlowSample(t=0.0, robot_id=1, x=0.0, y=0.0, theta=0.0, v=0.0, w=0.0, q=0),
         FlowSample(t=1.0, robot_id=1, x=5.0, y=0.0, theta=0.0, v=0.0, w=0.0, q=0),
     ]
-    m = metrics(Trace(scenario=sc, sim_mode=SimMode.REDESIGNED, records=records))
+    m = metrics(Trace(scenario=sc, records=records))
     assert m.robots[1].min_clearance == pytest.approx(3.0, abs=1e-12)
 
 

@@ -1,9 +1,13 @@
-"""Source hygiene: every name an engine module imports is used in it, and
-every parameter of its functions is read.
+"""Source hygiene: every name an engine module imports is used in it, every
+parameter of its functions is read, and every field of its dataclasses is
+read somewhere.
 
 No linter ships with the project, so these stdlib `ast` checks catch the
-imports and parameters that deleting code leaves behind.  `__init__.py` is
-exempt from the import check: its imports are the package's exports.
+imports, parameters and fields that deleting code leaves behind.
+`__init__.py` is exempt from the import check: its imports are the
+package's exports.  The field check goes by name: a field counts as read
+when any source, test or bench file reads an attribute of that name.
+NamedTuples are exempt, because they are read by unpacking.
 """
 
 import ast
@@ -11,8 +15,12 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "bumpsim"
+HERE = Path(__file__).resolve()
+ROOT = HERE.parents[1]
+SRC = ROOT / "src" / "bumpsim"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+# this file walks ASTs, so its own attribute reads are not reads of engine fields
+READERS = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py") if p != HERE)
 
 
 def unused_imports(source):
@@ -53,6 +61,35 @@ def unread_parameters(source):
     return sorted(unread)
 
 
+def attribute_reads(source):
+    """Names read as an attribute (`obj.name`) anywhere in the source."""
+    return {
+        n.attr
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def _is_dataclass(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(target, ast.Name) and target.id == "dataclass"
+
+
+def unread_fields(source, reads):
+    """Fields of the source's @dataclass classes whose names are not in `reads`."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(_is_dataclass(d) for d in node.decorator_list):
+            unread += [
+                f"{node.name}.{stmt.target.id} (line {stmt.lineno})"
+                for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)
+                and stmt.target.id not in reads
+            ]
+    return sorted(unread)
+
+
 def test_check_flags_an_unused_import():
     assert unused_imports("import math\nfrom typing import Mapping, Sequence\nx: Mapping = {}\n") == [
         "Sequence (line 2)",
@@ -80,3 +117,33 @@ def test_check_flags_an_unread_parameter():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_parameter_is_read(module):
     assert unread_parameters((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_check_flags_an_unread_dataclass_field():
+    source = (
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    kept: int\n"
+        "    dropped: int\n"
+        "\n"
+        "@dataclass\n"
+        "class B:\n"
+        "    lost: int\n"
+        "\n"
+        "class P(NamedTuple):\n"
+        "    unpacked: int\n"
+        "\n"
+        "def f(a, b):\n"
+        "    a.dropped = b.kept\n"
+    )
+    assert unread_fields(source, attribute_reads(source)) == ["A.dropped (line 4)", "B.lost (line 8)"]
+
+
+@pytest.fixture(scope="module")
+def reads():
+    return set().union(*(attribute_reads(p.read_text(encoding="utf-8")) for p in READERS))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_dataclass_field_is_read(module, reads):
+    assert unread_fields((SRC / module).read_text(encoding="utf-8"), reads) == []

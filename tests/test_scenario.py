@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
+from bumpsim.hybrid import simulate
 from bumpsim.scenario import (
     UNBOUNDED,
     BodyKind,
@@ -147,6 +149,25 @@ def test_bad_params_flagged():
     violations = validate_scenario(sc)
     assert any("rho" in v for v in violations)
     assert any("sigma1" in v for v in violations)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dt", 0.0),
+        ("dt", math.nan),
+        ("t_max", math.inf),
+        ("target_tolerance", 0.0),
+        ("jump_cap", 0),
+        ("jump_cap", 2.0),
+    ],
+)
+def test_sim_block_out_of_bounds_flagged(field, value):
+    sc = dataclasses.replace(load_scenario(json.dumps(EXAMPLE1_DOC)), **{field: value})
+    # validation first: simulate on an unchecked dt = 0 never returns
+    assert [v for v in validate_scenario(sc) if v.startswith(f"sim.{field} ")]
+    with pytest.raises(ValueError, match="does not validate"):
+        simulate(sc)
 
 
 def test_validate_is_pure_and_idempotent():
