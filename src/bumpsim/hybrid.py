@@ -5,15 +5,20 @@ predefined controller, q = 1 runs the constant-heading local escape
 controller installed after a heading-changing collision.  q is 1 exactly
 while the robot holds a LocalPhase; `HybridState.phases` is its only
 record.  Every contact, found by event localization or by the sweep at an
-instant, goes through one pair-table row and one ContactQuery.  The sweep
-decides touching and penetration on the one value `gap` returns, and
-`collision.check_collision` adds only the approach test.  The executor
-integrates the unicycle flow with fixed-step classical RK4 under
-zero-order-hold inputs, localizes contact events by bisection inside a
-step, applies the collision/impulse jump maps (which change headings,
-speeds and phases in place, never positions), and records everything in
-an ordered trace.  `FlowSample` is an immutable NamedTuple like
-`RobotState`; `write_trace_csv` and `write_plot_csv` stream row by row.
+instant, goes through one pair-table row and one ContactQuery.  Each
+pair's gap is measured once per instant: the sweep decides touching and
+penetration on it, and `collision.check_collision` adds only the approach
+test.  The executor integrates the unicycle flow with fixed-step
+classical RK4 under zero-order-hold inputs and localizes contact events
+inside a step by conservative advancement: a pair whose start gap exceeds
+how far the step can move it is culled, a two-sided bound on the start
+and end gaps skips most of the rest, a golden-section search of the
+in-step minimum catches grazes that dip below contact and come back out,
+and bisection finds the crossing.  It applies the collision/impulse jump
+maps (which change headings, speeds and phases in place, never
+positions), and records everything in an ordered trace.  `FlowSample`
+is an immutable NamedTuple like `RobotState`; `write_trace_csv` and
+`write_plot_csv` stream row by row, one `%` format per sample row.
 
 Hybrid time is the pair (t, jumps).  A run stops at t_max, when every
 robot has reached its target, or when the jump counter reaches the
@@ -53,6 +58,18 @@ from .redesign import (
 from .scenario import Body, ControlInput, RobotState, Scenario, validate_scenario
 
 EVENT_TIME_TOL = 1e-12
+# Golden-section ratio of the graze search in `_first_negative`.
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Rounding slack of `detect_event`'s bounds, per unit of (robot coordinate
+# scale + gap0 + radii sum + reach).  A probe `step_flow(s, u, tau)` sums
+# six stages of size |v| (up to an ulp each) into an increment within 8
+# ulps of |v| * tau, and adding it to a coordinate rounds by half an ulp of
+# that coordinate.  `gap` rounds the coordinate difference, the hypot and
+# the radii subtraction by at most an ulp of the centre distance, itself
+# at most gap0 + radii sum + reach, each.  Over both robots of a pair and
+# the two gaps of a comparison this stays below 17 ulps of the sum; 32
+# leaves room.
+BOUND_SLACK = 32.0 * math.ulp(1.0)
 
 
 class SimMode(Enum):
@@ -257,41 +274,122 @@ def contact_query(
     )
 
 
-def detect_event(
-    pairs: list[ContactPair],
+def _first_negative(
+    pair: ContactPair,
     states: Mapping[int, RobotState],
     inputs: Mapping[int, ControlInput],
     h: float,
-    next_states: Mapping[int, RobotState] | None = None,
+) -> float | None:
+    """Golden-section search for the pair's smallest gap on [0, h].
+
+    Returns the offset of the first probe whose gap is negative, or None
+    once the bracket is EVENT_TIME_TOL wide: 2 + ceil(log(EVENT_TIME_TOL
+    / h) / log(GOLDEN)) probes at most, 46 at h = 1e-3.  The gap is
+    unimodal along one step: the distance to a point is convex along a
+    straight segment, and one step's arc is nearly straight.
+    """
+    i, j, _, fixed = pair
+    probe: dict[int, RobotState] = {}
+
+    def gap_at(tau: float) -> float:
+        probe[i] = step_flow(states[i], inputs[i], tau)
+        if fixed is None:
+            probe[j] = step_flow(states[j], inputs[j], tau)
+        return gap(pair, probe)
+
+    a, b = 0.0, h
+    c, d = h - GOLDEN * h, GOLDEN * h
+    gc, gd = gap_at(c), gap_at(d)
+    # each pass shrinks the bracket [a, b] by GOLDEN
+    for _ in range(math.ceil(math.log(EVENT_TIME_TOL / h) / math.log(GOLDEN))):
+        if gc < 0.0 or gd < 0.0:
+            break
+        if gc < gd:
+            b, d, gd = d, c, gc
+            c = b - GOLDEN * (b - a)
+            gc = gap_at(c)
+        else:
+            a, c, gc = c, d, gd
+            d = a + GOLDEN * (b - a)
+            gd = gap_at(d)
+    if gc < 0.0:
+        return c
+    return d if gd < 0.0 else None
+
+
+def detect_event(
+    pairs: list[ContactPair],
+    gaps0: Sequence[float],
+    states: Mapping[int, RobotState],
+    inputs: Mapping[int, ControlInput],
+    h: float,
+    next_states: Mapping[int, RobotState],
 ) -> EventHit | None:
     """Find the earliest pair gap zero-crossing inside the step [0, h].
 
-    A crossing needs a positive gap at the step start and a negative gap
-    at the end; the hit time is then localized by bisection on the RK4
-    flow to EVENT_TIME_TOL seconds, landing on the non-penetrating side.
+    `gaps0` holds each pair's gap at `states` (the executor measures it
+    once per instant), and `next_states` the RK4 step of length h.  Only
+    pairs apart at the step start (gap0 > 0) can cross.  A probe
+    `step_flow(s, u, tau)` lies within |v| * tau of the robot's start and
+    moves with speed at most |v| * (1 + |w| * h / 2) in tau, so no pair's
+    gap changes by more than `reach`, h times the sum of that speed over
+    the robots, anywhere in the step.  Up to the rounding slack
+    (BOUND_SLACK) each pair then meets one of four rules, in order:
+
+    - cull: gap0 > reach, so the pair cannot touch within the step, and
+      its end gap is not even measured (conservative advancement);
+    - sign change: gap1 < 0, so a crossing lies in [0, h];
+    - two-sided bound: gap0 + gap1 > reach, so the in-step minimum is at
+      least (gap0 + gap1 - reach) / 2 > 0 and the pair is skipped;
+    - search: a golden-section search of the in-step minimum looks for
+      a graze that dips below contact and comes back out, which the end
+      signs miss; its first negative probe closes the bracket.
+
+    The hit time is then localized by bisection on the RK4 flow to
+    EVENT_TIME_TOL seconds, landing on the non-penetrating side.
     Simultaneous crossings (within EVENT_TIME_TOL) are reported with the
     lexicographically smallest pair first.
     """
-    if next_states is None:
-        next_states = {rid: step_flow(states[rid], inputs[rid], h) for rid in states}
+    # One reach bound for every row, and the coordinate scale of the slack:
+    # the sum of the robots' |x| + |y| bounds each coordinate.
+    reach = scale = 0.0
+    for rid, (v, w) in inputs.items():
+        x, y, _ = states[rid]
+        reach += abs(v) * (1.0 + 0.5 * h * abs(w))
+        scale += abs(x) + abs(y)
+    reach *= h
+    scale += reach
 
     hits: list[tuple[float, int, int]] = []
-    for pair in pairs:
-        if gap(pair, states) > 0.0 and gap(pair, next_states) < 0.0:
-            i, j, _, fixed = pair
-            probe: dict[int, RobotState] = {}
-            lo, hi = 0.0, h
-            while hi - lo > EVENT_TIME_TOL:
-                mid = 0.5 * (lo + hi)
-                # each probe steps only the pair's robots
-                probe[i] = step_flow(states[i], inputs[i], mid)
-                if fixed is None:
-                    probe[j] = step_flow(states[j], inputs[j], mid)
-                if gap(pair, probe) > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            hits.append((lo, i, j))
+    for pair, g0 in zip(pairs, gaps0):
+        slack = BOUND_SLACK * (scale + g0 + pair.rsum)
+        if g0 - reach > slack or g0 <= 0.0:
+            # culled, or not apart at the step start
+            continue
+        g1 = gap(pair, next_states)
+        if g1 < 0.0:
+            hi = h
+        elif g0 + g1 - reach > 2.0 * slack:
+            # the two-sided bound keeps the in-step minimum positive
+            continue
+        else:
+            hi = _first_negative(pair, states, inputs, h)
+            if hi is None:
+                continue
+        i, j, _, fixed = pair
+        probe: dict[int, RobotState] = {}
+        lo = 0.0
+        while hi - lo > EVENT_TIME_TOL:
+            mid = 0.5 * (lo + hi)
+            # each probe steps only the pair's robots
+            probe[i] = step_flow(states[i], inputs[i], mid)
+            if fixed is None:
+                probe[j] = step_flow(states[j], inputs[j], mid)
+            if gap(pair, probe) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        hits.append((lo, i, j))
 
     if not hits:
         return None
@@ -508,9 +606,10 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
             fault(f"non-convergent: jump counter reached the cap ({scenario.jump_cap})", True)
         return post_speeds
 
-    def settle() -> dict[int, ControlInput]:
+    def settle(gaps: list[float]) -> dict[int, ControlInput]:
         """Settle the instant hs.t and return the inputs its samples show:
-        reactivation, target marks, inputs, then the contact sweep."""
+        reactivation, target marks, inputs, then the contact sweep over the
+        pairs whose gap (`gaps`, in table order) is within CONTACT_TOL."""
         for rid in robot_ids:
             if reactivation_due(rows[rid], hs.states, hs.phases[rid]):
                 apply_jump(ReactivationEvent(rid))
@@ -531,15 +630,19 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
 
         # Resolve all touching-and-approaching pairs at this instant.  Each
         # robot takes at most one collision per instant; extra simultaneous
-        # contacts are deferred with a warning.
-        progress = True
+        # contacts are deferred with a warning.  Jumps never move positions,
+        # so the gaps hold for every pass, and with no pair touching there
+        # is nothing to sweep.
+        progress = min(gaps, default=math.inf) <= CONTACT_TOL
         while progress:
             progress = False
-            for pair in pairs:
+            for pair, g in zip(pairs, gaps):
+                if g > CONTACT_TOL:
+                    # apart: it flows on
+                    continue
                 i, j = pair.i, pair.j
-                g = gap(pair, hs.states)
-                if (i, j) in resolved_pairs or g > CONTACT_TOL:
-                    # already jumped at this instant, or apart: it flows on
+                if (i, j) in resolved_pairs:
+                    # already jumped at this instant
                     continue
                 if g < -CONTACT_TOL:
                     raise PenetrationError(
@@ -564,7 +667,9 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
         return inputs
 
     while True:
-        inputs = stopped if capped() else settle()
+        # one gap per pair per instant, shared by the sweep and the event test
+        gaps = [gap(pair, hs.states) for pair in pairs]
+        inputs = stopped if capped() else settle(gaps)
         for rid in robot_ids:
             x, y, theta = hs.states[rid]
             v, w = inputs[rid]
@@ -582,7 +687,7 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
                     h = min(h, remaining)
 
         next_states = {rid: step_flow(hs.states[rid], inputs[rid], h) for rid in robot_ids}
-        hit = detect_event(pairs, hs.states, inputs, h, next_states)
+        hit = detect_event(pairs, gaps, hs.states, inputs, h, next_states)
         if hit is None:
             hs.states = next_states
             advance = h
@@ -701,15 +806,21 @@ def metrics(trace: Trace) -> TraceMetrics:
 CSV_HEADER = "t,record_type,robot_id,other_id,x,y,theta,v,w,q,extra"
 
 
+# The sample rows, one `%` each: "%.17g" writes the bytes of
+# format(x, ".17g"), and 17 significant digits round-trip IEEE doubles
+# bit-exactly.  A FlowSample's fields are in the sample row's column order.
+SAMPLE_ROW = "%.17g,sample,%d,,%.17g,%.17g,%.17g,%.17g,%.17g,%d,\n"
+PLOT_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+
+
 def _fmt(value: float) -> str:
-    # 17 significant digits round-trips IEEE doubles bit-exactly.
     return format(value, ".17g")
 
 
-def _csv_row(record: TraceRecord) -> str:
+def _csv_line(record: TraceRecord) -> str:
+    """The record's trace.csv row, newline included."""
     if isinstance(record, FlowSample):
-        t, rid, x, y, theta, v, w, q = record
-        return f"{_fmt(t)},sample,{rid},,{_fmt(x)},{_fmt(y)},{_fmt(theta)},{_fmt(v)},{_fmt(w)},{q},"
+        return SAMPLE_ROW % record
     t = _fmt(record.t)
     if isinstance(record, CollisionRecord):
         extra = (
@@ -739,20 +850,18 @@ def _csv_row(record: TraceRecord) -> str:
         cells = [t, "fault", "", "", "", "", "", "", "", "", f"{reason};fatal={int(record.fatal)}"]
     else:  # pragma: no cover - records are a closed union
         raise TypeError(f"unknown record {record!r}")
-    return ",".join(cells)
+    return ",".join(cells) + "\n"
 
 
 def trace_to_csv(trace: Trace) -> str:
-    lines = [CSV_HEADER]
-    lines.extend(_csv_row(r) for r in trace.records)
-    return "\n".join(lines) + "\n"
+    return CSV_HEADER + "\n" + "".join(map(_csv_line, trace.records))
 
 
 def write_trace_csv(trace: Trace, path) -> None:
     """Stream the bytes of `trace_to_csv` to `path`, one row at a time."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        fh.writelines(_csv_row(r) + "\n" for r in trace.records)
+        fh.writelines(map(_csv_line, trace.records))
 
 
 def write_plot_csv(trace: Trace, robot_id: int, path) -> None:
@@ -762,4 +871,4 @@ def write_plot_csv(trace: Trace, robot_id: int, path) -> None:
         for record in trace.records:
             if isinstance(record, FlowSample) and record.robot_id == robot_id:
                 t, _, x, y, theta, v, w, _ = record
-                fh.write(f"{_fmt(t)},{_fmt(x)},{_fmt(y)},{_fmt(theta)},{_fmt(v)},{_fmt(w)}\n")
+                fh.write(PLOT_ROW % (t, x, y, theta, v, w))

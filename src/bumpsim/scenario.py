@@ -368,6 +368,12 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     if not 0.0 <= p.delta < 1.0:
         violations.append(f"params.delta must lie in [0, 1), got {p.delta:.6g}")
 
+    # the rule load_scenario applies to the targets: one per robot
+    robot_ids = set(scenario.robot_ids())
+    for rid in sorted(robot_ids - scenario.targets.keys()):
+        violations.append(f"targets: missing target for robot {rid}")
+    for rid in sorted(scenario.targets.keys() - robot_ids):
+        violations.append(f"targets.{rid}: no robot with this id")
     for rid, target in sorted(scenario.targets.items()):
         if not all(math.isfinite(v) for v in (target.x, target.y, target.theta)):
             violations.append(f"target for robot {rid} has non-finite components")

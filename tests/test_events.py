@@ -1,0 +1,199 @@
+"""Event detection: graze tunnelling, the soundness of the reach bounds
+against a fine substep oracle, and the one-gap-per-pair budget."""
+
+import math
+import random
+from pathlib import Path
+
+import pytest
+
+from bumpsim import hybrid
+from bumpsim.hybrid import EVENT_TIME_TOL, ContactPair, SimMode, detect_event, gap, simulate, step_flow
+from bumpsim.scenario import ControlInput, RobotState, load_scenario
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+SUBSTEPS = 1000
+M_V, M_W = 5.0, 5.0
+
+
+def detect(pairs, states, inputs, h):
+    gaps0 = [gap(pair, states) for pair in pairs]
+    next_states = {rid: step_flow(states[rid], inputs[rid], h) for rid in states}
+    return detect_event(pairs, gaps0, states, inputs, h, next_states)
+
+
+def gap_at(pair, states, inputs, tau):
+    return gap(pair, {rid: step_flow(states[rid], inputs[rid], tau) for rid in states})
+
+
+def parent_rule(pair, states, inputs, h):
+    """The sign-change rule alone: bisect when the gap goes from positive at
+    the step start to negative at its end, else report no crossing."""
+    i, j, _, fixed = pair
+    if not (gap_at(pair, states, inputs, 0.0) > 0.0 and gap_at(pair, states, inputs, h) < 0.0):
+        return None
+    probe = {}
+    lo, hi = 0.0, h
+    while hi - lo > EVENT_TIME_TOL:
+        mid = 0.5 * (lo + hi)
+        probe[i] = step_flow(states[i], inputs[i], mid)
+        if fixed is None:
+            probe[j] = step_flow(states[j], inputs[j], mid)
+        if gap(pair, probe) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+# --- graze tunnelling --------------------------------------------------------
+
+# A robot of radius 0.5 passes under a body of radius 0.5 at (0, 1 - 1e-6):
+# the gap is 1.2482e-3 at both ends of the step and -1e-6 at its midpoint.
+GRAZE_STATES = {1: RobotState(-0.05, 0.0, 0.0)}
+GRAZE_INPUTS = {1: ControlInput(1.0, 0.0)}
+GRAZE_H = 0.1
+GRAZE_AT = (0.0, 1.0 - 1e-6)
+
+
+@pytest.mark.parametrize("other", ["obstacle", "robot"])
+def test_graze_inside_a_step_is_found(other):
+    states, inputs = dict(GRAZE_STATES), dict(GRAZE_INPUTS)
+    if other == "obstacle":
+        pair = ContactPair(1, 3, 1.0, GRAZE_AT)
+    else:
+        pair = ContactPair(1, 2, 1.0, None)
+        states[2] = RobotState(*GRAZE_AT, math.pi)
+        inputs[2] = ControlInput(0.0, 0.0)
+    g0, g1 = gap_at(pair, states, inputs, 0.0), gap_at(pair, states, inputs, GRAZE_H)
+    assert g0 == pytest.approx(1.2482e-3, abs=1e-7) and g1 == pytest.approx(g0, abs=1e-15)
+    assert gap_at(pair, states, inputs, 0.5 * GRAZE_H) == pytest.approx(-1e-6, rel=1e-3)
+    # the end signs alone miss it
+    assert parent_rule(pair, states, inputs, GRAZE_H) is None
+
+    hit = detect([pair], states, inputs, GRAZE_H)
+    assert hit is not None
+    assert (hit.robot_id, hit.other_id, hit.simultaneous) == (1, pair.j, ())
+    # first touch, before the midpoint, on the non-penetrating side
+    assert hit.t_offset == pytest.approx(0.05 - math.sqrt(2e-6 - 1e-12), abs=1e-9)
+    assert gap_at(pair, states, inputs, hit.t_offset) > 0.0
+    assert gap_at(pair, states, inputs, hit.t_offset + 2 * EVENT_TIME_TOL) <= 0.0
+
+
+# --- the bounds against a substep oracle -------------------------------------
+
+
+def draw_case(rng, robot_robot):
+    """One pair within a few reach lengths of contact at the step start, or
+    one whose body sits next to the robot's path (a graze of either sign)."""
+    h = math.exp(rng.uniform(math.log(1e-4), math.log(0.1)))
+
+    def draw_input():
+        return ControlInput(rng.uniform(-M_V, M_V), rng.uniform(-M_W, M_W))
+
+    states = {1: RobotState(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(-math.pi, math.pi))}
+    inputs = {1: draw_input()}
+    if robot_robot:
+        inputs[2] = draw_input()
+    # down to bodies thin enough to pass through within one step
+    rsum = math.exp(rng.uniform(math.log(0.01), math.log(2.0)))
+    reach = sum(abs(u.v) for u in inputs.values()) * h
+    mode = rng.random()
+    if mode < 0.5:
+        # apart by up to three reach lengths, in any direction or ahead
+        tau, base, clearance = 0.0, states[1], rng.uniform(0.0, 3.0 * reach)
+        ang = rng.uniform(-math.pi, math.pi) if mode < 0.25 else states[1].theta + rng.uniform(-0.3, 0.3)
+        if inputs[1].v < 0.0:
+            ang += math.pi
+    else:
+        # abreast of the robot at a time inside the step, nearly touching
+        tau = rng.uniform(0.2 * h, 0.8 * h)
+        base = step_flow(states[1], inputs[1], tau)
+        clearance = rng.uniform(-0.5, 1.0) * (reach + 1e-9) * rng.choice([1.0, 1e-3, 1e-6])
+        ang = base.theta + rng.choice([-0.5, 0.5]) * math.pi
+    pos = (base.x + (rsum + clearance) * math.cos(ang), base.y + (rsum + clearance) * math.sin(ang))
+    if robot_robot:
+        # the second robot starts where it reaches pos at tau, near enough;
+        # abreast, it runs along or against the first
+        heading = rng.uniform(-math.pi, math.pi)
+        if tau > 0.0:
+            heading = base.theta + rng.choice([0.0, math.pi]) + rng.uniform(-0.1, 0.1)
+        ahead = step_flow(RobotState(*pos, heading), inputs[2], tau)
+        states[2] = RobotState(2.0 * pos[0] - ahead.x, 2.0 * pos[1] - ahead.y, heading)
+        pair = ContactPair(1, 2, rsum, None)
+    else:
+        pair = ContactPair(1, 3, rsum, pos)
+    return pair, states, inputs, h
+
+
+def probed(pair, states, inputs, h, monkeypatch):
+    """`detect_event` on the pair, and whether it stepped any probe."""
+    calls = []
+    real = hybrid.step_flow
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    gaps0 = [gap(pair, states)]
+    next_states = {rid: step_flow(states[rid], inputs[rid], h) for rid in states}
+    with monkeypatch.context() as m:
+        m.setattr(hybrid, "step_flow", counting)
+        hit = detect_event([pair], gaps0, states, inputs, h, next_states)
+    return hit, bool(calls)
+
+
+@pytest.mark.parametrize("robot_robot", [False, True], ids=["robot-obstacle", "robot-robot"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_bounds_are_sound_against_substeps(robot_robot, seed, monkeypatch):
+    rng = random.Random(seed)
+    seen = {"skipped": 0, "oracle_hits": 0, "sign_changes": 0, "grazes": 0}
+    for _ in range(300):
+        pair, states, inputs, h = draw_case(rng, robot_robot)
+        if gap(pair, states) <= 0.0:
+            continue
+        hit, stepped = probed(pair, states, inputs, h, monkeypatch)
+        oracle = [gap_at(pair, states, inputs, h * k / SUBSTEPS) for k in range(1, SUBSTEPS + 1)]
+        first_negative = next((k for k, g in enumerate(oracle, 1) if g < 0.0), None)
+        case = (pair, states, inputs, h)
+
+        if not stepped:
+            # skipped by the cull or the two-sided bound: provably apart
+            seen["skipped"] += 1
+            assert hit is None, case
+            assert gap_at(pair, states, inputs, h) > 0.0, case
+            assert first_negative is None, case
+        if first_negative is not None:
+            seen["oracle_hits"] += 1
+            assert hit is not None, case
+            assert hit.t_offset <= h * first_negative / SUBSTEPS, case
+        sign_change = parent_rule(pair, states, inputs, h)
+        if sign_change is not None:
+            seen["sign_changes"] += 1
+            assert hit is not None and hit.t_offset == sign_change, case
+        elif first_negative is not None:
+            # a graze: in and out of contact within the step
+            seen["grazes"] += 1
+    # every rule was exercised
+    assert min(seen.values()) >= 5, seen
+
+
+# --- one gap per pair per instant --------------------------------------------
+
+
+def test_crossing_measures_each_gap_once_per_instant(monkeypatch):
+    calls = 0
+    real = hybrid.gap
+
+    def counting(pair, states):
+        nonlocal calls
+        calls += 1
+        return real(pair, states)
+
+    monkeypatch.setattr(hybrid, "gap", counting)
+    trace = simulate(load_scenario((SCENARIOS / "crossing.json").read_text()), SimMode.REDESIGNED)
+    instants = sum(1 for r in trace.records if isinstance(r, hybrid.FlowSample)) // 2
+    # 5 pairs at each of the 19,712 instants, plus the rare end gaps and
+    # search probes; measuring each gap three times took 295,706 calls
+    assert instants == 19712
+    assert calls < 101_000

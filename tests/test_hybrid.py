@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import random
+import struct
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ from bumpsim.hybrid import (
     contact_pairs,
     contact_query,
     detect_event,
+    gap,
     jump,
     metrics,
     reactivation_due,
@@ -82,6 +85,14 @@ def test_step_flow_matches_analytic_arc():
 # --- detect_event ------------------------------------------------------------
 
 
+def detect_at_start(pairs, states, inputs, h):
+    """`detect_event` over the step of length h from `states`, given the
+    start gaps and end states the executor would pass."""
+    gaps0 = [gap(pair, states) for pair in pairs]
+    next_states = {rid: step_flow(states[rid], inputs[rid], h) for rid in states}
+    return detect_event(pairs, gaps0, states, inputs, h, next_states)
+
+
 def test_event_linear_closing():
     sc = make_scenario(
         [robot(1, 0.0, 0.0), obstacle(3, 2.05, 0.0)],
@@ -89,7 +100,7 @@ def test_event_linear_closing():
     )
     states = {1: RobotState(0.0, 0.0, 0.0)}
     inputs = {1: ControlInput(1.0, 0.0)}
-    hit = detect_event(contact_pairs(sc.bodies), states, inputs, 0.1)
+    hit = detect_at_start(contact_pairs(sc.bodies), states, inputs, 0.1)
     assert hit is not None
     assert (hit.robot_id, hit.other_id) == (1, 3)
     assert hit.t_offset == pytest.approx(0.05, abs=1e-9)
@@ -102,7 +113,7 @@ def test_event_separating_none():
     )
     states = {1: RobotState(0.0, 0.0, math.pi)}
     inputs = {1: ControlInput(1.0, 0.0)}
-    assert detect_event(contact_pairs(sc.bodies), states, inputs, 0.1) is None
+    assert detect_at_start(contact_pairs(sc.bodies), states, inputs, 0.1) is None
 
 
 def test_event_robot_robot_closing():
@@ -112,7 +123,7 @@ def test_event_robot_robot_closing():
     )
     states = {1: RobotState(0.0, 0.0, 0.0), 2: RobotState(2.1, 0.0, math.pi)}
     inputs = {1: ControlInput(1.0, 0.0), 2: ControlInput(1.0, 0.0)}
-    hit = detect_event(contact_pairs(sc.bodies), states, inputs, 0.1)
+    hit = detect_at_start(contact_pairs(sc.bodies), states, inputs, 0.1)
     assert hit is not None
     assert (hit.robot_id, hit.other_id) == (1, 2)
     # gap 0.1 closes at combined speed 2
@@ -144,7 +155,7 @@ def test_event_tie_reports_smallest_pair():
     )
     states = {1: RobotState(0.0, 0.0, 0.0)}
     inputs = {1: ControlInput(1.0, 0.0)}
-    hit = detect_event(contact_pairs(sc.bodies), states, inputs, 3.0)
+    hit = detect_at_start(contact_pairs(sc.bodies), states, inputs, 3.0)
     assert hit is not None
     assert (hit.robot_id, hit.other_id) == (1, 3)
     assert (1, 4) in hit.simultaneous
@@ -594,3 +605,23 @@ def test_trace_csv_format():
     lines = csv.strip().split("\n")
     assert lines[0] == "t,record_type,robot_id,other_id,x,y,theta,v,w,q,extra"
     assert all(len(line.split(",")) == 11 for line in lines[1:])
+
+
+def test_sample_row_templates_write_format_17g():
+    # the one-`%` templates against the per-value format they replace
+    rng = random.Random(7)
+    values = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308]
+    values += [struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0] for _ in range(20_000)]
+    values += [rng.uniform(-100.0, 100.0) for _ in range(5_000)]
+
+    def fmt(value):
+        return format(value, ".17g")
+
+    for k in range(0, len(values) - 6, 6):
+        t, x, y, theta, v, w = values[k : k + 6]
+        assert hybrid.SAMPLE_ROW % FlowSample(t, 2, x, y, theta, v, w, 1) == (
+            f"{fmt(t)},sample,2,,{fmt(x)},{fmt(y)},{fmt(theta)},{fmt(v)},{fmt(w)},1,\n"
+        )
+        assert hybrid.PLOT_ROW % (t, x, y, theta, v, w) == (
+            f"{fmt(t)},{fmt(x)},{fmt(y)},{fmt(theta)},{fmt(v)},{fmt(w)}\n"
+        )

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,8 @@ from bumpsim.scenario import (
     serialize,
     validate_scenario,
 )
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 EXAMPLE1_DOC = {
     "workspace": {"x_min": -8, "x_max": 8, "y_min": -1, "y_max": 9},
@@ -168,6 +171,18 @@ def test_sim_block_out_of_bounds_flagged(field, value):
     assert [v for v in validate_scenario(sc) if v.startswith(f"sim.{field} ")]
     with pytest.raises(ValueError, match="does not validate"):
         simulate(sc)
+
+
+def test_targets_must_match_the_robots():
+    crossing = load_scenario((SCENARIOS / "crossing.json").read_text())
+    missing = dataclasses.replace(crossing, targets={1: crossing.targets[1]})
+    assert validate_scenario(missing) == ["targets: missing target for robot 2"]
+    with pytest.raises(ValueError, match="missing target for robot 2"):
+        simulate(missing)
+    stray = dataclasses.replace(crossing, targets={**crossing.targets, 5: crossing.targets[1]})
+    assert validate_scenario(stray) == ["targets.5: no robot with this id"]
+    with pytest.raises(ValueError, match="no robot with this id"):
+        simulate(stray)
 
 
 def test_validate_is_pure_and_idempotent():
