@@ -147,10 +147,9 @@ def classify_region(terms: ControllerTerms, rho: float) -> Region:
             return Region.OMEGA2
     if b <= 0.0 and abs(e) >= DENOM_EPS and a < (c * b) / e:
         return Region.OMEGA3
-    in_omega1 = a < 0.0 and b > 0.0
     ratio_ok = abs(e) < DENOM_EPS or a >= (c * b) / e
     bound_ok = cs2 < DENOM_EPS or b <= (rho * e * c * a) / ((rho + 1.0) * cs2)
-    if not in_omega1 and ratio_ok and bound_ok:
+    if ratio_ok and bound_ok:
         return Region.OMEGA4
     raise RegionError(f"no region matches terms {terms}")
 

@@ -16,9 +16,10 @@ and end gaps skips most of the rest, a golden-section search of the
 in-step minimum catches grazes that dip below contact and come back out,
 and bisection finds the crossing.  It applies the collision/impulse jump
 maps (which change headings, speeds and phases in place, never
-positions), and records everything in an ordered trace.  `FlowSample`
-is an immutable NamedTuple like `RobotState`; `write_trace_csv` and
-`write_plot_csv` stream row by row, one `%` format per sample row.
+positions), and records everything in an ordered trace.  Each trace
+record is an immutable NamedTuple like `RobotState`, its fields in its
+trace.csv row's column order, so one `%` with the type's `ROW` template
+writes the row; `write_trace_csv` and `write_plot_csv` stream row by row.
 
 Hybrid time is the pair (t, jumps).  A run stops at t_max, when every
 robot has reached its target, or when the jump counter reaches the
@@ -33,7 +34,7 @@ exhibits chattering/deadlock.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
@@ -79,10 +80,14 @@ class SimMode(Enum):
 
 # --------------------------------------------------------------------------
 # Trace records
+#
+# Each record's fields follow its trace.csv row, so `ROW % record` writes
+# it: "%.17g" gives the bytes of format(x, ".17g"), 17 digits that
+# round-trip IEEE doubles bit-exactly.  Build records by keyword.
 
 
 class FlowSample(NamedTuple):
-    """One robot's sample; fields in the trace.csv sample row's column order."""
+    """One robot's sample."""
 
     t: float
     robot_id: int
@@ -93,9 +98,10 @@ class FlowSample(NamedTuple):
     w: float
     q: int
 
+    ROW = "%.17g,sample,%d,,%.17g,%.17g,%.17g,%.17g,%.17g,%d,\n"
 
-@dataclass(frozen=True, slots=True)
-class CollisionRecord:
+
+class CollisionRecord(NamedTuple):
     """One robot's view of a rigid-body contact (robot-robot contacts
     produce one record per robot)."""
 
@@ -104,43 +110,54 @@ class CollisionRecord:
     other_id: int
     x: float
     y: float
-    theta_pre: float
     theta_post: float
-    v_pre: float
     v_post: float
+    q: int
+    theta_pre: float
+    v_pre: float
     phi: float
     lam: float
     mu: float
-    q: int
+
+    ROW = (
+        "%.17g,collision,%d,%d,%.17g,%.17g,%.17g,%.17g,,%d,"
+        "theta_pre=%.17g;v_pre=%.17g;phi=%.17g;lam=%.17g;mu=%.17g\n"
+    )
 
 
-@dataclass(frozen=True, slots=True)
-class ImpulseRecord:
+class ImpulseRecord(NamedTuple):
     t: float
     robot_id: int
     theta_escape: float
     dtheta: float
 
+    ROW = "%.17g,impulse,%d,,,,%.17g,,,,dtheta=%.17g\n"
 
-@dataclass(frozen=True, slots=True)
-class SwitchRecord:
+
+class SwitchRecord(NamedTuple):
     t: float
     robot_id: int
-    q_from: int
     q_to: int
+    q_from: int
+
+    ROW = "%.17g,switch,%d,,,,,,,%d,from=%d\n"
 
 
-@dataclass(frozen=True, slots=True)
-class TargetReachedRecord:
+class TargetReachedRecord(NamedTuple):
     t: float
     robot_id: int
 
+    ROW = "%.17g,target_reached,%d,,,,,,,,\n"
 
-@dataclass(frozen=True, slots=True)
-class FaultRecord:
+
+class FaultRecord(NamedTuple):
+    """`reason` is kept raw; its trace.csv cell writes each `,` as `;`."""
+
     t: float
     reason: str
     fatal: bool
+
+    ROW = "%.17g,fault,,,,,,,,,%s;fatal=%d\n"
 
 
 TraceRecord = (
@@ -381,6 +398,9 @@ def detect_event(
         lo = 0.0
         while hi - lo > EVENT_TIME_TOL:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                # one ulp of a large offset exceeds EVENT_TIME_TOL
+                break
             # each probe steps only the pair's robots
             probe[i] = step_flow(states[i], inputs[i], mid)
             if fixed is None:
@@ -734,20 +754,11 @@ class TraceMetrics:
     fault_reasons: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "robots": {
-                str(rid): {
-                    "reached": m.reached,
-                    "completion_time": m.completion_time,
-                    "collisions": m.collisions,
-                    "min_clearance": m.min_clearance,
-                }
-                for rid, m in sorted(self.robots.items())
-            },
-            "total_jumps": self.total_jumps,
-            "fault": self.fault,
-            "fault_reasons": list(self.fault_reasons),
-        }
+        """The metrics.json payload, keys in field order, robot ids sorted."""
+        out = asdict(self)
+        out["robots"] = {str(rid): m for rid, m in sorted(out["robots"].items())}
+        out["fault_reasons"] = list(self.fault_reasons)
+        return out
 
 
 def metrics(trace: Trace) -> TraceMetrics:
@@ -806,51 +817,15 @@ def metrics(trace: Trace) -> TraceMetrics:
 CSV_HEADER = "t,record_type,robot_id,other_id,x,y,theta,v,w,q,extra"
 
 
-# The sample rows, one `%` each: "%.17g" writes the bytes of
-# format(x, ".17g"), and 17 significant digits round-trip IEEE doubles
-# bit-exactly.  A FlowSample's fields are in the sample row's column order.
-SAMPLE_ROW = "%.17g,sample,%d,,%.17g,%.17g,%.17g,%.17g,%.17g,%d,\n"
+# The plot rows, one `%` each like every record's ROW.
 PLOT_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
-
-
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
 
 
 def _csv_line(record: TraceRecord) -> str:
     """The record's trace.csv row, newline included."""
-    if isinstance(record, FlowSample):
-        return SAMPLE_ROW % record
-    t = _fmt(record.t)
-    if isinstance(record, CollisionRecord):
-        extra = (
-            f"theta_pre={_fmt(record.theta_pre)};v_pre={_fmt(record.v_pre)};"
-            f"phi={_fmt(record.phi)};lam={_fmt(record.lam)};mu={_fmt(record.mu)}"
-        )
-        cells = [
-            t, "collision", str(record.robot_id), str(record.other_id),
-            _fmt(record.x), _fmt(record.y), _fmt(record.theta_post),
-            _fmt(record.v_post), "", str(record.q), extra,
-        ]
-    elif isinstance(record, ImpulseRecord):
-        cells = [
-            t, "impulse", str(record.robot_id), "",
-            "", "", _fmt(record.theta_escape), "", "", "",
-            f"dtheta={_fmt(record.dtheta)}",
-        ]
-    elif isinstance(record, SwitchRecord):
-        cells = [
-            t, "switch", str(record.robot_id), "",
-            "", "", "", "", "", str(record.q_to), f"from={record.q_from}",
-        ]
-    elif isinstance(record, TargetReachedRecord):
-        cells = [t, "target_reached", str(record.robot_id), "", "", "", "", "", "", "", ""]
-    elif isinstance(record, FaultRecord):
-        reason = record.reason.replace(",", ";")
-        cells = [t, "fault", "", "", "", "", "", "", "", "", f"{reason};fatal={int(record.fatal)}"]
-    else:  # pragma: no cover - records are a closed union
-        raise TypeError(f"unknown record {record!r}")
-    return ",".join(cells) + "\n"
+    if type(record) is FaultRecord:
+        record = record._replace(reason=record.reason.replace(",", ";"))
+    return record.ROW % record
 
 
 def trace_to_csv(trace: Trace) -> str:

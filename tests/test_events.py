@@ -1,8 +1,13 @@
 """Event detection: graze tunnelling, the soundness of the reach bounds
-against a fine substep oracle, and the one-gap-per-pair budget."""
+against a fine substep oracle, the one-gap-per-pair budget, and bisection
+at offsets where one ulp exceeds the time tolerance."""
 
+import ast
 import math
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,7 +16,8 @@ from bumpsim import hybrid
 from bumpsim.hybrid import EVENT_TIME_TOL, ContactPair, SimMode, detect_event, gap, simulate, step_flow
 from bumpsim.scenario import ControlInput, RobotState, load_scenario
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
 SUBSTEPS = 1000
 M_V, M_W = 5.0, 5.0
 
@@ -197,3 +203,35 @@ def test_crossing_measures_each_gap_once_per_instant(monkeypatch):
     # search probes; measuring each gap three times took 295,706 calls
     assert instants == 19712
     assert calls < 101_000
+
+
+# --- bisection at large offsets ----------------------------------------------
+
+# A robot from the origin at v = 1 reaches an obstacle (radii sum 2) at
+# (10002, 0) at t = 10000, inside one step of 10001 s.  There one ulp of the
+# offset is 1.8e-12 > EVENT_TIME_TOL, so the midpoint stops splitting the
+# bracket before it is EVENT_TIME_TOL wide.
+LONG_PAIR = ContactPair(1, 3, 2.0, (10002.0, 0.0))
+LONG_STATES = {1: RobotState(0.0, 0.0, 0.0)}
+LONG_INPUTS = {1: ControlInput(1.0, 0.0)}
+LONG_H = 10001.0
+LONG_CHILD = f"""
+from bumpsim.hybrid import ContactPair, detect_event, gap, step_flow
+from bumpsim.scenario import ControlInput, RobotState
+pair, states, inputs = {LONG_PAIR!r}, {LONG_STATES!r}, {LONG_INPUTS!r}
+next_states = {{1: step_flow(states[1], inputs[1], {LONG_H!r})}}
+hit = detect_event([pair], [gap(pair, states)], states, inputs, {LONG_H!r}, next_states)
+print((hit.robot_id, hit.other_id, hit.t_offset))
+"""
+
+
+def test_bisection_ends_where_an_ulp_exceeds_the_tolerance():
+    # in a child process, so that a bisection that never ends fails the test
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", LONG_CHILD], capture_output=True, text=True, timeout=30, env=env, check=True
+    )
+    robot_id, other_id, t_offset = ast.literal_eval(proc.stdout)
+    assert (robot_id, other_id) == (1, 3)
+    assert gap_at(LONG_PAIR, LONG_STATES, LONG_INPUTS, t_offset) > 0.0
+    assert abs(t_offset - 10000.0) <= 1e-8

@@ -619,7 +619,7 @@ def test_sample_row_templates_write_format_17g():
 
     for k in range(0, len(values) - 6, 6):
         t, x, y, theta, v, w = values[k : k + 6]
-        assert hybrid.SAMPLE_ROW % FlowSample(t, 2, x, y, theta, v, w, 1) == (
+        assert FlowSample.ROW % FlowSample(t, 2, x, y, theta, v, w, 1) == (
             f"{fmt(t)},sample,2,,{fmt(x)},{fmt(y)},{fmt(theta)},{fmt(v)},{fmt(w)},1,\n"
         )
         assert hybrid.PLOT_ROW % (t, x, y, theta, v, w) == (

@@ -1,13 +1,15 @@
 """Source hygiene: every name an engine module imports is used in it, every
-parameter of its functions is read, and every field of its dataclasses is
-read somewhere.
+parameter of its functions is read, and every field of its dataclasses and
+NamedTuples is read somewhere.
 
 No linter ships with the project, so these stdlib `ast` checks catch the
 imports, parameters and fields that deleting code leaves behind.
 `__init__.py` is exempt from the import check: its imports are the
 package's exports.  The field check goes by name: a field counts as read
-when any source, test or bench file reads an attribute of that name.
-NamedTuples are exempt, because they are read by unpacking.
+when any source, test or bench file reads an attribute of that name.  A
+class with a `ROW` template reads every field through it
+(`tests/test_values.py` pins that the template has one conversion per
+field).
 """
 
 import ast
@@ -75,11 +77,25 @@ def _is_dataclass(decorator):
     return isinstance(target, ast.Name) and target.id == "dataclass"
 
 
+def _is_named_tuple(node):
+    return any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases)
+
+
+def _has_row_template(node):
+    return any(
+        isinstance(stmt, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "ROW" for t in stmt.targets)
+        for stmt in node.body
+    )
+
+
 def unread_fields(source, reads):
-    """Fields of the source's @dataclass classes whose names are not in `reads`."""
+    """Fields of the source's @dataclass and NamedTuple classes whose names
+    are not in `reads`; a class with a `ROW` template reads all its fields."""
     unread = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ClassDef) and any(_is_dataclass(d) for d in node.decorator_list):
+        if not isinstance(node, ast.ClassDef) or _has_row_template(node):
+            continue
+        if any(_is_dataclass(d) for d in node.decorator_list) or _is_named_tuple(node):
             unread += [
                 f"{node.name}.{stmt.target.id} (line {stmt.lineno})"
                 for stmt in node.body
@@ -133,10 +149,18 @@ def test_check_flags_an_unread_dataclass_field():
         "class P(NamedTuple):\n"
         "    unpacked: int\n"
         "\n"
+        "class R(NamedTuple):\n"
+        "    written: int\n"
+        "    ROW = '%d'\n"
+        "\n"
         "def f(a, b):\n"
         "    a.dropped = b.kept\n"
     )
-    assert unread_fields(source, attribute_reads(source)) == ["A.dropped (line 4)", "B.lost (line 8)"]
+    assert unread_fields(source, attribute_reads(source)) == [
+        "A.dropped (line 4)",
+        "B.lost (line 8)",
+        "P.unpacked (line 11)",
+    ]
 
 
 @pytest.fixture(scope="module")
