@@ -15,8 +15,6 @@ from .controller import (
     ControllerTerms,
     Region,
     RegionError,
-    classify_region,
-    clf_value,
     nominal_control,
     predefined_control,
     saturate,

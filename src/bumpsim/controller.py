@@ -7,11 +7,13 @@ V = 0.5*|state - target|^2 with a summed clearance function
 
 over all obstacles k (the robot-robot term is dropped when the scenario has
 a single robot).  h and its position gradient fold over the robot's rows of
-the executor's pair table (`hybrid.contact_pairs`), in table order.  The
-nominal input is picked from one of four closed-form branches depending on
-which of the two inequality constraints is active, then saturated
-component-wise to the input box.  `ControllerTerms` and `ControlDecision`
-are immutable NamedTuples like `scenario.RobotState`.
+the executor's pair table (`hybrid.contact_pairs`), in table order.  One
+pass computes every scalar term (`controller_terms`), and one branch
+decision (`nominal_control`) picks the region of the four closed-form
+branches, depending on which of the two inequality constraints is active,
+and computes its nominal input where its test decides.  The input is then
+saturated component-wise to the input box.  `ControllerTerms` and
+`ControlDecision` are immutable NamedTuples like `scenario.RobotState`.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ class RegionError(RuntimeError):
 class ControllerTerms(NamedTuple):
     """Scalar terms the branch selection and nominal branches consume.
 
-    a = gain(sigma2 * V) >= 0 for any real state, b = sigma3 * h, (c, s) is
+    a = sigma1 * sigma2 * V >= 0 for any real state, b = sigma3 * h, (c, s) is
     the input-direction gradient of V and e the input-direction gradient
     of h (whose angular component is identically zero).
     """
@@ -69,19 +71,6 @@ class ControlDecision(NamedTuple):
     degenerate: bool
 
 
-def clf_value(state: RobotState, target: RobotState) -> float:
-    """0.5 * squared distance in (x, y, theta); zero iff state == target."""
-    dx = state.x - target.x
-    dy = state.y - target.y
-    dth = state.theta - target.theta
-    return 0.5 * (dx * dx + dy * dy + dth * dth)
-
-
-def gain(x: float, sigma1: float) -> float:
-    """Piecewise gain: sigma1 * x for x >= 0 (sigma1 >= 1), identity below."""
-    return sigma1 * x if x >= 0.0 else x
-
-
 def controller_terms(
     robot_id: int,
     states: Mapping[int, RobotState],
@@ -94,11 +83,12 @@ def controller_terms(
     `rows` are the pair-table rows that contain `robot_id`; h and its
     position gradient fold over them in table order.  The other body sits
     at the row's fixed position, or at its state for the robot-robot row.
-    c = (x - xd)*cos(theta) + (y - yd)*sin(theta), s = theta - theta_d and
-    e is the h gradient dotted with the heading (h is position-only).
+    V = 0.5 * |state - target|^2, a = sigma1 * sigma2 * V (the gain passes
+    negative arguments through unscaled), c = (x - xd)*cos(theta) +
+    (y - yd)*sin(theta), s = theta - theta_d and e is the h gradient dotted
+    with the heading (h is position-only).
     """
-    state = states[robot_id]
-    x, y, theta = state
+    x, y, theta = states[robot_id]
     h = 0.0
     gx = 0.0
     gy = 0.0
@@ -114,83 +104,71 @@ def controller_terms(
         gy += 2.0 * dy
     cos_th = math.cos(theta)
     sin_th = math.sin(theta)
-    V = clf_value(state, target)
+    tx, ty, t_theta = target
+    dx = x - tx
+    dy = y - ty
+    s = theta - t_theta
+    V = 0.5 * (dx * dx + dy * dy + s * s)
+    a = params.sigma2 * V
+    if a >= 0.0:
+        a = params.sigma1 * a
     return ControllerTerms(
         V,
         h,
-        gain(params.sigma2 * V, params.sigma1),
+        a,
         params.sigma3 * h,
-        (x - target.x) * cos_th + (y - target.y) * sin_th,
-        theta - target.theta,
+        dx * cos_th + dy * sin_th,
+        s,
         gx * cos_th + gy * sin_th,
     )
 
 
-def classify_region(terms: ControllerTerms, rho: float) -> Region:
-    """First-match region classification in the order 1, 2, 3, 4.
+def nominal_control(terms: ControllerTerms, rho: float) -> tuple[Region, ControlInput, bool]:
+    """First-match region and its closed-form nominal input, before saturation.
 
-    The four sets share boundary points, so ordered evaluation makes the
-    result total and deterministic.  Ratio-based tests fall back to fixed
-    outcomes when their denominator is degenerate: region 2 reduces to
-    b > 0, region 3 is skipped, and region 4's ratio tests pass.
+    Returns (region, input, degenerate).  The regions are tested in the
+    order 1, 2, 3, 4; the four sets share boundary points, so ordered
+    evaluation makes the result total and deterministic.  Ratio-based tests
+    fall back to fixed outcomes when their denominator is smaller than
+    DENOM_EPS in magnitude: region 2 reduces to b > 0, region 3 is skipped,
+    and region 4's ratio tests pass.  A branch whose own denominator is
+    that small returns (0, 0) with the degeneracy flag set instead of
+    raising.  Terms that match no region (NaN) raise RegionError.
     """
-    a, b, c, s, e = terms.a, terms.b, terms.c, terms.s, terms.e
-    cs2 = c * c + s * s
-
+    _, _, a, b, c, s, e = terms
     if a < 0.0 and b > 0.0:
-        return Region.OMEGA1
-    if a >= 0.0:
-        if cs2 < DENOM_EPS:
-            if b > 0.0:
-                return Region.OMEGA2
-        elif b > (rho * e * c * a) / ((rho + 1.0) * cs2):
-            return Region.OMEGA2
-    if b <= 0.0 and abs(e) >= DENOM_EPS and a < (c * b) / e:
-        return Region.OMEGA3
-    ratio_ok = abs(e) < DENOM_EPS or a >= (c * b) / e
-    bound_ok = cs2 < DENOM_EPS or b <= (rho * e * c * a) / ((rho + 1.0) * cs2)
-    if ratio_ok and bound_ok:
-        return Region.OMEGA4
+        return Region.OMEGA1, ControlInput(0.0, 0.0), False
+
+    cs2 = c * c + s * s
+    flat = cs2 < DENOM_EPS
+    # region 2 is b above this bound (above 0 when (c, s) is degenerate)
+    bound = 0.0 if flat else (rho * e * c * a) / ((rho + 1.0) * cs2)
+    if a >= 0.0 and b > bound:
+        if flat:
+            return Region.OMEGA2, ControlInput(0.0, 0.0), True
+        k = -rho / (rho + 1.0) * a / cs2
+        return Region.OMEGA2, ControlInput(k * c, k * s), False
+
+    e_small = abs(e) < DENOM_EPS
+    # NaN when e is degenerate: region 3 fails and region 4 skips the test
+    ratio = math.nan if e_small else (c * b) / e
+    if b <= 0.0 and a < ratio:
+        return Region.OMEGA3, ControlInput(-b / e, 0.0), False
+
+    if (e_small or a >= ratio) and (flat or b <= bound):
+        denom = (1.0 / rho) * c * c + ((rho + 1.0) / rho) * s * s
+        if e_small or denom < DENOM_EPS:
+            return Region.OMEGA4, ControlInput(0.0, 0.0), True
+        return Region.OMEGA4, ControlInput(-b / e, (b * c - a * e) / denom * (s / e)), False
     raise RegionError(f"no region matches terms {terms}")
 
 
-def nominal_control(terms: ControllerTerms, region: Region, rho: float) -> tuple[ControlInput, bool]:
-    """Closed-form nominal input for the matched region, before saturation.
-
-    Returns (input, degenerate): when a branch denominator is smaller than
-    DENOM_EPS in magnitude the branch value is replaced by (0, 0) and the
-    flag is set instead of raising.
-    """
-    a, b, c, s, e = terms.a, terms.b, terms.c, terms.s, terms.e
-
-    if region is Region.OMEGA1:
-        return ControlInput(0.0, 0.0), False
-
-    if region is Region.OMEGA2:
-        cs2 = c * c + s * s
-        if cs2 < DENOM_EPS:
-            return ControlInput(0.0, 0.0), True
-        k = -rho / (rho + 1.0) * a / cs2
-        return ControlInput(k * c, k * s), False
-
-    if region is Region.OMEGA3:
-        if abs(e) < DENOM_EPS:
-            return ControlInput(0.0, 0.0), True
-        return ControlInput(-b / e, 0.0), False
-
-    # region 4
-    denom = (1.0 / rho) * c * c + ((rho + 1.0) / rho) * s * s
-    if abs(e) < DENOM_EPS or denom < DENOM_EPS:
-        return ControlInput(0.0, 0.0), True
-    v = -b / e
-    w = (b * c - a * e) / denom * (s / e)
-    return ControlInput(v, w), False
-
-
 def saturate(u: ControlInput, m_v: float, m_w: float) -> ControlInput:
-    """Component-wise clamp to the input box, preserving signs."""
-    v = u.v
-    w = u.w
+    """Component-wise clamp to the input box, preserving signs; an input
+    inside the box comes back as is."""
+    v, w = u
+    if abs(v) <= m_v and abs(w) <= m_w:
+        return u
     if abs(v) > m_v:
         v = math.copysign(m_v, v)
     if abs(w) > m_w:
@@ -212,7 +190,5 @@ def predefined_control(
     pair-table `rows`.  The returned input always lies inside the input box.
     """
     terms = controller_terms(robot_id, states, target, rows, params)
-    region = classify_region(terms, params.rho)
-    u_nom, degenerate = nominal_control(terms, region, params.rho)
-    u = saturate(u_nom, params.m_v, params.m_w)
-    return ControlDecision(u, u_nom, region, terms, degenerate)
+    region, u_nom, degenerate = nominal_control(terms, params.rho)
+    return ControlDecision(saturate(u_nom, params.m_v, params.m_w), u_nom, region, terms, degenerate)

@@ -550,7 +550,7 @@ def jump(
 def reactivation_due(
     rows: list[ContactPair],
     states: Mapping[int, RobotState],
-    phase: LocalPhase | None,
+    phase: LocalPhase,
 ) -> bool:
     """The reactivation rule for a robot's local phase.
 
@@ -559,18 +559,12 @@ def reactivation_due(
     clearance is extended by t_dur / 10 instead (NonSeparableError past the
     cap).
     """
-    if phase is None or not phase.expired():
+    if not phase.expired():
         return False
     if all(gap(pair, states) > 0.0 for pair in rows):
         return True
     phase.extend()
     return False
-
-
-def _norm3(state: RobotState, target: RobotState) -> float:
-    return math.sqrt(
-        (state.x - target.x) ** 2 + (state.y - target.y) ** 2 + (state.theta - target.theta) ** 2
-    )
 
 
 def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trace:
@@ -589,6 +583,11 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
 
     robot_ids = sorted(scenario.robot_ids())
     params = scenario.params
+    targets = scenario.targets
+    tolerance = scenario.target_tolerance
+    cap = scenario.jump_cap
+    dt = scenario.dt
+    t_max = scenario.t_max
     body = {b.id: b for b in scenario.bodies}
     pairs = contact_pairs(scenario.bodies)
     # each robot's own rows of the pair table, in table order
@@ -600,6 +599,8 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
         states={rid: body[rid].state() for rid in robot_ids},
         phases={rid: None for rid in robot_ids},
     )
+    # jumps replace entries of hs.phases but never rebind it
+    phases = hs.phases
     records: list = []
     reached: set[int] = set()
     stopped = {rid: ControlInput(0.0, 0.0) for rid in robot_ids}
@@ -607,9 +608,6 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
     # involved in a collision, and the pairs already resolved.
     collided_marks: set[int] = set()
     resolved_pairs: set[tuple[int, int]] = set()
-
-    def capped() -> bool:
-        return hs.jumps >= scenario.jump_cap
 
     def fault(reason: str, fatal: bool) -> None:
         records.append(FaultRecord(t=hs.t, reason=reason, fatal=fatal))
@@ -622,31 +620,35 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
             # post_speeds is keyed by exactly the robots of the contact
             collided_marks.update(post_speeds)
             resolved_pairs.add((event.i_id, event.j_id))
-        if capped():
-            fault(f"non-convergent: jump counter reached the cap ({scenario.jump_cap})", True)
+        if hs.jumps >= cap:
+            fault(f"non-convergent: jump counter reached the cap ({cap})", True)
         return post_speeds
 
-    def settle(gaps: list[float]) -> dict[int, ControlInput]:
+    def settle(states: dict[int, RobotState], gaps: list[float]) -> dict[int, ControlInput]:
         """Settle the instant hs.t and return the inputs its samples show:
         reactivation, target marks, inputs, then the contact sweep over the
         pairs whose gap (`gaps`, in table order) is within CONTACT_TOL."""
         for rid in robot_ids:
-            if reactivation_due(rows[rid], hs.states, hs.phases[rid]):
+            phase = phases[rid]
+            if phase is not None and reactivation_due(rows[rid], states, phase):
                 apply_jump(ReactivationEvent(rid))
-                if capped():
+                if hs.jumps >= cap:
                     return stopped
         for rid in robot_ids:
-            if rid not in reached and _norm3(hs.states[rid], scenario.targets[rid]) <= scenario.target_tolerance:
-                reached.add(rid)
-                records.append(TargetReachedRecord(t=hs.t, robot_id=rid))
+            if rid not in reached:
+                x, y, theta = states[rid]
+                tx, ty, t_theta = targets[rid]
+                if math.sqrt((x - tx) ** 2 + (y - ty) ** 2 + (theta - t_theta) ** 2) <= tolerance:
+                    reached.add(rid)
+                    records.append(TargetReachedRecord(t=hs.t, robot_id=rid))
 
         inputs: dict[int, ControlInput] = {}
         for rid in robot_ids:
-            phase = hs.phases[rid]
+            phase = phases[rid]
             if phase is not None:
                 inputs[rid] = local_control(phase)
             else:
-                inputs[rid] = predefined_control(rid, hs.states, scenario.targets[rid], rows[rid], params).u
+                inputs[rid] = predefined_control(rid, states, targets[rid], rows[rid], params).u
 
         # Resolve all touching-and-approaching pairs at this instant.  Each
         # robot takes at most one collision per instant; extra simultaneous
@@ -668,7 +670,7 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
                     raise PenetrationError(
                         f"bodies {i} and {j} overlap by {-g:.3e} m (tolerance {CONTACT_TOL:.1e})"
                     )
-                query = contact_query(pair, hs.states, inputs, body)
+                query = contact_query(pair, states, inputs, body)
                 if check_collision(query) is not ContactStatus.JUMP:
                     continue
                 if i in collided_marks or j in collided_marks:
@@ -677,50 +679,49 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
                     continue
                 progress = True
                 for rid, v_plus in apply_jump(query).items():
-                    phase = hs.phases[rid]
+                    phase = phases[rid]
                     if phase is not None:
                         inputs[rid] = local_control(phase)
                     else:
                         inputs[rid] = ControlInput(v_plus, inputs[rid].w)
-                if capped():
+                if hs.jumps >= cap:
                     return inputs
         return inputs
 
     while True:
+        states = hs.states
         # one gap per pair per instant, shared by the sweep and the event test
-        gaps = [gap(pair, hs.states) for pair in pairs]
-        inputs = stopped if capped() else settle(gaps)
+        gaps = [gap(pair, states) for pair in pairs]
+        inputs = stopped if hs.jumps >= cap else settle(states, gaps)
+        t = hs.t
         for rid in robot_ids:
-            x, y, theta = hs.states[rid]
+            x, y, theta = states[rid]
             v, w = inputs[rid]
-            records.append(FlowSample(hs.t, rid, x, y, theta, v, w, int(hs.phases[rid] is not None)))
+            records.append(FlowSample(t, rid, x, y, theta, v, w, int(phases[rid] is not None)))
 
-        if capped() or len(reached) == len(robot_ids) or hs.t >= scenario.t_max - 1e-12:
+        if hs.jumps >= cap or len(reached) == len(robot_ids) or t >= t_max - 1e-12:
             break
 
-        h = min(scenario.dt, scenario.t_max - hs.t)
-        for rid in robot_ids:
-            phase = hs.phases[rid]
-            if phase is not None:
-                remaining = phase.t_dur + phase.extension - phase.elapsed
-                if remaining > 0.0:
-                    h = min(h, remaining)
+        held = [phase for phase in phases.values() if phase is not None]
+        h = min(dt, t_max - t)
+        for phase in held:
+            remaining = phase.t_dur + phase.extension - phase.elapsed
+            if remaining > 0.0:
+                h = min(h, remaining)
 
-        next_states = {rid: step_flow(hs.states[rid], inputs[rid], h) for rid in robot_ids}
-        hit = detect_event(pairs, gaps, hs.states, inputs, h, next_states)
+        next_states = {rid: step_flow(states[rid], inputs[rid], h) for rid in robot_ids}
+        hit = detect_event(pairs, gaps, states, inputs, h, next_states)
         if hit is None:
             hs.states = next_states
             advance = h
         else:
             advance = hit.t_offset
             hs.states = {
-                rid: step_flow(hs.states[rid], inputs[rid], advance) for rid in robot_ids
+                rid: step_flow(states[rid], inputs[rid], advance) for rid in robot_ids
             }
         hs.t += advance
-        for rid in robot_ids:
-            phase = hs.phases[rid]
-            if phase is not None:
-                phase.elapsed += advance
+        for phase in held:
+            phase.elapsed += advance
         collided_marks.clear()
         resolved_pairs.clear()
 

@@ -328,6 +328,23 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     bodies = scenario.bodies
     robots = scenario.robots()
 
+    # the rules load_scenario applies to the bodies, in its wording
+    if not 1 <= len(robots) <= 2:
+        violations.append(f"bodies: expected 1 or 2 robots, found {len(robots)}")
+    seen: set[int] = set()
+    for i, b in enumerate(bodies):
+        if b.id in seen:
+            violations.append(f"bodies[{i}].id: duplicate body id {b.id}")
+        seen.add(b.id)
+        if not math.isfinite(b.radius):
+            violations.append(f"bodies[{i}].radius: value must be finite")
+        elif b.radius <= 0.0:
+            violations.append(f"bodies[{i}].radius: value must be > 0, got {b.radius}")
+        if b.is_robot and not math.isfinite(b.mass):
+            violations.append(f"bodies[{i}].mass: robots must have finite mass")
+        elif b.is_robot and b.mass <= 0.0:
+            violations.append(f"bodies[{i}].mass: value must be > 0, got {b.mass}")
+
     for a_idx in range(len(bodies)):
         for b_idx in range(a_idx + 1, len(bodies)):
             a, b = bodies[a_idx], bodies[b_idx]

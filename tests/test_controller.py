@@ -1,21 +1,24 @@
+import dataclasses
 import math
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from bumpsim import hybrid
 from bumpsim.controller import (
+    DENOM_EPS,
     ControllerTerms,
     Region,
     RegionError,
-    classify_region,
-    clf_value,
     controller_terms,
     nominal_control,
     predefined_control,
     saturate,
 )
-from bumpsim.hybrid import contact_pairs
-from bumpsim.scenario import Body, BodyKind, ControlInput, ControllerParams, RobotState
+from bumpsim.hybrid import SimMode, contact_pairs
+from bumpsim.scenario import Body, BodyKind, ControlInput, ControllerParams, RobotState, load_scenario
 
 UNBOUNDED = math.inf
 
@@ -48,22 +51,37 @@ def terms_at(bodies, states, target=RobotState(0.0, 0.0, 0.0)):
     return controller_terms(1, states, target, rows_of(bodies, 1), EX1_PARAMS)
 
 
+def clf_at(state, target):
+    """V of a lone robot: it does not depend on the pair-table rows."""
+    return controller_terms(1, {1: state}, target, [], EX1_PARAMS).V
+
+
 # --- scalar terms -----------------------------------------------------------
 
 
 def test_clf_zero_at_target():
     s = RobotState(1.0, -2.0, 0.4)
-    assert clf_value(s, s) == 0.0
+    assert clf_at(s, s) == 0.0
 
 
 def test_clf_example_value():
-    got = clf_value(RobotState(0.0, 7.0, 0.01 * math.pi), RobotState(0.0, 0.0, 0.5 * math.pi))
+    got = clf_at(RobotState(0.0, 7.0, 0.01 * math.pi), RobotState(0.0, 0.0, 0.5 * math.pi))
     want = 24.5 + 0.5 * (0.49 * math.pi) ** 2
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_clf_unit_displacement():
-    assert clf_value(RobotState(1.0, 0.0, 0.0), RobotState(0.0, 0.0, 0.0)) == 0.5
+    assert clf_at(RobotState(1.0, 0.0, 0.0), RobotState(0.0, 0.0, 0.0)) == 0.5
+
+
+def test_gain_scales_only_nonnegative_arguments():
+    # a = sigma1 * (sigma2 * V) when that argument is >= 0, and sigma2 * V
+    # unscaled below (reachable only with a negative sigma2)
+    state, target = RobotState(1.0, 2.0, 0.5), RobotState(0.0, 0.0, 0.0)
+    for sigma2 in (0.6, -0.6):
+        params = dataclasses.replace(EX1_PARAMS, sigma2=sigma2)
+        t = controller_terms(1, {1: state}, target, [], params)
+        assert t.a == (1.25 * (sigma2 * t.V) if sigma2 > 0 else sigma2 * t.V)
 
 
 def test_cbf_single_robot_form():
@@ -151,29 +169,29 @@ def test_terms_match_body_list_oracle(rid):
 
 def test_region_omega2_at_target_with_clearance():
     t = ControllerTerms(V=0.0, h=5.0, a=0.0, b=5.0, c=0.0, s=0.0, e=6.0)
-    assert classify_region(t, 9.0) is Region.OMEGA2
+    assert nominal_control(t, 9.0)[0] is Region.OMEGA2
 
 
 def test_region_omega4_by_substitution():
     t = ControllerTerms(V=1.0, h=-1.0, a=3.0, b=-1.0, c=1.0, s=0.0, e=2.0)
-    assert classify_region(t, 9.0) is Region.OMEGA4
+    assert nominal_control(t, 9.0)[0] is Region.OMEGA4
 
 
 def test_region_all_zero_terms_fall_to_omega4():
     t = ControllerTerms(V=0.0, h=0.0, a=0.0, b=0.0, c=0.0, s=0.0, e=0.0)
-    assert classify_region(t, 9.0) is Region.OMEGA4
+    assert nominal_control(t, 9.0)[0] is Region.OMEGA4
 
 
 def test_region_omega1_on_raw_terms():
     # unreachable through controller_terms (a >= 0 always) but classifiable
     t = ControllerTerms(V=-1.0, h=1.0, a=-1.0, b=1.0, c=0.5, s=0.5, e=1.0)
-    assert classify_region(t, 9.0) is Region.OMEGA1
+    assert nominal_control(t, 9.0)[0] is Region.OMEGA1
 
 
 def test_region_omega3_by_substitution():
     t = ControllerTerms(V=1.0, h=-2.0, a=1.0, b=-2.0, c=-4.0, s=0.0, e=2.0)
     # c*b/e = (-4)(-2)/2 = 4 > a = 1 and b <= 0
-    assert classify_region(t, 9.0) is Region.OMEGA3
+    assert nominal_control(t, 9.0)[0] is Region.OMEGA3
 
 
 def test_no_region_error_surfaces():
@@ -181,7 +199,7 @@ def test_no_region_error_surfaces():
     # violation upstream) must surface as an error, never default silently
     t = ControllerTerms(V=math.nan, h=0.0, a=math.nan, b=0.0, c=1.0, s=0.0, e=1.0)
     with pytest.raises(RegionError):
-        classify_region(t, 9.0)
+        nominal_control(t, 9.0)
 
 
 # --- nominal branches -------------------------------------------------------
@@ -189,14 +207,16 @@ def test_no_region_error_surfaces():
 
 def test_nominal_omega2_zero_at_target():
     t = ControllerTerms(V=0.0, h=5.0, a=0.0, b=5.0, c=0.0, s=0.0, e=6.0)
-    u, degenerate = nominal_control(t, Region.OMEGA2, 9.0)
+    region, u, degenerate = nominal_control(t, 9.0)
+    assert region is Region.OMEGA2
     assert (u.v, u.w) == (0.0, 0.0)
     assert degenerate
 
 
 def test_nominal_omega3_ratio():
     t = ControllerTerms(V=1.0, h=-4.0, a=1.0, b=-4.0, c=-9.0, s=0.0, e=2.0)
-    u, degenerate = nominal_control(t, Region.OMEGA3, 9.0)
+    region, u, degenerate = nominal_control(t, 9.0)
+    assert region is Region.OMEGA3
     assert u.v == pytest.approx(2.0, abs=1e-15)
     assert u.w == 0.0
     assert not degenerate
@@ -204,7 +224,8 @@ def test_nominal_omega3_ratio():
 
 def test_nominal_omega4_substitution():
     t = ControllerTerms(V=1.0, h=-1.0, a=3.0, b=-1.0, c=1.0, s=0.0, e=2.0)
-    u, degenerate = nominal_control(t, Region.OMEGA4, 9.0)
+    region, u, degenerate = nominal_control(t, 9.0)
+    assert region is Region.OMEGA4
     assert u.v == pytest.approx(0.5, abs=1e-15)
     assert u.w == 0.0
     assert not degenerate
@@ -247,6 +268,32 @@ def test_predefined_degenerate_flag():
     d = predefined_control(1, {1: RobotState(0.0, 0.0, 0.0)}, target, rows_of(bodies, 1), EX1_PARAMS)
     assert (d.u.v, d.u.w) == (0.0, 0.0)
     assert d.degenerate
+
+
+# Controller calls per region over a whole shipped run.  crossing reaches
+# only region 2; example1 is the shipped run that also takes region 4.
+EXAMPLE1_REGIONS = {
+    SimMode.REDESIGNED: {Region.OMEGA2: 16632, Region.OMEGA4: 43171},
+    SimMode.PREDEFINED_ONLY: {Region.OMEGA2: 54, Region.OMEGA4: 22153},
+}
+
+
+@pytest.mark.parametrize("mode", list(EXAMPLE1_REGIONS), ids=lambda m: m.value)
+def test_example1_region_histogram(monkeypatch, mode):
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "example1.json"
+    scenario = load_scenario(path.read_text(encoding="utf-8"))
+    control = hybrid.predefined_control
+    regions: Counter = Counter()
+
+    def counted(*args):
+        decision = control(*args)
+        regions[decision.region] += 1
+        regions["degenerate"] += decision.degenerate
+        return decision
+
+    monkeypatch.setattr(hybrid, "predefined_control", counted)
+    hybrid.simulate(scenario, mode)
+    assert dict(regions) == {**EXAMPLE1_REGIONS[mode], "degenerate": 0}
 
 
 def _random_setup(rng):
@@ -370,8 +417,7 @@ def test_nominal_matches_qp_active_set_oracle():
         # keep clear of the branch guards; the oracle assumes clean geometry
         if t.c * t.c + t.s * t.s < 1e-3 or abs(t.e) < 1e-3:
             continue
-        region = classify_region(t, 9.0)
-        u, degenerate = nominal_control(t, region, 9.0)
+        region, u, degenerate = nominal_control(t, 9.0)
         if degenerate:
             continue
         want = _qp_active_set_oracle(t.a, t.b, t.c, t.s, t.e, 9.0)
@@ -380,6 +426,67 @@ def test_nominal_matches_qp_active_set_oracle():
         assert u.w == pytest.approx(want[1], rel=1e-8, abs=1e-8), (t, region)
         checked += 1
     assert checked > 500
+
+
+def _reference_region(t, rho):
+    """First-match region in the order 1, 2, 3, 4, each test on its own."""
+    a, b, c, s, e = t.a, t.b, t.c, t.s, t.e
+    cs2 = c * c + s * s
+    if a < 0.0 and b > 0.0:
+        return Region.OMEGA1
+    if a >= 0.0:
+        if cs2 < DENOM_EPS:
+            if b > 0.0:
+                return Region.OMEGA2
+        elif b > (rho * e * c * a) / ((rho + 1.0) * cs2):
+            return Region.OMEGA2
+    if b <= 0.0 and abs(e) >= DENOM_EPS and a < (c * b) / e:
+        return Region.OMEGA3
+    ratio_ok = abs(e) < DENOM_EPS or a >= (c * b) / e
+    bound_ok = cs2 < DENOM_EPS or b <= (rho * e * c * a) / ((rho + 1.0) * cs2)
+    if ratio_ok and bound_ok:
+        return Region.OMEGA4
+    raise RegionError(f"no region matches terms {t}")
+
+
+def _two_pass_reference(t, rho):
+    """The region first, then its branch input with the ratios recomputed:
+    the reference for the one-pass branch decision."""
+    region = _reference_region(t, rho)
+    a, b, c, s, e = t.a, t.b, t.c, t.s, t.e
+    if region is Region.OMEGA1:
+        return region, ControlInput(0.0, 0.0), False
+    if region is Region.OMEGA2:
+        cs2 = c * c + s * s
+        if cs2 < DENOM_EPS:
+            return region, ControlInput(0.0, 0.0), True
+        k = -rho / (rho + 1.0) * a / cs2
+        return region, ControlInput(k * c, k * s), False
+    if region is Region.OMEGA3:
+        return region, ControlInput(-b / e, 0.0), False
+    denom = (1.0 / rho) * c * c + ((rho + 1.0) / rho) * s * s
+    if abs(e) < DENOM_EPS or denom < DENOM_EPS:
+        return region, ControlInput(0.0, 0.0), True
+    return region, ControlInput(-b / e, (b * c - a * e) / denom * (s / e)), False
+
+
+def test_one_pass_branch_matches_two_pass_reference_bit_for_bit():
+    # special values reach the guards, signed zeros, NaN and the infinities
+    special = [0.0, -0.0, 1e-10, -1e-10, 1e-9, 1.0, -1.0, 2.0, -4.0, math.nan, math.inf, -math.inf]
+    rng = random.Random(20241018)
+    for _ in range(20000):
+        t = ControllerTerms(
+            1.0, 1.0,
+            *(rng.choice(special) if rng.random() < 0.3 else rng.uniform(-10.0, 10.0) for _ in range(5)),
+        )
+        for rho in (9.0, 0.5):
+            outcomes = []
+            for law in (nominal_control, _two_pass_reference):
+                try:
+                    outcomes.append(repr(law(t, rho)))
+                except RegionError:
+                    outcomes.append("RegionError")
+            assert outcomes[0] == outcomes[1], (t, rho)
 
 
 def test_terms_nonnegative_a():

@@ -185,6 +185,60 @@ def test_targets_must_match_the_robots():
         simulate(stray)
 
 
+def crossing_with_body(index, **changes):
+    """crossing with one body changed, built in code past the loader."""
+    crossing = load_scenario((SCENARIOS / "crossing.json").read_text())
+    bodies = list(crossing.bodies)
+    bodies[index] = dataclasses.replace(bodies[index], **changes)
+    return dataclasses.replace(crossing, bodies=tuple(bodies))
+
+
+def assert_rejected(sc, violation):
+    assert violation in validate_scenario(sc)
+    with pytest.raises(ValueError, match="does not validate"):
+        simulate(sc)
+
+
+@pytest.mark.parametrize(
+    "radius, violation",
+    [
+        (0.0, "bodies[1].radius: value must be > 0, got 0.0"),
+        (-0.5, "bodies[1].radius: value must be > 0, got -0.5"),
+        (math.nan, "bodies[1].radius: value must be finite"),
+        (math.inf, "bodies[1].radius: value must be finite"),
+    ],
+    ids=["zero", "negative", "nan", "inf"],
+)
+def test_radius_must_be_positive_and_finite(radius, violation):
+    assert_rejected(crossing_with_body(1, radius=radius), violation)
+
+
+@pytest.mark.parametrize(
+    "mass, violation",
+    [
+        (0.0, "bodies[0].mass: value must be > 0, got 0.0"),
+        (-1.0, "bodies[0].mass: value must be > 0, got -1.0"),
+        (math.inf, "bodies[0].mass: robots must have finite mass"),
+        (math.nan, "bodies[0].mass: robots must have finite mass"),
+    ],
+    ids=["zero", "negative", "inf", "nan"],
+)
+def test_robot_mass_must_be_positive_and_finite(mass, violation):
+    assert_rejected(crossing_with_body(0, mass=mass), violation)
+
+
+def test_body_ids_must_be_unique():
+    assert_rejected(crossing_with_body(3, id=3), "bodies[3].id: duplicate body id 3")
+
+
+def test_scenario_needs_a_robot():
+    crossing = load_scenario((SCENARIOS / "crossing.json").read_text())
+    empty = dataclasses.replace(crossing, bodies=crossing.obstacles(), targets={})
+    assert validate_scenario(empty) == ["bodies: expected 1 or 2 robots, found 0"]
+    with pytest.raises(ValueError, match="expected 1 or 2 robots"):
+        simulate(empty)
+
+
 def test_validate_is_pure_and_idempotent():
     sc = load_scenario(json.dumps(EXAMPLE1_DOC))
     assert validate_scenario(sc) == validate_scenario(sc) == []
