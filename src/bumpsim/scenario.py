@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Any, NamedTuple
 
@@ -163,31 +163,14 @@ def _require(obj: dict, key: str, path: str) -> Any:
 def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}: expected a number, got {value!r}")
-    out = float(value)
-    if not math.isfinite(out):
-        raise SchemaError(f"{path}: value must be finite")
-    return out
+    return float(value)
 
 
-def _positive(value: Any, path: str) -> float:
-    out = _number(value, path)
-    if out <= 0.0:
-        raise SchemaError(f"{path}: value must be > 0, got {out}")
-    return out
-
-
-def _parse_workspace(obj: Any) -> WorkspaceRect:
+def _numbers(obj: Any, path: str, keys: tuple[str, ...]) -> list[float]:
+    """The required number fields `keys` of the JSON object `obj`, in order."""
     if not isinstance(obj, dict):
-        raise SchemaError("workspace: expected an object")
-    ws = WorkspaceRect(
-        x_min=_number(_require(obj, "x_min", "workspace"), "workspace.x_min"),
-        x_max=_number(_require(obj, "x_max", "workspace"), "workspace.x_max"),
-        y_min=_number(_require(obj, "y_min", "workspace"), "workspace.y_min"),
-        y_max=_number(_require(obj, "y_max", "workspace"), "workspace.y_max"),
-    )
-    if not (ws.x_min < ws.x_max and ws.y_min < ws.y_max):
-        raise SchemaError("workspace: bounds must satisfy x_min < x_max and y_min < y_max")
-    return ws
+        raise SchemaError(f"{path}: expected an object")
+    return [_number(_require(obj, key, path), f"{path}.{key}") for key in keys]
 
 
 def _parse_body(obj: Any, idx: int) -> Body:
@@ -195,58 +178,30 @@ def _parse_body(obj: Any, idx: int) -> Body:
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected an object")
     body_id = _require(obj, "id", path)
-    if isinstance(body_id, bool) or not isinstance(body_id, int) or body_id < 1:
+    if isinstance(body_id, bool) or not isinstance(body_id, int):
         raise SchemaError(f"{path}.id: expected a positive integer, got {body_id!r}")
     kind_raw = _require(obj, "kind", path)
     if not isinstance(kind_raw, str) or kind_raw.lower() not in ("robot", "obstacle"):
         raise SchemaError(f"{path}.kind: expected 'robot' or 'obstacle', got {kind_raw!r}")
     kind = BodyKind(kind_raw.lower())
-    if kind is BodyKind.ROBOT and body_id not in (1, 2):
-        raise SchemaError(f"{path}.id: robots must use id 1 or 2, got {body_id}")
-    if kind is BodyKind.OBSTACLE and body_id < 3:
-        raise SchemaError(f"{path}.id: obstacles must use ids >= 3, got {body_id}")
-    radius = _positive(_require(obj, "radius", path), f"{path}.radius")
-
-    if "mass" in obj:
-        mass_raw = obj["mass"]
-        if mass_raw == "unbounded":
-            mass = UNBOUNDED
-        else:
-            mass = _positive(mass_raw, f"{path}.mass")
-    elif kind is BodyKind.OBSTACLE:
-        mass = UNBOUNDED
-    else:
-        # Robot mass defaults to 1 kg; only mass ratios enter the physics.
-        mass = 1.0
-    if kind is BodyKind.ROBOT and math.isinf(mass):
-        raise SchemaError(f"{path}.mass: robots must have finite mass")
-
-    x = _number(_require(obj, "x", path), f"{path}.x")
-    y = _number(_require(obj, "y", path), f"{path}.y")
+    radius = _number(_require(obj, "radius", path), f"{path}.radius")
+    # Robot mass defaults to 1 kg (only mass ratios enter the physics),
+    # obstacle mass to unbounded.
+    mass_raw = obj.get("mass", 1.0 if kind is BodyKind.ROBOT else "unbounded")
+    mass = UNBOUNDED if mass_raw == "unbounded" else _number(mass_raw, f"{path}.mass")
+    x, y = _numbers(obj, path, ("x", "y"))
     theta = _number(obj.get("theta", 0.0), f"{path}.theta")
     return Body(id=body_id, kind=kind, radius=radius, mass=mass, x=x, y=y, theta=theta)
 
 
-def _parse_params(obj: Any) -> ControllerParams:
-    if not isinstance(obj, dict):
-        raise SchemaError("params: expected an object")
-    return ControllerParams(
-        rho=_number(_require(obj, "rho", "params"), "params.rho"),
-        sigma1=_number(_require(obj, "sigma1", "params"), "params.sigma1"),
-        sigma2=_number(_require(obj, "sigma2", "params"), "params.sigma2"),
-        sigma3=_number(_require(obj, "sigma3", "params"), "params.sigma3"),
-        m_v=_number(_require(obj, "mv", "params"), "params.mv"),
-        m_w=_number(_require(obj, "mw", "params"), "params.mw"),
-        delta=_number(obj.get("delta", DEFAULT_DELTA), "params.delta"),
-    )
-
-
 def load_scenario(text: str) -> Scenario:
-    """Parse a scenario document, applying defaults for optional fields.
+    """Read a scenario document into typed values, applying defaults for
+    optional fields.
 
-    Raises ParseError for malformed JSON and SchemaError (with a field
-    path) for structural problems.  Physical-consistency checks live in
-    validate_scenario.
+    Raises ParseError for malformed JSON and SchemaError, with the field
+    path, for a missing key or a value of the wrong JSON type.  It checks
+    no value against a rule: every range, finiteness and cross-field rule
+    lives in validate_scenario, which `simulate` and the CLI run.
     """
     try:
         doc = json.loads(text)
@@ -255,20 +210,13 @@ def load_scenario(text: str) -> Scenario:
     if not isinstance(doc, dict):
         raise SchemaError("top level: expected an object")
 
-    workspace = _parse_workspace(_require(doc, "workspace", "top level"))
+    bounds = _numbers(_require(doc, "workspace", "top level"), "workspace", ("x_min", "x_max", "y_min", "y_max"))
+    workspace = WorkspaceRect(*bounds)
 
     bodies_raw = _require(doc, "bodies", "top level")
-    if not isinstance(bodies_raw, list) or not bodies_raw:
+    if not isinstance(bodies_raw, list):
         raise SchemaError("bodies: expected a non-empty array")
     bodies = tuple(_parse_body(b, i) for i, b in enumerate(bodies_raw))
-    seen: set[int] = set()
-    for i, b in enumerate(bodies):
-        if b.id in seen:
-            raise SchemaError(f"bodies[{i}].id: duplicate body id {b.id}")
-        seen.add(b.id)
-    robot_ids = [b.id for b in bodies if b.is_robot]
-    if not 1 <= len(robot_ids) <= 2:
-        raise SchemaError(f"bodies: expected 1 or 2 robots, found {len(robot_ids)}")
 
     targets_raw = _require(doc, "targets", "top level")
     if not isinstance(targets_raw, dict):
@@ -279,71 +227,88 @@ def load_scenario(text: str) -> Scenario:
             rid = int(key)
         except ValueError:
             raise SchemaError(f"targets.{key}: key must be a robot id") from None
-        if not isinstance(val, dict):
-            raise SchemaError(f"targets.{key}: expected an object")
-        targets[rid] = RobotState(
-            x=_number(_require(val, "x", f"targets.{key}"), f"targets.{key}.x"),
-            y=_number(_require(val, "y", f"targets.{key}"), f"targets.{key}.y"),
-            theta=_number(_require(val, "theta", f"targets.{key}"), f"targets.{key}.theta"),
-        )
-    for rid in robot_ids:
-        if rid not in targets:
-            raise SchemaError(f"targets: missing target for robot {rid}")
-    for rid in targets:
-        if rid not in robot_ids:
-            raise SchemaError(f"targets.{rid}: no robot with this id")
+        targets[rid] = RobotState(*_numbers(val, f"targets.{key}", ("x", "y", "theta")))
 
-    params = _parse_params(_require(doc, "params", "top level"))
+    params_raw = _require(doc, "params", "top level")
+    params = ControllerParams(
+        *_numbers(params_raw, "params", ("rho", "sigma1", "sigma2", "sigma3", "mv", "mw")),
+        delta=_number(params_raw.get("delta", DEFAULT_DELTA), "params.delta"),
+    )
 
     sim = doc.get("sim", {})
     if not isinstance(sim, dict):
         raise SchemaError("sim: expected an object")
-    dt = _positive(sim.get("dt", DEFAULT_DT), "sim.dt")
-    t_max = _positive(sim.get("t_max", DEFAULT_T_MAX), "sim.t_max")
-    target_tolerance = _positive(sim.get("target_tolerance", DEFAULT_TARGET_TOLERANCE), "sim.target_tolerance")
-    jump_cap_raw = sim.get("jump_cap", DEFAULT_JUMP_CAP)
-    if isinstance(jump_cap_raw, bool) or not isinstance(jump_cap_raw, int) or jump_cap_raw < 1:
-        raise SchemaError(f"sim.jump_cap: expected a positive integer, got {jump_cap_raw!r}")
+    jump_cap = sim.get("jump_cap", DEFAULT_JUMP_CAP)
+    if isinstance(jump_cap, bool) or not isinstance(jump_cap, int):
+        raise SchemaError(f"sim.jump_cap: expected a positive integer, got {jump_cap!r}")
 
     return Scenario(
         workspace=workspace,
         bodies=bodies,
         targets=targets,
         params=params,
-        dt=dt,
-        t_max=t_max,
-        target_tolerance=target_tolerance,
-        jump_cap=jump_cap_raw,
+        dt=_number(sim.get("dt", DEFAULT_DT), "sim.dt"),
+        t_max=_number(sim.get("t_max", DEFAULT_T_MAX), "sim.t_max"),
+        target_tolerance=_number(sim.get("target_tolerance", DEFAULT_TARGET_TOLERANCE), "sim.target_tolerance"),
+        jump_cap=jump_cap,
     )
 
 
+def _non_finite(path: str, values: dict[str, float]) -> list[str]:
+    return [f"{path}.{name}: value must be finite" for name, v in values.items() if not math.isfinite(v)]
+
+
 def validate_scenario(scenario: Scenario) -> list[str]:
-    """Check physical consistency and the sim block; returns a list of
-    violations (empty = valid).
+    """Check a scenario against every rule; returns the list of violations
+    (empty = valid).
+
+    This is the one list of rules, whether the scenario came from
+    load_scenario (which checks only JSON types) or was built in code, and
+    each violation names the field or body it concerns:
+    - workspace bounds finite, with x_min < x_max and y_min < y_max;
+    - one or two robots, robot ids 1 or 2, obstacle ids >= 3, ids unique;
+    - every radius positive and finite; robot masses positive and finite;
+      obstacle masses positive (UNBOUNDED allowed) and, when finite, at
+      least MASS_RATIO_FLOOR times the heaviest robot;
+    - body x, y and theta finite; no two bodies overlap; robots start
+      inside the workspace;
+    - params finite, rho, sigma2, sigma3, mv and mw > 0, sigma1 >= 1 and
+      delta in [0, 1);
+    - one finite target per robot and none for any other id;
+    - sim dt, t_max and target_tolerance positive and finite, jump_cap an
+      integer >= 1.
 
     Pure and idempotent: repeated calls on the same scenario return the
     same list and never mutate anything.
     """
-    violations: list[str] = []
+    ws = scenario.workspace
+    violations = _non_finite("workspace", asdict(ws))
+    if not (ws.x_min < ws.x_max and ws.y_min < ws.y_max):
+        violations.append("workspace: bounds must satisfy x_min < x_max and y_min < y_max")
+
     bodies = scenario.bodies
     robots = scenario.robots()
-
-    # the rules load_scenario applies to the bodies, in its wording
     if not 1 <= len(robots) <= 2:
         violations.append(f"bodies: expected 1 or 2 robots, found {len(robots)}")
     seen: set[int] = set()
     for i, b in enumerate(bodies):
+        path = f"bodies[{i}]"
+        if b.is_robot and b.id not in (1, 2):
+            violations.append(f"{path}.id: robots must use id 1 or 2, got {b.id}")
+        elif not b.is_robot and not b.id >= 3:
+            violations.append(f"{path}.id: obstacles must use ids >= 3, got {b.id}")
         if b.id in seen:
-            violations.append(f"bodies[{i}].id: duplicate body id {b.id}")
+            violations.append(f"{path}.id: duplicate body id {b.id}")
         seen.add(b.id)
         if not math.isfinite(b.radius):
-            violations.append(f"bodies[{i}].radius: value must be finite")
-        elif b.radius <= 0.0:
-            violations.append(f"bodies[{i}].radius: value must be > 0, got {b.radius}")
+            violations.append(f"{path}.radius: value must be finite")
+        elif not b.radius > 0.0:
+            violations.append(f"{path}.radius: value must be > 0, got {b.radius}")
         if b.is_robot and not math.isfinite(b.mass):
-            violations.append(f"bodies[{i}].mass: robots must have finite mass")
-        elif b.is_robot and b.mass <= 0.0:
-            violations.append(f"bodies[{i}].mass: value must be > 0, got {b.mass}")
+            violations.append(f"{path}.mass: robots must have finite mass")
+        elif not b.mass > 0.0:
+            violations.append(f"{path}.mass: value must be > 0, got {b.mass}")
+        violations += _non_finite(path, {"x": b.x, "y": b.y, "theta": b.theta})
 
     for a_idx in range(len(bodies)):
         for b_idx in range(a_idx + 1, len(bodies)):
@@ -356,7 +321,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                 )
 
     for robot in robots:
-        if not scenario.workspace.contains(robot.x, robot.y):
+        if not ws.contains(robot.x, robot.y):
             violations.append(f"robot {robot.id} starts outside the workspace")
 
     max_robot_mass = max((r.mass for r in robots), default=0.0)
@@ -370,6 +335,11 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             )
 
     p = scenario.params
+    violations += _non_finite(
+        "params",
+        {"rho": p.rho, "sigma1": p.sigma1, "sigma2": p.sigma2, "sigma3": p.sigma3,
+         "mv": p.m_v, "mw": p.m_w, "delta": p.delta},
+    )
     if p.rho <= 0.0:
         violations.append(f"params.rho must be > 0, got {p.rho:.6g}")
     if p.sigma1 < 1.0:
@@ -385,24 +355,23 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     if not 0.0 <= p.delta < 1.0:
         violations.append(f"params.delta must lie in [0, 1), got {p.delta:.6g}")
 
-    # the rule load_scenario applies to the targets: one per robot
     robot_ids = set(scenario.robot_ids())
     for rid in sorted(robot_ids - scenario.targets.keys()):
         violations.append(f"targets: missing target for robot {rid}")
     for rid in sorted(scenario.targets.keys() - robot_ids):
         violations.append(f"targets.{rid}: no robot with this id")
     for rid, target in sorted(scenario.targets.items()):
-        if not all(math.isfinite(v) for v in (target.x, target.y, target.theta)):
-            violations.append(f"target for robot {rid} has non-finite components")
+        violations += _non_finite(f"targets.{rid}", target._asdict())
 
-    # the bounds load_scenario applies to the sim block
     for name in ("dt", "t_max", "target_tolerance"):
         value = getattr(scenario, name)
-        if not 0.0 < value < math.inf:
-            violations.append(f"sim.{name} must be positive and finite, got {value:.6g}")
+        if not math.isfinite(value):
+            violations.append(f"sim.{name}: value must be finite")
+        elif not value > 0.0:
+            violations.append(f"sim.{name}: value must be > 0, got {value}")
     cap = scenario.jump_cap
     if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-        violations.append(f"sim.jump_cap must be a positive integer, got {cap!r}")
+        violations.append(f"sim.jump_cap: expected a positive integer, got {cap!r}")
 
     return violations
 

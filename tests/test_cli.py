@@ -44,6 +44,24 @@ def test_run_exit_codes_validation(tmp_path):
     assert run_cli("run", "--scenario", bad, "--out", tmp_path / "o") == 2
 
 
+def test_run_reports_every_rule_the_scenario_breaks(tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "open_field.json").read_text())
+    doc["bodies"][1]["radius"] = -1
+    bad, out = tmp_path / "bad.json", tmp_path / "out"
+    bad.write_text(json.dumps(doc))
+    assert run_cli("run", "--scenario", bad, "--out", out) == 2
+    assert not out.exists()
+    assert "bodies[1].radius: value must be > 0" in capsys.readouterr().err
+
+    doc["sim"]["dt"] = 0
+    bad.write_text(json.dumps(doc))
+    assert run_cli("run", "--scenario", bad, "--out", out) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "bodies[1].radius: value must be > 0, got -1.0" in err
+    assert "sim.dt: value must be > 0, got 0.0" in err
+
+
 def test_run_missing_file(tmp_path):
     assert run_cli("run", "--scenario", tmp_path / "nope.json", "--out", tmp_path / "o") == 2
 

@@ -1,9 +1,10 @@
 """Source hygiene: every name an engine module imports is used in it, every
-parameter of its functions is read, and every field of its dataclasses and
-NamedTuples is read somewhere.
+parameter of its functions is read, every field of its dataclasses and
+NamedTuples is read somewhere, and every private (`_`-prefixed) module-level
+function is called from the package.
 
 No linter ships with the project, so these stdlib `ast` checks catch the
-imports, parameters and fields that deleting code leaves behind.
+imports, parameters, fields and helpers that deleting code leaves behind.
 `__init__.py` is exempt from the import check: its imports are the
 package's exports.  The field check goes by name: a field counts as read
 when any source, test or bench file reads an attribute of that name.  A
@@ -70,6 +71,25 @@ def attribute_reads(source):
         for n in ast.walk(ast.parse(source))
         if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
     }
+
+
+def name_reads(source):
+    """Names read anywhere in the source, bare (`name`) or as an attribute."""
+    tree = ast.parse(source)
+    bare = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return bare | attribute_reads(source)
+
+
+def uncalled_private_functions(source, reads):
+    """Module-level `_`-prefixed functions of the source whose names are not
+    in `reads`."""
+    return sorted(
+        f"{node.name} (line {node.lineno})"
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and node.name not in reads
+    )
 
 
 def _is_dataclass(decorator):
@@ -171,3 +191,31 @@ def reads():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_dataclass_field_is_read(module, reads):
     assert unread_fields((SRC / module).read_text(encoding="utf-8"), reads) == []
+
+
+def test_check_flags_an_uncalled_private_function():
+    source = (
+        "def _kept(x):\n"
+        "    return x\n"
+        "\n"
+        "def _stranded(x):\n"
+        "    return x\n"
+        "\n"
+        "def public(x):\n"
+        "    return _kept(x)\n"
+        "\n"
+        "class K:\n"
+        "    def _method(self):\n"
+        "        return 0\n"
+    )
+    assert uncalled_private_functions(source, name_reads(source)) == ["_stranded (line 4)"]
+
+
+@pytest.fixture(scope="module")
+def package_reads():
+    return set().union(*(name_reads(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_private_function_is_called(module, package_reads):
+    assert uncalled_private_functions((SRC / module).read_text(encoding="utf-8"), package_reads) == []

@@ -62,13 +62,6 @@ def test_defaults_applied():
     assert sc.jump_cap == 100_000
 
 
-def test_negative_radius_names_offending_body():
-    doc = doc_with()
-    doc["bodies"][1]["radius"] = -1
-    with pytest.raises(SchemaError, match=r"bodies\[1\]\.radius"):
-        load_scenario(json.dumps(doc))
-
-
 def test_malformed_document():
     with pytest.raises(ParseError):
         load_scenario("{not json")
@@ -81,24 +74,11 @@ def test_missing_required_field_has_path():
         load_scenario(json.dumps(doc))
 
 
-def test_missing_target_rejected():
-    doc = doc_with(targets={})
-    with pytest.raises(SchemaError, match="missing target for robot 1"):
-        load_scenario(json.dumps(doc))
-
-
 def test_obstacle_defaults_to_unbounded_mass():
     doc = doc_with()
     del doc["bodies"][1]["mass"]
     sc = load_scenario(json.dumps(doc))
     assert math.isinf(sc.body(3).mass)
-
-
-def test_robot_id_rules():
-    doc = doc_with()
-    doc["bodies"][0]["id"] = 3
-    with pytest.raises(SchemaError, match="robots must use id 1 or 2"):
-        load_scenario(json.dumps(doc))
 
 
 # --- validation -------------------------------------------------------------
@@ -168,13 +148,13 @@ def test_bad_params_flagged():
 def test_sim_block_out_of_bounds_flagged(field, value):
     sc = dataclasses.replace(load_scenario(json.dumps(EXAMPLE1_DOC)), **{field: value})
     # validation first: simulate on an unchecked dt = 0 never returns
-    assert [v for v in validate_scenario(sc) if v.startswith(f"sim.{field} ")]
+    assert [v for v in validate_scenario(sc) if v.startswith(f"sim.{field}:")]
     with pytest.raises(ValueError, match="does not validate"):
         simulate(sc)
 
 
 def test_targets_must_match_the_robots():
-    crossing = load_scenario((SCENARIOS / "crossing.json").read_text())
+    crossing = load_crossing()
     missing = dataclasses.replace(crossing, targets={1: crossing.targets[1]})
     assert validate_scenario(missing) == ["targets: missing target for robot 2"]
     with pytest.raises(ValueError, match="missing target for robot 2"):
@@ -185,18 +165,39 @@ def test_targets_must_match_the_robots():
         simulate(stray)
 
 
+def load_crossing():
+    return load_scenario((SCENARIOS / "crossing.json").read_text())
+
+
 def crossing_with_body(index, **changes):
     """crossing with one body changed, built in code past the loader."""
-    crossing = load_scenario((SCENARIOS / "crossing.json").read_text())
-    bodies = list(crossing.bodies)
+    sc = load_crossing()
+    bodies = list(sc.bodies)
     bodies[index] = dataclasses.replace(bodies[index], **changes)
-    return dataclasses.replace(crossing, bodies=tuple(bodies))
+    return dataclasses.replace(sc, bodies=tuple(bodies))
 
 
 def assert_rejected(sc, violation):
     assert violation in validate_scenario(sc)
     with pytest.raises(ValueError, match="does not validate"):
         simulate(sc)
+
+
+def test_negative_radius_names_offending_body():
+    doc = doc_with()
+    doc["bodies"][1]["radius"] = -1
+    assert_rejected(load_scenario(json.dumps(doc)), "bodies[1].radius: value must be > 0, got -1.0")
+
+
+def test_missing_target_rejected():
+    doc = doc_with(targets={})
+    assert_rejected(load_scenario(json.dumps(doc)), "targets: missing target for robot 1")
+
+
+def test_robot_id_rules():
+    doc = doc_with()
+    doc["bodies"][0]["id"] = 3
+    assert_rejected(load_scenario(json.dumps(doc)), "bodies[0].id: robots must use id 1 or 2, got 3")
 
 
 @pytest.mark.parametrize(
@@ -211,6 +212,44 @@ def assert_rejected(sc, violation):
 )
 def test_radius_must_be_positive_and_finite(radius, violation):
     assert_rejected(crossing_with_body(1, radius=radius), violation)
+
+
+def crossing_with_params(**changes):
+    sc = load_crossing()
+    return dataclasses.replace(sc, params=dataclasses.replace(sc.params, **changes))
+
+
+def crossing_with_robot_1_as_7():
+    sc = crossing_with_body(0, id=7)
+    return dataclasses.replace(sc, targets={7: sc.targets[1], 2: sc.targets[2]})
+
+
+# Built in code past the loader; unless validation names the fault, each of
+# these crashes mid-run or runs on a meaningless scenario.
+@pytest.mark.parametrize(
+    "build, violation",
+    [
+        (lambda: crossing_with_body(2, mass=math.nan), "bodies[2].mass: value must be > 0, got nan"),
+        (lambda: crossing_with_body(2, x=math.inf), "bodies[2].x: value must be finite"),
+        (lambda: crossing_with_body(2, x=math.nan), "bodies[2].x: value must be finite"),
+        (lambda: crossing_with_body(0, theta=math.nan), "bodies[0].theta: value must be finite"),
+        (lambda: crossing_with_params(rho=math.nan), "params.rho: value must be finite"),
+        (lambda: crossing_with_params(rho=math.inf), "params.rho: value must be finite"),
+        (lambda: crossing_with_params(sigma1=math.nan), "params.sigma1: value must be finite"),
+        (lambda: crossing_with_params(m_v=math.nan), "params.mv: value must be finite"),
+        (crossing_with_robot_1_as_7, "bodies[0].id: robots must use id 1 or 2, got 7"),
+        (
+            lambda: dataclasses.replace(load_crossing(), workspace=WorkspaceRect(35.0, -15.0, -15.0, 35.0)),
+            "workspace: bounds must satisfy x_min < x_max and y_min < y_max",
+        ),
+    ],
+    ids=[
+        "obstacle-mass-nan", "obstacle-x-inf", "obstacle-x-nan", "robot-theta-nan", "rho-nan",
+        "rho-inf", "sigma1-nan", "mv-nan", "robot-id-7", "inverted-workspace",
+    ],
+)
+def test_code_built_scenario_rejected_by_name(build, violation):
+    assert_rejected(build(), violation)
 
 
 @pytest.mark.parametrize(
@@ -232,7 +271,7 @@ def test_body_ids_must_be_unique():
 
 
 def test_scenario_needs_a_robot():
-    crossing = load_scenario((SCENARIOS / "crossing.json").read_text())
+    crossing = load_crossing()
     empty = dataclasses.replace(crossing, bodies=crossing.obstacles(), targets={})
     assert validate_scenario(empty) == ["bodies: expected 1 or 2 robots, found 0"]
     with pytest.raises(ValueError, match="expected 1 or 2 robots"):
@@ -264,12 +303,15 @@ def _scenarios_for_round_trip():
     )
     two_robots["params"]["delta"] = 0.125
     yield load_scenario(json.dumps(two_robots))
+    for path in sorted(SCENARIOS.glob("*.json")):
+        yield load_scenario(path.read_text())
 
 
 def test_serialize_round_trip_bit_exact():
     for sc in _scenarios_for_round_trip():
         again = load_scenario(serialize(sc))
         assert again == sc
+        assert validate_scenario(again) == []
         # and serialization itself is stable
         assert serialize(again) == serialize(sc)
 
