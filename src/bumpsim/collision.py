@@ -23,8 +23,6 @@ from enum import Enum
 
 from .frames import LocalFrame, build_local_frame, decompose_velocity
 
-TWO_PI = 2.0 * math.pi
-
 # |gap| <= CONTACT_TOL counts as touching; gap < -CONTACT_TOL is penetration
 # and signals an integration fault.
 CONTACT_TOL = 1e-9
@@ -82,9 +80,9 @@ class ContactQuery:
         m_i: float,
         m_j: float,
         v_i: float,
-        v_j: float = 0.0,
-        theta_i: float = 0.0,
-        theta_j: float = 0.0,
+        v_j: float,
+        theta_i: float,
+        theta_j: float,
     ) -> "ContactQuery":
         return cls(
             i_id=i_id,
@@ -143,24 +141,25 @@ def resolve_normal(
     m_j: float,
     v_iy: float,
     v_jy: float,
-    delta_i: float = 0.0,
-    delta_j: float = 0.0,
+    delta: float = 0.0,
 ) -> tuple[float, float]:
     """One-dimensional exchange of the normal velocity components.
 
     For finite masses this is the standard elastic pair exchange; an
     unbounded m_j uses the exact immovable limit (reflection about the
-    other body's velocity).  delta scales each robot's outgoing component
-    by (1 - delta) to model per-collision energy loss.
+    other body's velocity) and keeps v_jy.  delta scales each outgoing
+    component by (1 - delta) to model per-collision energy loss; only a
+    robot's outcome is used, so an obstacle j's scaled component is
+    never read.
     """
     if math.isinf(m_i):
         raise ValueError("body i must have finite mass (robots are never unbounded)")
     if math.isinf(m_j):
-        v_iy_plus = (1.0 - delta_i) * (-v_iy + 2.0 * v_jy)
+        v_iy_plus = (1.0 - delta) * (-v_iy + 2.0 * v_jy)
         return (v_iy_plus, v_jy)
     total = m_i + m_j
-    v_iy_plus = (1.0 - delta_i) * (((m_i - m_j) / total) * v_iy + (2.0 * m_j / total) * v_jy)
-    v_jy_plus = (1.0 - delta_j) * (((m_j - m_i) / total) * v_jy + (2.0 * m_i / total) * v_iy)
+    v_iy_plus = (1.0 - delta) * (((m_i - m_j) / total) * v_iy + (2.0 * m_j / total) * v_jy)
+    v_jy_plus = (1.0 - delta) * (((m_j - m_i) / total) * v_jy + (2.0 * m_i / total) * v_iy)
     return (v_iy_plus, v_jy_plus)
 
 
@@ -179,14 +178,13 @@ def post_velocity(lam: float, mu: float, phi: float, theta_prev: float) -> tuple
 
 def heading_changed(theta_pre: float, theta_plus: float) -> bool:
     """True when the two headings differ by more than HEADING_TOL modulo 2*pi."""
-    diff = (theta_plus - theta_pre) % TWO_PI
-    return min(diff, TWO_PI - diff) > HEADING_TOL
+    diff = (theta_plus - theta_pre) % math.tau
+    return min(diff, math.tau - diff) > HEADING_TOL
 
 
 def resolve_collision(
     query: ContactQuery,
-    delta_i: float = 0.0,
-    delta_j: float = 0.0,
+    delta: float = 0.0,
     body_j_is_robot: bool = False,
 ) -> tuple[CollisionOutcome, CollisionOutcome | None]:
     """Resolve a contact for robot i (and for j when j is also a robot).
@@ -199,7 +197,7 @@ def resolve_collision(
     mu_i, v_iy = decompose_velocity(query.v_i, query.theta_i - phi)
     mu_j, v_jy = decompose_velocity(query.v_j, query.theta_j - phi)
 
-    lam_i, lam_j = resolve_normal(query.m_i, query.m_j, v_iy, v_jy, delta_i, delta_j)
+    lam_i, lam_j = resolve_normal(query.m_i, query.m_j, v_iy, v_jy, delta)
 
     def outcome(theta: float, v: float, lam: float, mu: float) -> CollisionOutcome:
         theta_plus, v_plus = post_velocity(lam, mu, phi, theta)

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 from .scenario import RobotState
 
-TWO_PI = 2.0 * math.pi
-
 COINCIDENT_EPS = 1e-12
 
 
@@ -51,7 +49,7 @@ def build_local_frame(p_i: tuple[float, float], p_j: tuple[float, float]) -> Loc
     uy_y = dy / dist
     phi = math.atan2(-uy_x, uy_y)  # angle of the x-axis direction (uy_y, -uy_x)
     if phi < 0.0:
-        phi += TWO_PI
+        phi += math.tau
     return LocalFrame(ox=p_i[0], oy=p_i[1], phi=phi + 0.0)  # +0.0 folds -0.0 into 0.0
 
 

@@ -4,22 +4,26 @@ Each robot carries a discrete mode q alongside its pose: q = 0 runs the
 predefined controller, q = 1 runs the constant-heading local escape
 controller installed after a heading-changing collision.  q is 1 exactly
 while the robot holds a LocalPhase; `HybridState.phases` is its only
-record.  Every contact, found by event localization or by the sweep at an
-instant, goes through one pair-table row and one ContactQuery.  Each
-pair's gap is measured once per instant: the sweep decides touching and
-penetration on it, and `collision.check_collision` adds only the approach
-test.  The executor integrates the unicycle flow with fixed-step
-classical RK4 under zero-order-hold inputs and localizes contact events
-inside a step by conservative advancement: a pair whose start gap exceeds
-how far the step can move it is culled, a two-sided bound on the start
-and end gaps skips most of the rest, a golden-section search of the
-in-step minimum catches grazes that dip below contact and come back out,
-and bisection finds the crossing.  It applies the collision/impulse jump
-maps (which change headings, speeds and phases in place, never
-positions), and records everything in an ordered trace.  Each trace
-record is an immutable NamedTuple like `RobotState`, its fields in its
-trace.csv row's column order, so one `%` with the type's `ROW` template
-writes the row; `write_trace_csv` and `write_plot_csv` stream row by row.
+record.  Every contact, found by event localization or by the sweep at
+an instant, goes through one pair-table row and one ContactQuery.  Each
+pair's gap is measured once per instant, and that list is the only
+measurement of a sampled instant: reactivation reads its robot's rows,
+the sweep decides touching and penetration on it
+(`collision.check_collision` adds only the approach test), event
+detection starts from it, and its running per-pair minimum becomes the
+trace's `clearance`, which `metrics` reports.  The executor integrates
+the unicycle flow with fixed-step classical RK4 under zero-order-hold
+inputs and localizes contact events inside a step by conservative
+advancement: a pair whose start gap exceeds how far the step can move it
+is culled, a two-sided bound on the start and end gaps skips most of the
+rest, a golden-section search of the in-step minimum catches grazes that
+dip below contact and come back out, and bisection finds the crossing.
+It applies the collision/impulse jump maps (which change headings,
+speeds and phases in place, never positions), and records everything in
+an ordered trace.  Each trace record is an immutable NamedTuple like
+`RobotState`, its fields in its trace.csv row's column order, so one `%`
+with the type's `ROW` template writes the row; `write_trace_csv` and
+`write_plot_csv` stream row by row.
 
 Hybrid time is the pair (t, jumps).  A run stops at t_max, when every
 robot has reached its target, or when the jump counter reaches the
@@ -36,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .collision import (
     CONTACT_TOL,
@@ -172,8 +176,12 @@ TraceRecord = (
 
 @dataclass(slots=True)
 class Trace:
+    """The run's records, and `clearance`: each robot's smallest pair-table
+    row gap at any sampled instant (None for a robot with no rows)."""
+
     scenario: Scenario
     records: list
+    clearance: dict[int, float | None]
 
     def collisions(self, robot_id: int | None = None) -> list[CollisionRecord]:
         return [
@@ -291,13 +299,8 @@ def contact_query(
     )
 
 
-def _first_negative(
-    pair: ContactPair,
-    states: Mapping[int, RobotState],
-    inputs: Mapping[int, ControlInput],
-    h: float,
-) -> float | None:
-    """Golden-section search for the pair's smallest gap on [0, h].
+def _first_negative(gap_at: Callable[[float], float], h: float) -> float | None:
+    """Golden-section search for the smallest of `gap_at` on [0, h].
 
     Returns the offset of the first probe whose gap is negative, or None
     once the bracket is EVENT_TIME_TOL wide: 2 + ceil(log(EVENT_TIME_TOL
@@ -305,15 +308,6 @@ def _first_negative(
     unimodal along one step: the distance to a point is convex along a
     straight segment, and one step's arc is nearly straight.
     """
-    i, j, _, fixed = pair
-    probe: dict[int, RobotState] = {}
-
-    def gap_at(tau: float) -> float:
-        probe[i] = step_flow(states[i], inputs[i], tau)
-        if fixed is None:
-            probe[j] = step_flow(states[j], inputs[j], tau)
-        return gap(pair, probe)
-
     a, b = 0.0, h
     c, d = h - GOLDEN * h, GOLDEN * h
     gc, gd = gap_at(c), gap_at(d)
@@ -362,6 +356,8 @@ def detect_event(
       a graze that dips below contact and comes back out, which the end
       signs miss; its first negative probe closes the bracket.
 
+    A pair that gets this far has one probe, `gap_at(tau)`, which steps
+    only the pair's robots; the search and the bisection both call it.
     The hit time is then localized by bisection on the RK4 flow to
     EVENT_TIME_TOL seconds, landing on the non-penetrating side.
     Simultaneous crossings (within EVENT_TIME_TOL) are reported with the
@@ -384,28 +380,29 @@ def detect_event(
             # culled, or not apart at the step start
             continue
         g1 = gap(pair, next_states)
-        if g1 < 0.0:
-            hi = h
-        elif g0 + g1 - reach > 2.0 * slack:
+        if g1 >= 0.0 and g0 + g1 - reach > 2.0 * slack:
             # the two-sided bound keeps the in-step minimum positive
             continue
-        else:
-            hi = _first_negative(pair, states, inputs, h)
-            if hi is None:
-                continue
         i, j, _, fixed = pair
         probe: dict[int, RobotState] = {}
+
+        def gap_at(tau: float) -> float:
+            # called only in this pass: each probe steps only the pair's robots
+            probe[i] = step_flow(states[i], inputs[i], tau)
+            if fixed is None:
+                probe[j] = step_flow(states[j], inputs[j], tau)
+            return gap(pair, probe)
+
+        hi = h if g1 < 0.0 else _first_negative(gap_at, h)
+        if hi is None:
+            continue
         lo = 0.0
         while hi - lo > EVENT_TIME_TOL:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
                 # one ulp of a large offset exceeds EVENT_TIME_TOL
                 break
-            # each probe steps only the pair's robots
-            probe[i] = step_flow(states[i], inputs[i], mid)
-            if fixed is None:
-                probe[j] = step_flow(states[j], inputs[j], mid)
-            if gap(pair, probe) > 0.0:
+            if gap_at(mid) > 0.0:
                 lo = mid
             else:
                 hi = mid
@@ -470,13 +467,8 @@ def jump(
 
     query = event
     i, j = query.i_id, query.j_id
-    j_is_robot = j in hs.states
-    delta = scenario.params.delta
     out_i, out_j = resolve_collision(
-        query,
-        delta_i=delta,
-        delta_j=delta if j_is_robot else 0.0,
-        body_j_is_robot=j_is_robot,
+        query, delta=scenario.params.delta, body_j_is_robot=j in hs.states
     )
 
     # (robot, other body, robot position, other position, other radius, outcome)
@@ -547,21 +539,17 @@ def jump(
 # Executor
 
 
-def reactivation_due(
-    rows: list[ContactPair],
-    states: Mapping[int, RobotState],
-    phase: LocalPhase,
-) -> bool:
+def reactivation_due(phase: LocalPhase, row_gaps: Iterable[float]) -> bool:
     """The reactivation rule for a robot's local phase.
 
     True when the phase has expired and every one of the robot's pair-table
-    rows has a strictly positive gap.  An expired phase without that
-    clearance is extended by t_dur / 10 instead (NonSeparableError past the
-    cap).
+    rows has a strictly positive gap (`row_gaps`, the instant's gaps of
+    those rows).  An expired phase without that clearance is extended by
+    t_dur / 10 instead (NonSeparableError past the cap).
     """
     if not phase.expired():
         return False
-    if all(gap(pair, states) > 0.0 for pair in rows):
+    if all(g > 0.0 for g in row_gaps):
         return True
     phase.extend()
     return False
@@ -590,8 +578,9 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
     t_max = scenario.t_max
     body = {b.id: b for b in scenario.bodies}
     pairs = contact_pairs(scenario.bodies)
-    # each robot's own rows of the pair table, in table order
-    rows = {rid: [p for p in pairs if rid in (p.i, p.j)] for rid in robot_ids}
+    # each robot's own rows of the pair table, and their indices, in table order
+    row_ks = {rid: [k for k, p in enumerate(pairs) if rid in (p.i, p.j)] for rid in robot_ids}
+    rows = {rid: [pairs[k] for k in ks] for rid, ks in row_ks.items()}
     pair_by_ids = {(pair.i, pair.j): pair for pair in pairs}
 
     hs = HybridState(
@@ -602,6 +591,8 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
     # jumps replace entries of hs.phases but never rebind it
     phases = hs.phases
     records: list = []
+    # each pair's smallest gap at any sampled instant
+    min_gaps = [math.inf] * len(pairs)
     reached: set[int] = set()
     stopped = {rid: ControlInput(0.0, 0.0) for rid in robot_ids}
     # Per-instant bookkeeping (cleared whenever t advances): robots already
@@ -630,7 +621,7 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
         pairs whose gap (`gaps`, in table order) is within CONTACT_TOL."""
         for rid in robot_ids:
             phase = phases[rid]
-            if phase is not None and reactivation_due(rows[rid], states, phase):
+            if phase is not None and reactivation_due(phase, (gaps[k] for k in row_ks[rid])):
                 apply_jump(ReactivationEvent(rid))
                 if hs.jumps >= cap:
                     return stopped
@@ -690,8 +681,12 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
 
     while True:
         states = hs.states
-        # one gap per pair per instant, shared by the sweep and the event test
+        # One gap per pair per instant, shared by reactivation, the sweep,
+        # the event test and the run's clearance.
         gaps = [gap(pair, states) for pair in pairs]
+        for k, g in enumerate(gaps):
+            if g < min_gaps[k]:
+                min_gaps[k] = g
         inputs = stopped if hs.jumps >= cap else settle(states, gaps)
         t = hs.t
         for rid in robot_ids:
@@ -732,7 +727,8 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
             # a cap fault here makes the next pass emit the closing samples
             apply_jump(contact_query(pair, hs.states, inputs, body))
 
-    return Trace(scenario=scenario, records=records)
+    clearance = {rid: min((min_gaps[k] for k in ks), default=None) for rid, ks in row_ks.items()}
+    return Trace(scenario=scenario, records=records, clearance=clearance)
 
 
 # --------------------------------------------------------------------------
@@ -763,36 +759,21 @@ class TraceMetrics:
 
 
 def metrics(trace: Trace) -> TraceMetrics:
-    """Pure fold over the trace records."""
-    scenario = trace.scenario
-    robot_ids = sorted(scenario.robot_ids())
-    pairs = contact_pairs(scenario.bodies)
-
+    """Pure fold over the trace records; each robot's minimum clearance is
+    the trace's `clearance`, the executor's smallest row gap at any sampled
+    instant."""
     per_robot = {
-        rid: RobotMetrics(reached=False, completion_time=None, collisions=0, min_clearance=None)
-        for rid in robot_ids
+        rid: RobotMetrics(
+            reached=False, completion_time=None, collisions=0, min_clearance=trace.clearance[rid]
+        )
+        for rid in sorted(trace.scenario.robot_ids())
     }
     total_jumps = 0
     fault = False
     reasons: list[str] = []
-    # One sampling pass writes a FlowSample per robot, in id order.
-    sample_pass: dict[int, FlowSample] = {}
-
-    def update_clearance(rid: int, value: float) -> None:
-        m = per_robot[rid]
-        if m.min_clearance is None or value < m.min_clearance:
-            m.min_clearance = value
 
     for record in trace.records:
-        if isinstance(record, FlowSample):
-            sample_pass[record.robot_id] = record
-            if record.robot_id == robot_ids[-1]:
-                for pair in pairs:
-                    clearance = gap(pair, sample_pass)
-                    update_clearance(pair.i, clearance)
-                    if pair.fixed is None:
-                        update_clearance(pair.j, clearance)
-        elif isinstance(record, CollisionRecord):
+        if isinstance(record, CollisionRecord):
             per_robot[record.robot_id].collisions += 1
             total_jumps += 1
         elif isinstance(record, SwitchRecord):

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 from .scenario import ControlInput
 
-TWO_PI = 2.0 * math.pi
-
 ON_CIRCLE_TOL = 1e-6
 VERTICAL_EPS = 1e-9
 HEADING_TIE_TOL = 1e-9
@@ -159,8 +157,8 @@ def deconflict_headings(
     the flip minimizing the summed angles is applied, ties flipping
     robot 2.
     """
-    diff = (theta_1 - theta_2) % TWO_PI
-    if min(diff, TWO_PI - diff) > HEADING_TIE_TOL:
+    diff = (theta_1 - theta_2) % math.tau
+    if min(diff, math.tau - diff) > HEADING_TIE_TOL:
         return (theta_1, theta_2)
     cost_flip_1 = (math.pi - phi_1) + phi_2
     cost_flip_2 = phi_1 + (math.pi - phi_2)

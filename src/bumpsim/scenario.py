@@ -163,7 +163,12 @@ def _require(obj: dict, key: str, path: str) -> Any:
 def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        # an integer past the float range, such as 10**400, goes the way json
+        # sends 1e400: to an infinity that validate_scenario reports
+        return math.inf if value > 0 else -math.inf
 
 
 def _numbers(obj: Any, path: str, keys: tuple[str, ...]) -> list[float]:
@@ -205,7 +210,8 @@ def load_scenario(text: str) -> Scenario:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal past int's digit limit
         raise ParseError(f"malformed scenario document: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("top level: expected an object")
@@ -226,7 +232,10 @@ def load_scenario(text: str) -> Scenario:
         try:
             rid = int(key)
         except ValueError:
-            raise SchemaError(f"targets.{key}: key must be a robot id") from None
+            rid = None
+        # one spelling per id, so no two keys can name the same robot
+        if rid is None or str(rid) != key:
+            raise SchemaError(f"targets.{key}: key must be a robot id written in canonical decimal")
         targets[rid] = RobotState(*_numbers(val, f"targets.{key}", ("x", "y", "theta")))
 
     params_raw = _require(doc, "params", "top level")

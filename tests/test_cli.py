@@ -1,11 +1,14 @@
 import json
+import types
 from pathlib import Path
 
 import pytest
 
+import bumpsim
 from bumpsim.cli import main
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
 
 
 def run_cli(*args):
@@ -60,6 +63,16 @@ def test_run_reports_every_rule_the_scenario_breaks(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "bodies[1].radius: value must be > 0, got -1.0" in err
     assert "sim.dt: value must be > 0, got 0.0" in err
+
+
+def test_run_rejects_an_integer_past_the_float_range(tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "example1.json").read_text())
+    doc["bodies"][0]["x"] = 10**400
+    bad, out = tmp_path / "bad.json", tmp_path / "out"
+    bad.write_text(json.dumps(doc))
+    assert run_cli("run", "--scenario", bad, "--out", out) == 2
+    assert not out.exists()
+    assert "bodies[0].x: value must be finite" in capsys.readouterr().err
 
 
 def test_run_missing_file(tmp_path):
@@ -141,3 +154,31 @@ def test_run_rejects_non_positive_or_non_finite_overrides(tmp_path, option, valu
     code = run_cli("run", "--scenario", SCENARIOS / "open_field.json", option, value, "--out", out)
     assert code == 2
     assert not out.exists()
+
+
+def test_readme_library_use_runs_as_written(monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(ROOT)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("{'robots': {'1': {'reached': True")
+
+
+def test_package_root_exports_the_library_api():
+    exported = {
+        name
+        for name, value in vars(bumpsim).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == {
+        "SimMode",
+        "load_scenario",
+        "metrics",
+        "simulate",
+        "Scenario",
+        "validate_scenario",
+        "ScenarioError",
+        "PenetrationError",
+        "NonSeparableError",
+    }
+    assert bumpsim.__version__ == "0.1.0"

@@ -79,7 +79,9 @@ def test_unbounded_reflection():
 
 
 def test_loss_coefficient_scales_reflection():
-    assert resolve_normal(1.0, UNBOUNDED, 1.0, 0.0, delta_i=0.5) == (-0.5, 0.0)
+    assert resolve_normal(1.0, UNBOUNDED, 1.0, 0.0, delta=0.5) == (-0.5, 0.0)
+    # between two robots the one delta scales both outgoing components
+    assert resolve_normal(1.0, 1.0, 1.0, -1.0, delta=0.5) == (-0.5, 0.5)
 
 
 def test_unbounded_robot_mass_rejected():

@@ -1,6 +1,8 @@
 """Golden outputs: SHA-256 of `trace_to_csv` and of the `metrics` summary for
 every shipped scenario in both modes, at the shipped `dt`, and for the
 in-file wedge scenario that reaches both simultaneous-contact deferrals.
+Each golden run's minimum clearances are also checked against a fold over
+its samples.
 
 A refactor must leave these bits unchanged.  A change that alters them on
 purpose updates the hashes here, and in `bench/run_bench.py`'s `WORKLOADS`
@@ -15,8 +17,11 @@ from typing import get_args
 import pytest
 
 from bumpsim.hybrid import (
+    FlowSample,
     SimMode,
     TraceRecord,
+    contact_pairs,
+    gap,
     metrics,
     simulate,
     trace_to_csv,
@@ -90,18 +95,54 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize(
-    ("name", "mode"), list(GOLDEN), ids=[f"{n}-{m.value}" for n, m in GOLDEN]
+@pytest.fixture(
+    scope="module", params=list(GOLDEN), ids=[f"{n}-{m.value}" for n, m in GOLDEN]
 )
-def test_golden_trace_and_metrics(name, mode):
+def golden_run(request):
+    """((name, mode), trace) of one golden case; module scope lets every test
+    of a case share its run, and pytest keeps one run alive at a time."""
+    name, mode = request.param
     if name == "wedge":
         scenario = load_scenario(json.dumps(WEDGE))
     else:
         scenario = load_scenario((SCENARIOS / f"{name}.json").read_text(encoding="utf-8"))
-    trace = simulate(scenario, mode)
-    trace_hash, metrics_hash = GOLDEN[(name, mode)]
+    return request.param, simulate(scenario, mode)
+
+
+def test_golden_trace_and_metrics(golden_run):
+    key, trace = golden_run
+    trace_hash, metrics_hash = GOLDEN[key]
     assert sha256(trace_to_csv(trace)) == trace_hash
     assert sha256(json.dumps(metrics(trace).to_dict(), sort_keys=True)) == metrics_hash
+
+
+def sample_fold_clearance(trace):
+    """Each robot's smallest row gap over the trace's sampling passes, from
+    the samples alone: a pass writes one FlowSample per robot in id order,
+    and when the last robot's sample lands every pair-table row's gap is
+    measured at the pass's positions."""
+    robot_ids = sorted(trace.scenario.robot_ids())
+    pairs = contact_pairs(trace.scenario.bodies)
+    least = {rid: None for rid in robot_ids}
+    sample_pass = {}
+    for record in trace.records:
+        if not isinstance(record, FlowSample):
+            continue
+        sample_pass[record.robot_id] = record
+        if record.robot_id != robot_ids[-1]:
+            continue
+        for pair in pairs:
+            g = gap(pair, sample_pass)
+            for rid in (pair.i,) if pair.fixed is not None else (pair.i, pair.j):
+                if least[rid] is None or g < least[rid]:
+                    least[rid] = g
+    return least
+
+
+def test_min_clearance_is_the_sample_fold(golden_run):
+    _, trace = golden_run
+    m = metrics(trace)
+    assert {rid: r.min_clearance for rid, r in m.robots.items()} == sample_fold_clearance(trace)
 
 
 @pytest.fixture(scope="module")

@@ -183,8 +183,28 @@ def test_reactivation_needs_expiry_and_strictly_positive_gaps(obstacle_x, elapse
     )
     states = {1: RobotState(-1.0, 2.0, math.pi)}
     phase = LocalPhase(collided_id=3, v_loc=1.0, t_dur=1.0, elapsed=elapsed)
-    assert reactivation_due(contact_pairs(sc.bodies), states, phase) is due
+    # every row of the table is robot 1's
+    row_gaps = [gap(pair, states) for pair in contact_pairs(sc.bodies)]
+    assert reactivation_due(phase, row_gaps) is due
     assert phase.extension == extension
+
+
+# --- pair table --------------------------------------------------------------
+
+
+def test_pair_table_lists_the_robot_pair_then_robots_by_id_against_obstacles():
+    sc = make_scenario(
+        [obstacle(4, 0.0, 9.0, radius=0.5), robot(2, 0.0, 5.0), obstacle(3, 5.0, 0.0), robot(1, 0.0, 0.0)],
+        {"1": {"x": 1.0, "y": 1.0, "theta": 0.0}, "2": {"x": 1.0, "y": 6.0, "theta": 0.0}},
+    )
+    table = [(p.i, p.j, p.rsum, p.fixed) for p in contact_pairs(sc.bodies)]
+    assert table == [
+        (1, 2, 2.0, None),
+        (1, 4, 1.5, (0.0, 9.0)),
+        (1, 3, 2.0, (5.0, 0.0)),
+        (2, 4, 1.5, (0.0, 9.0)),
+        (2, 3, 2.0, (5.0, 0.0)),
+    ]
 
 
 # --- contact_query -----------------------------------------------------------
@@ -577,26 +597,14 @@ def test_metrics_fold_on_constructed_trace():
         TargetReachedRecord(t=12.3, robot_id=1),
         FaultRecord(t=13.0, reason="boom", fatal=True),
     ]
-    m = metrics(Trace(scenario=sc, records=records))
+    m = metrics(Trace(scenario=sc, records=records, clearance={1: 18.0, 2: 18.0}))
+    assert m.robots[1].min_clearance == m.robots[2].min_clearance == 18.0
     assert m.robots[1].reached and m.robots[1].completion_time == 12.3
     assert not m.robots[2].reached and m.robots[2].completion_time is None
     assert m.robots[2].collisions == 2
     assert m.robots[1].collisions == 0
     assert m.fault
     assert m.total_jumps == 2
-
-
-def test_metrics_min_clearance_tracks_samples():
-    sc = make_scenario(
-        [robot(1, 0.0, 0.0), obstacle(3, 10.0, 0.0)],
-        {"1": {"x": 5.0, "y": 0.0, "theta": 0.0}},
-    )
-    records = [
-        FlowSample(t=0.0, robot_id=1, x=0.0, y=0.0, theta=0.0, v=0.0, w=0.0, q=0),
-        FlowSample(t=1.0, robot_id=1, x=5.0, y=0.0, theta=0.0, v=0.0, w=0.0, q=0),
-    ]
-    m = metrics(Trace(scenario=sc, records=records))
-    assert m.robots[1].min_clearance == pytest.approx(3.0, abs=1e-12)
 
 
 def test_trace_csv_format():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,31 @@ def test_defaults_applied():
 def test_malformed_document():
     with pytest.raises(ParseError):
         load_scenario("{not json")
+
+
+def test_integer_literal_past_the_digit_limit_is_a_parse_error():
+    # json reads the literal with int(), which refuses over 4300 digits
+    with pytest.raises(ParseError):
+        load_scenario('{"x": ' + "9" * 5000 + "}")
+
+
+@pytest.mark.parametrize("key", [" 01", "01", "+1", "1.0", "one", ""])
+def test_target_key_must_be_the_canonical_decimal_of_its_id(key):
+    doc = doc_with()
+    doc["targets"][key] = {"x": 5.0, "y": 0.0, "theta": 0.0}
+    with pytest.raises(SchemaError, match=re.escape(f"targets.{key}: key must be a robot id")):
+        load_scenario(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    ("value", "loaded"), [(10**400, math.inf), (-(10**400), -math.inf)], ids=["positive", "negative"]
+)
+def test_integer_past_the_float_range_loads_as_infinite(value, loaded):
+    doc = doc_with()
+    doc["bodies"][0]["x"] = value
+    sc = load_scenario(json.dumps(doc))
+    assert sc.bodies[0].x == loaded
+    assert "bodies[0].x: value must be finite" in validate_scenario(sc)
 
 
 def test_missing_required_field_has_path():
