@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .collision import PenetrationError
-from .hybrid import SimMode, metrics, simulate, write_plot_csv, write_trace_csv
+from .hybrid import SimMode, metrics, simulate, trace_lines, write_plot_csv, write_trace_csv
 from .redesign import NonSeparableError
 from .scenario import Scenario, ScenarioError, load_scenario, validate_scenario
 
@@ -60,15 +60,22 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     args.out.mkdir(parents=True, exist_ok=True)
     summary = metrics(trace)
+    trace_path = args.out / "trace.csv"
     if not args.no_trace:
-        write_trace_csv(trace, args.out / "trace.csv")
+        write_trace_csv(trace, trace_path)
     payload = summary.to_dict()
     payload["mode"] = mode.value
     (args.out / "metrics.json").write_text(
         json.dumps(payload, indent=2) + "\n", encoding="utf-8"
     )
-    for rid in sorted(scenario.robot_ids()):
-        write_plot_csv(trace, rid, args.out / f"plot_robot{rid}.csv")
+    # The plot files copy trace.csv's sample cells: read back what was just
+    # written, or take the same lines straight from the trace.
+    plots = {rid: args.out / f"plot_robot{rid}.csv" for rid in sorted(scenario.robot_ids())}
+    if args.no_trace:
+        write_plot_csv(trace_lines(trace), plots)
+    else:
+        with open(trace_path, encoding="utf-8", newline="\n") as lines:
+            write_plot_csv(lines, plots)
 
     for rid, m in sorted(summary.robots.items()):
         status = f"reached at t={m.completion_time:.3f}s" if m.reached else "not reached"

@@ -22,8 +22,9 @@ It applies the collision/impulse jump maps (which change headings,
 speeds and phases in place, never positions), and records everything in
 an ordered trace.  Each trace record is an immutable NamedTuple like
 `RobotState`, its fields in its trace.csv row's column order, so one `%`
-with the type's `ROW` template writes the row; `write_trace_csv` and
-`write_plot_csv` stream row by row.
+with the type's `ROW` template writes the row.  `trace_lines` formats each
+record once; `write_trace_csv` streams those lines, and `write_plot_csv`
+projects each robot's plot file from them by copying the sample cells.
 
 Hybrid time is the pair (t, jumps).  A run stops at t_max, when every
 robot has reached its target, or when the jump counter reaches the
@@ -38,9 +39,10 @@ exhibits chattering/deadlock.
 from __future__ import annotations
 
 import math
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .collision import (
     CONTACT_TOL,
@@ -799,10 +801,6 @@ def metrics(trace: Trace) -> TraceMetrics:
 CSV_HEADER = "t,record_type,robot_id,other_id,x,y,theta,v,w,q,extra"
 
 
-# The plot rows, one `%` each like every record's ROW.
-PLOT_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
-
-
 def _csv_line(record: TraceRecord) -> str:
     """The record's trace.csv row, newline included."""
     if type(record) is FaultRecord:
@@ -810,22 +808,36 @@ def _csv_line(record: TraceRecord) -> str:
     return record.ROW % record
 
 
+def trace_lines(trace: Trace) -> Iterator[str]:
+    """The lines of trace.csv, header first, each ending in a newline."""
+    yield CSV_HEADER + "\n"
+    yield from map(_csv_line, trace.records)
+
+
 def trace_to_csv(trace: Trace) -> str:
-    return CSV_HEADER + "\n" + "".join(map(_csv_line, trace.records))
+    return "".join(trace_lines(trace))
 
 
 def write_trace_csv(trace: Trace, path) -> None:
     """Stream the bytes of `trace_to_csv` to `path`, one row at a time."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        fh.writelines(map(_csv_line, trace.records))
+        fh.writelines(trace_lines(trace))
 
 
-def write_plot_csv(trace: Trace, robot_id: int, path) -> None:
-    """Stream the robot's samples to `path` as `t,x,y,theta,v,w` rows."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,x,y,theta,v,w\n")
-        for record in trace.records:
-            if isinstance(record, FlowSample) and record.robot_id == robot_id:
-                t, _, x, y, theta, v, w, _ = record
-                fh.write(PLOT_ROW % (t, x, y, theta, v, w))
+def write_plot_csv(lines: Iterable[str], paths: Mapping) -> None:
+    """Stream trace.csv's `lines` once, and write each robot's sample rows
+    to `paths[robot_id]` as `t,x,y,theta,v,w` rows.  The cells are copied
+    from the sample rows, never formatted again; the header and every other
+    record type are skipped."""
+    with ExitStack() as stack:
+        files = {
+            str(rid): stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
+            for rid, path in paths.items()
+        }
+        for fh in files.values():
+            fh.write("t,x,y,theta,v,w\n")
+        for line in lines:
+            # sample row: t,sample,robot_id,,x,y,theta,v,w,q,
+            t, kind, rid, _, rest = line.split(",", 4)
+            if kind == "sample":
+                files[rid].write(t + "," + rest.rsplit(",", 2)[0] + "\n")

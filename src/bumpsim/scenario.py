@@ -36,7 +36,7 @@ class ScenarioError(Exception):
 
 
 class ParseError(ScenarioError):
-    """The document is not well-formed JSON."""
+    """The document is not well-formed JSON, or an object repeats a key."""
 
 
 class SchemaError(ScenarioError):
@@ -199,17 +199,29 @@ def _parse_body(obj: Any, idx: int) -> Body:
     return Body(id=body_id, kind=kind, radius=radius, mass=mass, x=x, y=y, theta=theta)
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """json's object hook: a repeated key is an error, where json.loads
+    would keep the last value."""
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"malformed scenario document: repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_scenario(text: str) -> Scenario:
     """Read a scenario document into typed values, applying defaults for
     optional fields.
 
-    Raises ParseError for malformed JSON and SchemaError, with the field
-    path, for a missing key or a value of the wrong JSON type.  It checks
-    no value against a rule: every range, finiteness and cross-field rule
-    lives in validate_scenario, which `simulate` and the CLI run.
+    Raises ParseError for malformed JSON or an object with a repeated key,
+    and SchemaError, with the field path, for a missing key or a value of
+    the wrong JSON type.  It checks no value against a rule: every range,
+    finiteness and cross-field rule lives in validate_scenario, which
+    `simulate` and the CLI run.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:
         # JSONDecodeError, or an integer literal past int's digit limit
         raise ParseError(f"malformed scenario document: {exc}") from exc

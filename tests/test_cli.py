@@ -75,6 +75,15 @@ def test_run_rejects_an_integer_past_the_float_range(tmp_path, capsys):
     assert "bodies[0].x: value must be finite" in capsys.readouterr().err
 
 
+def test_run_rejects_a_repeated_key(tmp_path, capsys):
+    text = (SCENARIOS / "example1.json").read_text()
+    bad, out = tmp_path / "bad.json", tmp_path / "out"
+    bad.write_text(text.replace('"targets": {', '"targets": {"1": {"x": 5, "y": 0, "theta": 0}, ', 1))
+    assert run_cli("run", "--scenario", bad, "--out", out) == 2
+    assert not out.exists()
+    assert "repeated key '1'" in capsys.readouterr().err
+
+
 def test_run_missing_file(tmp_path):
     assert run_cli("run", "--scenario", tmp_path / "nope.json", "--out", tmp_path / "o") == 2
 
@@ -97,6 +106,12 @@ def test_run_no_trace_flag(tmp_path):
     assert code == 0
     assert not (out / "trace.csv").exists()
     assert (out / "metrics.json").exists()
+
+    # the plot files are the same projection of trace.csv's lines either way
+    full = tmp_path / "full"
+    assert run_cli("run", "--scenario", SCENARIOS / "open_field.json", "--out", full) == 0
+    for name in ("metrics.json", "plot_robot1.csv", "plot_robot2.csv"):
+        assert (out / name).read_bytes() == (full / name).read_bytes()
 
 
 def test_compare_crossing(tmp_path):

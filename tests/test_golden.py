@@ -1,8 +1,8 @@
-"""Golden outputs: SHA-256 of `trace_to_csv` and of the `metrics` summary for
-every shipped scenario in both modes, at the shipped `dt`, and for the
-in-file wedge scenario that reaches both simultaneous-contact deferrals.
-Each golden run's minimum clearances are also checked against a fold over
-its samples.
+"""Golden outputs: SHA-256 of `trace_to_csv`, of the `metrics` summary and
+of the CLI's `plot_robot<i>.csv` files for every shipped scenario in both
+modes, at the shipped `dt`, and for the in-file wedge scenario that reaches
+both simultaneous-contact deferrals.  Each golden run's minimum clearances
+are also checked against a fold over its samples.
 
 A refactor must leave these bits unchanged.  A change that alters them on
 purpose updates the hashes here, and in `bench/run_bench.py`'s `WORKLOADS`
@@ -16,6 +16,7 @@ from typing import get_args
 
 import pytest
 
+from bumpsim import cli
 from bumpsim.hybrid import (
     FlowSample,
     SimMode,
@@ -24,6 +25,7 @@ from bumpsim.hybrid import (
     gap,
     metrics,
     simulate,
+    trace_lines,
     trace_to_csv,
     write_plot_csv,
     write_trace_csv,
@@ -90,6 +92,38 @@ GOLDEN = {
     ),
 }
 
+# SHA-256 of each robot's plot_robot<i>.csv as `bumpsim run` writes it.
+PLOT_GOLDEN = {
+    ("crossing", PREDEFINED): {
+        1: "368e63861ed4b04a9955ce164002da30fa4e1359e78d9d5f67f70c4598727491",
+        2: "0bb844a52b4c258a5c4cfc56c93fc300de3e003d0d62f23434ddc10c5165335c",
+    },
+    ("crossing", REDESIGNED): {
+        1: "47e42469d97de6b743d1472f65122c8ceb21ce06c9c62e3872de062daac1ea00",
+        2: "f00abb83dc0a7b3ca06507a7db1cfdf1e9ef6dabefc85a4607cbfb3078146b14",
+    },
+    ("example1", PREDEFINED): {
+        1: "818eab1da05d6ecb9d93859b47d01ce6cb414f3a5da77cacce5bee0c3297b09d",
+    },
+    ("example1", REDESIGNED): {
+        1: "8f2bb425ec3a35cca74dcab1d86ad7188eac89c4e4e68fb76ded3a4011c24dd7",
+    },
+    ("open_field", PREDEFINED): {
+        1: "4c61fb4031659cdfb6c6af6b3725cf96b13822d9ec668431049a3cf107b59447",
+        2: "b165ef0aa1eec4bf544343fa524ed8fad991a8b82e637523a0ced61a1cd85a1e",
+    },
+    ("open_field", REDESIGNED): {
+        1: "4c61fb4031659cdfb6c6af6b3725cf96b13822d9ec668431049a3cf107b59447",
+        2: "b165ef0aa1eec4bf544343fa524ed8fad991a8b82e637523a0ced61a1cd85a1e",
+    },
+    ("wedge", PREDEFINED): {
+        1: "200f3cc70eff2fdc58e587b03d59f90b0c06284f811e45ccebddb32210a3260b",
+    },
+    ("wedge", REDESIGNED): {
+        1: "825820057e9723a5d88a9fb9dc81dedb59068bc2cd0fdb1740d5fcd94e70be7a",
+    },
+}
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -114,6 +148,33 @@ def test_golden_trace_and_metrics(golden_run):
     trace_hash, metrics_hash = GOLDEN[key]
     assert sha256(trace_to_csv(trace)) == trace_hash
     assert sha256(json.dumps(metrics(trace).to_dict(), sort_keys=True)) == metrics_hash
+
+
+def test_cli_plot_files_with_and_without_trace_csv(golden_run, tmp_path, monkeypatch):
+    """`bumpsim run` writes the pinned plot files both ways: projected from
+    the trace.csv it wrote, and, under `--no-trace`, from `trace_lines`.
+    The CLI gets the golden run's trace, so only its writers run again."""
+    (name, mode), trace = golden_run
+
+    def golden_simulate(scenario, sim_mode):
+        assert (scenario, sim_mode) == (trace.scenario, mode)
+        return trace
+
+    monkeypatch.setattr(cli, "simulate", golden_simulate)
+    doc = tmp_path / "scenario.json"
+    if name == "wedge":
+        doc.write_text(json.dumps(WEDGE), encoding="utf-8")
+    else:
+        doc = SCENARIOS / f"{name}.json"
+    for flags in ((), ("--no-trace",)):
+        out = tmp_path / ("plots" + "".join(flags))
+        cli.main(["run", "--scenario", str(doc), "--mode", mode.value, "--out", str(out), *flags])
+        assert (out / "trace.csv").exists() == (not flags)
+        hashes = {
+            int(path.stem.removeprefix("plot_robot")): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out.glob("plot_robot*.csv")
+        }
+        assert hashes == PLOT_GOLDEN[name, mode]
 
 
 def sample_fold_clearance(trace):
@@ -168,9 +229,9 @@ def test_plot_csv_is_the_sample_columns_of_trace_csv(tmp_path, crossing_traces):
     robot i's sample rows in `trace.csv`."""
     for mode, trace in crossing_traces.items():
         rows = [line.split(",") for line in trace_to_csv(trace).splitlines()[1:]]
-        for rid in trace.scenario.robot_ids():
-            path = tmp_path / f"plot-{mode.value}-{rid}.csv"
-            write_plot_csv(trace, rid, path)
+        paths = {rid: tmp_path / f"plot-{mode.value}-{rid}.csv" for rid in trace.scenario.robot_ids()}
+        write_plot_csv(trace_lines(trace), paths)
+        for rid, path in paths.items():
             # trace.csv columns: t,record_type,robot_id,other_id,x,y,theta,v,w,q,extra
             lines = ["t,x,y,theta,v,w"] + [
                 ",".join([r[0], *r[4:9]]) for r in rows if r[1] == "sample" and r[2] == str(rid)

@@ -615,8 +615,9 @@ def test_trace_csv_format():
     assert all(len(line.split(",")) == 11 for line in lines[1:])
 
 
-def test_sample_row_templates_write_format_17g():
-    # the one-`%` templates against the per-value format they replace
+def test_sample_row_templates_write_format_17g(tmp_path):
+    # the one-`%` template against the per-value format it replaced, and the
+    # plot row projected from its cells
     rng = random.Random(7)
     values = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308]
     values += [struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0] for _ in range(20_000)]
@@ -625,11 +626,12 @@ def test_sample_row_templates_write_format_17g():
     def fmt(value):
         return format(value, ".17g")
 
+    rows, plot_rows = [hybrid.CSV_HEADER + "\n"], ["t,x,y,theta,v,w\n"]
     for k in range(0, len(values) - 6, 6):
         t, x, y, theta, v, w = values[k : k + 6]
-        assert FlowSample.ROW % FlowSample(t, 2, x, y, theta, v, w, 1) == (
-            f"{fmt(t)},sample,2,,{fmt(x)},{fmt(y)},{fmt(theta)},{fmt(v)},{fmt(w)},1,\n"
-        )
-        assert hybrid.PLOT_ROW % (t, x, y, theta, v, w) == (
-            f"{fmt(t)},{fmt(x)},{fmt(y)},{fmt(theta)},{fmt(v)},{fmt(w)}\n"
-        )
+        row = FlowSample.ROW % FlowSample(t, 2, x, y, theta, v, w, 1)
+        assert row == f"{fmt(t)},sample,2,,{fmt(x)},{fmt(y)},{fmt(theta)},{fmt(v)},{fmt(w)},1,\n"
+        rows.append(row)
+        plot_rows.append(f"{fmt(t)},{fmt(x)},{fmt(y)},{fmt(theta)},{fmt(v)},{fmt(w)}\n")
+    hybrid.write_plot_csv(rows, {2: tmp_path / "plot.csv"})
+    assert (tmp_path / "plot.csv").read_text(encoding="utf-8").splitlines(keepends=True) == plot_rows

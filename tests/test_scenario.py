@@ -74,6 +74,22 @@ def test_integer_literal_past_the_digit_limit_is_a_parse_error():
         load_scenario('{"x": ' + "9" * 5000 + "}")
 
 
+@pytest.mark.parametrize(
+    ("original", "repeated", "key"),
+    [
+        ('"targets": {', '"targets": {"1": {"x": 5.0, "y": 0.0, "theta": 0.0}, ', "'1'"),
+        ('{"id": 1, ', '{"id": 1, "x": 5.0, ', "'x'"),
+    ],
+    ids=["target", "body"],
+)
+def test_repeated_object_key_is_a_parse_error(original, repeated, key):
+    # json.loads alone would keep the later value and drop this one
+    text = json.dumps(EXAMPLE1_DOC)
+    assert text.count(original) == 1
+    with pytest.raises(ParseError, match=re.escape(f"repeated key {key}")):
+        load_scenario(text.replace(original, repeated))
+
+
 @pytest.mark.parametrize("key", [" 01", "01", "+1", "1.0", "one", ""])
 def test_target_key_must_be_the_canonical_decimal_of_its_id(key):
     doc = doc_with()
