@@ -17,7 +17,8 @@ inputs and localizes contact events inside a step by conservative
 advancement: a pair whose start gap exceeds how far the step can move it
 is culled, a two-sided bound on the start and end gaps skips most of the
 rest, a golden-section search of the in-step minimum catches grazes that
-dip below contact and come back out, and bisection finds the crossing.
+dip below contact and come back out, and bisection finds the crossing,
+skipping every probe whose sign the same reach bound already decides.
 It applies the collision/impulse jump maps (which change headings,
 speeds and phases in place, never positions), and records everything in
 an ordered trace.  Each trace record is an immutable NamedTuple like
@@ -75,7 +76,8 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # the radii subtraction by at most an ulp of the centre distance, itself
 # at most gap0 + radii sum + reach, each.  Over both robots of a pair and
 # the two gaps of a comparison this stays below 17 ulps of the sum; 32
-# leaves room.
+# leaves room.  A bisection certificate compares two probe gaps of one pair,
+# which the same budget covers.
 BOUND_SLACK = 32.0 * math.ulp(1.0)
 
 
@@ -301,10 +303,10 @@ def contact_query(
     )
 
 
-def _first_negative(gap_at: Callable[[float], float], h: float) -> float | None:
+def _first_negative(gap_at: Callable[[float], float], h: float) -> tuple[float, float] | None:
     """Golden-section search for the smallest of `gap_at` on [0, h].
 
-    Returns the offset of the first probe whose gap is negative, or None
+    Returns (offset, gap) of the first probe whose gap is negative, or None
     once the bracket is EVENT_TIME_TOL wide: 2 + ceil(log(EVENT_TIME_TOL
     / h) / log(GOLDEN)) probes at most, 46 at h = 1e-3.  The gap is
     unimodal along one step: the distance to a point is convex along a
@@ -326,8 +328,8 @@ def _first_negative(gap_at: Callable[[float], float], h: float) -> float | None:
             d = a + GOLDEN * (b - a)
             gd = gap_at(d)
     if gc < 0.0:
-        return c
-    return d if gd < 0.0 else None
+        return c, gc
+    return (d, gd) if gd < 0.0 else None
 
 
 def detect_event(
@@ -361,18 +363,30 @@ def detect_event(
     A pair that gets this far has one probe, `gap_at(tau)`, which steps
     only the pair's robots; the search and the bisection both call it.
     The hit time is then localized by bisection on the RK4 flow to
-    EVENT_TIME_TOL seconds, landing on the non-penetrating side.
+    EVENT_TIME_TOL seconds, landing on the non-penetrating side.  The
+    bisection keeps the last probed point on each side of its bracket,
+    (a, g_a) apart and (b, g_b) touching, and probes a midpoint only when
+    neither certifies its sign:
+
+    - certified apart: g_a - speed * (mid - a) > slack, so gap(mid) > 0;
+    - certified touching: g_b + speed * (b - mid) < -slack, so
+      gap(mid) < 0;
+
+    where speed = reach / h.  This needs only the Lipschitz bound, not a
+    monotone gap, so it holds inside a graze bracket too.  A skipped
+    probe would have taken the same branch, so the bracket sequence and
+    the hit time keep their bits.
     Simultaneous crossings (within EVENT_TIME_TOL) are reported with the
     lexicographically smallest pair first.
     """
     # One reach bound for every row, and the coordinate scale of the slack:
     # the sum of the robots' |x| + |y| bounds each coordinate.
-    reach = scale = 0.0
+    speed = scale = 0.0
     for rid, (v, w) in inputs.items():
         x, y, _ = states[rid]
-        reach += abs(v) * (1.0 + 0.5 * h * abs(w))
+        speed += abs(v) * (1.0 + 0.5 * h * abs(w))
         scale += abs(x) + abs(y)
-    reach *= h
+    reach = speed * h
     scale += reach
 
     hits: list[tuple[float, int, int]] = []
@@ -395,19 +409,29 @@ def detect_event(
                 probe[j] = step_flow(states[j], inputs[j], tau)
             return gap(pair, probe)
 
-        hi = h if g1 < 0.0 else _first_negative(gap_at, h)
-        if hi is None:
+        found = (h, g1) if g1 < 0.0 else _first_negative(gap_at, h)
+        if found is None:
             continue
-        lo = 0.0
+        b, g_b = found
+        a, g_a = 0.0, g0
+        lo, hi = a, b
         while hi - lo > EVENT_TIME_TOL:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
                 # one ulp of a large offset exceeds EVENT_TIME_TOL
                 break
-            if gap_at(mid) > 0.0:
+            if g_a - speed * (mid - a) > slack:
                 lo = mid
-            else:
+            elif g_b + speed * (b - mid) < -slack:
                 hi = mid
+            else:
+                g = gap_at(mid)
+                if g > 0.0:
+                    lo = a = mid
+                    g_a = g
+                else:
+                    hi = b = mid
+                    g_b = g
         hits.append((lo, i, j))
 
     if not hits:

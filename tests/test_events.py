@@ -1,6 +1,7 @@
 """Event detection: graze tunnelling, the soundness of the reach bounds
-against a fine substep oracle, the one-gap-per-pair budget, and bisection
-at offsets where one ulp exceeds the time tolerance."""
+against a fine substep oracle, the bisection's certified probes against a
+plain bisection, the one-gap-per-pair budget, and bisection at offsets
+where one ulp exceeds the time tolerance."""
 
 import ast
 import math
@@ -32,16 +33,15 @@ def gap_at(pair, states, inputs, tau):
     return gap(pair, {rid: step_flow(states[rid], inputs[rid], tau) for rid in states})
 
 
-def parent_rule(pair, states, inputs, h):
-    """The sign-change rule alone: bisect when the gap goes from positive at
-    the step start to negative at its end, else report no crossing."""
+def plain_bisection(pair, states, inputs, hi):
+    """Bisect the pair's gap on [0, hi], probing every midpoint: the last
+    apart offset and the number of probes."""
     i, j, _, fixed = pair
-    if not (gap_at(pair, states, inputs, 0.0) > 0.0 and gap_at(pair, states, inputs, h) < 0.0):
-        return None
     probe = {}
-    lo, hi = 0.0, h
+    lo, probes = 0.0, 0
     while hi - lo > EVENT_TIME_TOL:
         mid = 0.5 * (lo + hi)
+        probes += 1
         probe[i] = step_flow(states[i], inputs[i], mid)
         if fixed is None:
             probe[j] = step_flow(states[j], inputs[j], mid)
@@ -49,7 +49,15 @@ def parent_rule(pair, states, inputs, h):
             lo = mid
         else:
             hi = mid
-    return lo
+    return lo, probes
+
+
+def parent_rule(pair, states, inputs, h):
+    """The sign-change rule alone: bisect when the gap goes from positive at
+    the step start to negative at its end, else report no crossing."""
+    if not (gap_at(pair, states, inputs, 0.0) > 0.0 and gap_at(pair, states, inputs, h) < 0.0):
+        return None
+    return plain_bisection(pair, states, inputs, h)[0]
 
 
 # --- graze tunnelling --------------------------------------------------------
@@ -84,6 +92,11 @@ def test_graze_inside_a_step_is_found(other):
     assert hit.t_offset == pytest.approx(0.05 - math.sqrt(2e-6 - 1e-12), abs=1e-9)
     assert gap_at(pair, states, inputs, hit.t_offset) > 0.0
     assert gap_at(pair, states, inputs, hit.t_offset + 2 * EVENT_TIME_TOL) <= 0.0
+    # the bisection's certificates need no monotone gap: inside the search's
+    # bracket they skip only probes whose sign the reach bound decides
+    hi, g_hi = hybrid._first_negative(lambda tau: gap_at(pair, states, inputs, tau), GRAZE_H)
+    assert g_hi == gap_at(pair, states, inputs, hi) < 0.0
+    assert hit.t_offset == plain_bisection(pair, states, inputs, hi)[0]
 
 
 # --- the bounds against a substep oracle -------------------------------------
@@ -132,8 +145,36 @@ def draw_case(rng, robot_robot):
     return pair, states, inputs, h
 
 
+def draw_head_on(rng, robot_robot):
+    """One pair closing head-on, so that the closing speed is close to the
+    reach bound; each robot turns by at most 0.01 rad in the step, and
+    contact comes within it."""
+    h = math.exp(rng.uniform(math.log(1e-4), math.log(0.1)))
+
+    def draw_input():
+        return ControlInput(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, M_V), rng.uniform(-0.01, 0.01) / h)
+
+    inputs = {1: draw_input()}
+    if robot_robot:
+        inputs[2] = draw_input()
+    # the direction robot 1 drives in, and its heading
+    ang = rng.uniform(-math.pi, math.pi)
+    states = {1: RobotState(rng.uniform(-10, 10), rng.uniform(-10, 10), ang + (inputs[1].v < 0.0) * math.pi)}
+    closing = sum(abs(u.v) for u in inputs.values()) * h
+    # radii sums of at least half the closing distance: no body passes
+    # through the other within the step
+    rsum = closing * math.exp(rng.uniform(math.log(0.5), math.log(20.0)))
+    dist = rsum + rng.uniform(0.0, 0.9) * closing
+    pos = (states[1].x + dist * math.cos(ang), states[1].y + dist * math.sin(ang))
+    if robot_robot:
+        # robot 2 drives back along the line, towards robot 1
+        states[2] = RobotState(*pos, ang + (inputs[2].v > 0.0) * math.pi)
+        return ContactPair(1, 2, rsum, None), states, inputs, h
+    return ContactPair(1, 3, rsum, pos), states, inputs, h
+
+
 def probed(pair, states, inputs, h, monkeypatch):
-    """`detect_event` on the pair, and whether it stepped any probe."""
+    """`detect_event` on the pair, and how many probes it stepped."""
     calls = []
     real = hybrid.step_flow
 
@@ -146,24 +187,35 @@ def probed(pair, states, inputs, h, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(hybrid, "step_flow", counting)
         hit = detect_event([pair], gaps0, states, inputs, h, next_states)
-    return hit, bool(calls)
+    # a probe steps each robot of the pair
+    return hit, len(calls) // (2 if pair.fixed is None else 1)
+
+
+ALL_RULES = ("skipped", "oracle_hits", "sign_changes", "grazes")
 
 
 @pytest.mark.parametrize("robot_robot", [False, True], ids=["robot-obstacle", "robot-robot"])
-@pytest.mark.parametrize("seed", [1, 2])
-def test_bounds_are_sound_against_substeps(robot_robot, seed, monkeypatch):
+@pytest.mark.parametrize(
+    "seed, draw, rules",
+    [
+        pytest.param(1, draw_case, ALL_RULES, id="1"),
+        pytest.param(2, draw_case, ALL_RULES, id="2"),
+        pytest.param(3, draw_head_on, ("oracle_hits", "sign_changes", "certified"), id="head-on"),
+    ],
+)
+def test_bounds_are_sound_against_substeps(robot_robot, seed, draw, rules, monkeypatch):
     rng = random.Random(seed)
-    seen = {"skipped": 0, "oracle_hits": 0, "sign_changes": 0, "grazes": 0}
+    seen = dict.fromkeys((*ALL_RULES, "certified"), 0)
     for _ in range(300):
-        pair, states, inputs, h = draw_case(rng, robot_robot)
+        pair, states, inputs, h = draw(rng, robot_robot)
         if gap(pair, states) <= 0.0:
             continue
-        hit, stepped = probed(pair, states, inputs, h, monkeypatch)
+        hit, probes = probed(pair, states, inputs, h, monkeypatch)
         oracle = [gap_at(pair, states, inputs, h * k / SUBSTEPS) for k in range(1, SUBSTEPS + 1)]
         first_negative = next((k for k, g in enumerate(oracle, 1) if g < 0.0), None)
         case = (pair, states, inputs, h)
 
-        if not stepped:
+        if not probes:
             # skipped by the cull or the two-sided bound: provably apart
             seen["skipped"] += 1
             assert hit is None, case
@@ -180,8 +232,14 @@ def test_bounds_are_sound_against_substeps(robot_robot, seed, monkeypatch):
         elif first_negative is not None:
             # a graze: in and out of contact within the step
             seen["grazes"] += 1
-    # every rule was exercised
-    assert min(seen.values()) >= 5, seen
+        if draw is draw_head_on:
+            # closing near the reach bound, the certificates skip probes
+            # that a plain bisection steps, and land on the same bits
+            assert sign_change is not None, case
+            assert probes < plain_bisection(pair, states, inputs, h)[1], case
+            seen["certified"] += 1
+    # every rule of the draw was exercised
+    assert min(seen[rule] for rule in rules) >= 5, seen
 
 
 # --- one gap per pair per instant --------------------------------------------

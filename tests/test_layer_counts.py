@@ -1,10 +1,12 @@
-"""Exact per-layer counts of a traced `crossing` run.
+"""Exact per-layer counts of traced `crossing` and `chatter` runs.
 
 The benchmark's per-layer metrics come from `bench/tracer.py`, which counts
 calls through the module globals the executor looks up at call time.  An
 engine change that keeps the trace bytes but stops calling one of those
 names through its global would silently zero or shift a count; this pins
-every count of the headline run.
+every count of the headline run, and of the deadlock run, whose 750
+contact localizations pin the bisection's certified probe skipping (a
+fallback to probing every midpoint steps the flow 45,000 times there).
 """
 
 from pathlib import Path
@@ -20,9 +22,9 @@ CROSSING_COUNTS = {
     "controller.degenerate": 0,
     "hybrid.event.calls": 19711,
     "hybrid.event.hits": 1,
-    "hybrid.event.bisect_iters": 1348,
+    "hybrid.event.bisect_iters": 1314,
     "hybrid.event.deferred": 0,
-    "hybrid.flow.calls": 40772,
+    "hybrid.flow.calls": 40738,
     "hybrid.flow.step_calls": 39424,
     "hybrid.jump.calls": 3,
     "collision.query_calls": 1,
@@ -38,12 +40,47 @@ CROSSING_COUNTS = {
     "scenario.validate_calls": 2,
 }
 
+CHATTER_COUNTS = {
+    "controller.calls": 4614,
+    "controller.region.OMEGA1": 0,
+    "controller.region.OMEGA2": 4614,
+    "controller.region.OMEGA3": 0,
+    "controller.region.OMEGA4": 0,
+    "controller.degenerate": 0,
+    "hybrid.event.calls": 2307,
+    "hybrid.event.hits": 750,
+    "hybrid.event.bisect_iters": 10512,
+    "hybrid.event.deferred": 0,
+    "hybrid.flow.calls": 16626,
+    "hybrid.flow.step_calls": 6114,
+    "hybrid.jump.calls": 750,
+    "collision.query_calls": 750,
+    "collision.check_calls": 0,
+    "collision.check_jumps": 0,
+    "collision.resolve_calls": 750,
+    "frames.build_calls": 750,
+    "redesign.local_control_calls": 0,
+    "redesign.escape_calls": 0,
+    "hybrid.steps": 2307,
+    "hybrid.records": 6117,
+    "hybrid.trace_bytes": 950162,
+    "scenario.validate_calls": 2,
+}
 
-def test_traced_crossing_counts(monkeypatch, tmp_path):
+
+def traced_counts(monkeypatch, tmp_path, workload):
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     import run_bench
     import tracer
 
-    result = tracer.traced_run(run_bench.Bench("crossing", tmp_path))
-    assert result is not None, "traced crossing run missed its golden outputs"
-    assert tracer.layer_counts(*result) == CROSSING_COUNTS
+    result = tracer.traced_run(run_bench.Bench(workload, tmp_path))
+    assert result is not None, f"traced {workload} run missed its golden outputs"
+    return tracer.layer_counts(*result)
+
+
+def test_traced_crossing_counts(monkeypatch, tmp_path):
+    assert traced_counts(monkeypatch, tmp_path, "crossing") == CROSSING_COUNTS
+
+
+def test_traced_chatter_counts(monkeypatch, tmp_path):
+    assert traced_counts(monkeypatch, tmp_path, "chatter") == CHATTER_COUNTS
