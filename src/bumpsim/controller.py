@@ -31,6 +31,9 @@ if TYPE_CHECKING:
 # affected region test is decided without the ratio and the affected nominal
 # branch returns (0, 0) with the degeneracy flag set.
 DENOM_EPS = 1e-9
+# Builds a per-call NamedTuple from a tuple of exactly its fields, skipping
+# the generated Python-level `__new__` (about twice the cost per build).
+_new = tuple.__new__
 
 
 class Region(Enum):
@@ -99,6 +102,7 @@ def controller_terms(
             ox, oy = fixed
         dx = x - ox
         dy = y - oy
+        # `dx ** 2`, not `dx * dx`: the example1 predefined golden pins these bits
         h += dx ** 2 + dy ** 2 - rsum * rsum
         gx += 2.0 * dx
         gy += 2.0 * dy
@@ -112,14 +116,9 @@ def controller_terms(
     a = params.sigma2 * V
     if a >= 0.0:
         a = params.sigma1 * a
-    return ControllerTerms(
-        V,
-        h,
-        a,
-        params.sigma3 * h,
-        dx * cos_th + dy * sin_th,
-        s,
-        gx * cos_th + gy * sin_th,
+    return _new(
+        ControllerTerms,
+        (V, h, a, params.sigma3 * h, dx * cos_th + dy * sin_th, s, gx * cos_th + gy * sin_th),
     )
 
 
@@ -147,7 +146,7 @@ def nominal_control(terms: ControllerTerms, rho: float) -> tuple[Region, Control
         if flat:
             return Region.OMEGA2, ControlInput(0.0, 0.0), True
         k = -rho / (rho + 1.0) * a / cs2
-        return Region.OMEGA2, ControlInput(k * c, k * s), False
+        return Region.OMEGA2, _new(ControlInput, (k * c, k * s)), False
 
     e_small = abs(e) < DENOM_EPS
     # NaN when e is degenerate: region 3 fails and region 4 skips the test
@@ -191,4 +190,5 @@ def predefined_control(
     """
     terms = controller_terms(robot_id, states, target, rows, params)
     region, u_nom, degenerate = nominal_control(terms, params.rho)
-    return ControlDecision(saturate(u_nom, params.m_v, params.m_w), u_nom, region, terms, degenerate)
+    u = saturate(u_nom, params.m_v, params.m_w)
+    return _new(ControlDecision, (u, u_nom, region, terms, degenerate))

@@ -79,6 +79,9 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # leaves room.  A bisection certificate compares two probe gaps of one pair,
 # which the same budget covers.
 BOUND_SLACK = 32.0 * math.ulp(1.0)
+# Builds a per-step NamedTuple from a tuple of exactly its fields, skipping
+# the generated Python-level `__new__` (about twice the cost per build).
+_new = tuple.__new__
 
 
 class SimMode(Enum):
@@ -91,7 +94,8 @@ class SimMode(Enum):
 #
 # Each record's fields follow its trace.csv row, so `ROW % record` writes
 # it: "%.17g" gives the bytes of format(x, ".17g"), 17 digits that
-# round-trip IEEE doubles bit-exactly.  Build records by keyword.
+# round-trip IEEE doubles bit-exactly.  Build records by keyword, except the
+# per-step `FlowSample`, which `simulate` builds with `_new`.
 
 
 class FlowSample(NamedTuple):
@@ -214,11 +218,9 @@ def step_flow(state: RobotState, u: ControlInput, dt: float) -> RobotState:
     k2x, k2y = v * math.cos(th2), v * math.sin(th2)
     th4 = th1 + dt * w
     k4x, k4y = v * math.cos(th4), v * math.sin(th4)
-    return RobotState(
-        x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k2x + k4x),
-        y + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k2y + k4y),
-        th1 + dt * w,
-    )
+    x += dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k2x + k4x)
+    y += dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k2y + k4y)
+    return _new(RobotState, (x, y, th1 + dt * w))
 
 
 @dataclass(frozen=True, slots=True)
@@ -606,7 +608,8 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
     pairs = contact_pairs(scenario.bodies)
     # each robot's own rows of the pair table, and their indices, in table order
     row_ks = {rid: [k for k, p in enumerate(pairs) if rid in (p.i, p.j)] for rid in robot_ids}
-    rows = {rid: [pairs[k] for k in ks] for rid, ks in row_ks.items()}
+    # (id, target, own rows, own row indices) of each robot, in id order
+    robots = [(rid, targets[rid], [pairs[k] for k in ks], ks) for rid, ks in row_ks.items()]
     pair_by_ids = {(pair.i, pair.j): pair for pair in pairs}
 
     hs = HybridState(
@@ -641,38 +644,15 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
             fault(f"non-convergent: jump counter reached the cap ({cap})", True)
         return post_speeds
 
-    def settle(states: dict[int, RobotState], gaps: list[float]) -> dict[int, ControlInput]:
-        """Settle the instant hs.t and return the inputs its samples show:
-        reactivation, target marks, inputs, then the contact sweep over the
-        pairs whose gap (`gaps`, in table order) is within CONTACT_TOL."""
-        for rid in robot_ids:
-            phase = phases[rid]
-            if phase is not None and reactivation_due(phase, (gaps[k] for k in row_ks[rid])):
-                apply_jump(ReactivationEvent(rid))
-                if hs.jumps >= cap:
-                    return stopped
-        for rid in robot_ids:
-            if rid not in reached:
-                x, y, theta = states[rid]
-                tx, ty, t_theta = targets[rid]
-                if math.sqrt((x - tx) ** 2 + (y - ty) ** 2 + (theta - t_theta) ** 2) <= tolerance:
-                    reached.add(rid)
-                    records.append(TargetReachedRecord(t=hs.t, robot_id=rid))
-
-        inputs: dict[int, ControlInput] = {}
-        for rid in robot_ids:
-            phase = phases[rid]
-            if phase is not None:
-                inputs[rid] = local_control(phase)
-            else:
-                inputs[rid] = predefined_control(rid, states, targets[rid], rows[rid], params).u
-
-        # Resolve all touching-and-approaching pairs at this instant.  Each
-        # robot takes at most one collision per instant; extra simultaneous
-        # contacts are deferred with a warning.  Jumps never move positions,
-        # so the gaps hold for every pass, and with no pair touching there
-        # is nothing to sweep.
-        progress = min(gaps, default=math.inf) <= CONTACT_TOL
+    def sweep(
+        states: dict[int, RobotState], gaps: list[float], inputs: dict[int, ControlInput]
+    ) -> None:
+        """Resolve every touching-and-approaching pair at the instant hs.t
+        (`gaps` in table order), updating `inputs` to what the samples show.
+        Each robot takes at most one collision per instant; extra
+        simultaneous contacts are deferred with a warning.  Jumps never move
+        positions, so the gaps hold for every pass."""
+        progress = True
         while progress:
             progress = False
             for pair, g in zip(pairs, gaps):
@@ -702,33 +682,64 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
                     else:
                         inputs[rid] = ControlInput(v_plus, inputs[rid].w)
                 if hs.jumps >= cap:
-                    return inputs
-        return inputs
+                    return
 
     while True:
         states = hs.states
+        t = hs.t
         # One gap per pair per instant, shared by reactivation, the sweep,
         # the event test and the run's clearance.
         gaps = [gap(pair, states) for pair in pairs]
         for k, g in enumerate(gaps):
             if g < min_gaps[k]:
                 min_gaps[k] = g
-        inputs = stopped if hs.jumps >= cap else settle(states, gaps)
-        t = hs.t
+        # Settle the instant: reactivation, then target marks and inputs, then
+        # the contact sweep when a pair is within CONTACT_TOL.  From the cap
+        # on, the samples show every robot stopped.
+        inputs = stopped
+        if hs.jumps < cap:
+            for rid, _, _, ks in robots:
+                phase = phases[rid]
+                if phase is not None and reactivation_due(phase, (gaps[k] for k in ks)):
+                    apply_jump(ReactivationEvent(rid))
+                    if hs.jumps >= cap:
+                        break
+            else:
+                # no reactivation reached the cap
+                inputs = {}
+                for rid, target, own_rows, _ in robots:
+                    if rid not in reached:
+                        x, y, theta = states[rid]
+                        tx, ty, t_theta = target
+                        dist = math.sqrt((x - tx) ** 2 + (y - ty) ** 2 + (theta - t_theta) ** 2)
+                        if dist <= tolerance:
+                            reached.add(rid)
+                            records.append(TargetReachedRecord(t=t, robot_id=rid))
+                    phase = phases[rid]
+                    if phase is not None:
+                        inputs[rid] = local_control(phase)
+                    else:
+                        inputs[rid] = predefined_control(rid, states, target, own_rows, params).u
+                if gaps and min(gaps) <= CONTACT_TOL:
+                    sweep(states, gaps, inputs)
         for rid in robot_ids:
             x, y, theta = states[rid]
             v, w = inputs[rid]
-            records.append(FlowSample(t, rid, x, y, theta, v, w, int(phases[rid] is not None)))
+            q = int(phases[rid] is not None)
+            records.append(_new(FlowSample, (t, rid, x, y, theta, v, w, q)))
 
         if hs.jumps >= cap or len(reached) == len(robot_ids) or t >= t_max - 1e-12:
             break
 
-        held = [phase for phase in phases.values() if phase is not None]
-        h = min(dt, t_max - t)
+        # the step: dt, cut at t_max and at the end of every held local phase
+        rest = t_max - t
+        h = rest if rest < dt else dt
+        # a LocalPhase is truthy, and most steps hold none
+        held = list(filter(None, phases.values())) if any(phases.values()) else ()
         for phase in held:
             remaining = phase.t_dur + phase.extension - phase.elapsed
-            if remaining > 0.0:
-                h = min(h, remaining)
+            if 0.0 < remaining < h:
+                h = remaining
 
         next_states = {rid: step_flow(states[rid], inputs[rid], h) for rid in robot_ids}
         hit = detect_event(pairs, gaps, states, inputs, h, next_states)
@@ -743,8 +754,10 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
         hs.t += advance
         for phase in held:
             phase.elapsed += advance
-        collided_marks.clear()
-        resolved_pairs.clear()
+        if resolved_pairs:
+            # filled together, by the contact jumps of the instant just left
+            collided_marks.clear()
+            resolved_pairs.clear()
 
         if hit is not None:
             for i, j in hit.simultaneous:

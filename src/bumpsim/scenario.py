@@ -5,9 +5,11 @@ the rigid bodies (one or two robots plus static cylindrical obstacles),
 per-robot target states, controller parameters and integration settings.
 All values are immutable after loading, so a scenario can be shared
 read-only across concurrent simulations.  The per-step values `RobotState`
-and `ControlInput` are NamedTuples, built positionally on the hot path: they
-are immutable (assigning a field raises AttributeError), hashable, unpack like
-tuples (`x, y, theta = state`) and compare equal to plain tuples.
+and `ControlInput` are NamedTuples, built positionally on the hot path (the
+flow step's state and OMEGA2's nominal input with `tuple.__new__`, which
+skips the field-count check): they are immutable (assigning a field raises
+AttributeError), hashable, unpack like tuples (`x, y, theta = state`) and
+compare equal to plain tuples.
 """
 
 from __future__ import annotations

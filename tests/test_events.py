@@ -1,7 +1,8 @@
 """Event detection: graze tunnelling, the soundness of the reach bounds
 against a fine substep oracle, the bisection's certified probes against a
-plain bisection, the one-gap-per-pair budget, and bisection at offsets
-where one ulp exceeds the time tolerance."""
+plain bisection, the cull's rounding slack at the edge of the reach, the
+one-gap-per-pair budget, and bisection at offsets where one ulp exceeds the
+time tolerance."""
 
 import ast
 import math
@@ -240,6 +241,78 @@ def test_bounds_are_sound_against_substeps(robot_robot, seed, draw, rules, monke
             seen["certified"] += 1
     # every rule of the draw was exercised
     assert min(seen[rule] for rule in rules) >= 5, seen
+
+
+# --- the cull's rounding slack ------------------------------------------------
+
+
+def draw_cull_edge(rng):
+    """A robot driving straight (w = 0) at an obstacle that sits exactly the
+    radii sum beyond the step's RK4 end point, its x shifted by up to 40
+    ulps: the start gap less the reach, and the end gap, are then zero up to
+    rounding, of either sign."""
+    h = math.exp(rng.uniform(math.log(1e-4), math.log(0.1)))
+    v = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, M_V)
+    theta = rng.uniform(-math.pi, math.pi)
+    state = RobotState(rng.uniform(-10, 10), rng.uniform(-10, 10), theta)
+    end = step_flow(state, ControlInput(v, 0.0), h)
+    rsum = math.exp(rng.uniform(math.log(0.01), math.log(2.0)))
+    ahead = math.copysign(rsum, v)
+    ox = end.x + ahead * math.cos(theta)
+    ox += rng.randint(-40, 40) * math.ulp(ox)
+    pos = (ox, end.y + ahead * math.sin(theta))
+    return ContactPair(1, 3, rsum, pos), {1: state}, {1: ControlInput(v, 0.0)}, h
+
+
+def test_cull_keeps_every_pair_that_ends_in_contact():
+    rng = random.Random(2)
+    ends_in_contact = slackless = 0
+    for _ in range(4000):
+        pair, states, inputs, h = draw_cull_edge(rng)
+        gaps0 = [gap(pair, states)]
+        next_states = {1: step_flow(states[1], inputs[1], h)}
+        if not (gaps0[0] > 0.0 and gap(pair, next_states) < 0.0):
+            continue
+        ends_in_contact += 1
+        # apart by more than the reach, by rounding: only the slack keeps it
+        slackless += gaps0[0] - abs(inputs[1].v) * h > 0.0
+        hit = detect_event([pair], gaps0, states, inputs, h, next_states)
+        assert hit is not None, (pair, states, inputs, h)
+    # about half the draws end in contact, and 39 of those need the slack
+    assert ends_in_contact > 1000 and slackless >= 20, (ends_in_contact, slackless)
+
+
+# Found by that draw: (radii sum, obstacle x, y, robot x, y, theta, v, h) of
+# pairs apart by more than the reach at the step start that overlap at its end.
+CULL_EDGE_CASES = [
+    (
+        "0x1.45d64ca34175ep-1", "0x1.4d3d862e40513p-3", "0x1.413d4e363d55ep+3",
+        "-0x1.fb72d0caf0c00p-6", "0x1.2d421f7b60414p+3", "-0x1.df1fa4c7f522fp+0",
+        "-0x1.0f41d7aec6f90p+1", "0x1.0c73ec179557ep-7",
+    ),
+    (
+        "0x1.773c82bbf5864p-7", "0x1.63728880437ddp-3", "0x1.2b5d4b489f025p+3",
+        "0x1.7e50140115140p-3", "0x1.2b0af65bfc05ep+3", "0x1.3e7164041a576p+1",
+        "0x1.07cfd8f536d3fp+2", "0x1.42af2b4020019p-10",
+    ),
+    (
+        "0x1.05e7ca098cfb3p-2", "0x1.b7ee80664153dp+0", "0x1.39fd4db0caa69p+3",
+        "0x1.a28762c0ade00p+0", "0x1.2fde469aad900p+3", "0x1.4ff7d90c14d54p+0",
+        "0x1.037f8e3f2438ep+2", "0x1.20721fefe1789p-6",
+    ),
+]
+
+
+@pytest.mark.parametrize("case", CULL_EDGE_CASES, ids=["reverse", "thin", "forward"])
+def test_cull_edge_case_is_hit(case):
+    rsum, ox, oy, x, y, theta, v, h = map(float.fromhex, case)
+    pair = ContactPair(1, 3, rsum, (ox, oy))
+    states, inputs = {1: RobotState(x, y, theta)}, {1: ControlInput(v, 0.0)}
+    assert gap(pair, states) - abs(v) * h > 0.0
+    assert gap_at(pair, states, inputs, h) < 0.0
+    hit = detect([pair], states, inputs, h)
+    assert hit is not None and (hit.robot_id, hit.other_id) == (1, 3)
+    assert 0.0 <= hit.t_offset <= h
 
 
 # --- one gap per pair per instant --------------------------------------------

@@ -1,8 +1,8 @@
 """Golden outputs: SHA-256 of `trace_to_csv`, of the `metrics` summary and
 of the CLI's `plot_robot<i>.csv` files for every shipped scenario in both
-modes, at the shipped `dt`, and for the in-file wedge scenario that reaches
-both simultaneous-contact deferrals.  Each golden run's minimum clearances
-are also checked against a fold over its samples.
+modes, at the shipped `dt`, and for the wedge scenario (`conftest.py`) that
+reaches both simultaneous-contact deferrals.  Each golden run's minimum
+clearances are also checked against a fold over its samples.
 
 A refactor must leave these bits unchanged.  A change that alters them on
 purpose updates the hashes here, and in `bench/run_bench.py`'s `WORKLOADS`
@@ -31,25 +31,10 @@ from bumpsim.hybrid import (
     write_trace_csv,
 )
 from bumpsim.scenario import load_scenario
+from conftest import GOLDEN_CASES, WEDGE
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
-
-# Robot 1 drives into the wedge between obstacles 3 and 4, which it touches
-# at the same instant: the event defers one crossing and the contact sweep
-# defers the other.  Obstacle 5 stays far away.
-WEDGE = {
-    "workspace": {"x_min": -50, "x_max": 50, "y_min": -50, "y_max": 50},
-    "bodies": [
-        {"id": 1, "kind": "robot", "radius": 1.0, "mass": 1.0, "x": 0.0, "y": 0.0, "theta": 0.0},
-        {"id": 3, "kind": "obstacle", "radius": 0.5, "mass": "unbounded", "x": 3.0, "y": 1.2},
-        {"id": 4, "kind": "obstacle", "radius": 0.5, "mass": "unbounded", "x": 3.0, "y": -1.2},
-        {"id": 5, "kind": "obstacle", "radius": 1.0, "mass": "unbounded", "x": -40.0, "y": 0.0},
-    ],
-    "targets": {"1": {"x": 10.0, "y": 0.0, "theta": 0.0}},
-    "params": {"rho": 9, "sigma1": 1.25, "sigma2": 0.6, "sigma3": 1.2, "mv": 5, "mw": 5},
-    "sim": {"t_max": 4.0, "jump_cap": 200},
-}
 
 PREDEFINED = SimMode.PREDEFINED_ONLY
 REDESIGNED = SimMode.REDESIGNED
@@ -127,20 +112,6 @@ PLOT_GOLDEN = {
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-@pytest.fixture(
-    scope="module", params=list(GOLDEN), ids=[f"{n}-{m.value}" for n, m in GOLDEN]
-)
-def golden_run(request):
-    """((name, mode), trace) of one golden case; module scope lets every test
-    of a case share its run, and pytest keeps one run alive at a time."""
-    name, mode = request.param
-    if name == "wedge":
-        scenario = load_scenario(json.dumps(WEDGE))
-    else:
-        scenario = load_scenario((SCENARIOS / f"{name}.json").read_text(encoding="utf-8"))
-    return request.param, simulate(scenario, mode)
 
 
 def test_golden_trace_and_metrics(golden_run):
@@ -250,3 +221,7 @@ def test_bench_workloads_pin_the_same_trace_hashes(monkeypatch):
     for wl in run_bench.WORKLOADS.values():
         key = (Path(wl.scenario).stem, SimMode(wl.mode))
         assert wl.trace_sha256 == GOLDEN[key][0], key
+
+
+def test_every_golden_case_is_run():
+    assert set(GOLDEN) == set(GOLDEN_CASES) == set(PLOT_GOLDEN)

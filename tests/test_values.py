@@ -3,13 +3,20 @@ NamedTuples.
 
 The executor builds the value types on every integration step, so they are
 tuples built positionally; this pins what a frozen dataclass used to
-guarantee.  Each trace record's fields follow its trace.csv row, which one
-`%` with the type's `ROW` template writes.
+guarantee.  The hottest builds go through `tuple.__new__`, which skips the
+NamedTuple's field-count check, so the arity of every record of the golden
+runs and of every flow step and controller decision is pinned here too.
+Each trace record's fields follow its trace.csv row, which one `%` with the
+type's `ROW` template writes.
 """
+
+import math
+import random
+from pathlib import Path
 
 import pytest
 
-from bumpsim.controller import ControlDecision, ControllerTerms, Region
+from bumpsim.controller import ControlDecision, ControllerTerms, Region, predefined_control
 from bumpsim.hybrid import (
     CSV_HEADER,
     CollisionRecord,
@@ -19,8 +26,12 @@ from bumpsim.hybrid import (
     SwitchRecord,
     TargetReachedRecord,
     _csv_line,
+    contact_pairs,
+    step_flow,
 )
-from bumpsim.scenario import ControlInput, RobotState
+from bumpsim.scenario import ControlInput, RobotState, load_scenario
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TERMS = ControllerTerms(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
 VALUES = [
@@ -73,3 +84,41 @@ def test_record_row_writes_each_field_under_its_column(record_type):
         column = COLUMN.get(field, field)
         if column in row:
             assert row[column] == format(value, ".17g")
+
+
+def assert_declared(value, cls, field_type=float):
+    """`value` is exactly a `cls`, with one value of `field_type` per field."""
+    assert type(value) is cls, value
+    assert len(value) == len(cls._fields), value
+    assert all(type(v) is field_type for v in value), value
+
+
+def test_every_golden_record_has_its_declared_arity(golden_run):
+    _, trace = golden_run
+    assert trace.records
+    for record in trace.records:
+        assert len(record) == len(type(record)._fields), record
+
+
+def test_flow_steps_and_decisions_are_their_declared_types():
+    scenario = load_scenario((ROOT / "scenarios" / "crossing.json").read_text(encoding="utf-8"))
+    pairs = contact_pairs(scenario.bodies)
+    rng = random.Random(1)
+    regions = set()
+    for _ in range(200):
+        states = {
+            rid: RobotState(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(-math.pi, math.pi))
+            for rid in (1, 2)
+        }
+        for rid, state in states.items():
+            rows = [p for p in pairs if rid in (p.i, p.j)]
+            decision = predefined_control(rid, states, scenario.targets[rid], rows, scenario.params)
+            assert type(decision) is ControlDecision and len(decision) == len(ControlDecision._fields)
+            assert_declared(decision.u, ControlInput)
+            assert_declared(decision.u_nom, ControlInput)
+            assert_declared(decision.terms, ControllerTerms)
+            assert type(decision.region) is Region and type(decision.degenerate) is bool
+            regions.add(decision.region)
+            assert_declared(step_flow(state, decision.u, rng.uniform(0.0, 0.1)), RobotState)
+    # OMEGA2's nominal input is one of the `tuple.__new__` builds
+    assert Region.OMEGA2 in regions and len(regions) >= 2, regions
