@@ -3,9 +3,7 @@
 The package root exports the library API; the modules hold the rest.
 """
 
-from .collision import PenetrationError
 from .hybrid import SimMode, metrics, simulate
-from .redesign import NonSeparableError
 from .scenario import Scenario, ScenarioError, load_scenario, validate_scenario
 
 __version__ = "0.1.0"

@@ -1,8 +1,8 @@
 """Command-line front end: run scenarios, compare modes, emit artifacts.
 
 Exit codes: 0 on a completed run, 2 for unreadable/invalid scenarios,
-3 for simulation faults (jump-cap non-convergence, penetration, or a
-non-separable local phase).
+3 for a run that ends in a fatal fault (the jump cap, or any error of
+`hybrid.FAULTS`), which still writes every output file.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .collision import PenetrationError
 from .hybrid import SimMode, metrics, simulate, trace_lines, write_plot_csv, write_trace_csv
-from .redesign import NonSeparableError
 from .scenario import Scenario, ScenarioError, load_scenario, validate_scenario
 
 EXIT_OK = 0
@@ -52,12 +50,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_INVALID
     mode = SimMode(args.mode)
 
-    try:
-        trace = simulate(scenario, mode)
-    except (PenetrationError, NonSeparableError) as exc:
-        print(f"simulation fault: {exc}", file=sys.stderr)
-        return EXIT_FAULT
-
+    trace = simulate(scenario, mode)
     args.out.mkdir(parents=True, exist_ok=True)
     summary = metrics(trace)
     trace_path = args.out / "trace.csv"
@@ -90,11 +83,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _metrics_or_error(scenario: Scenario, mode: SimMode) -> dict:
-    try:
-        summary = metrics(simulate(scenario, mode))
-    except (PenetrationError, NonSeparableError) as exc:
-        return {"error": str(exc)}
+def _mode_metrics(scenario: Scenario, mode: SimMode) -> dict:
+    summary = metrics(simulate(scenario, mode))
     out = summary.to_dict()
     out["completed"] = all(m.reached for m in summary.robots.values()) and not summary.fault
     return out
@@ -105,19 +95,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if scenario is None:
         return EXIT_INVALID
 
-    baseline = _metrics_or_error(scenario, SimMode.PREDEFINED_ONLY)
-    redesigned = _metrics_or_error(scenario, SimMode.REDESIGNED)
-
-    deltas = {}
-    if "robots" in baseline and "robots" in redesigned:
-        deltas["collisions"] = {
+    baseline = _mode_metrics(scenario, SimMode.PREDEFINED_ONLY)
+    redesigned = _mode_metrics(scenario, SimMode.REDESIGNED)
+    deltas = {
+        "collisions": {
             rid: baseline["robots"][rid]["collisions"] - redesigned["robots"][rid]["collisions"]
             for rid in redesigned["robots"]
-        }
-        deltas["completed"] = {
-            "predefined": baseline.get("completed", False),
-            "redesigned": redesigned.get("completed", False),
-        }
+        },
+        "completed": {"predefined": baseline["completed"], "redesigned": redesigned["completed"]},
+    }
 
     args.out.mkdir(parents=True, exist_ok=True)
     payload = {"predefined": baseline, "redesigned": redesigned, "deltas": deltas}
@@ -125,8 +111,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         json.dumps(payload, indent=2) + "\n", encoding="utf-8"
     )
 
-    completed = redesigned.get("completed", False)
-    print(f"redesigned completed: {completed}; baseline completed: {baseline.get('completed', False)}")
+    completed = redesigned["completed"]
+    print(f"redesigned completed: {completed}; baseline completed: {baseline['completed']}")
     return EXIT_OK if completed else EXIT_FAULT
 
 

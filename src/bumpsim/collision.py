@@ -6,8 +6,9 @@ contact event changes only headings and linear speeds: positions and
 angular velocities are untouched, and the velocity component along the
 pair frame's x-axis (tangential) is preserved exactly.  The component
 along the y-axis (the line of centers) follows the one-dimensional
-momentum/kinetic-energy exchange, optionally damped by a per-robot loss
-coefficient delta, with the unbounded-mass case handled as an exact limit.
+momentum/kinetic-energy exchange, optionally damped by the scenario-wide
+loss coefficient delta (`params.delta`), with the unbounded-mass case
+handled as an exact limit.
 
 Post-collision velocities are reported in canonical form: a nonnegative
 speed plus a quadrant-aware global heading.  (Carrying the normal sign on

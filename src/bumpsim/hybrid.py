@@ -28,8 +28,9 @@ record once; `write_trace_csv` streams those lines, and `write_plot_csv`
 projects each robot's plot file from them by copying the sample cells.
 
 Hybrid time is the pair (t, jumps).  A run stops at t_max, when every
-robot has reached its target, or when the jump counter reaches the
-scenario's cap; the counter is the only stop flag.
+robot has reached its target, when the jump counter reaches the
+scenario's cap, or at the first fault: any error of `FAULTS` ends the run
+as a fatal FaultRecord, as the cap does, and the trace so far is returned.
 
 The SimMode REDESIGNED runs the full strategy, while
 PREDEFINED_ONLY still resolves collision physics (headings and speeds
@@ -53,9 +54,13 @@ from .collision import (
     check_collision,
     resolve_collision,
 )
-from .controller import predefined_control
+from .controller import RegionError, predefined_control
+from .frames import CoincidentCentersError
 from .redesign import (
+    DegenerateTargetError,
+    GeometryError,
     LocalPhase,
+    NonSeparableError,
     deconflict_headings,
     impulse,
     local_control,
@@ -79,6 +84,12 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # leaves room.  A bisection certificate compares two probe gaps of one pair,
 # which the same budget covers.
 BOUND_SLACK = 32.0 * math.ulp(1.0)
+# Every error the engine raises during a run, and arithmetic overflow:
+# `simulate` ends the run on any of them with a fatal FaultRecord.
+FAULTS = (
+    PenetrationError, NonSeparableError, GeometryError, DegenerateTargetError, RegionError,
+    CoincidentCentersError, OverflowError,
+)
 # Builds a per-step NamedTuple from a tuple of exactly its fields, skipping
 # the generated Python-level `__new__` (about twice the cost per build).
 _new = tuple.__new__
@@ -587,11 +598,11 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
     """Run one deterministic simulation and return the full trace.
 
     Terminates when every robot has been within target tolerance, when
-    t reaches t_max, or when the jump counter reaches the scenario's cap
-    (recorded as a fatal non-convergence fault).  The counter is the stop
-    rule: jumps happen only in `apply_jump`, and none follows the cap.
-    Raises PenetrationError/NonSeparableError on integration or separation
-    failures, and ValueError when the scenario does not validate.
+    t reaches t_max, when the jump counter reaches the scenario's cap
+    (recorded as a fatal non-convergence fault; jumps happen only in
+    `apply_jump`, and none follows the cap), or when an error of `FAULTS`
+    is raised, which ends the trace with a fatal FaultRecord naming it.
+    Raises ValueError when the scenario does not validate.
     """
     violations = validate_scenario(scenario)
     if violations:
@@ -684,87 +695,91 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
                 if hs.jumps >= cap:
                     return
 
-    while True:
-        states = hs.states
-        t = hs.t
-        # One gap per pair per instant, shared by reactivation, the sweep,
-        # the event test and the run's clearance.
-        gaps = [gap(pair, states) for pair in pairs]
-        for k, g in enumerate(gaps):
-            if g < min_gaps[k]:
-                min_gaps[k] = g
-        # Settle the instant: reactivation, then target marks and inputs, then
-        # the contact sweep when a pair is within CONTACT_TOL.  From the cap
-        # on, the samples show every robot stopped.
-        inputs = stopped
-        if hs.jumps < cap:
-            for rid, _, _, ks in robots:
-                phase = phases[rid]
-                if phase is not None and reactivation_due(phase, (gaps[k] for k in ks)):
-                    apply_jump(ReactivationEvent(rid))
-                    if hs.jumps >= cap:
-                        break
-            else:
-                # no reactivation reached the cap
-                inputs = {}
-                for rid, target, own_rows, _ in robots:
-                    if rid not in reached:
-                        x, y, theta = states[rid]
-                        tx, ty, t_theta = target
-                        dist = math.sqrt((x - tx) ** 2 + (y - ty) ** 2 + (theta - t_theta) ** 2)
-                        if dist <= tolerance:
-                            reached.add(rid)
-                            records.append(TargetReachedRecord(t=t, robot_id=rid))
+    try:
+        while True:
+            states = hs.states
+            t = hs.t
+            # One gap per pair per instant, shared by reactivation, the sweep,
+            # the event test and the run's clearance.
+            gaps = [gap(pair, states) for pair in pairs]
+            for k, g in enumerate(gaps):
+                if g < min_gaps[k]:
+                    min_gaps[k] = g
+            # Settle the instant: reactivation, then target marks and inputs, then
+            # the contact sweep when a pair is within CONTACT_TOL.  From the cap
+            # on, the samples show every robot stopped.
+            inputs = stopped
+            if hs.jumps < cap:
+                for rid, _, _, ks in robots:
                     phase = phases[rid]
-                    if phase is not None:
-                        inputs[rid] = local_control(phase)
-                    else:
-                        inputs[rid] = predefined_control(rid, states, target, own_rows, params).u
-                if gaps and min(gaps) <= CONTACT_TOL:
-                    sweep(states, gaps, inputs)
-        for rid in robot_ids:
-            x, y, theta = states[rid]
-            v, w = inputs[rid]
-            q = int(phases[rid] is not None)
-            records.append(_new(FlowSample, (t, rid, x, y, theta, v, w, q)))
+                    if phase is not None and reactivation_due(phase, (gaps[k] for k in ks)):
+                        apply_jump(ReactivationEvent(rid))
+                        if hs.jumps >= cap:
+                            break
+                else:
+                    # no reactivation reached the cap
+                    inputs = {}
+                    for rid, target, own_rows, _ in robots:
+                        if rid not in reached:
+                            x, y, theta = states[rid]
+                            tx, ty, t_theta = target
+                            dist = math.sqrt((x - tx) ** 2 + (y - ty) ** 2 + (theta - t_theta) ** 2)
+                            if dist <= tolerance:
+                                reached.add(rid)
+                                records.append(TargetReachedRecord(t=t, robot_id=rid))
+                        phase = phases[rid]
+                        if phase is not None:
+                            inputs[rid] = local_control(phase)
+                        else:
+                            inputs[rid] = predefined_control(rid, states, target, own_rows, params).u
+                    if gaps and min(gaps) <= CONTACT_TOL:
+                        sweep(states, gaps, inputs)
+            for rid in robot_ids:
+                x, y, theta = states[rid]
+                v, w = inputs[rid]
+                q = int(phases[rid] is not None)
+                records.append(_new(FlowSample, (t, rid, x, y, theta, v, w, q)))
 
-        if hs.jumps >= cap or len(reached) == len(robot_ids) or t >= t_max - 1e-12:
-            break
+            if hs.jumps >= cap or len(reached) == len(robot_ids) or t >= t_max - 1e-12:
+                break
 
-        # the step: dt, cut at t_max and at the end of every held local phase
-        rest = t_max - t
-        h = rest if rest < dt else dt
-        # a LocalPhase is truthy, and most steps hold none
-        held = list(filter(None, phases.values())) if any(phases.values()) else ()
-        for phase in held:
-            remaining = phase.t_dur + phase.extension - phase.elapsed
-            if 0.0 < remaining < h:
-                h = remaining
+            # the step: dt, cut at t_max and at the end of every held local phase
+            rest = t_max - t
+            h = rest if rest < dt else dt
+            # a LocalPhase is truthy, and most steps hold none
+            held = list(filter(None, phases.values())) if any(phases.values()) else ()
+            for phase in held:
+                remaining = phase.t_dur + phase.extension - phase.elapsed
+                if 0.0 < remaining < h:
+                    h = remaining
 
-        next_states = {rid: step_flow(states[rid], inputs[rid], h) for rid in robot_ids}
-        hit = detect_event(pairs, gaps, states, inputs, h, next_states)
-        if hit is None:
-            hs.states = next_states
-            advance = h
-        else:
-            advance = hit.t_offset
-            hs.states = {
-                rid: step_flow(states[rid], inputs[rid], advance) for rid in robot_ids
-            }
-        hs.t += advance
-        for phase in held:
-            phase.elapsed += advance
-        if resolved_pairs:
-            # filled together, by the contact jumps of the instant just left
-            collided_marks.clear()
-            resolved_pairs.clear()
+            next_states = {rid: step_flow(states[rid], inputs[rid], h) for rid in robot_ids}
+            hit = detect_event(pairs, gaps, states, inputs, h, next_states)
+            if hit is None:
+                hs.states = next_states
+                advance = h
+            else:
+                advance = hit.t_offset
+                hs.states = {
+                    rid: step_flow(states[rid], inputs[rid], advance) for rid in robot_ids
+                }
+            hs.t += advance
+            for phase in held:
+                phase.elapsed += advance
+            if resolved_pairs:
+                # filled together, by the contact jumps of the instant just left
+                collided_marks.clear()
+                resolved_pairs.clear()
 
-        if hit is not None:
-            for i, j in hit.simultaneous:
-                fault(f"simultaneous contact crossings; pair ({i}, {j}) deferred", False)
-            pair = pair_by_ids[(hit.robot_id, hit.other_id)]
-            # a cap fault here makes the next pass emit the closing samples
-            apply_jump(contact_query(pair, hs.states, inputs, body))
+            if hit is not None:
+                for i, j in hit.simultaneous:
+                    fault(f"simultaneous contact crossings; pair ({i}, {j}) deferred", False)
+                pair = pair_by_ids[(hit.robot_id, hit.other_id)]
+                # a cap fault here makes the next pass emit the closing samples
+                apply_jump(contact_query(pair, hs.states, inputs, body))
+    except FAULTS as exc:
+        # the one fault channel: the run ends here, as at the jump cap
+        fault(f"{type(exc).__name__}: {exc}", True)
 
     clearance = {rid: min((min_gaps[k] for k in ks), default=None) for rid, ks in row_ks.items()}
     return Trace(scenario=scenario, records=records, clearance=clearance)

@@ -358,25 +358,16 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             )
 
     p = scenario.params
-    violations += _non_finite(
-        "params",
-        {"rho": p.rho, "sigma1": p.sigma1, "sigma2": p.sigma2, "sigma3": p.sigma3,
-         "mv": p.m_v, "mw": p.m_w, "delta": p.delta},
-    )
-    if p.rho <= 0.0:
-        violations.append(f"params.rho must be > 0, got {p.rho:.6g}")
+    params = {"rho": p.rho, "sigma1": p.sigma1, "sigma2": p.sigma2, "sigma3": p.sigma3,
+              "mv": p.m_v, "mw": p.m_w, "delta": p.delta}
+    violations += _non_finite("params", params)
+    for name in ("rho", "sigma2", "sigma3", "mv", "mw"):
+        if params[name] <= 0.0:
+            violations.append(f"params.{name}: value must be > 0, got {params[name]}")
     if p.sigma1 < 1.0:
-        violations.append(f"params.sigma1 must be >= 1, got {p.sigma1:.6g}")
-    if p.sigma2 <= 0.0:
-        violations.append(f"params.sigma2 must be > 0, got {p.sigma2:.6g}")
-    if p.sigma3 <= 0.0:
-        violations.append(f"params.sigma3 must be > 0, got {p.sigma3:.6g}")
-    if p.m_v <= 0.0:
-        violations.append(f"params.mv must be > 0, got {p.m_v:.6g}")
-    if p.m_w <= 0.0:
-        violations.append(f"params.mw must be > 0, got {p.m_w:.6g}")
+        violations.append(f"params.sigma1: value must be >= 1, got {p.sigma1}")
     if not 0.0 <= p.delta < 1.0:
-        violations.append(f"params.delta must lie in [0, 1), got {p.delta:.6g}")
+        violations.append(f"params.delta: value must lie in [0, 1), got {p.delta}")
 
     robot_ids = set(scenario.robot_ids())
     for rid in sorted(robot_ids - scenario.targets.keys()):

@@ -10,11 +10,14 @@ import math
 import random
 from pathlib import Path
 
+import pytest
+
 from bumpsim.cli import main as cli_main
 from bumpsim.collision import ContactQuery, resolve_collision
-from bumpsim.controller import predefined_control
+from bumpsim.controller import controller_terms, predefined_control
 from bumpsim.frames import build_local_frame, to_global, to_local
 from bumpsim.hybrid import (
+    FaultRecord,
     FlowSample,
     ImpulseRecord,
     SimMode,
@@ -143,6 +146,98 @@ def test_c4_example1_reproduction():
         f"(need: reached and >= 4 failures); outcomes={outcomes}",
     )
     assert ok
+
+
+# --- why c4 is red: the barrier rate, the stall and the creeping contact -----
+#
+# example1.json's own start is c4's start six, so the example1 predefined
+# golden run is the trajectory c4 needs to reach its goal.
+
+EXAMPLE1_PREDEFINED = pytest.mark.parametrize(
+    "golden_run", [("example1", SimMode.PREDEFINED_ONLY)], indirect=True, ids=["example1-predefined"]
+)
+
+
+def _barrier_steps(trace):
+    """(deficit, tolerance) of each step before the first contact.
+
+    The deficit is e^(-sigma3*dt) - h[k+1]/h[k], by which a step falls short
+    of the continuous barrier rate dh/dt >= -sigma3*h.  The tolerance is its
+    zero-order-hold bound.  With the input held over the step and
+    h = |p - o|^2 - R^2, dh/dt = v*e (e the h gradient along the heading),
+    which the controller keeps >= -sigma3*h at the sample, and
+    d2h/dt2 = 2v^2 + 2vw((y - oy)cos(theta) - (x - ox)sin(theta)) >= -2|vw|rho,
+    rho bounding |p - o| over the step.  So h[k+1] >= h[k](1 - sigma3*dt) -
+    |vw|rho*dt^2, and e^(-sigma3*dt) <= 1 - sigma3*dt + (sigma3*dt)^2/2 gives
+    deficit <= dt^2 (sigma3^2/2 + |vw|rho/h[k]), plus the rounding of the
+    two h values, at most 8 ulps of rho^2 + R^2 over h[k]."""
+    sc = trace.scenario
+    (ox, oy), rsum = sc.body(3).position, sc.body(1).radius + sc.body(3).radius
+    sigma3 = sc.params.sigma3
+    rows = contact_pairs(sc.bodies)
+    first_contact = min((c.t for c in trace.collisions()), default=math.inf)
+    samples = [r for r in trace.records if isinstance(r, FlowSample) and r.t <= first_contact]
+    hs = [controller_terms(1, {1: RobotState(s.x, s.y, s.theta)}, sc.targets[1], rows, sc.params).h for s in samples]
+    steps = []
+    for k, (a, b) in enumerate(zip(samples, samples[1:])):
+        dt = b.t - a.t
+        rho = math.hypot(a.x - ox, a.y - oy) + abs(a.v) * dt
+        deficit = math.exp(-sigma3 * dt) - hs[k + 1] / hs[k]
+        zoh = dt * dt * (0.5 * sigma3 * sigma3 + abs(a.v * a.w) * rho / hs[k])
+        steps.append((deficit, zoh + 8.0 * math.ulp(1.0) * (rho * rho + rsum * rsum) / hs[k]))
+    return steps, hs
+
+
+@EXAMPLE1_PREDEFINED
+def test_c4_barrier_rate_holds_up_to_the_zero_order_hold(golden_run):
+    _, trace = golden_run
+    steps, hs = _barrier_steps(trace)
+    assert all(deficit <= tol for deficit, tol in steps)
+    # the barrier is what limits h: most steps fall below the continuous
+    # rate, and h decays from 12 to about 4e-9 at the first contact
+    assert sum(deficit > 0.0 for deficit, _ in steps) > len(steps) // 2
+    assert hs[0] == 12.0 and hs[-1] < 1e-8
+
+
+def test_c4_zero_order_hold_deficit_shrinks_with_dt():
+    def worst(dt):
+        trace = simulate(
+            dataclasses.replace(_example1_scenario(0.0, 8.0, 0.01 * math.pi), dt=dt, t_max=2.0),
+            SimMode.PREDEFINED_ONLY,
+        )
+        steps, _ = _barrier_steps(trace)
+        assert all(deficit <= tol for deficit, tol in steps)
+        return max(d for d, _ in steps), max(tol for _, tol in steps)
+
+    (deficit, tol), (half_deficit, half_tol) = worst(1e-3), worst(5e-4)
+    # O(dt^2): both shrink about 4x at dt/2
+    assert deficit > 3.0 * half_deficit > 0.0
+    assert tol > 3.0 * half_tol
+
+
+@EXAMPLE1_PREDEFINED
+def test_c4_robot_stalls_short_of_its_goal(golden_run):
+    _, trace = golden_run
+    goal = trace.scenario.targets[1]
+    late = [r for r in trace.records if isinstance(r, FlowSample) and r.t >= 5.0]
+    assert late and min(math.hypot(s.x - goal.x, s.y - goal.y) for s in late) > 5.0
+    assert not metrics(trace).robots[1].reached
+
+
+@EXAMPLE1_PREDEFINED
+def test_c4_creeping_contact_chatters_until_the_jump_cap(golden_run):
+    _, trace = golden_run
+    collisions = trace.collisions()
+    times = [c.t for c in collisions]
+    assert len(collisions) == trace.scenario.jump_cap == 2000
+    assert {c.other_id for c in collisions} == {3}
+    assert 18.2 <= times[0] <= 18.25
+    # a contact about every 2 ms, none further apart
+    assert max(b - a for a, b in zip(times, times[1:])) <= 2e-3 + 1e-9
+    assert (times[-1] - times[0]) / (len(times) - 1) == pytest.approx(2e-3, rel=0.01)
+    fault = trace.records[-2]
+    assert isinstance(fault, FaultRecord) and fault.fatal and fault.t == times[-1]
+    assert "jump counter reached the cap (2000)" in fault.reason
 
 
 def test_c5_crossing_phenomena():

@@ -193,7 +193,5 @@ def test_package_root_exports_the_library_api():
         "Scenario",
         "validate_scenario",
         "ScenarioError",
-        "PenetrationError",
-        "NonSeparableError",
     }
     assert bumpsim.__version__ == "0.1.0"

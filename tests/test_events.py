@@ -1,8 +1,8 @@
 """Event detection: graze tunnelling, the soundness of the reach bounds
 against a fine substep oracle, the bisection's certified probes against a
-plain bisection, the cull's rounding slack at the edge of the reach, the
-one-gap-per-pair budget, and bisection at offsets where one ulp exceeds the
-time tolerance."""
+plain bisection, the rounding slack of the cull, the two-sided bound and
+both certificates at the edge of the reach, the one-gap-per-pair budget,
+and bisection at offsets where one ulp exceeds the time tolerance."""
 
 import ast
 import math
@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -313,6 +314,112 @@ def test_cull_edge_case_is_hit(case):
     hit = detect([pair], states, inputs, h)
     assert hit is not None and (hit.robot_id, hit.other_id) == (1, 3)
     assert 0.0 <= hit.t_offset <= h
+
+
+# --- the rounding slack of the two-sided bound and of the certificates --------
+
+
+def exactly_touching(pair, states):
+    """The exact sign of dx^2 + dy^2 - rsum^2 at the float positions: no
+    trust in `hypot`'s rounding."""
+    i, j, rsum, fixed = pair
+    jx, jy = fixed if fixed is not None else states[j][:2]
+    dx, dy = Fraction(jx) - Fraction(states[i].x), Fraction(jy) - Fraction(states[i].y)
+    return dx * dx + dy * dy <= Fraction(rsum) ** 2
+
+
+def draw_straight_inputs(rng, robot_robot):
+    inputs = {rid: ControlInput(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, M_V), 0.0) for rid in (1, 2)}
+    return inputs if robot_robot else {1: inputs[1]}
+
+
+def place_robot_2(pos, heading, v, tau):
+    """Robot 2's start, from which it drives straight at speed v to pos in tau."""
+    back = step_flow(RobotState(*pos, heading), ControlInput(-v, 0.0), tau)
+    return RobotState(back.x, back.y, heading)
+
+
+def draw_thin_graze(rng, robot_robot):
+    """A body thin enough (radii sum 1e-17 to 1e-13) that the two-sided
+    bound is 0 up to rounding, beside the robot's mid-step position by up to
+    twice the radii sum: the pair touches at mid-step or just misses."""
+    h = math.exp(rng.uniform(math.log(1e-4), math.log(0.1)))
+    inputs = draw_straight_inputs(rng, robot_robot)
+    states = {1: RobotState(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(-math.pi, math.pi))}
+    mid = step_flow(states[1], inputs[1], 0.5 * h)
+    rsum = math.exp(rng.uniform(math.log(1e-17), math.log(1e-13)))
+    side = mid.theta + rng.choice([-0.5, 0.5]) * math.pi
+    offset = rsum * rng.uniform(0.0, 2.0)
+    pos = (mid.x + offset * math.cos(side), mid.y + offset * math.sin(side))
+    if robot_robot:
+        # robot 2 passes robot 1 alongside or head-on
+        states[2] = place_robot_2(pos, mid.theta + rng.choice([0.0, math.pi]), inputs[2].v, 0.5 * h)
+        return ContactPair(1, 2, rsum, None), states, inputs, h
+    return ContactPair(1, 3, rsum, pos), states, inputs, h
+
+
+@pytest.mark.parametrize("robot_robot", [False, True], ids=["robot-obstacle", "robot-robot"])
+def test_two_sided_bound_never_skips_a_pair_touching_at_mid_step(robot_robot, monkeypatch):
+    rng = random.Random(4)
+    touching = slackless = 0
+    for _ in range(1500):
+        pair, states, inputs, h = draw_thin_graze(rng, robot_robot)
+        if not exactly_touching(pair, {rid: step_flow(states[rid], inputs[rid], 0.5 * h) for rid in states}):
+            continue
+        touching += 1
+        g0, g1 = gap(pair, states), gap_at(pair, states, inputs, h)
+        # the bound without its slack would skip the pair
+        slackless += g1 >= 0.0 and g0 + g1 - sum(abs(u.v) for u in inputs.values()) * h > 0.0
+        _, probes = probed(pair, states, inputs, h, monkeypatch)
+        assert probes > 0, (pair, states, inputs, h)
+    assert touching > 500 and slackless >= 20, (touching, slackless)
+
+
+def draw_mid_crossing(rng, robot_robot):
+    """A pair closing head-on (w = 0) whose gap crosses zero at mid-step,
+    the bisection's first midpoint, up to a shift of 40 ulps: both
+    certificates there predict a gap that is 0 up to rounding."""
+    h = math.exp(rng.uniform(math.log(1e-4), math.log(0.1)))
+    inputs = draw_straight_inputs(rng, robot_robot)
+    # the direction robot 1 drives in
+    ang = rng.uniform(-math.pi, math.pi)
+    states = {1: RobotState(rng.uniform(-10, 10), rng.uniform(-10, 10), ang + (inputs[1].v < 0.0) * math.pi)}
+    mid = step_flow(states[1], inputs[1], 0.5 * h)
+    rsum = math.exp(rng.uniform(math.log(0.01), math.log(2.0)))
+    px = mid.x + rsum * math.cos(ang)
+    px += rng.randint(-40, 40) * math.ulp(px)
+    pos = (px, mid.y + rsum * math.sin(ang))
+    if robot_robot:
+        # robot 2 drives back along the line, towards robot 1
+        states[2] = place_robot_2(pos, ang + (inputs[2].v > 0.0) * math.pi, inputs[2].v, 0.5 * h)
+        return ContactPair(1, 2, rsum, None), states, inputs, h
+    return ContactPair(1, 3, rsum, pos), states, inputs, h
+
+
+@pytest.mark.parametrize("robot_robot", [False, True], ids=["robot-obstacle", "robot-robot"])
+def test_certificates_keep_the_bits_of_a_crossing_at_mid_step(robot_robot):
+    rng = random.Random(5)
+    apart_slackless = touching_slackless = 0
+    for _ in range(2000):
+        pair, states, inputs, h = draw_mid_crossing(rng, robot_robot)
+        g0 = gap(pair, states)
+        next_states = {rid: step_flow(states[rid], inputs[rid], h) for rid in states}
+        g1 = gap(pair, next_states)
+        if not (g0 > 0.0 and g1 < 0.0):
+            continue
+        # the first midpoint's certificates, as detect_event forms them
+        speed, mid = sum(abs(u.v) for u in inputs.values()), 0.5 * (0.0 + h)
+        apart, touching = g0 - speed * (mid - 0.0), g1 + speed * (h - mid)
+        g_mid = gap_at(pair, states, inputs, mid)
+        # a certificate without its slack would take the wrong branch
+        apart_slackless += apart > 0.0 >= g_mid
+        touching_slackless += touching < 0.0 < g_mid and apart <= 0.0
+        case = (pair, states, inputs, h)
+        hit = detect_event([pair], [g0], states, inputs, h, next_states)
+        assert hit is not None and hit.t_offset == plain_bisection(pair, states, inputs, h)[0], case
+        at_hit = {rid: step_flow(states[rid], inputs[rid], hit.t_offset) for rid in states}
+        assert not exactly_touching(pair, at_hit), case
+    assert apart_slackless >= 10 and touching_slackless >= 5, (apart_slackless, touching_slackless)
 
 
 # --- one gap per pair per instant --------------------------------------------

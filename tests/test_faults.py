@@ -1,0 +1,194 @@
+"""The one fault channel: every error of `hybrid.FAULTS` ends the run as one
+fatal FaultRecord, and the CLI writes its files for that run as for any
+other.
+
+Each error is raised at its real site.  Where no valid scenario reaches
+that site, a monkeypatched callee hands the site a corrupted input: two
+coincident centres, a collision position off the contact circle, a target
+on the collision position, a robot that never regains clearance, NaN
+controller terms, or no event localization."""
+
+import json
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+from bumpsim import collision, controller, hybrid
+from bumpsim.cli import main
+from bumpsim.collision import PenetrationError
+from bumpsim.controller import RegionError
+from bumpsim.frames import CoincidentCentersError
+from bumpsim.hybrid import FAULTS, FaultRecord, SimMode, metrics, simulate
+from bumpsim.redesign import DegenerateTargetError, GeometryError, NonSeparableError
+from bumpsim.scenario import load_scenario, validate_scenario
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+# Robot 1 drives straight down into obstacle 3 and first touches it at
+# t = 0.852 s; far heavy clutter keeps its tracking branch active.  The
+# horizon leaves room for a local phase of 0.2 s at its 10x extension cap.
+RAMMING = {
+    "workspace": {"x_min": -50, "x_max": 50, "y_min": -50, "y_max": 50},
+    "bodies": [
+        {"id": 1, "kind": "robot", "radius": 1.0, "mass": 1.0, "x": 0.0, "y": 8.0, "theta": -0.5 * math.pi},
+        {"id": 3, "kind": "obstacle", "radius": 1.0, "mass": "unbounded", "x": 0.0, "y": 4.0},
+        {"id": 4, "kind": "obstacle", "radius": 1.0, "mass": "unbounded", "x": 40.0, "y": 0.0},
+        {"id": 5, "kind": "obstacle", "radius": 1.0, "mass": "unbounded", "x": -40.0, "y": 0.0},
+    ],
+    "targets": {"1": {"x": 0.0, "y": 0.0, "theta": -0.5 * math.pi}},
+    "params": {"rho": 9, "sigma1": 1.25, "sigma2": 0.6, "sigma3": 1.2, "mv": 5, "mw": 5},
+    "sim": {"t_max": 3.0, "jump_cap": 500},
+}
+
+
+def overflowing():
+    """example1 with robot 1 at x = 1e160 in a +-1e200 workspace: it
+    validates, and the squared distance to the target overflows at t = 0."""
+    doc = json.loads((SCENARIOS / "example1.json").read_text())
+    doc["workspace"] = {"x_min": -1e200, "x_max": 1e200, "y_min": -1e200, "y_max": 1e200}
+    doc["bodies"][0]["x"] = 1e160
+    return doc
+
+
+def no_event_localization(monkeypatch):
+    # the robot flows into the obstacle, and the sweep meets the overlap
+    monkeypatch.setattr(hybrid, "detect_event", lambda *args: None)
+
+
+def never_clear(monkeypatch):
+    # the real rule, as if the robot still touched a body at every expiry:
+    # it extends the phase until the cap
+    real = hybrid.reactivation_due
+    monkeypatch.setattr(hybrid, "reactivation_due", lambda phase, row_gaps: real(phase, [0.0]))
+
+
+def off_circle(monkeypatch):
+    real = hybrid.tangent_rays
+    monkeypatch.setattr(hybrid, "tangent_rays", lambda p_j, p_ic, r: real(p_j, p_ic, 2.0 * r))
+
+
+def target_on_contact(monkeypatch):
+    real = hybrid.select_escape_heading
+    monkeypatch.setattr(hybrid, "select_escape_heading", lambda rays, target: real(rays, rays.p_ic))
+
+
+def nan_terms(monkeypatch):
+    real = controller.controller_terms
+    monkeypatch.setattr(controller, "controller_terms", lambda *args: real(*args)._replace(a=math.nan))
+
+
+def coincident_centres(monkeypatch):
+    real = collision.build_local_frame
+    monkeypatch.setattr(collision, "build_local_frame", lambda p_i, p_j: real(p_i, p_i))
+
+
+BOTH = tuple(SimMode)
+REDESIGNED = (SimMode.REDESIGNED,)
+
+# error -> (scenario, corruption of its site's input, the modes that reach it)
+CASES = {
+    PenetrationError: (RAMMING, no_event_localization, BOTH),
+    NonSeparableError: (RAMMING, never_clear, REDESIGNED),
+    GeometryError: (RAMMING, off_circle, REDESIGNED),
+    DegenerateTargetError: (RAMMING, target_on_contact, REDESIGNED),
+    RegionError: (RAMMING, nan_terms, BOTH),
+    CoincidentCentersError: (RAMMING, coincident_centres, BOTH),
+    OverflowError: (overflowing(), None, BOTH),
+}
+IDS = [error.__name__ for error in CASES]
+
+
+def arrange(monkeypatch, error):
+    doc, corrupt, modes = CASES[error]
+    if corrupt is not None:
+        corrupt(monkeypatch)
+    return doc, modes
+
+
+def test_every_fault_is_covered():
+    assert set(CASES) == set(FAULTS)
+
+
+@pytest.mark.parametrize("error", CASES, ids=IDS)
+def test_simulate_ends_the_run_with_one_fatal_record(monkeypatch, error):
+    doc, modes = arrange(monkeypatch, error)
+    for mode in modes:
+        records = simulate(load_scenario(json.dumps(doc)), mode).records
+        fatal = [r for r in records if isinstance(r, FaultRecord) and r.fatal]
+        assert fatal == [records[-1]], mode
+        assert fatal[0].reason.startswith(f"{error.__name__}: "), fatal[0].reason
+
+
+def run_cli(*args):
+    return main([str(a) for a in args])
+
+
+@pytest.mark.parametrize("no_trace", [False, True], ids=["trace", "no-trace"])
+@pytest.mark.parametrize("error", CASES, ids=IDS)
+def test_run_writes_every_file_on_a_fault(monkeypatch, tmp_path, capsys, error, no_trace):
+    doc, _ = arrange(monkeypatch, error)
+    path, out = tmp_path / "scenario.json", tmp_path / "out"
+    path.write_text(json.dumps(doc))
+    flags = ["--no-trace"] if no_trace else []
+    assert run_cli("run", "--scenario", path, "--mode", "redesigned", "--out", out, *flags) == 3
+    assert f"simulation fault: {error.__name__}: " in capsys.readouterr().err
+
+    summary = json.loads((out / "metrics.json").read_text())
+    assert summary["fault"] is True
+    assert summary["fault_reasons"][-1].startswith(f"{error.__name__}: ")
+    assert (out / "plot_robot1.csv").read_text().startswith("t,x,y,theta,v,w\n")
+    if no_trace:
+        assert not (out / "trace.csv").exists()
+    else:
+        last = (out / "trace.csv").read_text().splitlines()[-1]
+        assert re.fullmatch(rf"[^,]+,fault,,,,,,,,,{error.__name__}: .*;fatal=1", last), last
+
+
+def keys(payload):
+    """The nested keys of a JSON payload, without its values."""
+    return {k: keys(v) for k, v in payload.items()} if isinstance(payload, dict) else None
+
+
+@pytest.fixture(scope="module")
+def clean_compare(tmp_path_factory):
+    """compare.json of a fault-free comparison: the run stops short of contact."""
+    path = tmp_path_factory.mktemp("clean") / "scenario.json"
+    path.write_text(json.dumps({**RAMMING, "sim": {"t_max": 0.5}}))
+    run_cli("compare", "--scenario", path, "--out", path.parent)
+    payload = json.loads((path.parent / "compare.json").read_text())
+    assert not payload["predefined"]["fault"] and not payload["redesigned"]["fault"]
+    return payload
+
+
+@pytest.mark.parametrize("error", CASES, ids=IDS)
+def test_compare_writes_one_shape_on_a_fault(monkeypatch, tmp_path, clean_compare, error):
+    doc, modes = arrange(monkeypatch, error)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("compare", "--scenario", path, "--out", tmp_path) == 3
+    payload = json.loads((tmp_path / "compare.json").read_text())
+    assert keys(payload) == keys(clean_compare)
+    for mode in modes:
+        assert payload[mode.value]["fault"] is True
+        assert payload[mode.value]["completed"] is False
+        assert payload[mode.value]["fault_reasons"][-1].startswith(f"{error.__name__}: ")
+    assert payload["deltas"]["completed"]["redesigned"] is False
+
+
+def test_overflowing_scenario_runs_to_a_fault_and_writes_its_outputs(tmp_path):
+    doc = overflowing()
+    scenario = load_scenario(json.dumps(doc))
+    assert validate_scenario(scenario) == []
+    trace = simulate(scenario)
+    assert metrics(trace).robots[1].min_clearance > 1e159
+    assert [type(r) for r in trace.records] == [FaultRecord]
+
+    path, run_out, cmp_out = tmp_path / "far.json", tmp_path / "run", tmp_path / "cmp"
+    path.write_text(json.dumps(doc))
+    assert run_cli("run", "--scenario", path, "--out", run_out) == 3
+    assert sorted(p.name for p in run_out.iterdir()) == ["metrics.json", "plot_robot1.csv", "trace.csv"]
+    assert run_cli("compare", "--scenario", path, "--out", cmp_out) == 3
+    payload = json.loads((cmp_out / "compare.json").read_text())
+    assert payload["deltas"] == {"collisions": {"1": 0}, "completed": {"predefined": False, "redesigned": False}}

@@ -2,13 +2,13 @@ import dataclasses
 import json
 import math
 import random
+import re
 import struct
 from pathlib import Path
 
 import pytest
 
 from bumpsim import hybrid
-from bumpsim.collision import PenetrationError
 from bumpsim.hybrid import (
     CollisionRecord,
     FaultRecord,
@@ -523,14 +523,39 @@ def test_trace_timestamps_non_decreasing():
 
 
 @pytest.mark.parametrize("mode", list(SimMode), ids=lambda m: m.value)
-def test_sweep_raises_on_penetration(monkeypatch, mode):
+def test_sweep_penetration_ends_the_run_as_a_fatal_fault(monkeypatch, mode):
     # Without event localization the crossing robots flow into each other,
     # and the contact sweep meets the overlap on the pair's gap.
     monkeypatch.setattr(hybrid, "detect_event", lambda *args: None)
     scenarios = Path(__file__).resolve().parents[1] / "scenarios"
     sc = load_scenario((scenarios / "crossing.json").read_text())
-    with pytest.raises(PenetrationError, match=r"bodies \d and \d overlap"):
-        simulate(sc, mode)
+    last = simulate(sc, mode).records[-1]
+    assert isinstance(last, FaultRecord) and last.fatal
+    assert re.match(r"PenetrationError: bodies \d and \d overlap", last.reason), last.reason
+
+
+def test_sweep_second_pass_defers_a_pair_that_a_jump_turned_approaching():
+    # At t = 0 robot 1 touches robot 2 behind it and obstacle 3 ahead (gaps of
+    # 5e-10).  The first pass skips the robot pair, listed first, which
+    # separates, and bounces robot 1 off the obstacle.  That turns robot 1
+    # towards robot 2, so the second pass finds that pair approaching and
+    # defers it: robot 1 has taken its one collision of the instant.
+    d = 5e-10
+    sc = make_scenario(
+        [robot(1, 0.0, 0.0), robot(2, -2.0 - d, 0.0, theta=math.pi), obstacle(3, 2.0 + d, 0.0)],
+        {"1": {"x": 10.0, "y": 0.0, "theta": 0.0}, "2": {"x": -10.0, "y": 0.0, "theta": math.pi}},
+        sim={"t_max": 0.01, "jump_cap": 10},
+    )
+    records = simulate(sc, SimMode.PREDEFINED_ONLY).records
+    collision, deferral, sample1, sample2 = [r for r in records if r.t == 0.0]
+    assert isinstance(collision, CollisionRecord)
+    assert (collision.robot_id, collision.other_id, collision.theta_pre) == (1, 3, 0.0)
+    assert deferral == FaultRecord(
+        t=0.0, reason="simultaneous contacts at one instant; pair (1, 2) deferred", fatal=False
+    )
+    # robot 1 leaves the instant reversed, closing on robot 2
+    assert sample1.theta == collision.theta_post == pytest.approx(math.pi)
+    assert sample1.v > sample2.v > 0.0 and sample2.theta == math.pi
 
 
 # --- the jump cap's three stop sites --------------------------------------

@@ -1,7 +1,9 @@
 """Source hygiene: every name an engine module imports is used in it, every
 parameter of its functions is read, every field of its dataclasses and
-NamedTuples is read somewhere, and every private (`_`-prefixed) module-level
-function is called from the package.
+NamedTuples is read somewhere, every private (`_`-prefixed) module-level
+function is called from the package, and every error class of an engine
+module is one of the faults (`hybrid.FAULTS`) that `simulate` ends a run
+with.
 
 No linter ships with the project, so these stdlib `ast` checks catch the
 imports, parameters, fields and helpers that deleting code leaves behind.
@@ -14,9 +16,12 @@ field).
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+from bumpsim.hybrid import FAULTS
 
 HERE = Path(__file__).resolve()
 ROOT = HERE.parents[1]
@@ -219,3 +224,17 @@ def package_reads():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_private_function_is_called(module, package_reads):
     assert uncalled_private_functions((SRC / module).read_text(encoding="utf-8"), package_reads) == []
+
+
+@pytest.mark.parametrize("module", ["collision", "controller", "frames", "redesign"])
+def test_every_engine_error_is_a_fault(module):
+    # an error class missing from FAULTS would escape `simulate` as a
+    # traceback instead of ending the run as a fatal FaultRecord
+    mod = importlib.import_module(f"bumpsim.{module}")
+    errors = [
+        obj
+        for obj in vars(mod).values()
+        if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == mod.__name__
+    ]
+    assert errors
+    assert [e.__name__ for e in errors if e not in FAULTS] == []

@@ -362,3 +362,71 @@ def test_scenario_values_immutable():
     sc = load_scenario(json.dumps(EXAMPLE1_DOC))
     with pytest.raises(Exception):
         sc.bodies[0].radius = 2.0
+
+
+# --- every message, one table per function -----------------------------------
+
+
+@pytest.mark.parametrize(
+    "build, violation",
+    [
+        (lambda: crossing_with_params(rho=-1.0), "params.rho: value must be > 0, got -1.0"),
+        (lambda: crossing_with_params(sigma1=0.5), "params.sigma1: value must be >= 1, got 0.5"),
+        (lambda: crossing_with_params(sigma2=0.0), "params.sigma2: value must be > 0, got 0.0"),
+        (lambda: crossing_with_params(sigma3=-1.2), "params.sigma3: value must be > 0, got -1.2"),
+        (lambda: crossing_with_params(m_v=0.0), "params.mv: value must be > 0, got 0.0"),
+        (lambda: crossing_with_params(m_w=-5.0), "params.mw: value must be > 0, got -5.0"),
+        (lambda: crossing_with_params(delta=1.0), "params.delta: value must lie in [0, 1), got 1.0"),
+        (lambda: crossing_with_params(delta=-0.1), "params.delta: value must lie in [0, 1), got -0.1"),
+        (lambda: crossing_with_body(2, id=0), "bodies[2].id: obstacles must use ids >= 3, got 0"),
+    ],
+    ids=[
+        "rho", "sigma1", "sigma2", "sigma3", "mv", "mw", "delta-one", "delta-negative", "obstacle-id",
+    ],
+)
+def test_validate_scenario_messages(build, violation):
+    sc = build()
+    assert validate_scenario(sc) == [violation]
+    with pytest.raises(ValueError, match=re.escape(violation)):
+        simulate(sc)
+
+
+def set_in(path, value):
+    """EXAMPLE1_DOC with the value at `path` (a key or index sequence; the
+    empty path is the whole document) replaced."""
+
+    def build():
+        doc = doc_with()
+        if not path:
+            return value
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return doc
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (set_in(("bodies", 0, "radius"), "a"), "bodies[0].radius: expected a number, got 'a'"),
+        (set_in(("params",), [9, 1.25]), "params: expected an object"),
+        (set_in(("bodies", 1), 3), "bodies[1]: expected an object"),
+        (set_in((), [EXAMPLE1_DOC]), "top level: expected an object"),
+        (set_in(("targets",), [0.0, 0.0, 0.0]), "targets: expected an object keyed by robot id"),
+        (set_in(("sim",), "fast"), "sim: expected an object"),
+        (set_in(("bodies", 0, "id"), 1.0), "bodies[0].id: expected a positive integer, got 1.0"),
+        (set_in(("sim",), {"jump_cap": True}), "sim.jump_cap: expected a positive integer, got True"),
+        (set_in(("bodies", 1, "kind"), "wall"), "bodies[1].kind: expected 'robot' or 'obstacle', got 'wall'"),
+        (set_in(("bodies",), {"1": {}}), "bodies: expected a non-empty array"),
+    ],
+    ids=[
+        "non-number", "params", "body", "top-level", "targets", "sim", "id", "jump-cap", "kind", "bodies",
+    ],
+)
+def test_load_scenario_schema_messages(build, message):
+    with pytest.raises(SchemaError) as info:
+        load_scenario(json.dumps(build()))
+    assert str(info.value) == message
