@@ -122,25 +122,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate two unicycle robots with allowable collisions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--scenario", required=True, type=Path, help="scenario JSON file")
+    shared.add_argument("--dt", type=float, default=None, help="integration step override [s]")
+    shared.add_argument("--t-max", type=float, default=None, help="horizon override [s]")
+    shared.add_argument("--out", required=True, type=Path, help="output directory")
 
-    run = sub.add_parser("run", help="run one scenario in one mode")
-    run.add_argument("--scenario", required=True, type=Path, help="scenario JSON file")
+    run = sub.add_parser("run", parents=[shared], help="run one scenario in one mode")
     run.add_argument(
         "--mode",
         choices=[m.value for m in SimMode],
         default=SimMode.REDESIGNED.value,
         help="controller mode (default: redesigned)",
     )
-    run.add_argument("--dt", type=float, default=None, help="integration step override [s]")
-    run.add_argument("--t-max", type=float, default=None, help="horizon override [s]")
-    run.add_argument("--out", required=True, type=Path, help="output directory")
     run.add_argument("--no-trace", action="store_true", help="skip writing trace.csv")
-
-    compare = sub.add_parser("compare", help="run both modes and diff the metrics")
-    compare.add_argument("--scenario", required=True, type=Path)
-    compare.add_argument("--dt", type=float, default=None)
-    compare.add_argument("--t-max", type=float, default=None)
-    compare.add_argument("--out", required=True, type=Path)
+    sub.add_parser("compare", parents=[shared], help="run both modes and diff the metrics")
 
     return parser
 

@@ -70,36 +70,10 @@ class ContactQuery:
     frame: LocalFrame
 
     @classmethod
-    def build(
-        cls,
-        i_id: int,
-        j_id: int,
-        p_i: tuple[float, float],
-        p_j: tuple[float, float],
-        r_i: float,
-        r_j: float,
-        m_i: float,
-        m_j: float,
-        v_i: float,
-        v_j: float,
-        theta_i: float,
-        theta_j: float,
-    ) -> "ContactQuery":
-        return cls(
-            i_id=i_id,
-            j_id=j_id,
-            p_i=p_i,
-            p_j=p_j,
-            r_i=r_i,
-            r_j=r_j,
-            m_i=m_i,
-            m_j=m_j,
-            v_i=v_i,
-            v_j=v_j,
-            theta_i=theta_i,
-            theta_j=theta_j,
-            frame=build_local_frame(p_i, p_j),
-        )
+    def build(cls, p_i: tuple[float, float], p_j: tuple[float, float], **fields) -> "ContactQuery":
+        """The query of `fields` (every field but the centers and the frame),
+        with the pair frame built from the two centers."""
+        return cls(p_i=p_i, p_j=p_j, frame=build_local_frame(p_i, p_j), **fields)
 
 
 @dataclass(frozen=True, slots=True)

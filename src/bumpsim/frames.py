@@ -27,13 +27,6 @@ class LocalFrame:
     phi: float  # in [0, 2*pi)
 
 
-@dataclass(frozen=True, slots=True)
-class LocalState:
-    x: float
-    y: float
-    theta: float
-
-
 def build_local_frame(p_i: tuple[float, float], p_j: tuple[float, float]) -> LocalFrame:
     """Construct the pair frame anchored at p_i with +y toward p_j.
 
@@ -53,20 +46,20 @@ def build_local_frame(p_i: tuple[float, float], p_j: tuple[float, float]) -> Loc
     return LocalFrame(ox=p_i[0], oy=p_i[1], phi=phi + 0.0)  # +0.0 folds -0.0 into 0.0
 
 
-def to_local(state: RobotState, frame: LocalFrame) -> LocalState:
+def to_local(state: RobotState, frame: LocalFrame) -> RobotState:
     """Express a global pose in the frame; the heading becomes theta - phi."""
     c = math.cos(frame.phi)
     s = math.sin(frame.phi)
     dx = state.x - frame.ox
     dy = state.y - frame.oy
-    return LocalState(
+    return RobotState(
         x=c * dx + s * dy,
         y=-s * dx + c * dy,
         theta=state.theta - frame.phi,
     )
 
 
-def to_global(local: LocalState, frame: LocalFrame) -> RobotState:
+def to_global(local: RobotState, frame: LocalFrame) -> RobotState:
     """Exact inverse of to_local."""
     c = math.cos(frame.phi)
     s = math.sin(frame.phi)

@@ -636,7 +636,7 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
     reached: set[int] = set()
     stopped = {rid: ControlInput(0.0, 0.0) for rid in robot_ids}
     # Per-instant bookkeeping (cleared whenever t advances): robots already
-    # involved in a collision, and the pairs already resolved.
+    # involved in a collision, and the pairs already jumped or deferred.
     collided_marks: set[int] = set()
     resolved_pairs: set[tuple[int, int]] = set()
 
@@ -661,7 +661,7 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
         """Resolve every touching-and-approaching pair at the instant hs.t
         (`gaps` in table order), updating `inputs` to what the samples show.
         Each robot takes at most one collision per instant; extra
-        simultaneous contacts are deferred with a warning.  Jumps never move
+        simultaneous contacts are deferred, each with one warning.  Jumps never move
         positions, so the gaps hold for every pass."""
         progress = True
         while progress:
@@ -672,7 +672,7 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
                     continue
                 i, j = pair.i, pair.j
                 if (i, j) in resolved_pairs:
-                    # already jumped at this instant
+                    # already jumped or deferred at this instant
                     continue
                 if g < -CONTACT_TOL:
                     raise PenetrationError(
@@ -682,8 +682,10 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
                 if check_collision(query) is not ContactStatus.JUMP:
                     continue
                 if i in collided_marks or j in collided_marks:
-                    # a robot can take only one collision per instant
+                    # a robot can take only one collision per instant, so the
+                    # pair stays deferred for the rest of it: warn once
                     fault(f"simultaneous contacts at one instant; pair ({i}, {j}) deferred", False)
+                    resolved_pairs.add((i, j))
                     continue
                 progress = True
                 for rid, v_plus in apply_jump(query).items():
@@ -767,7 +769,7 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
             for phase in held:
                 phase.elapsed += advance
             if resolved_pairs:
-                # filled together, by the contact jumps of the instant just left
+                # filled by the instant just left; a pair is deferred only after a jump
                 collided_marks.clear()
                 resolved_pairs.clear()
 

@@ -10,15 +10,20 @@ flow step's state and OMEGA2's nominal input with `tuple.__new__`, which
 skips the field-count check): they are immutable (assigning a field raises
 AttributeError), hashable, unpack like tuples (`x, y, theta = state`) and
 compare equal to plain tuples.
+
+`serialize` derives its keys: each from the fields of the value it writes,
+and the params block's JSON keys (`mv` and `mw` name `m_v` and `m_w`) from
+the one table `PARAM_FIELDS`, which the loader and `validate_scenario`
+read too.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
-from typing import Any, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 UNBOUNDED = math.inf
 
@@ -129,6 +134,14 @@ class ControllerParams:
     delta: float = DEFAULT_DELTA
 
 
+# The params block: each JSON key and the ControllerParams field it fills, in
+# field order.  The loader, validate_scenario and serialize all read it.
+PARAM_FIELDS = {
+    "rho": "rho", "sigma1": "sigma1", "sigma2": "sigma2", "sigma3": "sigma3",
+    "mv": "m_v", "mw": "m_w", "delta": "delta",
+}
+
+
 @dataclass(frozen=True, slots=True)
 class Scenario:
     workspace: WorkspaceRect
@@ -156,6 +169,10 @@ class Scenario:
         raise KeyError(f"no body with id {body_id}")
 
 
+# the Scenario fields that the JSON "sim" block holds, under their own names
+SIM_FIELDS = ("dt", "t_max", "target_tolerance", "jump_cap")
+
+
 def _require(obj: dict, key: str, path: str) -> Any:
     if key not in obj:
         raise SchemaError(f"{path}.{key}: missing required field")
@@ -173,10 +190,14 @@ def _number(value: Any, path: str) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _numbers(obj: Any, path: str, keys: tuple[str, ...]) -> list[float]:
-    """The required number fields `keys` of the JSON object `obj`, in order."""
+def _numbers(
+    obj: Any, path: str, keys: Iterable[str], defaults: dict[str, float] | None = None
+) -> list[float]:
+    """The number fields `keys` of the JSON object `obj`, in order; only the
+    keys of `defaults` may be absent, and they then take their default."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected an object")
+    obj = {**(defaults or {}), **obj}
     return [_number(_require(obj, key, path), f"{path}.{key}") for key in keys]
 
 
@@ -196,8 +217,7 @@ def _parse_body(obj: Any, idx: int) -> Body:
     # obstacle mass to unbounded.
     mass_raw = obj.get("mass", 1.0 if kind is BodyKind.ROBOT else "unbounded")
     mass = UNBOUNDED if mass_raw == "unbounded" else _number(mass_raw, f"{path}.mass")
-    x, y = _numbers(obj, path, ("x", "y"))
-    theta = _number(obj.get("theta", 0.0), f"{path}.theta")
+    x, y, theta = _numbers(obj, path, ("x", "y", "theta"), {"theta": 0.0})
     return Body(id=body_id, kind=kind, radius=radius, mass=mass, x=x, y=y, theta=theta)
 
 
@@ -230,8 +250,8 @@ def load_scenario(text: str) -> Scenario:
     if not isinstance(doc, dict):
         raise SchemaError("top level: expected an object")
 
-    bounds = _numbers(_require(doc, "workspace", "top level"), "workspace", ("x_min", "x_max", "y_min", "y_max"))
-    workspace = WorkspaceRect(*bounds)
+    ws_raw = _require(doc, "workspace", "top level")
+    workspace = WorkspaceRect(*_numbers(ws_raw, "workspace", [f.name for f in fields(WorkspaceRect)]))
 
     bodies_raw = _require(doc, "bodies", "top level")
     if not isinstance(bodies_raw, list):
@@ -250,31 +270,19 @@ def load_scenario(text: str) -> Scenario:
         # one spelling per id, so no two keys can name the same robot
         if rid is None or str(rid) != key:
             raise SchemaError(f"targets.{key}: key must be a robot id written in canonical decimal")
-        targets[rid] = RobotState(*_numbers(val, f"targets.{key}", ("x", "y", "theta")))
+        targets[rid] = RobotState(*_numbers(val, f"targets.{key}", RobotState._fields))
 
     params_raw = _require(doc, "params", "top level")
-    params = ControllerParams(
-        *_numbers(params_raw, "params", ("rho", "sigma1", "sigma2", "sigma3", "mv", "mw")),
-        delta=_number(params_raw.get("delta", DEFAULT_DELTA), "params.delta"),
-    )
+    params = ControllerParams(*_numbers(params_raw, "params", PARAM_FIELDS, {"delta": DEFAULT_DELTA}))
 
     sim = doc.get("sim", {})
-    if not isinstance(sim, dict):
-        raise SchemaError("sim: expected an object")
+    # every number of the sim block may be left out
+    defaults = {"dt": DEFAULT_DT, "t_max": DEFAULT_T_MAX, "target_tolerance": DEFAULT_TARGET_TOLERANCE}
+    dt, t_max, tolerance = _numbers(sim, "sim", defaults, defaults)
     jump_cap = sim.get("jump_cap", DEFAULT_JUMP_CAP)
     if isinstance(jump_cap, bool) or not isinstance(jump_cap, int):
         raise SchemaError(f"sim.jump_cap: expected a positive integer, got {jump_cap!r}")
-
-    return Scenario(
-        workspace=workspace,
-        bodies=bodies,
-        targets=targets,
-        params=params,
-        dt=_number(sim.get("dt", DEFAULT_DT), "sim.dt"),
-        t_max=_number(sim.get("t_max", DEFAULT_T_MAX), "sim.t_max"),
-        target_tolerance=_number(sim.get("target_tolerance", DEFAULT_TARGET_TOLERANCE), "sim.target_tolerance"),
-        jump_cap=jump_cap,
-    )
+    return Scenario(workspace, bodies, targets, params, dt, t_max, tolerance, jump_cap)
 
 
 def _non_finite(path: str, values: dict[str, float]) -> list[str]:
@@ -358,8 +366,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             )
 
     p = scenario.params
-    params = {"rho": p.rho, "sigma1": p.sigma1, "sigma2": p.sigma2, "sigma3": p.sigma3,
-              "mv": p.m_v, "mw": p.m_w, "delta": p.delta}
+    params = {key: getattr(p, name) for key, name in PARAM_FIELDS.items()}
     violations += _non_finite("params", params)
     for name in ("rho", "sigma2", "sigma3", "mv", "mw"):
         if params[name] <= 0.0:
@@ -396,43 +403,19 @@ def _mass_json(mass: float) -> Any:
 
 def serialize(scenario: Scenario) -> str:
     """Serialize to the published JSON schema; load_scenario round-trips it."""
+    bodies = []
+    for b in scenario.bodies:
+        body = asdict(b)
+        body.update(kind=b.kind.value, mass=_mass_json(b.mass))
+        if not b.is_robot:
+            # an obstacle has a position only
+            del body["theta"]
+        bodies.append(body)
     doc = {
-        "workspace": {
-            "x_min": scenario.workspace.x_min,
-            "x_max": scenario.workspace.x_max,
-            "y_min": scenario.workspace.y_min,
-            "y_max": scenario.workspace.y_max,
-        },
-        "bodies": [
-            {
-                "id": b.id,
-                "kind": b.kind.value,
-                "radius": b.radius,
-                "mass": _mass_json(b.mass),
-                "x": b.x,
-                "y": b.y,
-                **({"theta": b.theta} if b.is_robot else {}),
-            }
-            for b in scenario.bodies
-        ],
-        "targets": {
-            str(rid): {"x": t.x, "y": t.y, "theta": t.theta}
-            for rid, t in sorted(scenario.targets.items())
-        },
-        "params": {
-            "rho": scenario.params.rho,
-            "sigma1": scenario.params.sigma1,
-            "sigma2": scenario.params.sigma2,
-            "sigma3": scenario.params.sigma3,
-            "mv": scenario.params.m_v,
-            "mw": scenario.params.m_w,
-            "delta": scenario.params.delta,
-        },
-        "sim": {
-            "dt": scenario.dt,
-            "t_max": scenario.t_max,
-            "target_tolerance": scenario.target_tolerance,
-            "jump_cap": scenario.jump_cap,
-        },
+        "workspace": asdict(scenario.workspace),
+        "bodies": bodies,
+        "targets": {str(rid): t._asdict() for rid, t in sorted(scenario.targets.items())},
+        "params": {key: getattr(scenario.params, name) for key, name in PARAM_FIELDS.items()},
+        "sim": {name: getattr(scenario, name) for name in SIM_FIELDS},
     }
     return json.dumps(doc, indent=2)

@@ -12,6 +12,7 @@ from bumpsim.collision import (
     resolve_collision,
     resolve_normal,
 )
+from bumpsim.frames import build_local_frame
 
 UNBOUNDED = math.inf
 
@@ -32,6 +33,30 @@ def q_pair(
         i_id=1, j_id=2, p_i=p_i, p_j=p_j, r_i=r_i, r_j=r_j,
         m_i=m_i, m_j=m_j, v_i=v_i, v_j=v_j, theta_i=theta_i, theta_j=theta_j,
     )
+
+
+FIELDS = dict(i_id=1, j_id=2, r_i=1.0, r_j=1.0, m_i=1.0, m_j=1.0, v_i=0.0, v_j=0.0, theta_i=0.0, theta_j=0.0)
+
+
+def test_build_adds_the_frame_of_the_centers():
+    q = ContactQuery.build((0.0, 0.0), (2.0, 0.0), **FIELDS)
+    assert q.frame == build_local_frame((0.0, 0.0), (2.0, 0.0))
+    assert (q.p_i, q.p_j, q.m_j) == ((0.0, 0.0), (2.0, 0.0), 1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ContactQuery.build(p_j=(0.0, 2.0), **FIELDS),
+        lambda: ContactQuery.build((0.0, 0.0), (0.0, 2.0), **{k: v for k, v in FIELDS.items() if k != "m_j"}),
+        lambda: ContactQuery.build((0.0, 0.0), (0.0, 2.0), spin=1.0, **FIELDS),
+        lambda: ContactQuery.build((0.0, 0.0), (0.0, 2.0), frame=None, **FIELDS),
+    ],
+    ids=["missing-p_i", "missing-m_j", "unknown", "explicit-frame"],
+)
+def test_build_rejects_a_wrong_field_list(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 # --- check_collision -------------------------------------------------------

@@ -56,9 +56,7 @@ def test_origin_maps_to_zero():
 
 def test_to_global_inverts_example():
     f = build_local_frame((0.0, 0.0), (2.0, 0.0))
-    from bumpsim.frames import LocalState
-
-    back = to_global(LocalState(0.0, 2.0, -1.5 * math.pi), f)
+    back = to_global(RobotState(0.0, 2.0, -1.5 * math.pi), f)
     assert back.x == pytest.approx(2.0, abs=1e-12)
     assert back.y == pytest.approx(0.0, abs=1e-12)
     assert back.theta == pytest.approx(0.0, abs=1e-12)
@@ -66,9 +64,7 @@ def test_to_global_inverts_example():
 
 def test_to_global_translation_only():
     f = LocalFrame(5.0, 5.0, 0.0)
-    from bumpsim.frames import LocalState
-
-    back = to_global(LocalState(0.0, 0.0, 0.0), f)
+    back = to_global(RobotState(0.0, 0.0, 0.0), f)
     assert (back.x, back.y, back.theta) == (5.0, 5.0, 0.0)
 
 

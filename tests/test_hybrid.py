@@ -558,6 +558,28 @@ def test_sweep_second_pass_defers_a_pair_that_a_jump_turned_approaching():
     assert sample1.v > sample2.v > 0.0 and sample2.theta == math.pi
 
 
+@pytest.mark.parametrize("mode", list(SimMode), ids=lambda m: m.value)
+def test_sweep_defers_a_pair_once_per_instant(mode):
+    # Robot 1 touches obstacles 3 and 4 (gaps of 5e-10) at +-45 degrees ahead
+    # of it.  It bounces off obstacle 3, and obstacle 4 is deferred; the
+    # jump makes the sweep pass again, which must not warn a second time.
+    c = (1.5 + 5e-10) * math.cos(math.pi / 4)
+    sc = make_scenario(
+        [robot(1, 0.0, 0.0), obstacle(3, c, c, radius=0.5), obstacle(4, c, -c, radius=0.5)],
+        {"1": {"x": 10.0, "y": 0.0, "theta": 0.0}},
+        sim={"t_max": 0.01, "jump_cap": 10},
+    )
+    deferrals = [0]
+    # one robot: each executor pass ends with its one sample
+    for r in simulate(sc, mode).records:
+        if isinstance(r, FlowSample):
+            assert deferrals[-1] <= 1, (r.t, deferrals[-1])
+            deferrals.append(0)
+        elif isinstance(r, FaultRecord) and r.reason.startswith("simultaneous contacts at one instant"):
+            deferrals[-1] += 1
+    assert deferrals[0] == 1
+
+
 # --- the jump cap's three stop sites --------------------------------------
 
 

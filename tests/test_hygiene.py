@@ -1,9 +1,10 @@
 """Source hygiene: every name an engine module imports is used in it, every
 parameter of its functions is read, every field of its dataclasses and
 NamedTuples is read somewhere, every private (`_`-prefixed) module-level
-function is called from the package, and every error class of an engine
+function is called from the package, every error class of an engine
 module is one of the faults (`hybrid.FAULTS`) that `simulate` ends a run
-with.
+with, and no two dataclasses or NamedTuples of the engine declare the same
+field list.
 
 No linter ships with the project, so these stdlib `ast` checks catch the
 imports, parameters, fields and helpers that deleting code leaves behind.
@@ -113,6 +114,30 @@ def _has_row_template(node):
     )
 
 
+def value_classes(source):
+    """{class name: field names} of the source's @dataclass and NamedTuple
+    classes, the fields in declaration order."""
+    return {
+        node.name: tuple(
+            stmt.target.id
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        )
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        and (any(_is_dataclass(d) for d in node.decorator_list) or _is_named_tuple(node))
+    }
+
+
+def repeated_field_lists(classes):
+    """The names of the classes in `classes` ({name: field names}) that
+    declare the same field list as another, one sorted group per list."""
+    by_fields = {}
+    for name, names in classes.items():
+        by_fields.setdefault(names, []).append(name)
+    return sorted(sorted(group) for group in by_fields.values() if len(group) > 1)
+
+
 def unread_fields(source, reads):
     """Fields of the source's @dataclass and NamedTuple classes whose names
     are not in `reads`; a class with a `ROW` template reads all its fields."""
@@ -196,6 +221,40 @@ def reads():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_dataclass_field_is_read(module, reads):
     assert unread_fields((SRC / module).read_text(encoding="utf-8"), reads) == []
+
+
+def test_check_flags_a_repeated_field_list():
+    source = (
+        "@dataclass(frozen=True)\n"
+        "class Pose:\n"
+        "    x: float\n"
+        "    y: float\n"
+        "\n"
+        "class Point(NamedTuple):\n"
+        "    x: float\n"
+        "    y: float\n"
+        "\n"
+        "class Swapped(NamedTuple):\n"
+        "    y: float\n"
+        "    x: float\n"
+        "\n"
+        "class Plain:\n"
+        "    x: float\n"
+        "    y: float\n"
+    )
+    classes = value_classes(source)
+    assert list(classes) == ["Pose", "Point", "Swapped"]
+    assert repeated_field_lists(classes) == [["Point", "Pose"]]
+
+
+def test_no_two_value_classes_share_a_field_list():
+    # a second class with the same fields restates a type the engine has
+    classes = {
+        f"{module[:-3]}.{name}": fields
+        for module in MODULES
+        for name, fields in value_classes((SRC / module).read_text(encoding="utf-8")).items()
+    }
+    assert repeated_field_lists(classes) == []
 
 
 def test_check_flags_an_uncalled_private_function():

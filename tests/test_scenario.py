@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -6,10 +7,14 @@ from pathlib import Path
 
 import pytest
 
+from conftest import WEDGE
+
 from bumpsim.hybrid import simulate
 from bumpsim.scenario import (
+    PARAM_FIELDS,
     UNBOUNDED,
     BodyKind,
+    ControllerParams,
     ParseError,
     RobotState,
     SchemaError,
@@ -356,6 +361,30 @@ def test_serialize_round_trip_bit_exact():
         assert validate_scenario(again) == []
         # and serialization itself is stable
         assert serialize(again) == serialize(sc)
+
+
+# SHA-256 of serialize's output: the round-trip scenarios in order, then the wedge
+SERIALIZED = [
+    "65c8be97476d9080277880ac89fbd3ac6a6c05e02565413c3104bda0d2e0c3e0",
+    "5e3e7ba8f17012ea24784e5c6362dcc4758b5b4028eef71c36bb7805899f907f",
+    "c2ffa8edb56181c6ecbede15f635aa4cf01b378ac5feae410c3ae385f94f685c",
+    "c23b40d54902e0953b724c740631db68445c55ff4d40524d4ed8c1348bdccecf",
+    "5033d856a9a22afc9b66da748e7759d14143fbd71d0f80d9547ffb8f37de7f31",
+    "a4be6cdb6423d85a580206713beb03622070466fa27d3da52b8e901b6843e571",
+]
+
+
+def test_serialize_bytes_are_pinned():
+    # the keys, their order, the number spellings and the indentation
+    scenarios = [*_scenarios_for_round_trip(), load_scenario(json.dumps(WEDGE))]
+    digests = [hashlib.sha256(serialize(sc).encode("utf-8")).hexdigest() for sc in scenarios]
+    assert digests == SERIALIZED
+
+
+def test_param_table_names_every_field_once():
+    names = list(PARAM_FIELDS.values())
+    assert names == [f.name for f in dataclasses.fields(ControllerParams)]
+    assert len(set(names)) == len(names)
 
 
 def test_scenario_values_immutable():
