@@ -84,11 +84,11 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # leaves room.  A bisection certificate compares two probe gaps of one pair,
 # which the same budget covers.
 BOUND_SLACK = 32.0 * math.ulp(1.0)
-# Every error the engine raises during a run, and arithmetic overflow:
-# `simulate` ends the run on any of them with a fatal FaultRecord.
+# Every error the engine raises during a run, builtin or its own, and arithmetic
+# overflow: `simulate` ends the run on any of them with a fatal FaultRecord.
 FAULTS = (
     PenetrationError, NonSeparableError, GeometryError, DegenerateTargetError, RegionError,
-    CoincidentCentersError, OverflowError,
+    CoincidentCentersError, OverflowError, ValueError,
 )
 # Builds a per-step NamedTuple from a tuple of exactly its fields, skipping
 # the generated Python-level `__new__` (about twice the cost per build).
@@ -237,12 +237,12 @@ def step_flow(state: RobotState, u: ControlInput, dt: float) -> RobotState:
 @dataclass(frozen=True, slots=True)
 class EventHit:
     """Earliest contact crossing inside a step: offset from the step start
-    and the pair involved; `simultaneous` lists later-blocked ties."""
+    and the pair involved; `simultaneous` lists ties left to the sweep."""
 
     t_offset: float
     robot_id: int
     other_id: int
-    simultaneous: tuple[tuple[int, int], ...] = ()
+    simultaneous: tuple[tuple[int, int], ...]
 
 
 class ContactPair(NamedTuple):
@@ -708,8 +708,9 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
                 if g < min_gaps[k]:
                     min_gaps[k] = g
             # Settle the instant: reactivation, then target marks and inputs, then
-            # the contact sweep when a pair is within CONTACT_TOL.  From the cap
-            # on, the samples show every robot stopped.
+            # the contact sweep when a pair is within CONTACT_TOL.  A cap reached
+            # by an event jump or a reactivation closes with zero inputs, one in
+            # the sweep with its refreshed post-jump inputs.
             inputs = stopped
             if hs.jumps < cap:
                 for rid, _, _, ks in robots:
@@ -774,8 +775,7 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
                 resolved_pairs.clear()
 
             if hit is not None:
-                for i, j in hit.simultaneous:
-                    fault(f"simultaneous contact crossings; pair ({i}, {j}) deferred", False)
+                # the next pass's sweep settles every tied crossing
                 pair = pair_by_ids[(hit.robot_id, hit.other_id)]
                 # a cap fault here makes the next pass emit the closing samples
                 apply_jump(contact_query(pair, hs.states, inputs, body))

@@ -52,6 +52,15 @@ def overflowing():
     return doc
 
 
+def vanishing_robot():
+    """crossing with robot 2's radius at the smallest subnormal: it
+    validates, and robot 1's escape phase off robot 2 gets the local
+    duration 0.5 * 5e-324 / 5 == 0.0, which `LocalPhase` rejects."""
+    doc = json.loads((SCENARIOS / "crossing.json").read_text())
+    next(b for b in doc["bodies"] if b["id"] == 2)["radius"] = 5e-324
+    return doc
+
+
 def no_event_localization(monkeypatch):
     # the robot flows into the obstacle, and the sweep meets the overlap
     monkeypatch.setattr(hybrid, "detect_event", lambda *args: None)
@@ -96,6 +105,7 @@ CASES = {
     RegionError: (RAMMING, nan_terms, BOTH),
     CoincidentCentersError: (RAMMING, coincident_centres, BOTH),
     OverflowError: (overflowing(), None, BOTH),
+    ValueError: (vanishing_robot(), None, REDESIGNED),
 }
 IDS = [error.__name__ for error in CASES]
 
@@ -153,13 +163,18 @@ def keys(payload):
 
 @pytest.fixture(scope="module")
 def clean_compare(tmp_path_factory):
-    """compare.json of a fault-free comparison: the run stops short of contact."""
-    path = tmp_path_factory.mktemp("clean") / "scenario.json"
-    path.write_text(json.dumps({**RAMMING, "sim": {"t_max": 0.5}}))
-    run_cli("compare", "--scenario", path, "--out", path.parent)
-    payload = json.loads((path.parent / "compare.json").read_text())
-    assert not payload["predefined"]["fault"] and not payload["redesigned"]["fault"]
-    return payload
+    """compare.json of a fault-free comparison with one robot (RAMMING) and
+    with two (crossing), keyed by robot count: each run stops short of contact."""
+    crossing = json.loads((SCENARIOS / "crossing.json").read_text())
+    payloads = {}
+    for doc in (RAMMING, crossing):
+        path = tmp_path_factory.mktemp("clean") / "scenario.json"
+        path.write_text(json.dumps({**doc, "sim": {"t_max": 0.5}}))
+        run_cli("compare", "--scenario", path, "--out", path.parent)
+        payload = json.loads((path.parent / "compare.json").read_text())
+        assert not payload["predefined"]["fault"] and not payload["redesigned"]["fault"]
+        payloads[len(doc["targets"])] = payload
+    return payloads
 
 
 @pytest.mark.parametrize("error", CASES, ids=IDS)
@@ -169,7 +184,7 @@ def test_compare_writes_one_shape_on_a_fault(monkeypatch, tmp_path, clean_compar
     path.write_text(json.dumps(doc))
     assert run_cli("compare", "--scenario", path, "--out", tmp_path) == 3
     payload = json.loads((tmp_path / "compare.json").read_text())
-    assert keys(payload) == keys(clean_compare)
+    assert keys(payload) == keys(clean_compare[len(doc["targets"])])
     for mode in modes:
         assert payload[mode.value]["fault"] is True
         assert payload[mode.value]["completed"] is False

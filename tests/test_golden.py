@@ -1,8 +1,9 @@
 """Golden outputs: SHA-256 of `trace_to_csv`, of the `metrics` summary and
 of the CLI's `plot_robot<i>.csv` files for every shipped scenario in both
-modes, at the shipped `dt`, and for the wedge scenario (`conftest.py`) that
-reaches both simultaneous-contact deferrals.  Each golden run's minimum
-clearances are also checked against a fold over its samples.
+modes, at the shipped `dt`, and for the wedge scenario (`conftest.py`),
+whose contact sweep defers a crossing tied with the event's.  Each golden
+run's minimum clearances are also checked against a fold over its samples,
+and its passes against the one-deferral rule (`conftest.audit_passes`).
 
 A refactor must leave these bits unchanged.  A change that alters them on
 purpose updates the hashes here, and in `bench/run_bench.py`'s `WORKLOADS`
@@ -18,6 +19,8 @@ import pytest
 
 from bumpsim import cli
 from bumpsim.hybrid import (
+    CollisionRecord,
+    FaultRecord,
     FlowSample,
     SimMode,
     TraceRecord,
@@ -31,7 +34,7 @@ from bumpsim.hybrid import (
     write_trace_csv,
 )
 from bumpsim.scenario import load_scenario
-from conftest import GOLDEN_CASES, WEDGE
+from conftest import GOLDEN_CASES, WEDGE, audit_passes
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -68,12 +71,12 @@ GOLDEN = {
     # In redesigned mode the robot never leaves the wedge: the jump cap ends
     # the run with collisions alternating between obstacles 3 and 4.
     ("wedge", PREDEFINED): (
-        "812f54fb0c75d905a49b62f4331561e3bfef45eccef2553314a203ffc67d7561",
-        "ca1374be7a2257aef3278520ce90fae3615dcbb6f54164087126f9e35f84e4a0",
+        "23b4a967561ca428349985e0b105ae221dcdda56036a6218a8931bb224903f40",
+        "392391d5093b234c5c8465a7c18f12716cb87bf04a084289515f64ad46855e50",
     ),
     ("wedge", REDESIGNED): (
-        "4bc54d2aec43097056f55d5ac63870ff918747dd3b83d90c338200c4e8af8ad9",
-        "77e0d90e78bee798cd9121c8ed14d898097e4597d88c64e64641c95fc8107f0e",
+        "75a693f00aeaa8a721247cf5f8193823d462cecb6d7c026b99f8f0cde3875279",
+        "74a9bd29babf25cb43778dac4f5a17f1082c843ebfbc4a8abfe3cb32e9f116d4",
     ),
 }
 
@@ -169,6 +172,44 @@ def sample_fold_clearance(trace):
                 if least[rid] is None or g < least[rid]:
                     least[rid] = g
     return least
+
+
+def collision(t, robot_id, other_id):
+    return CollisionRecord(t, robot_id, other_id, 0.0, 0.0, 0.0, 1.0, 0, 0.0, 1.0, 0.0, 1.0, 0.0)
+
+
+def deferral(t, i, j):
+    return FaultRecord(t, f"simultaneous contacts at one instant; pair ({i}, {j}) deferred", False)
+
+
+def test_audit_flags_each_rule():
+    sample = FlowSample(0.0, 1, 0.0, 0.0, 0.0, 1.0, 0.0, 0)
+    # a robot-robot contact writes two records and counts once; a deferral
+    # after the jump, and a fresh pass, are in order
+    kept = [collision(0.0, 1, 2), collision(0.0, 2, 1), deferral(0.0, 1, 3), sample, collision(0.0, 1, 3)]
+    assert audit_passes(kept) == []
+    assert audit_passes([collision(0.0, 1, 3), collision(0.0, 1, 4)]) == [
+        "t=0.0: robot 1 collides twice"
+    ]
+    assert audit_passes([collision(0.0, 1, 3), deferral(0.0, 1, 4), deferral(0.0, 4, 1)]) == [
+        "t=0.0: pair (1, 4) settled twice"
+    ]
+    # the parent's event path: a tie deferred before the hit is jumped, and
+    # the sweep settles it again
+    assert audit_passes([deferral(0.5, 1, 4), collision(0.5, 1, 3), deferral(0.5, 1, 4)]) == [
+        "t=0.5: pair (1, 4) deferred before either robot collided",
+        "t=0.5: pair (1, 4) settled twice",
+    ]
+    assert audit_passes([collision(0.0, 1, 2), collision(0.0, 2, 1)] * 2) == [
+        "t=0.0: robot 1 collides twice",
+        "t=0.0: pair (1, 2) settled twice",
+        "t=0.0: robot 2 collides twice",
+    ]
+
+
+def test_each_pass_keeps_the_deferral_rule(golden_run):
+    _, trace = golden_run
+    assert audit_passes(trace.records) == []
 
 
 def test_min_clearance_is_the_sample_fold(golden_run):

@@ -34,6 +34,7 @@ from bumpsim.hybrid import (
 from bumpsim.frames import build_local_frame
 from bumpsim.redesign import LocalPhase
 from bumpsim.scenario import ControlInput, RobotState, load_scenario
+from conftest import audit_passes
 
 
 def make_scenario(bodies, targets, sim=None, params=None):
@@ -578,6 +579,30 @@ def test_sweep_defers_a_pair_once_per_instant(mode):
         elif isinstance(r, FaultRecord) and r.reason.startswith("simultaneous contacts at one instant"):
             deferrals[-1] += 1
     assert deferrals[0] == 1
+
+
+@pytest.mark.parametrize("mode", list(SimMode), ids=lambda m: m.value)
+def test_sweep_jumps_a_tied_crossing_that_shares_no_robot(mode):
+    # Robots 1 and 2 are mirror images across y = 0, each driving into its
+    # own obstacle, so both crossings tie.  The event jumps (1, 3), and the
+    # same instant's sweep jumps (2, 4): nothing is deferred.
+    sc = make_scenario(
+        [
+            robot(1, 0.0, 10.0, theta=math.pi),
+            robot(2, 0.0, -10.0, theta=math.pi),
+            obstacle(3, -5.0, 10.0),
+            obstacle(4, -5.0, -10.0),
+        ],
+        {"1": {"x": -10.0, "y": 10.0, "theta": math.pi}, "2": {"x": -10.0, "y": -10.0, "theta": math.pi}},
+        sim={"t_max": 3.0, "jump_cap": 50},
+    )
+    records = simulate(sc, mode).records
+    t = 1.0566363402605001
+    at_t = [r for r in records if r.t == t]
+    hits = [(r.robot_id, r.other_id) for r in at_t if isinstance(r, CollisionRecord)]
+    assert hits[:2] == [(1, 3), (2, 4)]
+    assert not [r for r in at_t if isinstance(r, FaultRecord) and "deferred" in r.reason]
+    assert audit_passes(records) == []
 
 
 # --- the jump cap's three stop sites --------------------------------------

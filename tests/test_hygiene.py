@@ -2,9 +2,9 @@
 parameter of its functions is read, every field of its dataclasses and
 NamedTuples is read somewhere, every private (`_`-prefixed) module-level
 function is called from the package, every error class of an engine
-module is one of the faults (`hybrid.FAULTS`) that `simulate` ends a run
-with, and no two dataclasses or NamedTuples of the engine declare the same
-field list.
+module, and every builtin exception it raises by name, is one of the
+faults (`hybrid.FAULTS`) that `simulate` ends a run with, and no two
+dataclasses or NamedTuples of the engine declare the same field list.
 
 No linter ships with the project, so these stdlib `ast` checks catch the
 imports, parameters, fields and helpers that deleting code leaves behind.
@@ -17,6 +17,7 @@ field).
 """
 
 import ast
+import builtins
 import importlib
 from pathlib import Path
 
@@ -285,10 +286,41 @@ def test_every_private_function_is_called(module, package_reads):
     assert uncalled_private_functions((SRC / module).read_text(encoding="utf-8"), package_reads) == []
 
 
+def raised_builtins(source):
+    """(name, line) of each `raise` of a builtin exception class by name,
+    called or bare, in source order."""
+    raised = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if isinstance(target, ast.Name):
+            obj = getattr(builtins, target.id, None)
+            if isinstance(obj, type) and issubclass(obj, BaseException):
+                raised.append((target.id, node.lineno))
+    return sorted(raised, key=lambda item: item[1])
+
+
+def test_check_flags_a_builtin_raise():
+    source = (
+        "def f(x):\n"
+        "    if x < 0:\n"
+        "        raise ValueError(f'negative: {x}')\n"
+        "    if x == 0:\n"
+        "        raise KeyError\n"
+        "    try:\n"
+        "        return 1 / x\n"
+        "    except ZeroDivisionError as exc:\n"
+        "        raise OwnError(x) from exc\n"
+        "    raise\n"
+    )
+    assert raised_builtins(source) == [("ValueError", 3), ("KeyError", 5)]
+
+
 @pytest.mark.parametrize("module", ["collision", "controller", "frames", "redesign"])
 def test_every_engine_error_is_a_fault(module):
-    # an error class missing from FAULTS would escape `simulate` as a
-    # traceback instead of ending the run as a fatal FaultRecord
+    # an error missing from FAULTS would escape `simulate` as a traceback
+    # instead of ending the run as a fatal FaultRecord
     mod = importlib.import_module(f"bumpsim.{module}")
     errors = [
         obj
@@ -297,3 +329,6 @@ def test_every_engine_error_is_a_fault(module):
     ]
     assert errors
     assert [e.__name__ for e in errors if e not in FAULTS] == []
+    raised = raised_builtins((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    escaping = [(name, line) for name, line in raised if not issubclass(getattr(builtins, name), FAULTS)]
+    assert escaping == []
