@@ -43,6 +43,10 @@ class Region(Enum):
     OMEGA4 = 4
 
 
+# The members as module names: a global read is cheaper than an Enum lookup.
+OMEGA1, OMEGA2, OMEGA3, OMEGA4 = Region
+
+
 class RegionError(RuntimeError):
     """No region matched; the terms violate the controller's contract."""
 
@@ -104,8 +108,12 @@ def controller_terms(
         dy = y - oy
         # `dx ** 2`, not `dx * dx`: the example1 predefined golden pins these bits
         h += dx ** 2 + dy ** 2 - rsum * rsum
-        gx += 2.0 * dx
-        gy += 2.0 * dy
+        gx += dx
+        gy += dy
+    # doubling is exact, so doubling the sums gives the bits of summing 2 * dx
+    # (a |dx| whose double overflows has already raised on `dx ** 2`)
+    gx *= 2.0
+    gy *= 2.0
     cos_th = math.cos(theta)
     sin_th = math.sin(theta)
     tx, ty, t_theta = target
@@ -136,7 +144,7 @@ def nominal_control(terms: ControllerTerms, rho: float) -> tuple[Region, Control
     """
     _, _, a, b, c, s, e = terms
     if a < 0.0 and b > 0.0:
-        return Region.OMEGA1, ControlInput(0.0, 0.0), False
+        return OMEGA1, ControlInput(0.0, 0.0), False
 
     cs2 = c * c + s * s
     flat = cs2 < DENOM_EPS
@@ -144,21 +152,21 @@ def nominal_control(terms: ControllerTerms, rho: float) -> tuple[Region, Control
     bound = 0.0 if flat else (rho * e * c * a) / ((rho + 1.0) * cs2)
     if a >= 0.0 and b > bound:
         if flat:
-            return Region.OMEGA2, ControlInput(0.0, 0.0), True
+            return OMEGA2, ControlInput(0.0, 0.0), True
         k = -rho / (rho + 1.0) * a / cs2
-        return Region.OMEGA2, _new(ControlInput, (k * c, k * s)), False
+        return OMEGA2, _new(ControlInput, (k * c, k * s)), False
 
     e_small = abs(e) < DENOM_EPS
     # NaN when e is degenerate: region 3 fails and region 4 skips the test
     ratio = math.nan if e_small else (c * b) / e
     if b <= 0.0 and a < ratio:
-        return Region.OMEGA3, ControlInput(-b / e, 0.0), False
+        return OMEGA3, ControlInput(-b / e, 0.0), False
 
     if (e_small or a >= ratio) and (flat or b <= bound):
         denom = (1.0 / rho) * c * c + ((rho + 1.0) / rho) * s * s
         if e_small or denom < DENOM_EPS:
-            return Region.OMEGA4, ControlInput(0.0, 0.0), True
-        return Region.OMEGA4, ControlInput(-b / e, (b * c - a * e) / denom * (s / e)), False
+            return OMEGA4, ControlInput(0.0, 0.0), True
+        return OMEGA4, ControlInput(-b / e, (b * c - a * e) / denom * (s / e)), False
     raise RegionError(f"no region matches terms {terms}")
 
 

@@ -6,12 +6,14 @@ controller installed after a heading-changing collision.  q is 1 exactly
 while the robot holds a LocalPhase; `HybridState.phases` is its only
 record.  Every contact, found by event localization or by the sweep at
 an instant, goes through one pair-table row and one ContactQuery.  Each
-pair's gap is measured once per instant, and that list is the only
-measurement of a sampled instant: reactivation reads its robot's rows,
-the sweep decides touching and penetration on it
-(`collision.check_collision` adds only the approach test), event
-detection starts from it, and its running per-pair minimum becomes the
-trace's `clearance`, which `metrics` reports.  The executor integrates
+pair's gap is measured once per instant, by one pass that applies
+`gap`'s expression inline and folds each gap into the pair's running
+minimum, and that list is the only measurement of a sampled instant:
+reactivation reads its robot's rows, the sweep decides touching and
+penetration on it (`collision.check_collision` adds only the approach
+test), event detection starts from it, and the running minimum becomes
+the trace's `clearance`, which `metrics` reports; `gap` itself serves
+event localization.  The executor integrates
 the unicycle flow with fixed-step classical RK4 under zero-order-hold
 inputs and localizes contact events inside a step by conservative
 advancement: a pair whose start gap exceeds how far the step can move it
@@ -229,8 +231,9 @@ def step_flow(state: RobotState, u: ControlInput, dt: float) -> RobotState:
     k2x, k2y = v * math.cos(th2), v * math.sin(th2)
     th4 = th1 + dt * w
     k4x, k4y = v * math.cos(th4), v * math.sin(th4)
-    x += dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k2x + k4x)
-    y += dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k2y + k4y)
+    sixth = dt / 6.0
+    x += sixth * (k1x + 2.0 * k2x + 2.0 * k2x + k4x)
+    y += sixth * (k1y + 2.0 * k2y + 2.0 * k2y + k4y)
     return _new(RobotState, (x, y, th1 + dt * w))
 
 
@@ -273,7 +276,9 @@ def contact_pairs(bodies: Sequence[Body]) -> list[ContactPair]:
 
 def gap(pair: ContactPair, states: Mapping[int, RobotState]) -> float:
     """Center distance minus radii sum: positive apart, zero touching,
-    negative overlapping.  `states` maps robot id to anything with x, y."""
+    negative overlapping.  `states` maps robot id to anything with x, y.
+    Event localization calls it; `simulate`'s per-instant pass applies the
+    same expression inline, operand for operand."""
     i, j, rsum, fixed = pair
     si = states[i]
     if fixed is None:
@@ -481,8 +486,10 @@ def jump(
     event: ContactQuery | ReactivationEvent,
     scenario: Scenario,
     sim_mode: SimMode,
-) -> tuple[list, dict[int, float]]:
-    """Apply one hybrid jump to `hs` in place and return (records, post speeds).
+    records: list,
+) -> dict[int, float]:
+    """Apply one hybrid jump to `hs` in place, append its records to
+    `records` as it makes them, and return the post-collision speeds.
 
     A jump changes headings, speeds and local phases, never positions.
     A ReactivationEvent clears the robot's local phase and switches it back
@@ -492,9 +499,10 @@ def jump(
     phase) in REDESIGNED mode, while PREDEFINED_ONLY applies the heading
     jump alone.  Headings unchanged within tolerance leave the robot
     flowing in its current mode.  The returned speeds are the
-    post-collision linear speeds of the involved robots.
+    post-collision linear speeds of the involved robots.  An error part-way
+    keeps the records made before it: each robot's collision record
+    precedes the local phase it enters, whose construction can fail.
     """
-    records: list = []
     post_speeds: dict[int, float] = {}
 
     if isinstance(event, ReactivationEvent):
@@ -502,7 +510,7 @@ def jump(
         hs.phases[rid] = None
         records.append(SwitchRecord(t=hs.t, robot_id=rid, q_from=1, q_to=0))
         hs.jumps += 1
-        return (records, post_speeds)
+        return post_speeds
 
     query = event
     i, j = query.i_id, query.j_id
@@ -533,18 +541,11 @@ def jump(
     for rid, other_id, _, _, r_other, oc in outcomes:
         pre_state = hs.states[rid]
         post_speeds[rid] = oc.v_plus
-        switch_needed = rid in escapes and hs.phases[rid] is None
+        escaping = rid in escapes
         if oc.redesign_needed:
             # The physics heading theta_plus applies first; in REDESIGNED
             # mode the impulse then retargets it onto the escape heading.
             hs.states[rid] = RobotState(pre_state.x, pre_state.y, escapes.get(rid, oc.theta_plus))
-        if rid in escapes:
-            v_loc = scenario.params.m_v
-            hs.phases[rid] = LocalPhase(
-                collided_id=other_id,
-                v_loc=v_loc,
-                t_dur=local_duration(v_loc, other_id in hs.states, r_other),
-            )
         records.append(
             CollisionRecord(
                 t=hs.t,
@@ -559,19 +560,27 @@ def jump(
                 phi=query.frame.phi,
                 lam=oc.lam,
                 mu=oc.mu,
-                q=int(hs.phases[rid] is not None),
+                # the mode after the jump: an escaping robot enters a local phase
+                q=int(escaping or hs.phases[rid] is not None),
             )
         )
-        if rid in escapes:
+        hs.jumps += 1
+        if escaping:
+            switch_needed = hs.phases[rid] is None
+            v_loc = scenario.params.m_v
+            hs.phases[rid] = LocalPhase(
+                collided_id=other_id,
+                v_loc=v_loc,
+                t_dur=local_duration(v_loc, other_id in hs.states, r_other),
+            )
             dtheta = impulse(escapes[rid], oc.theta_plus)
             records.append(
                 ImpulseRecord(t=hs.t, robot_id=rid, theta_escape=escapes[rid], dtheta=dtheta)
             )
             if switch_needed:
                 records.append(SwitchRecord(t=hs.t, robot_id=rid, q_from=0, q_to=1))
-
-    hs.jumps += sum(1 for r in records if isinstance(r, (CollisionRecord, SwitchRecord)))
-    return (records, post_speeds)
+                hs.jumps += 1
+    return post_speeds
 
 
 # --------------------------------------------------------------------------
@@ -622,6 +631,11 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
     # (id, target, own rows, own row indices) of each robot, in id order
     robots = [(rid, targets[rid], [pairs[k] for k in ks], ks) for rid, ks in row_ks.items()]
     pair_by_ids = {(pair.i, pair.j): pair for pair in pairs}
+    # each row with its index, for the per-instant gap pass
+    gap_rows = [(k, *pair) for k, pair in enumerate(pairs)]
+    n_robots = len(robot_ids)
+    t_end = t_max - 1e-12
+    hypot = math.hypot
 
     hs = HybridState(
         t=0.0,
@@ -645,8 +659,7 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
 
     def apply_jump(event: ContactQuery | ReactivationEvent) -> dict[int, float]:
         """Jump, record it, and return the post-collision speeds."""
-        recs, post_speeds = jump(hs, event, scenario, sim_mode)
-        records.extend(recs)
+        post_speeds = jump(hs, event, scenario, sim_mode, records)
         if isinstance(event, ContactQuery):
             # post_speeds is keyed by exactly the robots of the contact
             collided_marks.update(post_speeds)
@@ -702,11 +715,19 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
             states = hs.states
             t = hs.t
             # One gap per pair per instant, shared by reactivation, the sweep,
-            # the event test and the run's clearance.
-            gaps = [gap(pair, states) for pair in pairs]
-            for k, g in enumerate(gaps):
+            # the event test and the run's clearance: `gap`'s expression,
+            # inline, folded into each pair's running minimum.
+            gaps = []
+            for k, i, j, rsum, fixed in gap_rows:
+                xi, yi, _ = states[i]
+                if fixed is None:
+                    jx, jy, _ = states[j]
+                else:
+                    jx, jy = fixed
+                g = hypot(jx - xi, jy - yi) - rsum
                 if g < min_gaps[k]:
                     min_gaps[k] = g
+                gaps.append(g)
             # Settle the instant: reactivation, then target marks and inputs, then
             # the contact sweep when a pair is within CONTACT_TOL.  A cap reached
             # by an event jump or a reactivation closes with zero inputs, one in
@@ -743,7 +764,7 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
                 q = int(phases[rid] is not None)
                 records.append(_new(FlowSample, (t, rid, x, y, theta, v, w, q)))
 
-            if hs.jumps >= cap or len(reached) == len(robot_ids) or t >= t_max - 1e-12:
+            if hs.jumps >= cap or len(reached) == n_robots or t >= t_end:
                 break
 
             # the step: dt, cut at t_max and at the end of every held local phase
@@ -756,7 +777,9 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
                 if 0.0 < remaining < h:
                     h = remaining
 
-            next_states = {rid: step_flow(states[rid], inputs[rid], h) for rid in robot_ids}
+            next_states = {}
+            for rid in robot_ids:
+                next_states[rid] = step_flow(states[rid], inputs[rid], h)
             hit = detect_event(pairs, gaps, states, inputs, h, next_states)
             if hit is None:
                 hs.states = next_states

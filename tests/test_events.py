@@ -2,7 +2,8 @@
 against a fine substep oracle, the bisection's certified probes against a
 plain bisection, the rounding slack of the cull, the two-sided bound and
 both certificates at the edge of the reach, the one-gap-per-pair budget,
-and bisection at offsets where one ulp exceeds the time tolerance."""
+the per-instant call budget, and bisection at offsets where one ulp
+exceeds the time tolerance."""
 
 import ast
 import math
@@ -425,22 +426,54 @@ def test_certificates_keep_the_bits_of_a_crossing_at_mid_step(robot_robot):
 # --- one gap per pair per instant --------------------------------------------
 
 
-def test_crossing_measures_each_gap_once_per_instant(monkeypatch):
-    calls = 0
-    real = hybrid.gap
+def crossing():
+    return load_scenario((SCENARIOS / "crossing.json").read_text())
 
-    def counting(pair, states):
+
+def test_crossing_measures_each_gap_once_per_instant(monkeypatch):
+    # every gap, the per-instant pass's and event localization's, is one hypot
+    calls = 0
+    real = math.hypot
+
+    def counting(dx, dy):
         nonlocal calls
         calls += 1
-        return real(pair, states)
+        return real(dx, dy)
 
-    monkeypatch.setattr(hybrid, "gap", counting)
-    trace = simulate(load_scenario((SCENARIOS / "crossing.json").read_text()), SimMode.REDESIGNED)
+    monkeypatch.setattr(math, "hypot", counting)
+    trace = simulate(crossing(), SimMode.REDESIGNED)
     instants = sum(1 for r in trace.records if isinstance(r, hybrid.FlowSample)) // 2
     # 5 pairs at each of the 19,712 instants, plus the rare end gaps and
-    # search probes; measuring each gap three times took 295,706 calls
+    # search probes (99,254 in all); measuring each gap three times took
+    # 295,706 calls
     assert instants == 19712
     assert calls < 101_000
+
+
+# --- per-instant call budget -------------------------------------------------
+
+
+def test_crossing_makes_no_python_call_outside_its_layers():
+    # An instant calls only the traced layers: two `predefined_control`
+    # (each with `controller_terms`, `nominal_control` and `saturate`), two
+    # `step_flow` and one `detect_event`, 11 calls, plus the rare event,
+    # jump and phase calls: 220,543 in all over 19,712 instants.  A helper
+    # or comprehension put back in the per-instant pass adds 19,711 or
+    # more; a `gap` call per pair and two comprehensions took 358,525.
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    scenario = crossing()
+    sys.setprofile(profile)
+    try:
+        simulate(scenario, SimMode.REDESIGNED)
+    finally:
+        sys.setprofile(None)
+    assert calls < 224_000
 
 
 # --- bisection at large offsets ----------------------------------------------

@@ -20,7 +20,7 @@ from bumpsim.cli import main
 from bumpsim.collision import PenetrationError
 from bumpsim.controller import RegionError
 from bumpsim.frames import CoincidentCentersError
-from bumpsim.hybrid import FAULTS, FaultRecord, SimMode, metrics, simulate
+from bumpsim.hybrid import FAULTS, CollisionRecord, FaultRecord, SimMode, metrics, simulate
 from bumpsim.redesign import DegenerateTargetError, GeometryError, NonSeparableError
 from bumpsim.scenario import load_scenario, validate_scenario
 
@@ -207,3 +207,16 @@ def test_overflowing_scenario_runs_to_a_fault_and_writes_its_outputs(tmp_path):
     assert run_cli("compare", "--scenario", path, "--out", cmp_out) == 3
     payload = json.loads((cmp_out / "compare.json").read_text())
     assert payload["deltas"] == {"collisions": {"1": 0}, "completed": {"predefined": False, "redesigned": False}}
+
+
+def test_a_fault_inside_a_jump_keeps_the_contact_it_was_resolving():
+    # robot 1's escape phase off robot 2 fails to build after its collision
+    # with robot 2 is resolved: that record stays, just before the fault
+    trace = simulate(load_scenario(json.dumps(vanishing_robot())), SimMode.REDESIGNED)
+    *_, contact, fault = trace.records
+    assert isinstance(contact, CollisionRecord)
+    assert (contact.t, contact.robot_id, contact.other_id, contact.q) == (fault.t, 1, 2, 1)
+    assert fault.reason == "ValueError: local duration must be positive, got 0.0"
+    summary = metrics(trace)
+    assert (summary.robots[1].collisions, summary.robots[2].collisions) == (1, 0)
+    assert summary.total_jumps == 1

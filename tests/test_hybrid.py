@@ -141,7 +141,8 @@ def test_loss_coefficient_damps_rebound():
     )
     hs = HybridState(t=0.0, states={1: RobotState(0.0, 6.0, -0.5 * math.pi)}, phases={1: None})
     query = first_contact_query(sc, hs, {1: ControlInput(2.0, 0.0)})
-    records, post_speeds = jump(hs, query, sc, SimMode.PREDEFINED_ONLY)
+    records = []
+    post_speeds = jump(hs, query, sc, SimMode.PREDEFINED_ONLY, records)
     col = records[0]
     # reflected normal component (1 - 0.5) * (-2.0), reported along the pair y-axis
     assert col.lam == pytest.approx(-1.0, abs=1e-12)
@@ -257,7 +258,8 @@ def test_jump_head_on_obstacle_redesign():
     sc = head_on_scenario()
     hs = HybridState(t=1.0, states={1: RobotState(0.0, 6.0, -0.5 * math.pi)}, phases={1: None})
     query = first_contact_query(sc, hs, {1: ControlInput(3.0, 0.0)})
-    records, post_speeds = jump(hs, query, sc, SimMode.REDESIGNED)
+    records = []
+    post_speeds = jump(hs, query, sc, SimMode.REDESIGNED, records)
     kinds = [type(r) for r in records]
     assert kinds == [CollisionRecord, ImpulseRecord, SwitchRecord]
     col, imp, sw = records
@@ -278,7 +280,8 @@ def test_jump_predefined_only_applies_physics_without_redesign():
     sc = head_on_scenario()
     hs = HybridState(t=0.5, states={1: RobotState(0.0, 6.0, -0.5 * math.pi)}, phases={1: None})
     query = first_contact_query(sc, hs, {1: ControlInput(3.0, 0.0)})
-    records, _ = jump(hs, query, sc, SimMode.PREDEFINED_ONLY)
+    records = []
+    jump(hs, query, sc, SimMode.PREDEFINED_ONLY, records)
     assert [type(r) for r in records] == [CollisionRecord]
     # reflected heading applied, no mode change, no phase
     assert hs.states[1].theta == pytest.approx(0.5 * math.pi, abs=1e-12)
@@ -290,7 +293,8 @@ def test_jump_reactivation_identity_on_state():
     state = RobotState(-1.0, 6.0, math.pi)
     phase = LocalPhase(collided_id=3, v_loc=5.0, t_dur=0.2, elapsed=0.2)
     hs = HybridState(t=2.0, states={1: state}, phases={1: phase})
-    records, _ = jump(hs, ReactivationEvent(1), sc, SimMode.REDESIGNED)
+    records = []
+    jump(hs, ReactivationEvent(1), sc, SimMode.REDESIGNED, records)
     assert [type(r) for r in records] == [SwitchRecord]
     assert records[0].q_from == 1 and records[0].q_to == 0
     assert hs.states[1] is state  # bitwise unchanged
@@ -311,7 +315,8 @@ def test_jump_rear_end_same_heading_no_redesign():
         phases={1: None, 2: None},
     )
     query = first_contact_query(sc, hs, {1: ControlInput(2.0, 0.0), 2: ControlInput(0.5, 0.0)})
-    records, post_speeds = jump(hs, query, sc, SimMode.REDESIGNED)
+    records = []
+    post_speeds = jump(hs, query, sc, SimMode.REDESIGNED, records)
     # speeds swap, headings unchanged: physics only, no impulse, no switches
     assert [type(r) for r in records] == [CollisionRecord, CollisionRecord]
     assert hs.states[1].theta == 0.5 * math.pi

@@ -1,4 +1,4 @@
-"""Exact per-layer counts of traced `crossing` and `chatter` runs.
+"""Exact per-layer counts of traced `crossing`, `chatter` and `open_field` runs.
 
 The benchmark's per-layer metrics come from `bench/tracer.py`, which counts
 calls through the module globals the executor looks up at call time.  An
@@ -6,7 +6,9 @@ engine change that keeps the trace bytes but stops calling one of those
 names through its global would silently zero or shift a count; this pins
 every count of the headline run, and of the deadlock run, whose 750
 contact localizations pin the bisection's certified probe skipping (a
-fallback to probing every midpoint steps the flow 45,000 times there).
+fallback to probing every midpoint steps the flow 45,000 times there),
+and of the contact-free bypass run, whose contact, jump and redesign
+counts must stay zero.
 """
 
 from pathlib import Path
@@ -67,6 +69,33 @@ CHATTER_COUNTS = {
     "scenario.validate_calls": 2,
 }
 
+OPEN_FIELD_COUNTS = {
+    "controller.calls": 39608,
+    "controller.region.OMEGA1": 0,
+    "controller.region.OMEGA2": 39608,
+    "controller.region.OMEGA3": 0,
+    "controller.region.OMEGA4": 0,
+    "controller.degenerate": 0,
+    "hybrid.event.calls": 19803,
+    "hybrid.event.hits": 0,
+    "hybrid.event.bisect_iters": 0,
+    "hybrid.event.deferred": 0,
+    "hybrid.flow.calls": 39606,
+    "hybrid.flow.step_calls": 39606,
+    "hybrid.jump.calls": 0,
+    "collision.query_calls": 0,
+    "collision.check_calls": 0,
+    "collision.check_jumps": 0,
+    "collision.resolve_calls": 0,
+    "frames.build_calls": 0,
+    "redesign.local_control_calls": 0,
+    "redesign.escape_calls": 0,
+    "hybrid.steps": 19803,
+    "hybrid.records": 39610,
+    "hybrid.trace_bytes": 3455514,
+    "scenario.validate_calls": 2,
+}
+
 
 def traced_counts(monkeypatch, tmp_path, workload):
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
@@ -84,3 +113,7 @@ def test_traced_crossing_counts(monkeypatch, tmp_path):
 
 def test_traced_chatter_counts(monkeypatch, tmp_path):
     assert traced_counts(monkeypatch, tmp_path, "chatter") == CHATTER_COUNTS
+
+
+def test_traced_open_field_counts(monkeypatch, tmp_path):
+    assert traced_counts(monkeypatch, tmp_path, "open_field") == OPEN_FIELD_COUNTS
