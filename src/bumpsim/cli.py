@@ -8,7 +8,6 @@ Exit codes: 0 on a completed run, 2 for unreadable/invalid scenarios,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -35,7 +34,7 @@ def _load_and_validate(args: argparse.Namespace) -> Scenario | None:
         print(f"error: {exc}", file=sys.stderr)
         return None
     overrides = {"dt": args.dt, "t_max": args.t_max}
-    scenario = dataclasses.replace(scenario, **{k: v for k, v in overrides.items() if v is not None})
+    scenario = scenario._replace(**{k: v for k, v in overrides.items() if v is not None})
     violations = validate_scenario(scenario)
     if violations:
         for violation in violations:

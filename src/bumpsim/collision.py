@@ -19,8 +19,8 @@ vector; see the repo README for the convention note.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .frames import LocalFrame, build_local_frame, decompose_velocity
 
@@ -46,8 +46,7 @@ class PenetrationError(RuntimeError):
     """Bodies overlap beyond tolerance; event localization was missed."""
 
 
-@dataclass(frozen=True, slots=True)
-class ContactQuery:
+class ContactQuery(NamedTuple):
     """Snapshot of a body pair at a candidate contact instant.
 
     Body i is always a robot; body j may be the other robot or a static
@@ -76,8 +75,7 @@ class ContactQuery:
         return cls(p_i=p_i, p_j=p_j, frame=build_local_frame(p_i, p_j), **fields)
 
 
-@dataclass(frozen=True, slots=True)
-class CollisionOutcome:
+class CollisionOutcome(NamedTuple):
     """Post-collision motion of one robot.
 
     lam and mu are the local velocity components along the pair frame's

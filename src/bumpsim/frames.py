@@ -9,7 +9,7 @@ normalized to [0, 2*pi).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .scenario import RobotState
 
@@ -20,8 +20,7 @@ class CoincidentCentersError(ValueError):
     """Raised when a pair frame is requested for coincident centroids."""
 
 
-@dataclass(frozen=True, slots=True)
-class LocalFrame:
+class LocalFrame(NamedTuple):
     ox: float
     oy: float
     phi: float  # in [0, 2*pi)

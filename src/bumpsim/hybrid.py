@@ -23,11 +23,15 @@ dip below contact and come back out, and bisection finds the crossing,
 skipping every probe whose sign the same reach bound already decides.
 It applies the collision/impulse jump maps (which change headings,
 speeds and phases in place, never positions), and records everything in
-an ordered trace.  Each trace record is an immutable NamedTuple like
-`RobotState`, its fields in its trace.csv row's column order, so one `%`
-with the type's `ROW` template writes the row.  `trace_lines` formats each
-record once; `write_trace_csv` streams those lines, and `write_plot_csv`
-projects each robot's plot file from them by copying the sample cells.
+an ordered trace.  Every value here is an immutable NamedTuple like
+`RobotState`: the trace records, `EventHit`, `ReactivationEvent`, the
+`Trace` and its metrics.  The one mutable state is `HybridState`, a plain
+slotted class that jumps change in place.  Each trace record's fields
+follow its trace.csv row's column order, so one `%` with the type's `ROW`
+template writes the row.  `trace_lines` formats each record once;
+`write_trace_csv` streams those lines, and `write_plot_csv` projects each
+robot's plot file from them by copying the sample cells.  `metrics` is a
+pure fold over the records into immutable `RobotMetrics`.
 
 Hybrid time is the pair (t, jumps).  A run stops at t_max, when every
 robot has reached its target, when the jump counter reaches the
@@ -44,7 +48,6 @@ from __future__ import annotations
 
 import math
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -195,8 +198,7 @@ TraceRecord = (
 )
 
 
-@dataclass(slots=True)
-class Trace:
+class Trace(NamedTuple):
     """The run's records, and `clearance`: each robot's smallest pair-table
     row gap at any sampled instant (None for a robot with no rows)."""
 
@@ -237,8 +239,7 @@ def step_flow(state: RobotState, u: ControlInput, dt: float) -> RobotState:
     return _new(RobotState, (x, y, th1 + dt * w))
 
 
-@dataclass(frozen=True, slots=True)
-class EventHit:
+class EventHit(NamedTuple):
     """Earliest contact crossing inside a step: offset from the step start
     and the pair involved; `simultaneous` lists ties left to the sweep."""
 
@@ -468,16 +469,26 @@ def detect_event(
 # Hybrid state and jump maps
 
 
-@dataclass(slots=True)
 class HybridState:
-    t: float
-    states: dict[int, RobotState]
-    phases: dict[int, LocalPhase | None]
-    jumps: int = 0
+    """The executor's mutable state: hybrid time (t, jumps), each robot's
+    pose, and each robot's local phase (None while q = 0)."""
+
+    __slots__ = ("t", "states", "phases", "jumps")
+
+    def __init__(
+        self,
+        t: float,
+        states: dict[int, RobotState],
+        phases: dict[int, LocalPhase | None],
+        jumps: int = 0,
+    ) -> None:
+        self.t = t
+        self.states = states
+        self.phases = phases
+        self.jumps = jumps
 
 
-@dataclass(frozen=True, slots=True)
-class ReactivationEvent:
+class ReactivationEvent(NamedTuple):
     robot_id: int
 
 
@@ -814,16 +825,14 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
 # Metrics
 
 
-@dataclass(slots=True)
-class RobotMetrics:
+class RobotMetrics(NamedTuple):
     reached: bool
     completion_time: float | None
     collisions: int
     min_clearance: float | None
 
 
-@dataclass(slots=True)
-class TraceMetrics:
+class TraceMetrics(NamedTuple):
     robots: dict[int, RobotMetrics]
     total_jumps: int
     fault: bool
@@ -831,8 +840,8 @@ class TraceMetrics:
 
     def to_dict(self) -> dict:
         """The metrics.json payload, keys in field order, robot ids sorted."""
-        out = asdict(self)
-        out["robots"] = {str(rid): m for rid, m in sorted(out["robots"].items())}
+        out = self._asdict()
+        out["robots"] = {str(rid): m._asdict() for rid, m in sorted(self.robots.items())}
         out["fault_reasons"] = list(self.fault_reasons)
         return out
 
@@ -841,34 +850,38 @@ def metrics(trace: Trace) -> TraceMetrics:
     """Pure fold over the trace records; each robot's minimum clearance is
     the trace's `clearance`, the executor's smallest row gap at any sampled
     instant."""
-    per_robot = {
-        rid: RobotMetrics(
-            reached=False, completion_time=None, collisions=0, min_clearance=trace.clearance[rid]
-        )
-        for rid in sorted(trace.scenario.robot_ids())
-    }
+    robot_ids = sorted(trace.scenario.robot_ids())
+    collisions = dict.fromkeys(robot_ids, 0)
+    # each robot's first target-reached time
+    completion: dict[int, float] = {}
     total_jumps = 0
     fault = False
     reasons: list[str] = []
 
     for record in trace.records:
         if isinstance(record, CollisionRecord):
-            per_robot[record.robot_id].collisions += 1
+            collisions[record.robot_id] += 1
             total_jumps += 1
         elif isinstance(record, SwitchRecord):
             total_jumps += 1
         elif isinstance(record, TargetReachedRecord):
-            m = per_robot[record.robot_id]
-            if not m.reached:
-                m.reached = True
-                m.completion_time = record.t
+            completion.setdefault(record.robot_id, record.t)
         elif isinstance(record, FaultRecord):
             if record.fatal:
                 fault = True
             reasons.append(record.reason)
 
+    robots = {
+        rid: RobotMetrics(
+            reached=rid in completion,
+            completion_time=completion.get(rid),
+            collisions=collisions[rid],
+            min_clearance=trace.clearance[rid],
+        )
+        for rid in robot_ids
+    }
     return TraceMetrics(
-        robots=per_robot, total_jumps=total_jumps, fault=fault, fault_reasons=tuple(reasons)
+        robots=robots, total_jumps=total_jumps, fault=fault, fault_reasons=tuple(reasons)
     )
 
 

@@ -14,7 +14,7 @@ body; otherwise the phase is extended by t_dur / 10, up to 10x t_dur.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .scenario import ControlInput
 
@@ -40,8 +40,7 @@ class NonSeparableError(RuntimeError):
     """The local phase ran out of extensions without regaining clearance."""
 
 
-@dataclass(frozen=True, slots=True)
-class TangentRays:
+class TangentRays(NamedTuple):
     """The two rays the tangent line splits into at the collision position.
 
     kappa is the tangent slope, or None for a vertical tangent.  Both rays
@@ -55,7 +54,6 @@ class TangentRays:
     dir2: tuple[float, float]
 
 
-@dataclass(slots=True)
 class LocalPhase:
     """State of one robot's constant-heading escape segment.
 
@@ -63,17 +61,20 @@ class LocalPhase:
     t_dur / 10 when clearance is still missing at expiry.
     """
 
-    collided_id: int
-    v_loc: float
-    t_dur: float
-    elapsed: float = 0.0
-    extension: float = 0.0
+    __slots__ = ("collided_id", "v_loc", "t_dur", "elapsed", "extension")
 
-    def __post_init__(self) -> None:
-        if not self.v_loc > 0.0:
-            raise ValueError(f"local speed must be positive, got {self.v_loc}")
-        if not self.t_dur > 0.0:
-            raise ValueError(f"local duration must be positive, got {self.t_dur}")
+    def __init__(
+        self, collided_id: int, v_loc: float, t_dur: float, elapsed: float = 0.0, extension: float = 0.0
+    ) -> None:
+        if not v_loc > 0.0:
+            raise ValueError(f"local speed must be positive, got {v_loc}")
+        if not t_dur > 0.0:
+            raise ValueError(f"local duration must be positive, got {t_dur}")
+        self.collided_id = collided_id
+        self.v_loc = v_loc
+        self.t_dur = t_dur
+        self.elapsed = elapsed
+        self.extension = extension
 
     def expired(self) -> bool:
         return self.elapsed >= self.t_dur + self.extension - 1e-12

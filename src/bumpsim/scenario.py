@@ -3,13 +3,14 @@
 A scenario is a single JSON document describing the workspace rectangle,
 the rigid bodies (one or two robots plus static cylindrical obstacles),
 per-robot target states, controller parameters and integration settings.
-All values are immutable after loading, so a scenario can be shared
-read-only across concurrent simulations.  The per-step values `RobotState`
-and `ControlInput` are NamedTuples, built positionally on the hot path (the
-flow step's state and OMEGA2's nominal input with `tuple.__new__`, which
-skips the field-count check): they are immutable (assigning a field raises
-AttributeError), hashable, unpack like tuples (`x, y, theta = state`) and
-compare equal to plain tuples.
+Every value type here is a NamedTuple: immutable (assigning a field raises
+AttributeError), unpacking like a tuple (`x, y, theta = state`), comparing
+equal to a plain tuple of its fields, and copied with a change by
+`_replace`.  A scenario is never modified after loading, so it can be
+shared read-only across concurrent simulations.  The per-step values
+`RobotState` and `ControlInput` are built positionally on the hot path
+(the flow step's state and OMEGA2's nominal input with `tuple.__new__`,
+which skips the field-count check).
 
 `serialize` derives its keys: each from the fields of the value it writes,
 and the params block's JSON keys (`mv` and `mw` name `m_v` and `m_w`) from
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from typing import Any, Iterable, NamedTuple
 
@@ -36,6 +36,19 @@ DEFAULT_DELTA = 0.0
 # Finite obstacle masses below this multiple of the heaviest robot fail
 # validation; "sufficiently heavy" obstacles should normally be unbounded.
 MASS_RATIO_FLOOR = 100.0
+
+# Largest magnitude validation accepts for a coordinate, heading, radius,
+# target or workspace bound.  Every square the engine forms is of a
+# difference of two such values (a pose minus its target, a robot centre
+# minus another body's centre) or of a radii sum, so each squared quantity
+# is at most (2 * MAGNITUDE_LIMIT) ** 2 = 4e300, and the largest sum of
+# squares, the target distance's three terms, at most 1.2e301: finite, as
+# the largest double is about 1.8e308.  Without the bound, x = 1e160 gives
+# (x - tx) ** 2 = 1e320, an OverflowError at t = 0.  The bound holds for
+# the scenario as given; a robot the flow carries past it (an unbounded
+# speed bound or step) can still overflow, which `simulate` ends as a
+# fault.
+MAGNITUDE_LIMIT = 1e150
 
 
 class ScenarioError(Exception):
@@ -74,8 +87,7 @@ class ControlInput(NamedTuple):
     w: float
 
 
-@dataclass(frozen=True, slots=True)
-class WorkspaceRect:
+class WorkspaceRect(NamedTuple):
     x_min: float
     x_max: float
     y_min: float
@@ -85,8 +97,7 @@ class WorkspaceRect:
         return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
 
 
-@dataclass(frozen=True, slots=True)
-class Body:
+class Body(NamedTuple):
     """Cylindrical uniform rigid body.
 
     Robots use ids 1 and 2 and carry a full initial pose; obstacles use
@@ -115,8 +126,7 @@ class Body:
         return RobotState(self.x, self.y, self.theta)
 
 
-@dataclass(frozen=True, slots=True)
-class ControllerParams:
+class ControllerParams(NamedTuple):
     """Gains and bounds of the predefined controller.
 
     rho weighs the tracking relaxation, sigma1 >= 1 scales the gain applied
@@ -142,8 +152,7 @@ PARAM_FIELDS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Scenario:
+class Scenario(NamedTuple):
     workspace: WorkspaceRect
     bodies: tuple[Body, ...]
     targets: dict[int, RobotState]
@@ -251,7 +260,7 @@ def load_scenario(text: str) -> Scenario:
         raise SchemaError("top level: expected an object")
 
     ws_raw = _require(doc, "workspace", "top level")
-    workspace = WorkspaceRect(*_numbers(ws_raw, "workspace", [f.name for f in fields(WorkspaceRect)]))
+    workspace = WorkspaceRect(*_numbers(ws_raw, "workspace", WorkspaceRect._fields))
 
     bodies_raw = _require(doc, "bodies", "top level")
     if not isinstance(bodies_raw, list):
@@ -285,8 +294,16 @@ def load_scenario(text: str) -> Scenario:
     return Scenario(workspace, bodies, targets, params, dt, t_max, tolerance, jump_cap)
 
 
-def _non_finite(path: str, values: dict[str, float]) -> list[str]:
-    return [f"{path}.{name}: value must be finite" for name, v in values.items() if not math.isfinite(v)]
+def _out_of_range(path: str, values: dict[str, float], limit: float = MAGNITUDE_LIMIT) -> list[str]:
+    """A violation for each of `values` that is not finite or whose
+    magnitude exceeds `limit`."""
+    violations = []
+    for name, v in values.items():
+        if not math.isfinite(v):
+            violations.append(f"{path}.{name}: value must be finite")
+        elif abs(v) > limit:
+            violations.append(f"{path}.{name}: magnitude must be at most {limit:g}, got {v}")
+    return violations
 
 
 def validate_scenario(scenario: Scenario) -> list[str]:
@@ -296,16 +313,19 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     This is the one list of rules, whether the scenario came from
     load_scenario (which checks only JSON types) or was built in code, and
     each violation names the field or body it concerns:
-    - workspace bounds finite, with x_min < x_max and y_min < y_max;
+    - workspace bounds finite and within MAGNITUDE_LIMIT, with x_min <
+      x_max and y_min < y_max;
     - one or two robots, robot ids 1 or 2, obstacle ids >= 3, ids unique;
-    - every radius positive and finite; robot masses positive and finite;
-      obstacle masses positive (UNBOUNDED allowed) and, when finite, at
-      least MASS_RATIO_FLOOR times the heaviest robot;
-    - body x, y and theta finite; no two bodies overlap; robots start
-      inside the workspace;
+    - every radius positive, finite and at most MAGNITUDE_LIMIT; robot
+      masses positive and finite; obstacle masses positive (UNBOUNDED
+      allowed) and, when finite, at least MASS_RATIO_FLOOR times the
+      heaviest robot;
+    - body x, y and theta finite and within MAGNITUDE_LIMIT; no two bodies
+      overlap; robots start inside the workspace;
     - params finite, rho, sigma2, sigma3, mv and mw > 0, sigma1 >= 1 and
       delta in [0, 1);
-    - one finite target per robot and none for any other id;
+    - one target per robot, finite and within MAGNITUDE_LIMIT, and none
+      for any other id;
     - sim dt, t_max and target_tolerance positive and finite, jump_cap an
       integer >= 1.
 
@@ -313,7 +333,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     same list and never mutate anything.
     """
     ws = scenario.workspace
-    violations = _non_finite("workspace", asdict(ws))
+    violations = _out_of_range("workspace", ws._asdict())
     if not (ws.x_min < ws.x_max and ws.y_min < ws.y_max):
         violations.append("workspace: bounds must satisfy x_min < x_max and y_min < y_max")
 
@@ -335,11 +355,13 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             violations.append(f"{path}.radius: value must be finite")
         elif not b.radius > 0.0:
             violations.append(f"{path}.radius: value must be > 0, got {b.radius}")
+        else:
+            violations += _out_of_range(path, {"radius": b.radius})
         if b.is_robot and not math.isfinite(b.mass):
             violations.append(f"{path}.mass: robots must have finite mass")
         elif not b.mass > 0.0:
             violations.append(f"{path}.mass: value must be > 0, got {b.mass}")
-        violations += _non_finite(path, {"x": b.x, "y": b.y, "theta": b.theta})
+        violations += _out_of_range(path, {"x": b.x, "y": b.y, "theta": b.theta})
 
     for a_idx in range(len(bodies)):
         for b_idx in range(a_idx + 1, len(bodies)):
@@ -367,7 +389,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
 
     p = scenario.params
     params = {key: getattr(p, name) for key, name in PARAM_FIELDS.items()}
-    violations += _non_finite("params", params)
+    violations += _out_of_range("params", params, math.inf)
     for name in ("rho", "sigma2", "sigma3", "mv", "mw"):
         if params[name] <= 0.0:
             violations.append(f"params.{name}: value must be > 0, got {params[name]}")
@@ -382,7 +404,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     for rid in sorted(scenario.targets.keys() - robot_ids):
         violations.append(f"targets.{rid}: no robot with this id")
     for rid, target in sorted(scenario.targets.items()):
-        violations += _non_finite(f"targets.{rid}", target._asdict())
+        violations += _out_of_range(f"targets.{rid}", target._asdict())
 
     for name in ("dt", "t_max", "target_tolerance"):
         value = getattr(scenario, name)
@@ -405,14 +427,14 @@ def serialize(scenario: Scenario) -> str:
     """Serialize to the published JSON schema; load_scenario round-trips it."""
     bodies = []
     for b in scenario.bodies:
-        body = asdict(b)
+        body = b._asdict()
         body.update(kind=b.kind.value, mass=_mass_json(b.mass))
         if not b.is_robot:
             # an obstacle has a position only
             del body["theta"]
         bodies.append(body)
     doc = {
-        "workspace": asdict(scenario.workspace),
+        "workspace": scenario.workspace._asdict(),
         "bodies": bodies,
         "targets": {str(rid): t._asdict() for rid, t in sorted(scenario.targets.items())},
         "params": {key: getattr(scenario.params, name) for key, name in PARAM_FIELDS.items()},

@@ -5,7 +5,6 @@ criterion.  Each test pins the tolerances it checks; nothing is deferred to
 later calibration.
 """
 
-import dataclasses
 import math
 import random
 from pathlib import Path
@@ -118,9 +117,9 @@ def test_c3_infinite_mass_reflection():
 def _example1_scenario(x, y, theta):
     base = load_scenario((SCENARIOS / "example1.json").read_text())
     bodies = tuple(
-        dataclasses.replace(b, x=x, y=y, theta=theta) if b.id == 1 else b for b in base.bodies
+        b._replace(x=x, y=y, theta=theta) if b.id == 1 else b for b in base.bodies
     )
-    return dataclasses.replace(base, bodies=bodies)
+    return base._replace(bodies=bodies)
 
 
 def test_c4_example1_reproduction():
@@ -202,7 +201,7 @@ def test_c4_barrier_rate_holds_up_to_the_zero_order_hold(golden_run):
 def test_c4_zero_order_hold_deficit_shrinks_with_dt():
     def worst(dt):
         trace = simulate(
-            dataclasses.replace(_example1_scenario(0.0, 8.0, 0.01 * math.pi), dt=dt, t_max=2.0),
+            _example1_scenario(0.0, 8.0, 0.01 * math.pi)._replace(dt=dt, t_max=2.0),
             SimMode.PREDEFINED_ONLY,
         )
         steps, _ = _barrier_steps(trace)

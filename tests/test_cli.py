@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -195,3 +197,23 @@ def test_package_root_exports_the_library_api():
         "ScenarioError",
     }
     assert bumpsim.__version__ == "0.1.0"
+
+
+def test_a_cold_import_loads_neither_dataclasses_nor_inspect():
+    # A fresh interpreter that sees only the source tree, as a `bumpsim run`
+    # child does.  Measured against the interpreter's own start-up modules,
+    # so a site hook that loads either module itself cannot fail the test.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import bumpsim.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "bumpsim.cli" in added
+    assert added & {"dataclasses", "inspect"} == set()

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from collections import Counter
@@ -79,7 +78,7 @@ def test_gain_scales_only_nonnegative_arguments():
     # unscaled below (reachable only with a negative sigma2)
     state, target = RobotState(1.0, 2.0, 0.5), RobotState(0.0, 0.0, 0.0)
     for sigma2 in (0.6, -0.6):
-        params = dataclasses.replace(EX1_PARAMS, sigma2=sigma2)
+        params = EX1_PARAMS._replace(sigma2=sigma2)
         t = controller_terms(1, {1: state}, target, [], params)
         assert t.a == (1.25 * (sigma2 * t.V) if sigma2 > 0 else sigma2 * t.V)
 

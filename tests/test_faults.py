@@ -20,7 +20,7 @@ from bumpsim.cli import main
 from bumpsim.collision import PenetrationError
 from bumpsim.controller import RegionError
 from bumpsim.frames import CoincidentCentersError
-from bumpsim.hybrid import FAULTS, CollisionRecord, FaultRecord, SimMode, metrics, simulate
+from bumpsim.hybrid import FAULTS, CollisionRecord, FaultRecord, FlowSample, SimMode, metrics, simulate
 from bumpsim.redesign import DegenerateTargetError, GeometryError, NonSeparableError
 from bumpsim.scenario import load_scenario, validate_scenario
 
@@ -44,11 +44,12 @@ RAMMING = {
 
 
 def overflowing():
-    """example1 with robot 1 at x = 1e160 in a +-1e200 workspace: it
-    validates, and the squared distance to the target overflows at t = 0."""
+    """example1 with a speed bound and tracking gain of 1e200: it validates,
+    the saturated input carries robot 1 about 6e196 m in one step, and the
+    next instant's squared distance to the target, `(x - tx) ** 2` in
+    `hybrid.simulate`, overflows."""
     doc = json.loads((SCENARIOS / "example1.json").read_text())
-    doc["workspace"] = {"x_min": -1e200, "x_max": 1e200, "y_min": -1e200, "y_max": 1e200}
-    doc["bodies"][0]["x"] = 1e160
+    doc["params"].update(mv=1e200, sigma2=1e200)
     return doc
 
 
@@ -197,8 +198,10 @@ def test_overflowing_scenario_runs_to_a_fault_and_writes_its_outputs(tmp_path):
     scenario = load_scenario(json.dumps(doc))
     assert validate_scenario(scenario) == []
     trace = simulate(scenario)
-    assert metrics(trace).robots[1].min_clearance > 1e159
-    assert [type(r) for r in trace.records] == [FaultRecord]
+    *samples, fault = trace.records
+    assert {type(r) for r in samples} == {FlowSample}
+    assert abs(samples[-1].v) > 1e199 and fault.t > samples[-1].t
+    assert fault.reason == "OverflowError: (34, 'Numerical result out of range')"
 
     path, run_out, cmp_out = tmp_path / "far.json", tmp_path / "run", tmp_path / "cmp"
     path.write_text(json.dumps(doc))
@@ -207,6 +210,21 @@ def test_overflowing_scenario_runs_to_a_fault_and_writes_its_outputs(tmp_path):
     assert run_cli("compare", "--scenario", path, "--out", cmp_out) == 3
     payload = json.loads((cmp_out / "compare.json").read_text())
     assert payload["deltas"] == {"collisions": {"1": 0}, "completed": {"predefined": False, "redesigned": False}}
+
+
+def test_coordinates_whose_squares_overflow_are_rejected_by_field(tmp_path, capsys):
+    # example1 with robot 1 at x = 1e160 in a +-1e200 workspace once ran
+    # into an OverflowError at t = 0; validation now names each field
+    doc = json.loads((SCENARIOS / "example1.json").read_text())
+    doc["workspace"] = {"x_min": -1e200, "x_max": 1e200, "y_min": -1e200, "y_max": 1e200}
+    doc["bodies"][0]["x"] = 1e160
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("run", "--scenario", path, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "invalid scenario: bodies[0].x: magnitude must be at most 1e+150, got 1e+160\n" in err
+    assert "invalid scenario: workspace.x_max: magnitude must be at most 1e+150, got 1e+200\n" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_fault_inside_a_jump_keeps_the_contact_it_was_resolving():

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -616,7 +615,7 @@ def test_sweep_jumps_a_tied_crossing_that_shares_no_robot(mode):
 def shipped(name, **changes):
     scenarios = Path(__file__).resolve().parents[1] / "scenarios"
     sc = load_scenario((scenarios / f"{name}.json").read_text())
-    return dataclasses.replace(sc, **changes)
+    return sc._replace(**changes)
 
 
 def test_cap_during_reactivation_closes_with_zero_inputs():

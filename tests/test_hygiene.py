@@ -1,10 +1,12 @@
 """Source hygiene: every name an engine module imports is used in it, every
-parameter of its functions is read, every field of its dataclasses and
-NamedTuples is read somewhere, every private (`_`-prefixed) module-level
-function is called from the package, every error class of an engine
-module, and every builtin exception it raises by name, is one of the
-faults (`hybrid.FAULTS`) that `simulate` ends a run with, and no two
-dataclasses or NamedTuples of the engine declare the same field list.
+parameter of its functions is read, every field of its value classes is
+read somewhere, every private (`_`-prefixed) module-level function is
+called from the package, every error class of an engine module, and every
+builtin exception it raises by name, is one of the faults (`hybrid.FAULTS`)
+that `simulate` ends a run with, and no two value classes of the engine
+declare the same field list.  A value class is a NamedTuple, a dataclass,
+or a class that assigns `__slots__` (its fields are its annotated names or,
+without annotations, its slot names).
 
 No linter ships with the project, so these stdlib `ast` checks catch the
 imports, parameters, fields and helpers that deleting code leaves behind.
@@ -115,19 +117,47 @@ def _has_row_template(node):
     )
 
 
+def _slot_names(node):
+    """(name, line) of each name the class body assigns to `__slots__`, or
+    None for a class without `__slots__`."""
+    for stmt in node.body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+        ):
+            value = stmt.value
+            elts = value.elts if isinstance(value, (ast.Tuple, ast.List)) else [value]
+            return [(e.value, e.lineno) for e in elts if isinstance(e, ast.Constant)]
+    return None
+
+
+def declared_fields(node):
+    """(name, line) of each field of a value class in declaration order, or
+    None for a class that is not one: a @dataclass or NamedTuple declares
+    its annotated names, and a class that assigns `__slots__` its annotated
+    names or, without annotations, its slot names."""
+    annotated = [
+        (stmt.target.id, stmt.lineno)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+    if any(_is_dataclass(d) for d in node.decorator_list) or _is_named_tuple(node):
+        return annotated
+    slots = _slot_names(node)
+    if slots is None:
+        return None
+    return annotated or slots
+
+
 def value_classes(source):
-    """{class name: field names} of the source's @dataclass and NamedTuple
-    classes, the fields in declaration order."""
-    return {
-        node.name: tuple(
-            stmt.target.id
-            for stmt in node.body
-            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-        )
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.ClassDef)
-        and (any(_is_dataclass(d) for d in node.decorator_list) or _is_named_tuple(node))
-    }
+    """{class name: field names} of the source's value classes, the fields
+    in declaration order."""
+    classes = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            fields = declared_fields(node)
+            if fields is not None:
+                classes[node.name] = tuple(name for name, _ in fields)
+    return classes
 
 
 def repeated_field_lists(classes):
@@ -140,20 +170,17 @@ def repeated_field_lists(classes):
 
 
 def unread_fields(source, reads):
-    """Fields of the source's @dataclass and NamedTuple classes whose names
-    are not in `reads`; a class with a `ROW` template reads all its fields."""
+    """Fields of the source's value classes whose names are not in `reads`;
+    a class with a `ROW` template reads all its fields."""
     unread = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.ClassDef) or _has_row_template(node):
             continue
-        if any(_is_dataclass(d) for d in node.decorator_list) or _is_named_tuple(node):
-            unread += [
-                f"{node.name}.{stmt.target.id} (line {stmt.lineno})"
-                for stmt in node.body
-                if isinstance(stmt, ast.AnnAssign)
-                and isinstance(stmt.target, ast.Name)
-                and stmt.target.id not in reads
-            ]
+        unread += [
+            f"{node.name}.{name} (line {line})"
+            for name, line in declared_fields(node) or ()
+            if name not in reads
+        ]
     return sorted(unread)
 
 
@@ -204,13 +231,31 @@ def test_check_flags_an_unread_dataclass_field():
         "    written: int\n"
         "    ROW = '%d'\n"
         "\n"
+        "class S:\n"
+        "    __slots__ = ('held', 'idle')\n"
+        "\n"
+        "    def __init__(self, held, idle):\n"
+        "        self.held = held\n"
+        "        self.idle = idle\n"
+        "\n"
+        "class T:\n"
+        "    __slots__ = 'alone'\n"
+        "\n"
+        "class U:\n"
+        "    __slots__ = ('first',)\n"
+        "    first: int\n"
+        "    second: int\n"
+        "\n"
         "def f(a, b):\n"
-        "    a.dropped = b.kept\n"
+        "    a.dropped = b.kept + b.held + b.first\n"
     )
     assert unread_fields(source, attribute_reads(source)) == [
         "A.dropped (line 4)",
         "B.lost (line 8)",
         "P.unpacked (line 11)",
+        "S.idle (line 18)",
+        "T.alone (line 25)",
+        "U.second (line 30)",
     ]
 
 
@@ -242,10 +287,13 @@ def test_check_flags_a_repeated_field_list():
         "class Plain:\n"
         "    x: float\n"
         "    y: float\n"
+        "\n"
+        "class Slotted:\n"
+        "    __slots__ = ('y', 'x')\n"
     )
     classes = value_classes(source)
-    assert list(classes) == ["Pose", "Point", "Swapped"]
-    assert repeated_field_lists(classes) == [["Point", "Pose"]]
+    assert list(classes) == ["Pose", "Point", "Swapped", "Slotted"]
+    assert repeated_field_lists(classes) == [["Point", "Pose"], ["Slotted", "Swapped"]]
 
 
 def test_no_two_value_classes_share_a_field_list():

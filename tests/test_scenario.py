@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -11,6 +10,7 @@ from conftest import WEDGE
 
 from bumpsim.hybrid import simulate
 from bumpsim.scenario import (
+    MAGNITUDE_LIMIT,
     PARAM_FIELDS,
     UNBOUNDED,
     BodyKind,
@@ -193,7 +193,7 @@ def test_bad_params_flagged():
     ],
 )
 def test_sim_block_out_of_bounds_flagged(field, value):
-    sc = dataclasses.replace(load_scenario(json.dumps(EXAMPLE1_DOC)), **{field: value})
+    sc = load_scenario(json.dumps(EXAMPLE1_DOC))._replace(**{field: value})
     # validation first: simulate on an unchecked dt = 0 never returns
     assert [v for v in validate_scenario(sc) if v.startswith(f"sim.{field}:")]
     with pytest.raises(ValueError, match="does not validate"):
@@ -202,11 +202,11 @@ def test_sim_block_out_of_bounds_flagged(field, value):
 
 def test_targets_must_match_the_robots():
     crossing = load_crossing()
-    missing = dataclasses.replace(crossing, targets={1: crossing.targets[1]})
+    missing = crossing._replace(targets={1: crossing.targets[1]})
     assert validate_scenario(missing) == ["targets: missing target for robot 2"]
     with pytest.raises(ValueError, match="missing target for robot 2"):
         simulate(missing)
-    stray = dataclasses.replace(crossing, targets={**crossing.targets, 5: crossing.targets[1]})
+    stray = crossing._replace(targets={**crossing.targets, 5: crossing.targets[1]})
     assert validate_scenario(stray) == ["targets.5: no robot with this id"]
     with pytest.raises(ValueError, match="no robot with this id"):
         simulate(stray)
@@ -220,8 +220,8 @@ def crossing_with_body(index, **changes):
     """crossing with one body changed, built in code past the loader."""
     sc = load_crossing()
     bodies = list(sc.bodies)
-    bodies[index] = dataclasses.replace(bodies[index], **changes)
-    return dataclasses.replace(sc, bodies=tuple(bodies))
+    bodies[index] = bodies[index]._replace(**changes)
+    return sc._replace(bodies=tuple(bodies))
 
 
 def assert_rejected(sc, violation):
@@ -263,12 +263,12 @@ def test_radius_must_be_positive_and_finite(radius, violation):
 
 def crossing_with_params(**changes):
     sc = load_crossing()
-    return dataclasses.replace(sc, params=dataclasses.replace(sc.params, **changes))
+    return sc._replace(params=sc.params._replace(**changes))
 
 
 def crossing_with_robot_1_as_7():
     sc = crossing_with_body(0, id=7)
-    return dataclasses.replace(sc, targets={7: sc.targets[1], 2: sc.targets[2]})
+    return sc._replace(targets={7: sc.targets[1], 2: sc.targets[2]})
 
 
 # Built in code past the loader; unless validation names the fault, each of
@@ -286,7 +286,7 @@ def crossing_with_robot_1_as_7():
         (lambda: crossing_with_params(m_v=math.nan), "params.mv: value must be finite"),
         (crossing_with_robot_1_as_7, "bodies[0].id: robots must use id 1 or 2, got 7"),
         (
-            lambda: dataclasses.replace(load_crossing(), workspace=WorkspaceRect(35.0, -15.0, -15.0, 35.0)),
+            lambda: load_crossing()._replace(workspace=WorkspaceRect(35.0, -15.0, -15.0, 35.0)),
             "workspace: bounds must satisfy x_min < x_max and y_min < y_max",
         ),
     ],
@@ -297,6 +297,50 @@ def crossing_with_robot_1_as_7():
 )
 def test_code_built_scenario_rejected_by_name(build, violation):
     assert_rejected(build(), violation)
+
+
+def crossing_with_workspace(**changes):
+    sc = load_crossing()
+    return sc._replace(workspace=sc.workspace._replace(**changes))
+
+
+def crossing_with_target(rid, **changes):
+    sc = load_crossing()
+    return sc._replace(targets={**sc.targets, rid: sc.targets[rid]._replace(**changes)})
+
+
+# field path -> the crossing scenario with that field set to a given magnitude
+MAGNITUDES = {
+    "workspace.x_min": lambda m: crossing_with_workspace(x_min=-m),
+    "workspace.y_max": lambda m: crossing_with_workspace(y_max=m),
+    "bodies[0].theta": lambda m: crossing_with_body(0, theta=-m),
+    "bodies[1].radius": lambda m: crossing_with_body(1, radius=m),
+    "bodies[2].x": lambda m: crossing_with_body(2, x=m),
+    "bodies[3].y": lambda m: crossing_with_body(3, y=-m),
+    "targets.1.x": lambda m: crossing_with_target(1, x=-m),
+    "targets.2.theta": lambda m: crossing_with_target(2, theta=m),
+}
+
+
+@pytest.mark.parametrize("field", MAGNITUDES)
+def test_magnitudes_past_the_limit_are_rejected_by_name(field):
+    def bound_violations(sc):
+        return [v for v in validate_scenario(sc) if "magnitude" in v]
+
+    assert bound_violations(MAGNITUDES[field](MAGNITUDE_LIMIT)) == []
+    past = MAGNITUDES[field](math.nextafter(MAGNITUDE_LIMIT, math.inf))
+    assert [v.partition(", got ")[0] for v in bound_violations(past)] == [
+        f"{field}: magnitude must be at most 1e+150"
+    ]
+    with pytest.raises(ValueError, match="does not validate"):
+        simulate(past)
+
+
+def test_magnitude_limit_keeps_the_target_distance_finite():
+    # the largest sum of squares the engine forms: three differences of two
+    # values at opposite ends of the accepted range
+    span = MAGNITUDE_LIMIT - -MAGNITUDE_LIMIT
+    assert math.isfinite(span ** 2 + span ** 2 + span ** 2)
 
 
 @pytest.mark.parametrize(
@@ -319,7 +363,7 @@ def test_body_ids_must_be_unique():
 
 def test_scenario_needs_a_robot():
     crossing = load_crossing()
-    empty = dataclasses.replace(crossing, bodies=crossing.obstacles(), targets={})
+    empty = crossing._replace(bodies=crossing.obstacles(), targets={})
     assert validate_scenario(empty) == ["bodies: expected 1 or 2 robots, found 0"]
     with pytest.raises(ValueError, match="expected 1 or 2 robots"):
         simulate(empty)
@@ -383,7 +427,7 @@ def test_serialize_bytes_are_pinned():
 
 def test_param_table_names_every_field_once():
     names = list(PARAM_FIELDS.values())
-    assert names == [f.name for f in dataclasses.fields(ControllerParams)]
+    assert names == list(ControllerParams._fields)
     assert len(set(names)) == len(names)
 
 

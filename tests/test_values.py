@@ -1,13 +1,16 @@
-"""The per-step value types and the trace records are immutable, hashable
-NamedTuples.
+"""Every value of the engine is an immutable NamedTuple; the executor's two
+mutable states, `HybridState` and `LocalPhase`, are plain slotted classes.
 
-The executor builds the value types on every integration step, so they are
-tuples built positionally; this pins what a frozen dataclass used to
-guarantee.  The hottest builds go through `tuple.__new__`, which skips the
-NamedTuple's field-count check, so the arity of every record of the golden
-runs and of every flow step and controller decision is pinned here too.
-Each trace record's fields follow its trace.csv row, which one `%` with the
-type's `ROW` template writes.
+Each value type here is checked for what a value must give: assigning a
+field raises AttributeError, and it hashes like the tuple of its fields,
+except `Scenario`, `Trace` and `TraceMetrics`, which hold a dict or a list
+and so do not hash.  The executor builds the per-step values on every
+integration step, positionally; the hottest builds go through
+`tuple.__new__`, which skips the NamedTuple's field-count check, so the
+arity of every record of the golden runs and of every flow step and
+controller decision is pinned here too.  Each trace record's fields follow
+its trace.csv row, which one `%` with the type's `ROW` template writes.
+`LocalPhase` checks its speed and duration as it is built.
 """
 
 import math
@@ -16,30 +19,64 @@ from pathlib import Path
 
 import pytest
 
+from bumpsim.collision import resolve_collision
 from bumpsim.controller import ControlDecision, ControllerTerms, Region, predefined_control
+from bumpsim.frames import build_local_frame
 from bumpsim.hybrid import (
     CSV_HEADER,
     CollisionRecord,
+    EventHit,
     FaultRecord,
     FlowSample,
+    HybridState,
     ImpulseRecord,
+    ReactivationEvent,
     SwitchRecord,
     TargetReachedRecord,
+    Trace,
+    TraceMetrics,
     _csv_line,
     contact_pairs,
+    contact_query,
+    metrics,
     step_flow,
 )
-from bumpsim.scenario import ControlInput, RobotState, load_scenario
+from bumpsim.redesign import LocalPhase, tangent_rays
+from bumpsim.scenario import ControlInput, RobotState, Scenario, load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
+CROSSING = load_scenario((ROOT / "scenarios" / "crossing.json").read_text(encoding="utf-8"))
 
 TERMS = ControllerTerms(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
+# robots 1 and 2 of crossing touching head-on, each at speed 1
+HEAD_ON = contact_query(
+    contact_pairs(CROSSING.bodies)[0],
+    {1: RobotState(0.0, 0.0, 0.0), 2: RobotState(2.0, 0.0, math.pi)},
+    {1: ControlInput(1.0, 0.0), 2: ControlInput(1.0, 0.0)},
+    {b.id: b for b in CROSSING.bodies},
+)
+TRACE = Trace(scenario=CROSSING, records=[TargetReachedRecord(t=1.5, robot_id=1)], clearance={1: 2.0, 2: 3.0})
 VALUES = [
     RobotState(1.0, 2.0, 0.5),
     ControlInput(1.0, -0.5),
     TERMS,
     ControlDecision(ControlInput(1.0, 0.0), ControlInput(2.0, 0.0), Region.OMEGA2, TERMS, False),
+    CROSSING.workspace,
+    CROSSING.bodies[0],
+    CROSSING.params,
+    CROSSING,
+    build_local_frame((0.0, 0.0), (1.0, 1.0)),
+    HEAD_ON,
+    resolve_collision(HEAD_ON, body_j_is_robot=True)[0],
+    tangent_rays((0.0, 0.0), (2.0, 0.0), 2.0),
+    EventHit(t_offset=0.25, robot_id=1, other_id=3, simultaneous=((2, 4),)),
+    ReactivationEvent(1),
+    TRACE,
+    metrics(TRACE).robots[1],
+    metrics(TRACE),
 ]
+# the values that hold a dict or a list
+UNHASHABLE = (Scenario, Trace, TraceMetrics)
 # one record of each type, every value distinct so each cell names its field
 RECORDS = {
     "sample": FlowSample(t=0.25, robot_id=1, x=1.5, y=2.5, theta=0.5, v=1.25, w=-0.5, q=1),
@@ -62,7 +99,37 @@ def test_value_is_an_immutable_hashable_tuple(value):
     for field in value._fields:
         with pytest.raises(AttributeError):
             setattr(value, field, 0.0)
-    assert hash(value) == hash(type(value)(*value))
+    if isinstance(value, UNHASHABLE):
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(type(value)(*value))
+
+
+@pytest.mark.parametrize(
+    "v_loc, t_dur, message",
+    [
+        (0.0, 0.2, "local speed must be positive, got 0.0"),
+        (math.nan, 0.2, "local speed must be positive, got nan"),
+        (5.0, -0.2, "local duration must be positive, got -0.2"),
+        (5.0, math.nan, "local duration must be positive, got nan"),
+    ],
+    ids=["zero-speed", "nan-speed", "negative-duration", "nan-duration"],
+)
+def test_local_phase_rejects_a_non_positive_speed_or_duration(v_loc, t_dur, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LocalPhase(collided_id=3, v_loc=v_loc, t_dur=t_dur)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [LocalPhase(collided_id=3, v_loc=5.0, t_dur=0.2), HybridState(t=0.0, states={}, phases={})],
+    ids=lambda s: type(s).__name__,
+)
+def test_mutable_state_is_slotted(state):
+    assert not hasattr(state, "__dict__")
+    with pytest.raises(AttributeError):
+        state.spare = 0.0
 
 
 def test_flow_sample_fields_follow_the_sample_row():
@@ -101,7 +168,7 @@ def test_every_golden_record_has_its_declared_arity(golden_run):
 
 
 def test_flow_steps_and_decisions_are_their_declared_types():
-    scenario = load_scenario((ROOT / "scenarios" / "crossing.json").read_text(encoding="utf-8"))
+    scenario = CROSSING
     pairs = contact_pairs(scenario.bodies)
     rng = random.Random(1)
     regions = set()
