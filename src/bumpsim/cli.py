@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .hybrid import SimMode, metrics, simulate, trace_lines, write_plot_csv, write_trace_csv
+from .hybrid import SimMode, metrics, simulate, write_plot_csv, write_trace_csv
 from .scenario import Scenario, ScenarioError, load_scenario, validate_scenario
 
 EXIT_OK = 0
@@ -61,10 +61,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         json.dumps(payload, indent=2) + "\n", encoding="utf-8"
     )
     # The plot files copy trace.csv's sample cells: read back what was just
-    # written, or take the same lines straight from the trace.
+    # written, or format only those cells from the trace's sample columns.
     plots = {rid: args.out / f"plot_robot{rid}.csv" for rid in sorted(scenario.robot_ids())}
     if args.no_trace:
-        write_plot_csv(trace_lines(trace), plots)
+        write_plot_csv(trace, plots)
     else:
         with open(trace_path, encoding="utf-8", newline="\n") as lines:
             write_plot_csv(lines, plots)

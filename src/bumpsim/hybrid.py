@@ -26,12 +26,16 @@ speeds and phases in place, never positions), and records everything in
 an ordered trace.  Every value here is an immutable NamedTuple like
 `RobotState`: the trace records, `EventHit`, `ReactivationEvent`, the
 `Trace` and its metrics.  The one mutable state is `HybridState`, a plain
-slotted class that jumps change in place.  Each trace record's fields
-follow its trace.csv row's column order, so one `%` with the type's `ROW`
-template writes the row.  `trace_lines` formats each record once;
-`write_trace_csv` streams those lines, and `write_plot_csv` projects each
-robot's plot file from them by copying the sample cells.  `metrics` is a
-pure fold over the records into immutable `RobotMetrics`.
+slotted class that jumps change in place.  The trace is columnar: each
+robot sample is seven packed doubles in one `array("d")`, every other
+record sits in the log, and `Trace.records` rebuilds the interleaved list
+only when read.  Each trace record's fields follow its trace.csv row's
+column order, so one `%` with the type's `ROW` template writes the row.
+`trace_lines` formats each record once, each sample straight from the
+columns; `write_trace_csv` streams those lines, and `write_plot_csv`
+projects each robot's plot file from them by copying the sample cells,
+or, with no trace.csv, formats only those cells from the columns.
+`metrics` is a pure fold over the log into immutable `RobotMetrics`.
 
 Hybrid time is the pair (t, jumps).  A run stops at t_max, when every
 robot has reached its target, when the jump counter reaches the
@@ -47,8 +51,10 @@ exhibits chattering/deadlock.
 from __future__ import annotations
 
 import math
+from array import array
 from contextlib import ExitStack
 from enum import Enum
+from struct import Struct
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .collision import (
@@ -110,12 +116,13 @@ class SimMode(Enum):
 #
 # Each record's fields follow its trace.csv row, so `ROW % record` writes
 # it: "%.17g" gives the bytes of format(x, ".17g"), 17 digits that
-# round-trip IEEE doubles bit-exactly.  Build records by keyword, except the
-# per-step `FlowSample`, which `simulate` builds with `_new`.
+# round-trip IEEE doubles bit-exactly.  Build records by keyword.  The run
+# keeps its samples as columns (`Trace.samples`); a `FlowSample` is built
+# only when `Trace.records` is read.
 
 
 class FlowSample(NamedTuple):
-    """One robot's sample."""
+    """One robot's sample, as `Trace.records` rebuilds it."""
 
     t: float
     robot_id: int
@@ -198,19 +205,45 @@ TraceRecord = (
 )
 
 
+# Doubles per robot sample in `Trace.samples`: t, x, y, theta, v, w, q.
+SAMPLE_WIDTH = 7
+SAMPLE = Struct(f"{SAMPLE_WIDTH}d")
+
+
 class Trace(NamedTuple):
-    """The run's records, and `clearance`: each robot's smallest pair-table
-    row gap at any sampled instant (None for a robot with no rows)."""
+    """One run.  `log` holds every record but the samples, in run order,
+    with one None where each sampling pass wrote its samples; `samples`
+    holds those samples, one robot after another in id order, each as
+    `t, x, y, theta, v, w, q`.  `clearance` is each robot's smallest
+    pair-table row gap at any sampled instant (None for a robot with no
+    rows)."""
 
     scenario: Scenario
-    records: list
+    log: list
+    samples: array
     clearance: dict[int, float | None]
+
+    @property
+    def records(self) -> list:
+        """Every record in run order, each sample rebuilt as a FlowSample;
+        built on each read, so a run's writers never read it."""
+        robot_ids = sorted(self.scenario.robot_ids())
+        rows = SAMPLE.iter_unpack(self.samples)
+        out = []
+        for record in self.log:
+            if record is None:
+                for rid in robot_ids:
+                    t, x, y, theta, v, w, q = next(rows)
+                    out.append(FlowSample(t, rid, x, y, theta, v, w, int(q)))
+            else:
+                out.append(record)
+        return out
 
     def collisions(self, robot_id: int | None = None) -> list[CollisionRecord]:
         return [
             r
-            for r in self.records
-            if isinstance(r, CollisionRecord) and (robot_id is None or r.robot_id == robot_id)
+            for r in self.log
+            if type(r) is CollisionRecord and (robot_id is None or r.robot_id == robot_id)
         ]
 
 
@@ -511,8 +544,8 @@ def jump(
     jump alone.  Headings unchanged within tolerance leave the robot
     flowing in its current mode.  The returned speeds are the
     post-collision linear speeds of the involved robots.  An error part-way
-    keeps the records made before it: each robot's collision record
-    precedes the local phase it enters, whose construction can fail.
+    (a local phase whose construction fails) keeps the records made before
+    it and still writes the collision record of every robot of the contact.
     """
     post_speeds: dict[int, float] = {}
 
@@ -549,21 +582,24 @@ def jump(
             (id1, (th1, phi1)), (id2, (th2, phi2)) = geo.items()
             escapes[id1], escapes[id2] = deconflict_headings(th1, th2, phi1, phi2)
 
-    for rid, other_id, _, _, r_other, oc in outcomes:
-        pre_state = hs.states[rid]
+    # Every collision row comes first; an escaping robot's local phase,
+    # impulse and switch follow its row.  Only building a local phase can
+    # fail, so an error part-way still writes the rows it did not reach.
+    rows = []
+    for rid, other_id, _, _, _, oc in outcomes:
+        x, y, _ = hs.states[rid]
         post_speeds[rid] = oc.v_plus
-        escaping = rid in escapes
         if oc.redesign_needed:
             # The physics heading theta_plus applies first; in REDESIGNED
             # mode the impulse then retargets it onto the escape heading.
-            hs.states[rid] = RobotState(pre_state.x, pre_state.y, escapes.get(rid, oc.theta_plus))
-        records.append(
+            hs.states[rid] = RobotState(x, y, escapes.get(rid, oc.theta_plus))
+        rows.append(
             CollisionRecord(
                 t=hs.t,
                 robot_id=rid,
                 other_id=other_id,
-                x=pre_state.x,
-                y=pre_state.y,
+                x=x,
+                y=y,
                 theta_pre=oc.theta_pre,
                 theta_post=oc.theta_plus if oc.redesign_needed else oc.theta_pre,
                 v_pre=oc.v_pre,
@@ -572,25 +608,36 @@ def jump(
                 lam=oc.lam,
                 mu=oc.mu,
                 # the mode after the jump: an escaping robot enters a local phase
-                q=int(escaping or hs.phases[rid] is not None),
+                q=int(rid in escapes or hs.phases[rid] is not None),
             )
         )
-        hs.jumps += 1
-        if escaping:
-            switch_needed = hs.phases[rid] is None
-            v_loc = scenario.params.m_v
-            hs.phases[rid] = LocalPhase(
-                collided_id=other_id,
-                v_loc=v_loc,
-                t_dur=local_duration(v_loc, other_id in hs.states, r_other),
-            )
-            dtheta = impulse(escapes[rid], oc.theta_plus)
-            records.append(
-                ImpulseRecord(t=hs.t, robot_id=rid, theta_escape=escapes[rid], dtheta=dtheta)
-            )
-            if switch_needed:
-                records.append(SwitchRecord(t=hs.t, robot_id=rid, q_from=0, q_to=1))
-                hs.jumps += 1
+    hs.jumps += len(rows)
+    if not escapes:
+        # no local phase to build: the rows are the whole jump
+        records.extend(rows)
+        return post_speeds
+    written = 0
+    try:
+        for (rid, other_id, _, _, r_other, oc), row in zip(outcomes, rows):
+            records.append(row)
+            written += 1
+            if rid in escapes:
+                switch_needed = hs.phases[rid] is None
+                v_loc = scenario.params.m_v
+                hs.phases[rid] = LocalPhase(
+                    collided_id=other_id,
+                    v_loc=v_loc,
+                    t_dur=local_duration(v_loc, other_id in hs.states, r_other),
+                )
+                dtheta = impulse(escapes[rid], oc.theta_plus)
+                records.append(
+                    ImpulseRecord(t=hs.t, robot_id=rid, theta_escape=escapes[rid], dtheta=dtheta)
+                )
+                if switch_needed:
+                    records.append(SwitchRecord(t=hs.t, robot_id=rid, q_from=0, q_to=1))
+                    hs.jumps += 1
+    finally:
+        records.extend(rows[written:])
     return post_speeds
 
 
@@ -655,7 +702,13 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
     )
     # jumps replace entries of hs.phases but never rebind it
     phases = hs.phases
-    records: list = []
+    # the trace: every record but the samples, with one None per sampling
+    # pass, and each robot sample's seven doubles (packed and appended as
+    # bytes: `array.extend` would insert them one item at a time)
+    log: list = []
+    samples = array("d")
+    append_sample = samples.frombytes
+    pack_sample = SAMPLE.pack
     # each pair's smallest gap at any sampled instant
     min_gaps = [math.inf] * len(pairs)
     reached: set[int] = set()
@@ -666,11 +719,11 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
     resolved_pairs: set[tuple[int, int]] = set()
 
     def fault(reason: str, fatal: bool) -> None:
-        records.append(FaultRecord(t=hs.t, reason=reason, fatal=fatal))
+        log.append(FaultRecord(t=hs.t, reason=reason, fatal=fatal))
 
     def apply_jump(event: ContactQuery | ReactivationEvent) -> dict[int, float]:
         """Jump, record it, and return the post-collision speeds."""
-        post_speeds = jump(hs, event, scenario, sim_mode, records)
+        post_speeds = jump(hs, event, scenario, sim_mode, log)
         if isinstance(event, ContactQuery):
             # post_speeds is keyed by exactly the robots of the contact
             collided_marks.update(post_speeds)
@@ -761,7 +814,7 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
                             dist = math.sqrt((x - tx) ** 2 + (y - ty) ** 2 + (theta - t_theta) ** 2)
                             if dist <= tolerance:
                                 reached.add(rid)
-                                records.append(TargetReachedRecord(t=t, robot_id=rid))
+                                log.append(TargetReachedRecord(t=t, robot_id=rid))
                         phase = phases[rid]
                         if phase is not None:
                             inputs[rid] = local_control(phase)
@@ -769,11 +822,11 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
                             inputs[rid] = predefined_control(rid, states, target, own_rows, params).u
                     if gaps and min(gaps) <= CONTACT_TOL:
                         sweep(states, gaps, inputs)
+            log.append(None)
             for rid in robot_ids:
                 x, y, theta = states[rid]
                 v, w = inputs[rid]
-                q = int(phases[rid] is not None)
-                records.append(_new(FlowSample, (t, rid, x, y, theta, v, w, q)))
+                append_sample(pack_sample(t, x, y, theta, v, w, phases[rid] is not None))
 
             if hs.jumps >= cap or len(reached) == n_robots or t >= t_end:
                 break
@@ -818,7 +871,7 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
         fault(f"{type(exc).__name__}: {exc}", True)
 
     clearance = {rid: min((min_gaps[k] for k in ks), default=None) for rid, ks in row_ks.items()}
-    return Trace(scenario=scenario, records=records, clearance=clearance)
+    return Trace(scenario=scenario, log=log, samples=samples, clearance=clearance)
 
 
 # --------------------------------------------------------------------------
@@ -847,9 +900,9 @@ class TraceMetrics(NamedTuple):
 
 
 def metrics(trace: Trace) -> TraceMetrics:
-    """Pure fold over the trace records; each robot's minimum clearance is
-    the trace's `clearance`, the executor's smallest row gap at any sampled
-    instant."""
+    """Pure fold over the trace's log (the samples are not read); each
+    robot's minimum clearance is the trace's `clearance`, the executor's
+    smallest row gap at any sampled instant."""
     robot_ids = sorted(trace.scenario.robot_ids())
     collisions = dict.fromkeys(robot_ids, 0)
     # each robot's first target-reached time
@@ -858,15 +911,16 @@ def metrics(trace: Trace) -> TraceMetrics:
     fault = False
     reasons: list[str] = []
 
-    for record in trace.records:
-        if isinstance(record, CollisionRecord):
+    for record in trace.log:
+        kind = type(record)
+        if kind is CollisionRecord:
             collisions[record.robot_id] += 1
             total_jumps += 1
-        elif isinstance(record, SwitchRecord):
+        elif kind is SwitchRecord:
             total_jumps += 1
-        elif isinstance(record, TargetReachedRecord):
+        elif kind is TargetReachedRecord:
             completion.setdefault(record.robot_id, record.t)
-        elif isinstance(record, FaultRecord):
+        elif kind is FaultRecord:
             if record.fatal:
                 fault = True
             reasons.append(record.reason)
@@ -899,9 +953,20 @@ def _csv_line(record: TraceRecord) -> str:
 
 
 def trace_lines(trace: Trace) -> Iterator[str]:
-    """The lines of trace.csv, header first, each ending in a newline."""
+    """The lines of trace.csv, header first, each ending in a newline.  Each
+    sampling pass's rows are formatted straight from the sample columns,
+    one robot's row template (its id filled in) per sample."""
     yield CSV_HEADER + "\n"
-    yield from map(_csv_line, trace.records)
+    # the first `%d` of the sample row is the robot id
+    robot_ids = sorted(trace.scenario.robot_ids())
+    templates = [FlowSample.ROW.replace("%d", str(rid), 1) for rid in robot_ids]
+    values = SAMPLE.iter_unpack(trace.samples)
+    for record in trace.log:
+        if record is None:
+            for row in templates:
+                yield row % next(values)
+        else:
+            yield _csv_line(record)
 
 
 def trace_to_csv(trace: Trace) -> str:
@@ -914,11 +979,15 @@ def write_trace_csv(trace: Trace, path) -> None:
         fh.writelines(trace_lines(trace))
 
 
-def write_plot_csv(lines: Iterable[str], paths: Mapping) -> None:
-    """Stream trace.csv's `lines` once, and write each robot's sample rows
-    to `paths[robot_id]` as `t,x,y,theta,v,w` rows.  The cells are copied
-    from the sample rows, never formatted again; the header and every other
-    record type are skipped."""
+PLOT_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+
+
+def write_plot_csv(source: Trace | Iterable[str], paths: Mapping) -> None:
+    """Write each robot's samples to `paths[robot_id]` as `t,x,y,theta,v,w`
+    rows.  Given trace.csv's lines, stream them once and copy the cells of
+    each sample row, never formatting them again (the header and every
+    other record type are skipped).  Given the `Trace` itself, format only
+    those six cells of each sample, from its columns."""
     with ExitStack() as stack:
         files = {
             str(rid): stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
@@ -926,7 +995,16 @@ def write_plot_csv(lines: Iterable[str], paths: Mapping) -> None:
         }
         for fh in files.values():
             fh.write("t,x,y,theta,v,w\n")
-        for line in lines:
+        if isinstance(source, Trace):
+            robot_ids = sorted(source.scenario.robot_ids())
+            stride = SAMPLE_WIDTH * len(robot_ids)
+            for k, rid in enumerate(robot_ids):
+                start = SAMPLE_WIDTH * k
+                # t, x, y, theta, v and w: every column but q
+                columns = [source.samples[start + c :: stride] for c in range(6)]
+                files[str(rid)].writelines(map(PLOT_ROW.__mod__, zip(*columns)))
+            return
+        for line in source:
             # sample row: t,sample,robot_id,,x,y,theta,v,w,q,
             t, kind, rid, _, rest = line.split(",", 4)
             if kind == "sample":

@@ -8,6 +8,7 @@ import pytest
 
 import bumpsim
 from bumpsim.cli import main
+from bumpsim.hybrid import Trace
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -114,6 +115,25 @@ def test_run_no_trace_flag(tmp_path):
     assert run_cli("run", "--scenario", SCENARIOS / "open_field.json", "--out", full) == 0
     for name in ("metrics.json", "plot_robot1.csv", "plot_robot2.csv"):
         assert (out / name).read_bytes() == (full / name).read_bytes()
+
+
+@pytest.mark.parametrize("flags", [(), ("--no-trace",)], ids=["trace", "no-trace"])
+def test_run_never_builds_the_record_list(tmp_path, monkeypatch, flags):
+    # the run's writers read the log and the sample columns; rebuilding
+    # every sample as a FlowSample would bring the memory back
+    def refuse(trace):
+        raise AssertionError("Trace.records was built")
+
+    monkeypatch.setattr(Trace, "records", property(refuse))
+    out = tmp_path / "out"
+    # robots 1 and 2 collide and escape before t = 2 s
+    args = ("--scenario", SCENARIOS / "crossing.json", "--t-max", "2", "--out", out, *flags)
+    assert run_cli("run", *args) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["metrics.json", "plot_robot1.csv", "plot_robot2.csv"] + ([] if flags else ["trace.csv"])
+    )
+    robots = json.loads((out / "metrics.json").read_text())["robots"]
+    assert [robots[rid]["collisions"] for rid in ("1", "2")] == [1, 1]
 
 
 def test_compare_crossing(tmp_path):

@@ -228,13 +228,15 @@ def test_coordinates_whose_squares_overflow_are_rejected_by_field(tmp_path, caps
 
 
 def test_a_fault_inside_a_jump_keeps_the_contact_it_was_resolving():
-    # robot 1's escape phase off robot 2 fails to build after its collision
-    # with robot 2 is resolved: that record stays, just before the fault
+    # robot 1's escape phase off robot 2 fails to build after the contact
+    # is resolved: both robots' collision rows stay, just before the fault
     trace = simulate(load_scenario(json.dumps(vanishing_robot())), SimMode.REDESIGNED)
-    *_, contact, fault = trace.records
-    assert isinstance(contact, CollisionRecord)
-    assert (contact.t, contact.robot_id, contact.other_id, contact.q) == (fault.t, 1, 2, 1)
+    *_, contact_1, contact_2, fault = trace.records
+    assert isinstance(contact_1, CollisionRecord) and isinstance(contact_2, CollisionRecord)
+    assert (contact_1.t, contact_1.robot_id, contact_1.other_id, contact_1.q) == (fault.t, 1, 2, 1)
+    assert (contact_2.t, contact_2.robot_id, contact_2.other_id) == (fault.t, 2, 1)
+    assert contact_2.phi == contact_1.phi
     assert fault.reason == "ValueError: local duration must be positive, got 0.0"
     summary = metrics(trace)
-    assert (summary.robots[1].collisions, summary.robots[2].collisions) == (1, 0)
-    assert summary.total_jumps == 1
+    assert (summary.robots[1].collisions, summary.robots[2].collisions) == (1, 1)
+    assert summary.total_jumps == 2

@@ -10,8 +10,11 @@ purpose updates the hashes here, and in `bench/run_bench.py`'s `WORKLOADS`
 where it pins the same trace, and says why.
 """
 
+import gc
 import hashlib
 import json
+import sys
+from array import array
 from pathlib import Path
 from typing import get_args
 
@@ -19,11 +22,14 @@ import pytest
 
 from bumpsim import cli
 from bumpsim.hybrid import (
+    CSV_HEADER,
+    SAMPLE_WIDTH,
     CollisionRecord,
     FaultRecord,
     FlowSample,
     SimMode,
     TraceRecord,
+    _csv_line,
     contact_pairs,
     gap,
     metrics,
@@ -218,6 +224,38 @@ def test_min_clearance_is_the_sample_fold(golden_run):
     assert {rid: r.min_clearance for rid, r in m.robots.items()} == sample_fold_clearance(trace)
 
 
+def test_trace_keeps_its_samples_as_columns(golden_run):
+    """The run stores each robot sample as seven packed doubles and one log
+    slot per sampling pass: seven doubles with the array's 1/16 growth
+    slack take 60 B, and a log slot with the list's 1/8 slack 9 B.  On the
+    two-robot runs whose log is nearly all pass markers that is at most
+    64 B per robot sample, against about 250 B for a FlowSample."""
+    _, trace = golden_run
+    samples, log = trace.samples, trace.log
+    assert type(samples) is array and samples.typecode == "d"
+    robot_samples, rest = divmod(len(samples), SAMPLE_WIDTH)
+    assert rest == 0 and robot_samples == log.count(None) * len(trace.scenario.robot_ids())
+    assert not any(type(r) is FlowSample for r in log)
+    assert sys.getsizeof(samples) + sys.getsizeof(log) <= 60 * robot_samples + 9 * len(log)
+
+
+def test_a_run_builds_no_flow_sample():
+    """With the collector off, every tuple built during the run stays
+    tracked, so a FlowSample made anywhere in it would be listed."""
+    scenario = load_scenario((SCENARIOS / "crossing.json").read_text(encoding="utf-8"))
+    before = {id(o) for o in gc.get_objects() if type(o) is FlowSample}
+    gc.disable()
+    try:
+        trace = simulate(scenario, REDESIGNED)
+        made = [o for o in gc.get_objects() if type(o) is FlowSample and id(o) not in before]
+    finally:
+        gc.enable()
+    assert made == []
+    robot_samples = len(trace.samples) // SAMPLE_WIDTH
+    assert robot_samples == 39424
+    assert sys.getsizeof(trace.samples) + sys.getsizeof(trace.log) <= 64 * robot_samples
+
+
 @pytest.fixture(scope="module")
 def crossing_traces():
     scenario = load_scenario((SCENARIOS / "crossing.json").read_text(encoding="utf-8"))
@@ -232,13 +270,18 @@ def test_written_trace_csv_matches_trace_to_csv(tmp_path, crossing_traces):
         path = tmp_path / f"trace-{mode.value}.csv"
         write_trace_csv(trace, path)
         assert path.read_bytes() == trace_to_csv(trace).encode("utf-8")
-        kinds.update(type(r) for r in trace.records)
+        # the records rebuilt from the log and the sample columns write the
+        # same rows as the columns themselves
+        records = trace.records
+        assert CSV_HEADER + "\n" + "".join(map(_csv_line, records)) == trace_to_csv(trace)
+        kinds.update(type(r) for r in records)
     assert kinds == set(get_args(TraceRecord))
 
 
 def test_plot_csv_is_the_sample_columns_of_trace_csv(tmp_path, crossing_traces):
     """Each `plot_robot<i>.csv` holds exactly the t,x,y,theta,v,w cells of
-    robot i's sample rows in `trace.csv`."""
+    robot i's sample rows in `trace.csv`, whether copied from its lines or
+    formatted from the trace's sample columns."""
     for mode, trace in crossing_traces.items():
         rows = [line.split(",") for line in trace_to_csv(trace).splitlines()[1:]]
         paths = {rid: tmp_path / f"plot-{mode.value}-{rid}.csv" for rid in trace.scenario.robot_ids()}
@@ -250,6 +293,9 @@ def test_plot_csv_is_the_sample_columns_of_trace_csv(tmp_path, crossing_traces):
             ]
             assert len(lines) > 1
             assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+        projected = {rid: path.read_bytes() for rid, path in paths.items()}
+        write_plot_csv(trace, paths)
+        assert {rid: path.read_bytes() for rid, path in paths.items()} == projected
 
 
 def test_bench_workloads_pin_the_same_trace_hashes(monkeypatch):

@@ -3,6 +3,7 @@ import math
 import random
 import re
 import struct
+from array import array
 from pathlib import Path
 
 import pytest
@@ -659,9 +660,10 @@ def test_cap_on_event_hit_closes_with_zero_inputs():
 
 def test_metrics_fold_on_constructed_trace():
     sc = aligned_two_robot_scenario()
-    records = [
-        FlowSample(t=0.0, robot_id=1, x=0.0, y=0.0, theta=0.0, v=1.0, w=0.0, q=0),
-        FlowSample(t=0.0, robot_id=2, x=0.0, y=20.0, theta=0.0, v=1.0, w=0.0, q=0),
+    # one sampling pass (robots 1 and 2 at t = 0), then the other records
+    samples = array("d", [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 20.0, 0.0, 1.0, 0.0, 0.0])
+    log = [
+        None,
         CollisionRecord(
             t=1.0, robot_id=2, other_id=1, x=0.0, y=0.0, theta_pre=0.0, theta_post=1.0,
             v_pre=1.0, v_post=1.0, phi=0.0, lam=1.0, mu=0.0, q=0,
@@ -673,7 +675,12 @@ def test_metrics_fold_on_constructed_trace():
         TargetReachedRecord(t=12.3, robot_id=1),
         FaultRecord(t=13.0, reason="boom", fatal=True),
     ]
-    m = metrics(Trace(scenario=sc, records=records, clearance={1: 18.0, 2: 18.0}))
+    trace = Trace(scenario=sc, log=log, samples=samples, clearance={1: 18.0, 2: 18.0})
+    assert trace.records[:2] == [
+        FlowSample(t=0.0, robot_id=1, x=0.0, y=0.0, theta=0.0, v=1.0, w=0.0, q=0),
+        FlowSample(t=0.0, robot_id=2, x=0.0, y=20.0, theta=0.0, v=1.0, w=0.0, q=0),
+    ]
+    m = metrics(trace)
     assert m.robots[1].min_clearance == m.robots[2].min_clearance == 18.0
     assert m.robots[1].reached and m.robots[1].completion_time == 12.3
     assert not m.robots[2].reached and m.robots[2].completion_time is None

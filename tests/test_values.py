@@ -15,6 +15,7 @@ its trace.csv row, which one `%` with the type's `ROW` template writes.
 
 import math
 import random
+from array import array
 from pathlib import Path
 
 import pytest
@@ -55,7 +56,12 @@ HEAD_ON = contact_query(
     {1: ControlInput(1.0, 0.0), 2: ControlInput(1.0, 0.0)},
     {b.id: b for b in CROSSING.bodies},
 )
-TRACE = Trace(scenario=CROSSING, records=[TargetReachedRecord(t=1.5, robot_id=1)], clearance={1: 2.0, 2: 3.0})
+TRACE = Trace(
+    scenario=CROSSING,
+    log=[TargetReachedRecord(t=1.5, robot_id=1)],
+    samples=array("d"),
+    clearance={1: 2.0, 2: 3.0},
+)
 VALUES = [
     RobotState(1.0, 2.0, 0.5),
     ControlInput(1.0, -0.5),
