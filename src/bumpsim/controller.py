@@ -140,7 +140,9 @@ def nominal_control(terms: ControllerTerms, rho: float) -> tuple[Region, Control
     DENOM_EPS in magnitude: region 2 reduces to b > 0, region 3 is skipped,
     and region 4's ratio tests pass.  A branch whose own denominator is
     that small returns (0, 0) with the degeneracy flag set instead of
-    raising.  Terms that match no region (NaN) raise RegionError.
+    raising.  Finite terms that match no region because a product of the
+    tests overflowed raise OverflowError naming the first such product;
+    other terms that match no region (NaN) raise RegionError.
     """
     _, _, a, b, c, s, e = terms
     if a < 0.0 and b > 0.0:
@@ -167,6 +169,16 @@ def nominal_control(terms: ControllerTerms, rho: float) -> tuple[Region, Control
         if e_small or denom < DENOM_EPS:
             return OMEGA4, ControlInput(0.0, 0.0), True
         return OMEGA4, ControlInput(-b / e, (b * c - a * e) / denom * (s / e)), False
+    if all(map(math.isfinite, terms)):
+        # finite terms match a region, unless a product of the tests overflowed
+        for name, value in (
+            ("c * c + s * s", cs2),
+            ("rho * e * c * a", rho * e * c * a),
+            ("(rho + 1) * (c * c + s * s)", (rho + 1.0) * cs2),
+            ("c * b", c * b),
+        ):
+            if math.isinf(value):
+                raise OverflowError(f"{name} overflows to {value} in the region tests of terms {terms}")
     raise RegionError(f"no region matches terms {terms}")
 
 

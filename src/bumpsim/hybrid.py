@@ -20,7 +20,9 @@ advancement: a pair whose start gap exceeds how far the step can move it
 is culled, a two-sided bound on the start and end gaps skips most of the
 rest, a golden-section search of the in-step minimum catches grazes that
 dip below contact and come back out, and bisection finds the crossing,
-skipping every probe whose sign the same reach bound already decides.
+skipping every probe whose sign the same reach bound, or the chord through
+the last two probes with a bound on how far the gap bends from it, already
+decides.
 It applies the collision/impulse jump maps (which change headings,
 speeds and phases in place, never positions), and records everything in
 an ordered trace.  Every value here is an immutable NamedTuple like
@@ -91,9 +93,19 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # that coordinate.  `gap` rounds the coordinate difference, the hypot and
 # the radii subtraction by at most an ulp of the centre distance, itself
 # at most gap0 + radii sum + reach, each.  Over both robots of a pair and
-# the two gaps of a comparison this stays below 17 ulps of the sum; 32
-# leaves room.  A bisection certificate compares two probe gaps of one pair,
-# which the same budget covers.
+# the two gaps of a comparison this stays below 17 ulps of the sum.  A
+# first-order bisection certificate compares two probe gaps of one pair,
+# which the same budget covers.  A second-order one compares a probe gap
+# with the chord through two others: the chord through the computed gaps
+# lies within one gap's error of the chord through exact ones, so the same
+# two-gap budget covers the gaps.  Evaluating the chord and its curvature
+# term at a threshold then rounds the term subtracted from g_a or |g_b| by
+# at most 9 ulps of it (the chord's slope 1.5, the speed bound squared and
+# the curvature sum 5.5, the offsets and products 2), and that term is
+# below |g_a| + |g_b| <= gap0 + reach + radii sum wherever a certificate
+# holds.  The bound on the centre distance is lowered by one slack, which
+# exceeds one gap's error plus its own rounding, so it never rises above
+# the exact bound.  17 + 9 = 26 ulps; 32 leaves room.
 BOUND_SLACK = 32.0 * math.ulp(1.0)
 # Every error the engine raises during a run, builtin or its own, and arithmetic
 # overflow: `simulate` ends the run on any of them with a fatal FaultRecord.
@@ -384,6 +396,50 @@ def _first_negative(gap_at: Callable[[float], float], h: float) -> tuple[float, 
     return (d, gd) if gd < 0.0 else None
 
 
+def _certified_end(p: float, g: float, q: float, rate: float, curve: float, slack: float) -> float:
+    """A point m between the probed end p and the other end q such that
+    g - |x - p| * (rate + curve * |q - x| / 2) > slack at every x from p to
+    m, or p itself.
+
+    The bound is convex in x, and at q it is below the slack, so it holds
+    on all of [p, m] once it holds at m.  m solves the quadratic for twice
+    the slack, in the form that does not cancel, and the check at m itself
+    absorbs that solution's rounding; a NaN or an overflow fails the check.
+    """
+    c = g - 2.0 * slack
+    beta = rate + 0.5 * curve * abs(q - p)
+    if not (c > 0.0 and beta > 0.0):
+        return p
+    x = 2.0 * c / (beta + math.sqrt(max(beta * beta - 2.0 * curve * c, 0.0)))
+    m = p + x if q > p else p - x
+    return m if g - abs(m - p) * (rate + 0.5 * curve * abs(q - m)) > slack else p
+
+
+def _certified(
+    a: float, g_a: float, b: float, g_b: float, speed: float, curve: float, rsum: float, slack: float
+) -> tuple[float, float]:
+    """The bisection's certified ranges on the bracket [a, b] of the last
+    probes, apart (g_a > 0) and touching (g_b <= 0), by `detect_event`'s
+    four certificates: every offset up to the first returned one has a
+    positive gap, and every offset from the second on a negative one.
+
+    `curve` bounds the second derivative of the offset between the pair's
+    probe paths, and the centre distance is a maximum of linear functionals
+    of that offset, so gap + curve * tau^2 / 2 is convex.  Where the centre
+    distance is at least `near` > 0, the gap's second derivative is at most
+    speed^2 / near + curve.
+    """
+    slope = (g_a - g_b) / (b - a)
+    apart_to = _certified_end(a, g_a, b, speed, 0.0, slack)
+    near = rsum + 0.5 * (g_a + g_b - speed * (b - a)) - slack
+    if near > 0.0:
+        apart_to = max(apart_to, _certified_end(a, g_a, b, slope, speed * speed / near + curve, slack))
+    touching_from = min(
+        _certified_end(b, -g_b, a, speed, 0.0, slack), _certified_end(b, -g_b, a, slope, curve, slack)
+    )
+    return apart_to, touching_from
+
+
 def detect_event(
     pairs: list[ContactPair],
     gaps0: Sequence[float],
@@ -418,16 +474,24 @@ def detect_event(
     EVENT_TIME_TOL seconds, landing on the non-penetrating side.  The
     bisection keeps the last probed point on each side of its bracket,
     (a, g_a) apart and (b, g_b) touching, and probes a midpoint only when
-    neither certifies its sign:
+    no certificate decides its sign (`_certified`), where speed = reach / h
+    and chord(mid) is the chord through the two points:
 
-    - certified apart: g_a - speed * (mid - a) > slack, so gap(mid) > 0;
-    - certified touching: g_b + speed * (b - mid) < -slack, so
-      gap(mid) < 0;
+    - first order, apart: g_a - speed * (mid - a) > slack;
+    - first order, touching: g_b + speed * (b - mid) < -slack;
+    - second order, touching: chord(mid) + A * (mid - a) * (b - mid) / 2
+      < -slack, where A = |v| |w| (1 + |w| h / 3), summed over the pair's
+      robots, bounds how fast their probe paths bend;
+    - second order, apart: chord(mid) - K * (mid - a) * (b - mid) / 2
+      > slack, where K = speed^2 / D + A and D = radii sum + (g_a + g_b -
+      speed * (b - a)) / 2 - slack > 0 bounds the centre distance on the
+      bracket from below.
 
-    where speed = reach / h.  This needs only the Lipschitz bound, not a
-    monotone gap, so it holds inside a graze bracket too.  A skipped
-    probe would have taken the same branch, so the bracket sequence and
-    the hit time keep their bits.
+    After each probe the certified midpoints form one range at each end of
+    the bracket, so a midpoint costs two comparisons.  The certificates
+    need no monotone gap, so they hold inside a graze bracket too.  A
+    skipped probe would have taken the same branch, so the bracket
+    sequence and the hit time keep their bits.
     Simultaneous crossings (within EVENT_TIME_TOL) are reported with the
     lexicographically smallest pair first.
     """
@@ -467,14 +531,21 @@ def detect_event(
         b, g_b = found
         a, g_a = 0.0, g0
         lo, hi = a, b
+        # how fast the pair's probe paths bend: |v| |w| (1 + |w| h / 3) per robot
+        v, w = inputs[i]
+        curve = abs(v * w) * (1.0 + abs(w) * h / 3.0)
+        if fixed is None:
+            v, w = inputs[j]
+            curve += abs(v * w) * (1.0 + abs(w) * h / 3.0)
+        apart_to, touching_from = _certified(a, g_a, b, g_b, speed, curve, pair.rsum, slack)
         while hi - lo > EVENT_TIME_TOL:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
                 # one ulp of a large offset exceeds EVENT_TIME_TOL
                 break
-            if g_a - speed * (mid - a) > slack:
+            if mid <= apart_to:
                 lo = mid
-            elif g_b + speed * (b - mid) < -slack:
+            elif mid >= touching_from:
                 hi = mid
             else:
                 g = gap_at(mid)
@@ -484,6 +555,7 @@ def detect_event(
                 else:
                     hi = b = mid
                     g_b = g
+                apart_to, touching_from = _certified(a, g_a, b, g_b, speed, curve, pair.rsum, slack)
         hits.append((lo, i, j))
 
     if not hits:

@@ -201,6 +201,16 @@ def test_no_region_error_surfaces():
         nominal_control(t, 9.0)
 
 
+def test_an_overflowing_product_is_named():
+    # finite terms (those of a scenario at the magnitude bound) whose region
+    # tests overflow match no region; the error names the product
+    t = ControllerTerms(
+        V=2.5e300, h=7.75e300, a=1.875e300, b=9.3e300, c=-1.4464144704446882e150, s=1e150, e=-1.3030460276077805e149
+    )
+    with pytest.raises(OverflowError, match=r"^rho \* e \* c \* a overflows to inf in the region tests of terms "):
+        nominal_control(t, 9.0)
+
+
 # --- nominal branches -------------------------------------------------------
 
 

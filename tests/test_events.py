@@ -1,9 +1,11 @@
 """Event detection: graze tunnelling, the soundness of the reach bounds
 against a fine substep oracle, the bisection's certified probes against a
 plain bisection, the rounding slack of the cull, the two-sided bound and
-both certificates at the edge of the reach, the one-gap-per-pair budget,
-the per-instant call budget, and bisection at offsets where one ulp
-exceeds the time tolerance."""
+the first-order certificates at the edge of the reach, the second-order
+certificates on turning pairs (whose paths bend) and on pairs that start
+within a few slacks of contact (where the chord saves probes), the
+one-gap-per-pair budget, the per-instant call budget, and bisection at
+offsets where one ulp exceeds the time tolerance."""
 
 import ast
 import math
@@ -423,6 +425,163 @@ def test_certificates_keep_the_bits_of_a_crossing_at_mid_step(robot_robot):
     assert apart_slackless >= 10 and touching_slackless >= 5, (apart_slackless, touching_slackless)
 
 
+# --- the second-order certificates -------------------------------------------
+
+
+def reference_bracket(pair, states, inputs, h):
+    """The bracket end that `detect_event` bisects to, its gap and the probes
+    taken to find it: the step's end when the pair ends in contact, else the
+    graze search's first negative probe."""
+    g1 = gap_at(pair, states, inputs, h)
+    if g1 < 0.0:
+        return h, g1, 0
+    taus = []
+
+    def probe(tau):
+        taus.append(tau)
+        return gap_at(pair, states, inputs, tau)
+
+    return (*hybrid._first_negative(probe, h), len(taus))
+
+
+def first_order_probes(pair, states, inputs, h):
+    """The last apart offset and the probes, graze search included, of a
+    bisection with the reach bound's certificates alone, its speed and slack
+    formed as `detect_event` forms them."""
+    speed = scale = 0.0
+    for rid, (v, w) in inputs.items():
+        speed += abs(v) * (1.0 + 0.5 * h * abs(w))
+        scale += abs(states[rid].x) + abs(states[rid].y)
+    g0 = gap(pair, states)
+    slack = hybrid.BOUND_SLACK * (scale + speed * h + g0 + pair.rsum)
+    b, g_b, probes = reference_bracket(pair, states, inputs, h)
+    a, g_a, lo, hi = 0.0, g0, 0.0, b
+    while hi - lo > EVENT_TIME_TOL:
+        mid = 0.5 * (lo + hi)
+        if g_a - speed * (mid - a) > slack:
+            lo = mid
+        elif g_b + speed * (b - mid) < -slack:
+            hi = mid
+        else:
+            probes += 1
+            g = gap_at(pair, states, inputs, mid)
+            if g > 0.0:
+                lo = a = mid
+                g_a = g
+            else:
+                hi = b = mid
+                g_b = g
+    return lo, probes
+
+
+def assert_reference_bits(pair, states, inputs, h, hit):
+    """The hit lands on the bits of a bisection that probes every midpoint
+    of the same bracket, on the side that does not touch exactly."""
+    case = (pair, states, inputs, h)
+    assert (hit.robot_id, hit.other_id) == (pair.i, pair.j), case
+    hi, _, _ = reference_bracket(pair, states, inputs, h)
+    assert hit.t_offset == plain_bisection(pair, states, inputs, hi)[0], case
+    at_hit = {rid: step_flow(states[rid], inputs[rid], hit.t_offset) for rid in states}
+    assert not exactly_touching(pair, at_hit), case
+
+
+def draw_turning(rng, robot_robot):
+    """A pair abreast at a time inside a long step (h from 0.01 to 0.1), each
+    robot turning at |w| from M_W / 2 to M_W, so that its path bends by up
+    to half a radian: the chord alone misjudges the gap."""
+    h = math.exp(rng.uniform(math.log(0.01), math.log(0.1)))
+
+    def draw_input():
+        return ControlInput(rng.uniform(-M_V, M_V), rng.choice([-1.0, 1.0]) * rng.uniform(0.5 * M_W, M_W))
+
+    inputs = {1: draw_input()}
+    if robot_robot:
+        inputs[2] = draw_input()
+    states = {1: RobotState(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(-math.pi, math.pi))}
+    rsum = math.exp(rng.uniform(math.log(0.01), math.log(2.0)))
+    reach = sum(abs(u.v) for u in inputs.values()) * h
+    tau = rng.uniform(0.2 * h, 0.8 * h)
+    base = step_flow(states[1], inputs[1], tau)
+    clearance = rng.uniform(-0.5, 1.0) * reach * rng.choice([1.0, 1e-2, 1e-4])
+    ang = base.theta + rng.uniform(-math.pi, math.pi)
+    pos = (base.x + (rsum + clearance) * math.cos(ang), base.y + (rsum + clearance) * math.sin(ang))
+    if robot_robot:
+        # robot 2 starts where it reaches pos at tau
+        heading = rng.uniform(-math.pi, math.pi)
+        ahead = step_flow(RobotState(*pos, heading), inputs[2], tau)
+        states[2] = RobotState(2.0 * pos[0] - ahead.x, 2.0 * pos[1] - ahead.y, heading)
+        return ContactPair(1, 2, rsum, None), states, inputs, h
+    return ContactPair(1, 3, rsum, pos), states, inputs, h
+
+
+@pytest.mark.parametrize("robot_robot", [False, True], ids=["robot-obstacle", "robot-robot"])
+def test_turning_pairs_keep_the_bits_of_every_hit(robot_robot):
+    rng = random.Random(6)
+    hits = grazes = 0
+    for _ in range(400):
+        pair, states, inputs, h = draw_turning(rng, robot_robot)
+        if gap(pair, states) <= 0.0:
+            continue
+        hit = detect([pair], states, inputs, h)
+        if hit is None:
+            continue
+        hits += 1
+        grazes += gap_at(pair, states, inputs, h) >= 0.0
+        assert_reference_bits(pair, states, inputs, h, hit)
+    assert hits >= 100 and grazes >= 10, (hits, grazes)
+
+
+def draw_near_contact(rng, robot_robot):
+    """A pair apart by at most four slacks at the step start, closing at
+    half to all of the reach bound's speed, as in a deadlock of repeated
+    contacts at one instant."""
+    h = math.exp(rng.uniform(math.log(1e-4), math.log(0.1)))
+
+    def draw_input():
+        return ControlInput(rng.choice([-1.0, 1.0]) * rng.uniform(0.5 * M_V, M_V), rng.uniform(-M_W, M_W))
+
+    inputs = {1: draw_input()}
+    if robot_robot:
+        inputs[2] = draw_input()
+    # the direction robot 1 drives in, off the line to the body by up to 60 degrees
+    drive = rng.uniform(-math.pi, math.pi)
+    states = {1: RobotState(rng.uniform(-10, 10), rng.uniform(-10, 10), drive + (inputs[1].v < 0.0) * math.pi)}
+    ang = drive + rng.uniform(-1.0, 1.0) * math.pi / 3.0
+    rsum = math.exp(rng.uniform(math.log(0.01), math.log(2.0)))
+    reach = sum(abs(u.v) for u in inputs.values()) * h
+    scale = abs(states[1].x) + abs(states[1].y) + reach
+    if robot_robot:
+        scale += abs(states[1].x + rsum * math.cos(ang)) + abs(states[1].y + rsum * math.sin(ang))
+    clearance = rng.uniform(0.0, 4.0) * hybrid.BOUND_SLACK * (scale + rsum)
+    pos = (states[1].x + (rsum + clearance) * math.cos(ang), states[1].y + (rsum + clearance) * math.sin(ang))
+    if robot_robot:
+        # robot 2 drives towards robot 1, off the line by up to 60 degrees
+        back = ang + math.pi + rng.uniform(-1.0, 1.0) * math.pi / 3.0
+        states[2] = RobotState(*pos, back + (inputs[2].v < 0.0) * math.pi)
+        return ContactPair(1, 2, rsum, None), states, inputs, h
+    return ContactPair(1, 3, rsum, pos), states, inputs, h
+
+
+@pytest.mark.parametrize("robot_robot", [False, True], ids=["robot-obstacle", "robot-robot"])
+def test_near_contact_hits_keep_their_bits_with_fewer_probes(robot_robot, monkeypatch):
+    rng = random.Random(7)
+    hits = probes = first_order = 0
+    for _ in range(300):
+        pair, states, inputs, h = draw_near_contact(rng, robot_robot)
+        if gap(pair, states) <= 0.0:
+            continue
+        hit, n = probed(pair, states, inputs, h, monkeypatch)
+        if hit is None:
+            continue
+        hits += 1
+        assert_reference_bits(pair, states, inputs, h, hit)
+        lo, n_first = first_order_probes(pair, states, inputs, h)
+        assert lo == hit.t_offset and n <= n_first, (pair, states, inputs, h)
+        probes += n
+        first_order += n_first
+    assert hits >= 200 and probes < first_order, (hits, probes, first_order)
+
+
 # --- one gap per pair per instant --------------------------------------------
 
 
@@ -457,7 +616,7 @@ def test_crossing_makes_no_python_call_outside_its_layers():
     # An instant calls only the traced layers: two `predefined_control`
     # (each with `controller_terms`, `nominal_control` and `saturate`), two
     # `step_flow` and one `detect_event`, 11 calls, plus the rare event,
-    # jump and phase calls: 220,543 in all over 19,712 instants.  A helper
+    # jump and phase calls: 220,487 in all over 19,712 instants.  A helper
     # or comprehension put back in the per-instant pass adds 19,711 or
     # more; a `gap` call per pair and two comprehensions took 358,525.
     calls = 0

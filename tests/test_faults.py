@@ -53,6 +53,20 @@ def overflowing():
     return doc
 
 
+def far_apart():
+    """example1 stretched to the scenario magnitude bound: robot 1 at
+    (1e150, 1e150, 1e150), obstacle 3 of radius 5e149 at (-1e150, -1e150),
+    the target at (-1e150, 1e150) and a +-1e150 workspace.  It validates,
+    and every controller term at t = 0 is finite, but the region tests'
+    product `rho * e * c * a` overflows."""
+    doc = json.loads((SCENARIOS / "example1.json").read_text())
+    doc["workspace"] = {"x_min": -1e150, "x_max": 1e150, "y_min": -1e150, "y_max": 1e150}
+    doc["bodies"][0].update(x=1e150, y=1e150, theta=1e150)
+    doc["bodies"][1].update(x=-1e150, y=-1e150, radius=5e149)
+    doc["targets"]["1"].update(x=-1e150, y=1e150)
+    return doc
+
+
 def vanishing_robot():
     """crossing with robot 2's radius at the smallest subnormal: it
     validates, and robot 1's escape phase off robot 2 gets the local
@@ -225,6 +239,21 @@ def test_coordinates_whose_squares_overflow_are_rejected_by_field(tmp_path, caps
     assert "invalid scenario: bodies[0].x: magnitude must be at most 1e+150, got 1e+160\n" in err
     assert "invalid scenario: workspace.x_max: magnitude must be at most 1e+150, got 1e+200\n" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode", list(SimMode), ids=lambda mode: mode.value)
+def test_a_controller_overflow_is_named_as_one(mode):
+    scenario = load_scenario(json.dumps(far_apart()))
+    assert validate_scenario(scenario) == []
+    trace = simulate(scenario, mode)
+    *samples, fault = trace.records
+    assert samples == [] and (fault.t, fault.fatal) == (0.0, True)
+    assert fault.reason.startswith("OverflowError: rho * e * c * a overflows to inf in the region tests of terms ")
+    states = {1: scenario.body(1).state()}
+    terms = controller.controller_terms(
+        1, states, scenario.targets[1], hybrid.contact_pairs(scenario.bodies), scenario.params
+    )
+    assert all(map(math.isfinite, terms)) and str(terms) in fault.reason
 
 
 def test_a_fault_inside_a_jump_keeps_the_contact_it_was_resolving():

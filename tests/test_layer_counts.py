@@ -6,8 +6,9 @@ engine change that keeps the trace bytes but stops calling one of those
 names through its global would silently zero or shift a count; this pins
 every count of the headline run, and of the deadlock run, whose 750
 contact localizations pin the bisection's certified probe skipping (a
-fallback to probing every midpoint steps the flow 45,000 times there),
-and of the contact-free bypass run, whose contact, jump and redesign
+fallback to the first-order certificates alone steps the flow 16,626
+times there, and one to probing every midpoint about 45,000), and of the
+contact-free bypass run, whose contact, jump and redesign
 counts must stay zero.
 """
 
@@ -24,9 +25,9 @@ CROSSING_COUNTS = {
     "controller.degenerate": 0,
     "hybrid.event.calls": 19711,
     "hybrid.event.hits": 1,
-    "hybrid.event.bisect_iters": 1314,
+    "hybrid.event.bisect_iters": 1294,
     "hybrid.event.deferred": 0,
-    "hybrid.flow.calls": 40738,
+    "hybrid.flow.calls": 40718,
     "hybrid.flow.step_calls": 39424,
     "hybrid.jump.calls": 3,
     "collision.query_calls": 1,
@@ -51,9 +52,9 @@ CHATTER_COUNTS = {
     "controller.degenerate": 0,
     "hybrid.event.calls": 2307,
     "hybrid.event.hits": 750,
-    "hybrid.event.bisect_iters": 10512,
+    "hybrid.event.bisect_iters": 6,
     "hybrid.event.deferred": 0,
-    "hybrid.flow.calls": 16626,
+    "hybrid.flow.calls": 6120,
     "hybrid.flow.step_calls": 6114,
     "hybrid.jump.calls": 750,
     "collision.query_calls": 750,
