@@ -5,15 +5,19 @@ predefined controller, q = 1 runs the constant-heading local escape
 controller installed after a heading-changing collision.  q is 1 exactly
 while the robot holds a LocalPhase; `HybridState.phases` is its only
 record.  Every contact, found by event localization or by the sweep at
-an instant, goes through one pair-table row and one ContactQuery.  Each
-pair's gap is measured once per instant, by one pass that applies
-`gap`'s expression inline and folds each gap into the pair's running
-minimum, and that list is the only measurement of a sampled instant:
-reactivation reads its robot's rows, the sweep decides touching and
-penetration on it (`collision.check_collision` adds only the approach
-test), event detection starts from it, and the running minimum becomes
-the trace's `clearance`, which `metrics` reports; `gap` itself serves
-event localization.  The executor integrates
+an instant, goes through one pair-table row and one ContactQuery.  An
+instant measures the pair gaps, by one pass that applies `gap`'s
+expression inline, only when the step floor carried from the last
+measurement (FLOOR_SLACK) cannot show that every row is culled and none
+is in contact; a jump or a held local phase makes the next instant
+measure.  That list is the instant's only measurement: reactivation
+reads its robot's rows, the sweep decides touching and penetration on it
+(`collision.check_collision` adds only the approach test), and event
+detection starts from it, or gets no rows at all.  Each robot's target
+distance is measured under the same kind of floor.  The trace's
+`clearance`, which `metrics` reports, is one fold over the sample
+columns at the end of the run; `gap` itself serves event localization.
+The executor integrates
 the unicycle flow with fixed-step classical RK4 under zero-order-hold
 inputs and localizes contact events inside a step by conservative
 advancement: a pair whose start gap exceeds how far the step can move it
@@ -56,6 +60,8 @@ import math
 from array import array
 from contextlib import ExitStack
 from enum import Enum
+from itertools import chain, repeat
+from operator import sub
 from struct import Struct
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -107,6 +113,40 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # exceeds one gap's error plus its own rounding, so it never rises above
 # the exact bound.  17 + 9 = 26 ulps; 32 leaves room.
 BOUND_SLACK = 32.0 * math.ulp(1.0)
+# Step floors: relative slack s of the bounds `simulate` carries from one
+# measurement of the pair gaps or target distances to the next, kept as a
+# count of the steps they settle, so that no rounding builds up.  Until a
+# jump or a held phase forces a measurement, every step is at most dt long
+# and every input lies in the box |v| <= m_v, |w| <= m_w (saturated
+# controls, and `local_control`'s (m_v, 0)).  An RK4 step's computed
+# increment is then at most |v| dt (1 + 16 eps) long (eps = ulp(1) / 2),
+# and adding it rounds each coordinate by half an ulp, so a robot's
+# position moves by at most m_v dt (1 + 16 eps) + eps (|x| + |y|) and its
+# heading by at most m_w dt (1 + eps) + eps |theta| per step.
+# - Pairs.  A measurement with least gap g, coordinate scale S (|x| + |y|
+#   summed over the robots) and largest radii sum R settles k = (g - near
+#   - s (S + g + R + near)) / M steps, where near = n m_v dt (1 + m_w dt /
+#   2) + CONTACT_TOL bounds `detect_event`'s reach and M = n m_v dt (1 + s)
+#   + s (S + 2 g) bounds a step's movement of all n robots together: they
+#   move by at most k M <= g in all, so S stays below S + 1.5 g.  A
+#   computed gap lies within 5 eps (gap + 2 R) of the exact one, so after
+#   j <= k steps each row's gap0 is at least g - j M - 10 eps g - 20 eps R.
+#   The cull's reach is within 8 eps of near - CONTACT_TOL, its rounded
+#   slack at most 65 eps (S + 1.5 g + near + gap0 + R), and its subtraction
+#   rounds by eps gap0; as gap0 - reach - slack grows with gap0, every row
+#   takes the `gap0 - reach > slack` branch once g - j M - near exceeds
+#   174 eps g + 65 eps S + 85 eps R + 74 eps near, which s = 512 eps covers
+#   with room for the rounding of k's own formula.  That gap0 also exceeds
+#   CONTACT_TOL, so no pair reaches the sweep.
+# - Targets.  A robot at computed target distance d > tolerance, with pose
+#   scale Q = |x| + |y| + |theta|, settles k = (d - tolerance - s d) / T
+#   steps, where T = (m_v + m_w) dt (1 + s) + s (Q + 2 d) bounds a step's
+#   change of its pose, which moves by at most k T <= d in all.  The
+#   computed distance lies within 4 eps d of the exact one, so after j <= k
+#   steps it is at least d (1 - 8 eps) - j T > tolerance.  Below d = 2^510
+#   every skipped square stays below (2 d)^2 < 2^1022: none could have
+#   overflowed; a robot farther away measures every instant.
+FLOOR_SLACK = 8.0 * BOUND_SLACK
 # Every error the engine raises during a run, builtin or its own, and arithmetic
 # overflow: `simulate` ends the run on any of them with a fatal FaultRecord.
 FAULTS = (
@@ -227,8 +267,9 @@ class Trace(NamedTuple):
     with one None where each sampling pass wrote its samples; `samples`
     holds those samples, one robot after another in id order, each as
     `t, x, y, theta, v, w, q`.  `clearance` is each robot's smallest
-    pair-table row gap at any sampled instant (None for a robot with no
-    rows)."""
+    pair-table row gap at any instant the run settled: a fold over the
+    sample columns, plus the instant that raised a fault before writing
+    its samples (None for a robot with no rows)."""
 
     scenario: Scenario
     log: list
@@ -323,8 +364,9 @@ def contact_pairs(bodies: Sequence[Body]) -> list[ContactPair]:
 def gap(pair: ContactPair, states: Mapping[int, RobotState]) -> float:
     """Center distance minus radii sum: positive apart, zero touching,
     negative overlapping.  `states` maps robot id to anything with x, y.
-    Event localization calls it; `simulate`'s per-instant pass applies the
-    same expression inline, operand for operand."""
+    Event localization calls it; `simulate`'s measuring pass applies the
+    same expression inline, operand for operand, and its clearance fold
+    the same hypot and subtraction."""
     i, j, rsum, fixed = pair
     si = states[i]
     if fixed is None:
@@ -450,9 +492,10 @@ def detect_event(
 ) -> EventHit | None:
     """Find the earliest pair gap zero-crossing inside the step [0, h].
 
-    `gaps0` holds each pair's gap at `states` (the executor measures it
-    once per instant), and `next_states` the RK4 step of length h.  Only
-    pairs apart at the step start (gap0 > 0) can cross.  A probe
+    `gaps0` holds each pair's gap at `states`, and `next_states` the RK4
+    step of length h.  With no pairs it returns None at once: the executor
+    passes none when its step floor already shows that every row is
+    culled.  Only pairs apart at the step start (gap0 > 0) can cross.  A probe
     `step_flow(s, u, tau)` lies within |v| * tau of the robot's start and
     moves with speed at most |v| * (1 + |w| * h / 2) in tau, so no pair's
     gap changes by more than `reach`, h times the sum of that speed over
@@ -495,6 +538,8 @@ def detect_event(
     Simultaneous crossings (within EVENT_TIME_TOL) are reported with the
     lexicographically smallest pair first.
     """
+    if not pairs:
+        return None
     # One reach bound for every row, and the coordinate scale of the slack:
     # the sum of the robots' |x| + |y| bounds each coordinate.
     speed = scale = 0.0
@@ -761,11 +806,18 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
     # (id, target, own rows, own row indices) of each robot, in id order
     robots = [(rid, targets[rid], [pairs[k] for k in ks], ks) for rid, ks in row_ks.items()]
     pair_by_ids = {(pair.i, pair.j): pair for pair in pairs}
-    # each row with its index, for the per-instant gap pass
-    gap_rows = [(k, *pair) for k, pair in enumerate(pairs)]
     n_robots = len(robot_ids)
     t_end = t_max - 1e-12
     hypot = math.hypot
+    # The step floors (FLOOR_SLACK): the instants the last measurement of the
+    # pair gaps, and of the target distances, still settles.  A jump, or a
+    # phase held through a step, sets a count to 0, so the next instant measures.
+    gaps_left = targets_left = 0
+    no_rows: list[ContactPair] = []
+    near = n_robots * params.m_v * dt * (1.0 + 0.5 * params.m_w * dt) + CONTACT_TOL
+    rsum_max = max((pair.rsum for pair in pairs), default=0.0)
+    pair_drift = n_robots * params.m_v * dt * (1.0 + FLOOR_SLACK)
+    pose_drift = (params.m_v + params.m_w) * dt * (1.0 + FLOOR_SLACK)
 
     hs = HybridState(
         t=0.0,
@@ -781,8 +833,8 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
     samples = array("d")
     append_sample = samples.frombytes
     pack_sample = SAMPLE.pack
-    # each pair's smallest gap at any sampled instant
-    min_gaps = [math.inf] * len(pairs)
+    # the poses of an instant that faults before writing its samples
+    unsampled: dict[int, RobotState] | None = None
     reached: set[int] = set()
     stopped = {rid: ControlInput(0.0, 0.0) for rid in robot_ids}
     # Per-instant bookkeeping (cleared whenever t advances): robots already
@@ -794,7 +846,10 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
         log.append(FaultRecord(t=hs.t, reason=reason, fatal=fatal))
 
     def apply_jump(event: ContactQuery | ReactivationEvent) -> dict[int, float]:
-        """Jump, record it, and return the post-collision speeds."""
+        """Jump, record it, and return the post-collision speeds.  A jump
+        changes headings, speeds or phases, so the next instant measures."""
+        nonlocal gaps_left, targets_left
+        gaps_left = targets_left = 0
         post_speeds = jump(hs, event, scenario, sim_mode, log)
         if isinstance(event, ContactQuery):
             # post_speeds is keyed by exactly the robots of the contact
@@ -850,50 +905,83 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
         while True:
             states = hs.states
             t = hs.t
-            # One gap per pair per instant, shared by reactivation, the sweep,
-            # the event test and the run's clearance: `gap`'s expression,
-            # inline, folded into each pair's running minimum.
-            gaps = []
-            for k, i, j, rsum, fixed in gap_rows:
-                xi, yi, _ = states[i]
-                if fixed is None:
-                    jx, jy, _ = states[j]
-                else:
-                    jx, jy = fixed
-                g = hypot(jx - xi, jy - yi) - rsum
-                if g < min_gaps[k]:
-                    min_gaps[k] = g
-                gaps.append(g)
-            # Settle the instant: reactivation, then target marks and inputs, then
-            # the contact sweep when a pair is within CONTACT_TOL.  A cap reached
-            # by an event jump or a reactivation closes with zero inputs, one in
-            # the sweep with its refreshed post-jump inputs.
-            inputs = stopped
-            if hs.jumps < cap:
-                for rid, _, _, ks in robots:
-                    phase = phases[rid]
-                    if phase is not None and reactivation_due(phase, (gaps[k] for k in ks)):
-                        apply_jump(ReactivationEvent(rid))
-                        if hs.jumps >= cap:
-                            break
-                else:
-                    # no reactivation reached the cap
-                    inputs = {}
-                    for rid, target, own_rows, _ in robots:
-                        if rid not in reached:
-                            x, y, theta = states[rid]
-                            tx, ty, t_theta = target
-                            dist = math.sqrt((x - tx) ** 2 + (y - ty) ** 2 + (theta - t_theta) ** 2)
-                            if dist <= tolerance:
-                                reached.add(rid)
-                                log.append(TargetReachedRecord(t=t, robot_id=rid))
+            if gaps_left:
+                # the last measurement settles every row's cull and sweep test
+                gaps_left -= 1
+                gaps = rows = no_rows
+            else:
+                # One gap per pair, shared by reactivation, the sweep and the
+                # event test: `gap`'s expression, inline.
+                gaps = []
+                for i, j, rsum, fixed in pairs:
+                    xi, yi, _ = states[i]
+                    if fixed is None:
+                        jx, jy, _ = states[j]
+                    else:
+                        jx, jy = fixed
+                    gaps.append(hypot(jx - xi, jy - yi) - rsum)
+                rows = pairs
+                scale = 0.0
+                for x, y, _ in states.values():
+                    scale += abs(x) + abs(y)
+                least = min(gaps, default=math.inf)
+                room = least - near - FLOOR_SLACK * (scale + least + rsum_max + near)
+                per_step = pair_drift + FLOOR_SLACK * (scale + 2.0 * least)
+                q = room / per_step if per_step > 0.0 else 0.0
+                # a NaN, an infinity or a count past exact float integers settles nothing
+                gaps_left = int(q) if 1.0 <= q < 2.0**53 else 0
+            try:
+                # Settle the instant: reactivation, then target marks and inputs,
+                # then the contact sweep when a pair is within CONTACT_TOL.  A cap
+                # reached by an event jump or a reactivation closes with zero
+                # inputs, one in the sweep with its refreshed post-jump inputs.
+                inputs = stopped
+                if hs.jumps < cap:
+                    for rid, _, _, ks in robots:
                         phase = phases[rid]
-                        if phase is not None:
-                            inputs[rid] = local_control(phase)
+                        if phase is not None and reactivation_due(phase, (gaps[k] for k in ks)):
+                            apply_jump(ReactivationEvent(rid))
+                            if hs.jumps >= cap:
+                                break
+                    else:
+                        # no reactivation reached the cap
+                        inputs = {}
+                        # each unreached robot's target test, unless the last
+                        # measurement settles them all
+                        check_targets = not targets_left
+                        if check_targets:
+                            # lowered to each measured robot's count below
+                            targets_left = 1 << 53
                         else:
-                            inputs[rid] = predefined_control(rid, states, target, own_rows, params).u
-                    if gaps and min(gaps) <= CONTACT_TOL:
-                        sweep(states, gaps, inputs)
+                            targets_left -= 1
+                        for rid, target, own_rows, _ in robots:
+                            if check_targets and rid not in reached:
+                                x, y, theta = states[rid]
+                                tx, ty, t_theta = target
+                                dist = math.sqrt((x - tx) ** 2 + (y - ty) ** 2 + (theta - t_theta) ** 2)
+                                if dist <= tolerance:
+                                    reached.add(rid)
+                                    log.append(TargetReachedRecord(t=t, robot_id=rid))
+                                elif dist < 2.0**510:
+                                    room = dist - tolerance - FLOOR_SLACK * dist
+                                    per_step = pose_drift + FLOOR_SLACK * (
+                                        abs(x) + abs(y) + abs(theta) + 2.0 * dist
+                                    )
+                                    q = room / per_step if per_step > 0.0 else 0.0
+                                    targets_left = min(targets_left, int(q) if 1.0 <= q < 2.0**53 else 0)
+                                else:
+                                    targets_left = 0
+                            phase = phases[rid]
+                            if phase is not None:
+                                inputs[rid] = local_control(phase)
+                            else:
+                                inputs[rid] = predefined_control(rid, states, target, own_rows, params).u
+                        if gaps and min(gaps) <= CONTACT_TOL:
+                            sweep(states, gaps, inputs)
+            except FAULTS:
+                # the clearance also counts this instant, which writes no samples
+                unsampled = states
+                raise
             log.append(None)
             for rid in robot_ids:
                 x, y, theta = states[rid]
@@ -907,7 +995,12 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
             rest = t_max - t
             h = rest if rest < dt else dt
             # a LocalPhase is truthy, and most steps hold none
-            held = list(filter(None, phases.values())) if any(phases.values()) else ()
+            if any(phases.values()):
+                held = list(filter(None, phases.values()))
+                # the next instant's reactivation may read the rows' gaps
+                gaps_left = 0
+            else:
+                held = ()
             for phase in held:
                 remaining = phase.t_dur + phase.extension - phase.elapsed
                 if 0.0 < remaining < h:
@@ -916,7 +1009,7 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
             next_states = {}
             for rid in robot_ids:
                 next_states[rid] = step_flow(states[rid], inputs[rid], h)
-            hit = detect_event(pairs, gaps, states, inputs, h, next_states)
+            hit = detect_event(rows, gaps, states, inputs, h, next_states)
             if hit is None:
                 hs.states = next_states
                 advance = h
@@ -942,7 +1035,22 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
         # the one fault channel: the run ends here, as at the jump cap
         fault(f"{type(exc).__name__}: {exc}", True)
 
-    clearance = {rid: min((min_gaps[k] for k in ks), default=None) for rid, ks in row_ks.items()}
+    # each pair's smallest gap at any instant that settled: a fold over the
+    # sample columns, and over the poses of an instant that faulted first
+    columns = memoryview(samples)
+    stride = SAMPLE_WIDTH * n_robots
+    xs = {rid: columns[SAMPLE_WIDTH * k + 1 :: stride] for k, rid in enumerate(robot_ids)}
+    ys = {rid: columns[SAMPLE_WIDTH * k + 2 :: stride] for k, rid in enumerate(robot_ids)}
+    least_gaps = []
+    for pair in pairs:
+        i, j, rsum, fixed = pair
+        xj, yj = (xs[j], ys[j]) if fixed is None else map(repeat, fixed)
+        # `gap`'s rounding after the hypot is monotone, so it applies once
+        least = min(chain((math.inf,), map(hypot, map(sub, xj, xs[i]), map(sub, yj, ys[i])))) - rsum
+        if unsampled is not None:
+            least = min(least, gap(pair, unsampled))
+        least_gaps.append(least)
+    clearance = {rid: min((least_gaps[k] for k in ks), default=None) for rid, ks in row_ks.items()}
     return Trace(scenario=scenario, log=log, samples=samples, clearance=clearance)
 
 
@@ -973,8 +1081,8 @@ class TraceMetrics(NamedTuple):
 
 def metrics(trace: Trace) -> TraceMetrics:
     """Pure fold over the trace's log (the samples are not read); each
-    robot's minimum clearance is the trace's `clearance`, the executor's
-    smallest row gap at any sampled instant."""
+    robot's minimum clearance is the trace's `clearance`, its smallest row
+    gap at any instant the run settled."""
     robot_ids = sorted(trace.scenario.robot_ids())
     collisions = dict.fromkeys(robot_ids, 0)
     # each robot's first target-reached time

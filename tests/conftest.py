@@ -1,6 +1,8 @@
 """Shared fixtures: the golden runs, one `simulate` call per golden case for
 the whole session, shared by `test_golden.py` (hashes, plot files and the
-per-pass audit) and `test_values.py` (the record types' arity)."""
+per-pass audit) and `test_values.py` (the record types' arity), and each
+golden case's scenario, which `test_events.py` runs again under its step
+floor oracle."""
 
 import json
 import re
@@ -37,18 +39,22 @@ GOLDEN_CASES = [
 ]
 
 
-@pytest.fixture(
-    scope="session", params=GOLDEN_CASES, ids=[f"{n}-{m.value}" for n, m in GOLDEN_CASES]
-)
+GOLDEN_IDS = [f"{n}-{m.value}" for n, m in GOLDEN_CASES]
+
+
+def golden_scenario(name):
+    """The scenario of a golden case: a shipped one, or the wedge."""
+    if name == "wedge":
+        return load_scenario(json.dumps(WEDGE))
+    return load_scenario((SCENARIOS / f"{name}.json").read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="session", params=GOLDEN_CASES, ids=GOLDEN_IDS)
 def golden_run(request):
     """((name, mode), trace) of one golden case.  pytest groups the tests of
     a case, across modules, and keeps one run alive at a time."""
     name, mode = request.param
-    if name == "wedge":
-        scenario = load_scenario(json.dumps(WEDGE))
-    else:
-        scenario = load_scenario((SCENARIOS / f"{name}.json").read_text(encoding="utf-8"))
-    return request.param, simulate(scenario, mode)
+    return request.param, simulate(golden_scenario(name), mode)
 
 
 DEFERRAL = re.compile(r"pair \((\d+), (\d+)\) deferred")

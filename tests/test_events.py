@@ -3,11 +3,16 @@ against a fine substep oracle, the bisection's certified probes against a
 plain bisection, the rounding slack of the cull, the two-sided bound and
 the first-order certificates at the edge of the reach, the second-order
 certificates on turning pairs (whose paths bend) and on pairs that start
-within a few slacks of contact (where the chord saves probes), the
-one-gap-per-pair budget, the per-instant call budget, and bisection at
-offsets where one ulp exceeds the time tolerance."""
+within a few slacks of contact (where the chord saves probes), on
+thin bodies closing at the reach speed, the step floors (every instant
+that measures nothing would have culled every row, reached no contact and
+no target; on the golden runs, on one where a jump turns a robot to its
+target, and on random scenes), the gap budget, the per-instant call
+budget, and bisection at offsets where one ulp exceeds the time
+tolerance."""
 
 import ast
+import json
 import math
 import os
 import random
@@ -17,10 +22,28 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bumpsim import hybrid
-from bumpsim.hybrid import EVENT_TIME_TOL, ContactPair, SimMode, detect_event, gap, simulate, step_flow
-from bumpsim.scenario import ControlInput, RobotState, load_scenario
+from bumpsim.collision import CONTACT_TOL
+from bumpsim.hybrid import (
+    EVENT_TIME_TOL,
+    SAMPLE,
+    SAMPLE_WIDTH,
+    CollisionRecord,
+    ContactPair,
+    FaultRecord,
+    SimMode,
+    TargetReachedRecord,
+    contact_pairs,
+    detect_event,
+    gap,
+    simulate,
+    step_flow,
+)
+from bumpsim.scenario import ControlInput, RobotState, load_scenario, validate_scenario
+from conftest import GOLDEN_CASES, GOLDEN_IDS, golden_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -582,6 +605,219 @@ def test_near_contact_hits_keep_their_bits_with_fewer_probes(robot_robot, monkey
     assert hits >= 200 and probes < first_order, (hits, probes, first_order)
 
 
+def draw_thin_pass(rng, robot_robot):
+    """Thin bodies (radii sum a tenth to a hundred slacks) closing head-on
+    at the full reach speed, w = 0 so that the speed bound is exact, from
+    0.1 s to 1e-6 m/s: at a time inside the step one is half to three radii
+    sums ahead of the other and up to one off the line.  The brackets'
+    lower bound on the centre distance, `near` in `hybrid._certified`, then
+    comes within a few slacks of the distance itself."""
+    h = math.exp(rng.uniform(math.log(1e-4), math.log(0.1)))
+
+    def draw_input():
+        return ControlInput(rng.choice([-1.0, 1.0]) * math.exp(rng.uniform(math.log(1e-6), math.log(M_V))), 0.0)
+
+    inputs = {1: draw_input()}
+    if robot_robot:
+        inputs[2] = draw_input()
+    scale = math.exp(rng.uniform(math.log(1e-3), math.log(10.0)))
+    states = {1: RobotState(rng.uniform(-scale, scale), rng.uniform(-scale, scale), rng.uniform(-math.pi, math.pi))}
+    tau = rng.uniform(0.0, h)
+    base = step_flow(states[1], inputs[1], tau)
+    rsum = hybrid.BOUND_SLACK * scale * math.exp(rng.uniform(math.log(0.1), math.log(100.0)))
+    # the direction robot 1 drives in, and the other body's offset from its path
+    ang = base.theta + (inputs[1].v < 0.0) * math.pi
+    ahead = rsum * rng.uniform(0.5, 3.0)
+    across = rsum * rng.uniform(-1.0, 1.0) * rng.choice([1.0, 1e-1, 1e-2, 1e-3])
+    pos = (
+        base.x + ahead * math.cos(ang) - across * math.sin(ang),
+        base.y + ahead * math.sin(ang) + across * math.cos(ang),
+    )
+    if robot_robot:
+        # robot 2 drives back along the line, towards robot 1
+        states[2] = place_robot_2(pos, ang + (inputs[2].v > 0.0) * math.pi, inputs[2].v, tau)
+        return ContactPair(1, 2, rsum, None), states, inputs, h
+    return ContactPair(1, 3, rsum, pos), states, inputs, h
+
+
+@pytest.mark.parametrize("robot_robot", [False, True], ids=["robot-obstacle", "robot-robot"])
+def test_thin_passes_at_the_reach_speed_keep_their_bits(robot_robot):
+    rng = random.Random(8)
+    hits = 0
+    for _ in range(300):
+        pair, states, inputs, h = draw_thin_pass(rng, robot_robot)
+        if gap(pair, states) <= 0.0:
+            continue
+        hit = detect([pair], states, inputs, h)
+        if hit is not None:
+            hits += 1
+            assert_reference_bits(pair, states, inputs, h, hit)
+    assert hits >= 100, hits
+
+
+# --- step floors: what an instant that measures nothing leaves out ------------
+
+
+def run_under_floor_oracle(scenario, mode):
+    """`simulate` with `detect_event` wrapped: each call with no rows (an
+    instant whose step floor settles every row) re-measures every row at
+    `states` and checks that no gap is within CONTACT_TOL, so the sweep has
+    nothing to do, and that the real `detect_event`, given every row, culls
+    each one: it measures no end gap and finds no hit.  Returns the trace
+    and the number of such calls."""
+    pairs = contact_pairs(scenario.bodies)
+    real = hybrid.detect_event
+    skipped = 0
+
+    def no_end_gap(pair, states):
+        raise AssertionError(f"row {pair} is not culled")
+
+    def checked(rows, gaps0, states, inputs, h, next_states):
+        nonlocal skipped
+        if not rows:
+            skipped += 1
+            gaps = [gap(pair, states) for pair in pairs]
+            assert all(g > CONTACT_TOL for g in gaps), (states, gaps)
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(hybrid, "gap", no_end_gap)
+                assert real(pairs, gaps, states, inputs, h, next_states) is None
+        return real(rows, gaps0, states, inputs, h, next_states)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(hybrid, "detect_event", checked)
+        trace = simulate(scenario, mode)
+    return trace, skipped
+
+
+def assert_target_marks(trace):
+    """From the samples alone: each robot's TargetReachedRecord sits at its
+    first sampled instant whose target distance, by the executor's
+    expression, is at or below the tolerance, and a robot without one never
+    gets there.  An instant where the robot collides is left open, since its
+    sample may show the heading after the jump, and so is the last one of a
+    run ended by the jump cap, which may close before the target tests."""
+    scenario = trace.scenario
+    robot_ids = sorted(scenario.robot_ids())
+    marks = {r.robot_id: r.t for r in trace.log if type(r) is TargetReachedRecord}
+    jumped = {(r.t, r.robot_id) for r in trace.log if type(r) is CollisionRecord}
+    capped = any(type(r) is FaultRecord and r.reason.startswith("non-convergent") for r in trace.log)
+    passes = list(zip(*[iter(SAMPLE.iter_unpack(trace.samples))] * len(robot_ids)))
+    for k, rid in enumerate(robot_ids):
+        tx, ty, t_theta = scenario.targets[rid]
+        mark = marks.get(rid)
+        for sample in passes[: len(passes) - capped]:
+            t, x, y, theta = sample[k][:4]
+            dist = math.sqrt((x - tx) ** 2 + (y - ty) ** 2 + (theta - t_theta) ** 2)
+            if (t, rid) in jumped:
+                if t == mark:
+                    break
+                continue
+            if t == mark:
+                assert dist <= scenario.target_tolerance, (rid, t, dist)
+                break
+            assert dist > scenario.target_tolerance, (rid, t, dist)
+        else:
+            assert mark is None or capped, (rid, mark)
+
+
+@pytest.mark.parametrize("name, mode", GOLDEN_CASES, ids=GOLDEN_IDS)
+def test_skipped_instants_leave_no_test_undecided(name, mode):
+    trace, skipped = run_under_floor_oracle(golden_scenario(name), mode)
+    assert skipped > 0
+    assert_target_marks(trace)
+
+
+# A legal scene of the kind drawn below, its tolerance raised to 0.5: robot
+# 1 starts 5e-7 from obstacle 5 and collides 7e-6 s in.  Its heading is
+# 5.9 rad (unwrapped) from its target's, and the escape jump turns it to
+# within 0.51 rad of it, so that it reaches the target at t = 0.166 s,
+# half a second before a target floor carried across the jump would let it
+# measure again.
+ESCAPE_TOWARDS_TARGET = {
+    "workspace": {"x_min": -20, "x_max": 20, "y_min": -20, "y_max": 20},
+    "bodies": [
+        {
+            "id": 1, "kind": "robot", "radius": 0.7544820085387764, "mass": 1.0,
+            "x": 4.725361142614961, "y": -4.421788169321392, "theta": -2.8603312871366744,
+        },
+        {"id": 3, "kind": "obstacle", "radius": 1.5175117304349497, "mass": "unbounded",
+         "x": 0.21657385061883083, "y": -3.546636883261254},
+        {"id": 4, "kind": "obstacle", "radius": 1.0252511037575511, "mass": "unbounded",
+         "x": -3.691951357022564, "y": 6.4346267795314755},
+        {"id": 5, "kind": "obstacle", "radius": 0.4938902597732412, "mass": "unbounded",
+         "x": 4.035432732615183, "y": -5.462188717511312},
+    ],
+    "targets": {"1": {"x": 4.365489479520518, "y": -4.083771557156074, "theta": 3.0603224151781694}},
+    "params": {"rho": 9, "sigma1": 1.25, "sigma2": 0.6, "sigma3": 1.2, "mv": 4.871330938985647,
+               "mw": 3.2182933494992945},
+    "sim": {"dt": 0.001, "t_max": 1.0, "target_tolerance": 0.5, "jump_cap": 100},
+}
+
+
+def test_a_jump_resets_the_target_floor():
+    trace, _ = run_under_floor_oracle(load_scenario(json.dumps(ESCAPE_TOWARDS_TARGET)), SimMode.REDESIGNED)
+    (mark,) = [r for r in trace.log if type(r) is TargetReachedRecord]
+    assert trace.collisions()[0].t < 1e-5 and mark.t == pytest.approx(0.1664, abs=1e-4)
+    assert_target_marks(trace)
+
+
+def bounded(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def random_scenes(draw):
+    """A legal scene: one or two robots and up to four obstacles, half of
+    them within 1e-9 to 0.1 of a robot at the start, each target within 3
+    of its robot at a heading up to 2 pi from its own, and a horizon of
+    at most 1.5 s in either mode."""
+    robots = [
+        {
+            "id": rid, "kind": "robot", "radius": draw(bounded(0.2, 1.5)), "mass": draw(bounded(0.5, 2.0)),
+            "x": draw(bounded(-5.0, 5.0)), "y": draw(bounded(-5.0, 5.0)), "theta": draw(bounded(-math.pi, math.pi)),
+        }
+        for rid in range(1, draw(st.integers(1, 2)) + 1)
+    ]
+    bodies = list(robots)
+    for oid in range(3, draw(st.integers(0, 4)) + 3):
+        radius = draw(bounded(0.2, 2.0))
+        if draw(st.booleans()):
+            robot, ang = draw(st.sampled_from(robots)), draw(bounded(-math.pi, math.pi))
+            dist = robot["radius"] + radius + 10.0 ** draw(bounded(-9.0, -1.0))
+            x, y = robot["x"] + dist * math.cos(ang), robot["y"] + dist * math.sin(ang)
+        else:
+            x, y = draw(bounded(-8.0, 8.0)), draw(bounded(-8.0, 8.0))
+        bodies.append({"id": oid, "kind": "obstacle", "radius": radius, "mass": "unbounded", "x": x, "y": y})
+    targets = {}
+    for robot in robots:
+        ang, dist = draw(bounded(-math.pi, math.pi)), draw(bounded(0.0, 3.0))
+        targets[str(robot["id"])] = {
+            "x": robot["x"] + dist * math.cos(ang),
+            "y": robot["y"] + dist * math.sin(ang),
+            "theta": robot["theta"] + draw(bounded(-2.0 * math.pi, 2.0 * math.pi)),
+        }
+    doc = {
+        "workspace": {"x_min": -20, "x_max": 20, "y_min": -20, "y_max": 20},
+        "bodies": bodies,
+        "targets": targets,
+        "params": {"rho": 9, "sigma1": 1.25, "sigma2": 0.6, "sigma3": 1.2,
+                   "mv": draw(bounded(0.5, 5.0)), "mw": draw(bounded(0.5, 5.0))},
+        "sim": {"dt": draw(st.sampled_from([1e-3, 5e-3, 1e-2])), "t_max": draw(bounded(0.2, 1.5)),
+                "target_tolerance": 10.0 ** draw(bounded(-2.0, -0.3)), "jump_cap": 100},
+    }
+    scenario = load_scenario(json.dumps(doc))
+    assume(validate_scenario(scenario) == [])
+    return scenario, draw(st.sampled_from(list(SimMode)))
+
+
+# derandomized: the same examples on every run, about 2 s in all
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(random_scenes())
+def test_random_scenes_leave_no_skipped_test_undecided(case):
+    trace, _ = run_under_floor_oracle(*case)
+    assert_target_marks(trace)
+
+
 # --- one gap per pair per instant --------------------------------------------
 
 
@@ -589,24 +825,36 @@ def crossing():
     return load_scenario((SCENARIOS / "crossing.json").read_text())
 
 
-def test_crossing_measures_each_gap_once_per_instant(monkeypatch):
-    # every gap, the per-instant pass's and event localization's, is one hypot
-    calls = 0
-    real = math.hypot
+def test_crossing_measures_gaps_at_few_instants_and_folds_each_once(monkeypatch):
+    # every gap, the measuring instants', event localization's and the
+    # clearance fold's, is one hypot
+    calls = measured = 0
+    real_hypot, real_detect = math.hypot, hybrid.detect_event
 
     def counting(dx, dy):
         nonlocal calls
         calls += 1
-        return real(dx, dy)
+        return real_hypot(dx, dy)
+
+    def detect_counting(rows, *args):
+        # each step's instant passes the rows exactly when it measured them
+        nonlocal measured
+        measured += bool(rows)
+        return real_detect(rows, *args)
 
     monkeypatch.setattr(math, "hypot", counting)
+    monkeypatch.setattr(hybrid, "detect_event", detect_counting)
     trace = simulate(crossing(), SimMode.REDESIGNED)
-    instants = sum(1 for r in trace.records if isinstance(r, hybrid.FlowSample)) // 2
-    # 5 pairs at each of the 19,712 instants, plus the rare end gaps and
-    # search probes (99,254 in all); measuring each gap three times took
-    # 295,706 calls
+    instants = len(trace.samples) // (2 * SAMPLE_WIDTH)
+    # 144 of the 19,711 steps start at an instant that measures its 5 pairs
+    # (about 100 of them inside the two local phases), and the fold over the
+    # samples takes 5 hypots at each of the 19,712 instants: with the rare
+    # end gaps and search probes, 99,964 in all.  Measuring every pair at
+    # every instant took 99,244, plus 98,560 for a fold; measuring each gap
+    # three times took 295,706.
     assert instants == 19712
-    assert calls < 101_000
+    assert measured < 200
+    assert calls < 100_500
 
 
 # --- per-instant call budget -------------------------------------------------
@@ -616,9 +864,12 @@ def test_crossing_makes_no_python_call_outside_its_layers():
     # An instant calls only the traced layers: two `predefined_control`
     # (each with `controller_terms`, `nominal_control` and `saturate`), two
     # `step_flow` and one `detect_event`, 11 calls, plus the rare event,
-    # jump and phase calls: 220,487 in all over 19,712 instants.  A helper
-    # or comprehension put back in the per-instant pass adds 19,711 or
-    # more; a `gap` call per pair and two comprehensions took 358,525.
+    # jump and phase calls: 220,494 in all over 19,712 instants (220,487
+    # before the step floors, whose clearance fold adds a few generator
+    # steps at the end).  An instant that measures nothing calls nothing
+    # more.  A helper or comprehension put back in the per-instant pass
+    # adds 19,711 or more, a helper at each target measurement about 5,400;
+    # a `gap` call per pair and two comprehensions took 358,525.
     calls = 0
 
     def profile(frame, event, arg):

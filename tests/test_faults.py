@@ -269,3 +269,43 @@ def test_a_fault_inside_a_jump_keeps_the_contact_it_was_resolving():
     summary = metrics(trace)
     assert (summary.robots[1].collisions, summary.robots[2].collisions) == (1, 1)
     assert summary.total_jumps == 2
+
+
+def test_an_instant_that_faults_before_its_samples_counts_towards_the_clearance(monkeypatch):
+    # Robot 1 closes on obstacle 3.  The controller faults at an instant
+    # whose step floor settles every row, so that it measures no gap and
+    # writes no sample, yet its gap is the run's smallest: a fold over the
+    # samples alone would miss it.
+    measured, calls, faulted = 0, 0, {}
+    real_hypot, real_control = math.hypot, hybrid.predefined_control
+
+    def counting_hypot(dx, dy):
+        nonlocal measured
+        measured += 1
+        return real_hypot(dx, dy)
+
+    def control(robot_id, states, *args):
+        nonlocal measured, calls
+        calls += 1
+        if calls > 300 and not measured:
+            # no gap measured since the last instant's control
+            faulted.update(states)
+            raise RegionError("injected")
+        measured = 0
+        return real_control(robot_id, states, *args)
+
+    monkeypatch.setattr(math, "hypot", counting_hypot)
+    monkeypatch.setattr(hybrid, "predefined_control", control)
+    scenario = load_scenario(json.dumps(RAMMING))
+    trace = simulate(scenario, SimMode.REDESIGNED)
+    assert trace.log[-1] == FaultRecord(t=trace.log[-1].t, reason="RegionError: injected", fatal=True)
+    assert calls == 301 and trace.collisions() == []
+
+    pairs = hybrid.contact_pairs(scenario.bodies)
+    at_fault = min(hybrid.gap(pair, faulted) for pair in pairs)
+    sampled = min(
+        hybrid.gap(pair, {1: sample}) for sample in trace.records if type(sample) is FlowSample for pair in pairs
+    )
+    assert 0.0 < at_fault < sampled
+    assert metrics(trace).robots[1].min_clearance == at_fault
+
