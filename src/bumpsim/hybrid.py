@@ -17,19 +17,13 @@ detection starts from it, or gets no rows at all.  Each robot's target
 distance is measured under the same kind of floor.  The trace's
 `clearance`, which `metrics` reports, is one fold over the sample
 columns at the end of the run; `gap` itself serves event localization.
-The executor integrates
-the unicycle flow with fixed-step classical RK4 under zero-order-hold
-inputs and localizes contact events inside a step by conservative
-advancement: a pair whose start gap exceeds how far the step can move it
-is culled, a two-sided bound on the start and end gaps skips most of the
-rest, a golden-section search of the in-step minimum catches grazes that
-dip below contact and come back out, and bisection finds the crossing,
-skipping every probe whose sign the same reach bound, or the chord through
-the last two probes with a bound on how far the gap bends from it, already
-decides.
-It applies the collision/impulse jump maps (which change headings,
-speeds and phases in place, never positions), and records everything in
-an ordered trace.  Every value here is an immutable NamedTuple like
+The executor integrates the unicycle flow with fixed-step classical RK4
+under zero-order-hold inputs, and `detect_event` finds the first contact
+inside a step: a cull by how far the step can move each pair, then one
+certified depth-first search of the step for each pair left.  It
+applies the collision/impulse jump maps (which change headings, speeds
+and phases in place, never positions), and records everything in an
+ordered trace.  Every value here is an immutable NamedTuple like
 `RobotState`: the trace records, `EventHit`, `ReactivationEvent`, the
 `Trace` and its metrics.  The one mutable state is `HybridState`, a plain
 slotted class that jumps change in place.  The trace is columnar: each
@@ -63,7 +57,7 @@ from enum import Enum
 from itertools import chain, repeat
 from operator import sub
 from struct import Struct
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .collision import (
     CONTACT_TOL,
@@ -90,8 +84,6 @@ from .redesign import (
 from .scenario import Body, ControlInput, RobotState, Scenario, validate_scenario
 
 EVENT_TIME_TOL = 1e-12
-# Golden-section ratio of the graze search in `_first_negative`.
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Rounding slack of `detect_event`'s bounds, per unit of (robot coordinate
 # scale + gap0 + radii sum + reach).  A probe `step_flow(s, u, tau)` sums
 # six stages of size |v| (up to an ulp each) into an increment within 8
@@ -111,7 +103,17 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # below |g_a| + |g_b| <= gap0 + reach + radii sum wherever a certificate
 # holds.  The bound on the centre distance is lowered by one slack, which
 # exceeds one gap's error plus its own rounding, so it never rises above
-# the exact bound.  17 + 9 = 26 ulps; 32 leaves room.
+# the exact bound.  17 + 9 = 26 ulps; 32 leaves room.  The search's two
+# tests on a bracket apart at both ends are these at its midpoint: the two
+# first-order certificates summed, and the second-order apart one with
+# min(g_a, g_b) for the chord and its term at its widest, so the same
+# budget covers them.  They read the pair's `rate` for `speed`: wherever
+# rate < speed, its trig, products, hypot and curvature sum round it by
+# less than 21 eps (eps = ulp(1) / 2) of speed, which the slack of speed in
+# its sum exceeds.  The chord test compares with 0, not the slack, so that
+# a pair moving as one within a slack of contact ends its search at once:
+# its error, below the slack, leaves the exact gap of a bracket it drops
+# above minus one slack.
 BOUND_SLACK = 32.0 * math.ulp(1.0)
 # Step floors: relative slack s of the bounds `simulate` carries from one
 # measurement of the pair gaps or target distances to the next, kept as a
@@ -409,35 +411,6 @@ def contact_query(
     )
 
 
-def _first_negative(gap_at: Callable[[float], float], h: float) -> tuple[float, float] | None:
-    """Golden-section search for the smallest of `gap_at` on [0, h].
-
-    Returns (offset, gap) of the first probe whose gap is negative, or None
-    once the bracket is EVENT_TIME_TOL wide: 2 + ceil(log(EVENT_TIME_TOL
-    / h) / log(GOLDEN)) probes at most, 46 at h = 1e-3.  The gap is
-    unimodal along one step: the distance to a point is convex along a
-    straight segment, and one step's arc is nearly straight.
-    """
-    a, b = 0.0, h
-    c, d = h - GOLDEN * h, GOLDEN * h
-    gc, gd = gap_at(c), gap_at(d)
-    # each pass shrinks the bracket [a, b] by GOLDEN
-    for _ in range(math.ceil(math.log(EVENT_TIME_TOL / h) / math.log(GOLDEN))):
-        if gc < 0.0 or gd < 0.0:
-            break
-        if gc < gd:
-            b, d, gd = d, c, gc
-            c = b - GOLDEN * (b - a)
-            gc = gap_at(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + GOLDEN * (b - a)
-            gd = gap_at(d)
-    if gc < 0.0:
-        return c, gc
-    return (d, gd) if gd < 0.0 else None
-
-
 def _certified_end(p: float, g: float, q: float, rate: float, curve: float, slack: float) -> float:
     """A point m between the probed end p and the other end q such that
     g - |x - p| * (rate + curve * |q - x| / 2) > slack at every x from p to
@@ -461,15 +434,18 @@ def _certified(
     a: float, g_a: float, b: float, g_b: float, speed: float, curve: float, rsum: float, slack: float
 ) -> tuple[float, float]:
     """The bisection's certified ranges on the bracket [a, b] of the last
-    probes, apart (g_a > 0) and touching (g_b <= 0), by `detect_event`'s
-    four certificates: every offset up to the first returned one has a
-    positive gap, and every offset from the second on a negative one.
-
-    `curve` bounds the second derivative of the offset between the pair's
-    probe paths, and the centre distance is a maximum of linear functionals
-    of that offset, so gap + curve * tau^2 / 2 is convex.  Where the centre
-    distance is at least `near` > 0, the gap's second derivative is at most
-    speed^2 / near + curve.
+    probes, apart (g_a > 0) and touching (g_b <= 0): every offset up to the
+    first returned one has a positive gap, and every offset from the second
+    on a negative one.  With chord(x) through the two probes, x is apart if
+    g_a - speed * (x - a) > 0 or chord(x) - K * (x - a) * (b - x) / 2 > 0,
+    and touching if g_b + speed * (b - x) < 0 or chord(x) + curve * (x - a)
+    * (b - x) / 2 < 0, each up to the slack.  `curve` bounds the second
+    derivative of the offset between the pair's probe paths, and the centre
+    distance is a maximum of linear functionals of that offset, so gap +
+    curve * tau^2 / 2 is convex.  Where the centre distance is at least
+    `near` > 0, the gap's second derivative is at most K = speed^2 / near +
+    curve.  A skipped probe would have taken the same branch, so the
+    bisection keeps the bits of one that probes every midpoint.
     """
     slope = (g_a - g_b) / (b - a)
     apart_to = _certified_end(a, g_a, b, speed, 0.0, slack)
@@ -495,48 +471,36 @@ def detect_event(
     `gaps0` holds each pair's gap at `states`, and `next_states` the RK4
     step of length h.  With no pairs it returns None at once: the executor
     passes none when its step floor already shows that every row is
-    culled.  Only pairs apart at the step start (gap0 > 0) can cross.  A probe
-    `step_flow(s, u, tau)` lies within |v| * tau of the robot's start and
-    moves with speed at most |v| * (1 + |w| * h / 2) in tau, so no pair's
-    gap changes by more than `reach`, h times the sum of that speed over
-    the robots, anywhere in the step.  Up to the rounding slack
-    (BOUND_SLACK) each pair then meets one of four rules, in order:
+    culled.  Only pairs apart at the step start (gap0 > 0) can cross.  A
+    probe `step_flow(s, u, tau)` moves with speed at most |v| * (1 + |w| *
+    h / 2) in tau; `speed` sums that over the robots, so no gap changes by
+    more than `reach` = speed * h in the step.  Every test allows for
+    rounding as BOUND_SLACK derives.
 
-    - cull: gap0 > reach, so the pair cannot touch within the step, and
-      its end gap is not even measured (conservative advancement);
-    - sign change: gap1 < 0, so a crossing lies in [0, h];
-    - two-sided bound: gap0 + gap1 > reach, so the in-step minimum is at
-      least (gap0 + gap1 - reach) / 2 > 0 and the pair is skipped;
-    - search: a golden-section search of the in-step minimum looks for
-      a graze that dips below contact and comes back out, which the end
-      signs miss; its first negative probe closes the bracket.
+    A pair with gap0 > reach is culled, its end gap not even measured
+    (conservative advancement).  Each other pair's first crossing is found
+    by one depth-first search over brackets (a, g_a, b, g_b) of [0, h], the
+    earliest first; a probe `gap_at(tau)` steps only the pair's robots.  A
+    bracket apart at both ends is dropped once g_a + g_b - rate * (b - a)
+    > 0 (on [0, h] with rate = speed, the two-sided bound gap0 + gap1 >
+    reach), once the chord less the bend, min(g_a, g_b) - K * (b - a)^2 /
+    8, is positive, or once it is EVENT_TIME_TOL wide; else it splits at a
+    probed midpoint.  A bracket that ends touching (g_b <= 0) is bisected
+    to EVENT_TIME_TOL seconds, landing on the apart side and probing only
+    midpoints that `_certified` cannot decide; each apart probe pushes the
+    span back to the apart probe before it, where a dip may hide.  Brackets
+    after a crossing found are dropped, so the last crossing found is the
+    earliest, and a step that ends in contact keeps the bisection's bits
+    unless it holds an earlier crossing.
 
-    A pair that gets this far has one probe, `gap_at(tau)`, which steps
-    only the pair's robots; the search and the bisection both call it.
-    The hit time is then localized by bisection on the RK4 flow to
-    EVENT_TIME_TOL seconds, landing on the non-penetrating side.  The
-    bisection keeps the last probed point on each side of its bracket,
-    (a, g_a) apart and (b, g_b) touching, and probes a midpoint only when
-    no certificate decides its sign (`_certified`), where speed = reach / h
-    and chord(mid) is the chord through the two points:
-
-    - first order, apart: g_a - speed * (mid - a) > slack;
-    - first order, touching: g_b + speed * (b - mid) < -slack;
-    - second order, touching: chord(mid) + A * (mid - a) * (b - mid) / 2
-      < -slack, where A = |v| |w| (1 + |w| h / 3), summed over the pair's
-      robots, bounds how fast their probe paths bend;
-    - second order, apart: chord(mid) - K * (mid - a) * (b - mid) / 2
-      > slack, where K = speed^2 / D + A and D = radii sum + (g_a + g_b -
-      speed * (b - a)) / 2 - slack > 0 bounds the centre distance on the
-      bracket from below.
-
-    After each probe the certified midpoints form one range at each end of
-    the bracket, so a midpoint costs two comparisons.  The certificates
-    need no monotone gap, so they hold inside a graze bracket too.  A
-    skipped probe would have taken the same branch, so the bracket
-    sequence and the hit time keep their bits.
-    Simultaneous crossings (within EVENT_TIME_TOL) are reported with the
-    lexicographically smallest pair first.
+    Here rate = |u| + A * h, at most speed, bounds the pair's relative
+    speed, u being its relative velocity at the step start and A = |v| |w|
+    (1 + |w| h / 3), summed over its robots, a bound on how fast their
+    probe paths bend; K = rate^2 / D + A bounds the gap's second
+    derivative, where D = radii sum + (g_a + g_b - rate * (b - a)) / 2 > 0
+    bounds the centre distance on the bracket.  Simultaneous crossings
+    (within EVENT_TIME_TOL) are reported with the lexicographically
+    smallest pair first.
     """
     if not pairs:
         return None
@@ -556,11 +520,7 @@ def detect_event(
         if g0 - reach > slack or g0 <= 0.0:
             # culled, or not apart at the step start
             continue
-        g1 = gap(pair, next_states)
-        if g1 >= 0.0 and g0 + g1 - reach > 2.0 * slack:
-            # the two-sided bound keeps the in-step minimum positive
-            continue
-        i, j, _, fixed = pair
+        i, j, rsum, fixed = pair
         probe: dict[int, RobotState] = {}
 
         def gap_at(tau: float) -> float:
@@ -570,38 +530,68 @@ def detect_event(
                 probe[j] = step_flow(states[j], inputs[j], tau)
             return gap(pair, probe)
 
-        found = (h, g1) if g1 < 0.0 else _first_negative(gap_at, h)
-        if found is None:
-            continue
-        b, g_b = found
-        a, g_a = 0.0, g0
-        lo, hi = a, b
-        # how fast the pair's probe paths bend: |v| |w| (1 + |w| h / 3) per robot
+        # how fast the pair's probe paths bend, |v| |w| (1 + |w| h / 3) per
+        # robot, and so how far their relative speed strays from the start's;
+        # one slack of speed covers the rounding of that speed bound
         v, w = inputs[i]
         curve = abs(v * w) * (1.0 + abs(w) * h / 3.0)
+        ux, uy = v * math.cos(states[i].theta), v * math.sin(states[i].theta)
         if fixed is None:
             v, w = inputs[j]
             curve += abs(v * w) * (1.0 + abs(w) * h / 3.0)
-        apart_to, touching_from = _certified(a, g_a, b, g_b, speed, curve, pair.rsum, slack)
-        while hi - lo > EVENT_TIME_TOL:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                # one ulp of a large offset exceeds EVENT_TIME_TOL
-                break
-            if mid <= apart_to:
-                lo = mid
-            elif mid >= touching_from:
-                hi = mid
-            else:
+            ux, uy = ux - v * math.cos(states[j].theta), uy - v * math.sin(states[j].theta)
+        rate = min(speed, math.hypot(ux, uy) + curve * h + BOUND_SLACK * speed)
+        # the search: brackets (a, g_a, b, g_b), the earliest on top
+        first = math.inf
+        brackets = [(0.0, g0, h, gap(pair, next_states))]
+        while brackets:
+            a, g_a, b, g_b = brackets.pop()
+            if a >= first:
+                continue
+            if g_b > 0.0:
+                # apart at both ends: dropped once a bound settles it, else split
+                width = b - a
+                lower = g_a + g_b - rate * width
+                if lower > 2.0 * slack:
+                    continue
+                near = rsum + 0.5 * lower - slack
+                if near > 0.0 and min(g_a, g_b) - (rate * rate / near + curve) * width * width / 8.0 > 0.0:
+                    continue
+                mid = 0.5 * (a + b)
+                if width <= EVENT_TIME_TOL or not a < mid < b:
+                    continue
                 g = gap_at(mid)
                 if g > 0.0:
-                    lo = a = mid
-                    g_a = g
+                    brackets += ((mid, g, b, g_b), (a, g_a, mid, g))
+                    continue
+                # a crossing after mid comes after one before it
+                b, g_b = mid, g
+            lo, hi = a, b
+            apart_to, touching_from = _certified(a, g_a, b, g_b, speed, curve, rsum, slack)
+            while hi - lo > EVENT_TIME_TOL:
+                mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    # one ulp of a large offset exceeds EVENT_TIME_TOL
+                    break
+                if mid <= apart_to:
+                    lo = mid
+                elif mid >= touching_from:
+                    hi = mid
                 else:
-                    hi = b = mid
-                    g_b = g
-                apart_to, touching_from = _certified(a, g_a, b, g_b, speed, curve, pair.rsum, slack)
-        hits.append((lo, i, j))
+                    g = gap_at(mid)
+                    if g > 0.0:
+                        # a graze may dip between two apart probes
+                        brackets.append((a, g_a, mid, g))
+                        lo = a = mid
+                        g_a = g
+                    else:
+                        hi = b = mid
+                        g_b = g
+                    apart_to, touching_from = _certified(a, g_a, b, g_b, speed, curve, rsum, slack)
+            # every bracket still searched ends before lo
+            first = lo
+        if first < math.inf:
+            hits.append((first, i, j))
 
     if not hits:
         return None

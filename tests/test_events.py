@@ -4,12 +4,13 @@ plain bisection, the rounding slack of the cull, the two-sided bound and
 the first-order certificates at the edge of the reach, the second-order
 certificates on turning pairs (whose paths bend) and on pairs that start
 within a few slacks of contact (where the chord saves probes), on
-thin bodies closing at the reach speed, the step floors (every instant
-that measures nothing would have culled every row, reached no contact and
-no target; on the golden runs, on one where a jump turns a robot to its
-target, and on random scenes), the gap budget, the per-instant call
-budget, and bisection at offsets where one ulp exceeds the time
-tolerance."""
+thin bodies closing at the reach speed, the first of several dips in
+long steps of turning pairs, a pair moving as one within a slack of
+contact, the step floors (every instant that measures nothing would have
+culled every row, reached no contact and no target; on the golden runs,
+on one where a jump turns a robot to its target, and on random scenes),
+the gap budget, the per-instant call budget, and bisection at offsets
+where one ulp exceeds the time tolerance."""
 
 import ast
 import json
@@ -61,12 +62,12 @@ def gap_at(pair, states, inputs, tau):
     return gap(pair, {rid: step_flow(states[rid], inputs[rid], tau) for rid in states})
 
 
-def plain_bisection(pair, states, inputs, hi):
-    """Bisect the pair's gap on [0, hi], probing every midpoint: the last
+def plain_bisection(pair, states, inputs, hi, lo=0.0):
+    """Bisect the pair's gap on [lo, hi], probing every midpoint: the last
     apart offset and the number of probes."""
     i, j, _, fixed = pair
     probe = {}
-    lo, probes = 0.0, 0
+    probes = 0
     while hi - lo > EVENT_TIME_TOL:
         mid = 0.5 * (lo + hi)
         probes += 1
@@ -78,6 +79,13 @@ def plain_bisection(pair, states, inputs, hi):
         else:
             hi = mid
     return lo, probes
+
+
+def first_negative_substep(pair, states, inputs, h):
+    """The first of SUBSTEPS even offsets in (0, h] with a negative gap, or
+    None."""
+    taus = (h * k / SUBSTEPS for k in range(1, SUBSTEPS + 1))
+    return next((tau for tau in taus if gap_at(pair, states, inputs, tau) < 0.0), None)
 
 
 def parent_rule(pair, states, inputs, h):
@@ -120,11 +128,8 @@ def test_graze_inside_a_step_is_found(other):
     assert hit.t_offset == pytest.approx(0.05 - math.sqrt(2e-6 - 1e-12), abs=1e-9)
     assert gap_at(pair, states, inputs, hit.t_offset) > 0.0
     assert gap_at(pair, states, inputs, hit.t_offset + 2 * EVENT_TIME_TOL) <= 0.0
-    # the bisection's certificates need no monotone gap: inside the search's
-    # bracket they skip only probes whose sign the reach bound decides
-    hi, g_hi = hybrid._first_negative(lambda tau: gap_at(pair, states, inputs, tau), GRAZE_H)
-    assert g_hi == gap_at(pair, states, inputs, hi) < 0.0
-    assert hit.t_offset == plain_bisection(pair, states, inputs, hi)[0]
+    # no substep of the step touches before the hit
+    assert hit.t_offset <= first_negative_substep(pair, states, inputs, GRAZE_H)
 
 
 # --- the bounds against a substep oracle -------------------------------------
@@ -451,34 +456,45 @@ def test_certificates_keep_the_bits_of_a_crossing_at_mid_step(robot_robot):
 # --- the second-order certificates -------------------------------------------
 
 
-def reference_bracket(pair, states, inputs, h):
-    """The bracket end that `detect_event` bisects to, its gap and the probes
-    taken to find it: the step's end when the pair ends in contact, else the
-    graze search's first negative probe."""
-    g1 = gap_at(pair, states, inputs, h)
-    if g1 < 0.0:
-        return h, g1, 0
+def bisected_bracket(pair, states, inputs, h, monkeypatch):
+    """The bracket that `detect_event` bisects to its hit, and the probes it
+    took to find it: the step when the pair ends it in contact, else [a, b]
+    with b the search's first probe that touches and a the largest offset
+    below b that it probed before b, or 0."""
+    if gap_at(pair, states, inputs, h) <= 0.0:
+        return 0.0, h, 0
     taus = []
+    real = hybrid.step_flow
 
-    def probe(tau):
-        taus.append(tau)
-        return gap_at(pair, states, inputs, tau)
+    def recording(state, u, tau):
+        # a probe steps each robot of the pair at one offset
+        if not taus or taus[-1] != tau:
+            taus.append(tau)
+        return real(state, u, tau)
 
-    return (*hybrid._first_negative(probe, h), len(taus))
+    gaps0 = [gap(pair, states)]
+    next_states = {rid: step_flow(states[rid], inputs[rid], h) for rid in states}
+    with monkeypatch.context() as m:
+        m.setattr(hybrid, "step_flow", recording)
+        detect_event([pair], gaps0, states, inputs, h, next_states)
+    k = next(k for k, tau in enumerate(taus) if gap_at(pair, states, inputs, tau) <= 0.0)
+    return max((tau for tau in taus[:k] if tau < taus[k]), default=0.0), taus[k], k + 1
 
 
-def first_order_probes(pair, states, inputs, h):
-    """The last apart offset and the probes, graze search included, of a
-    bisection with the reach bound's certificates alone, its speed and slack
-    formed as `detect_event` forms them."""
+def first_order_probes(pair, states, inputs, h, monkeypatch):
+    """The last apart offset and the probes, the search's included, of a
+    bisection of `detect_event`'s bracket with the reach bound's
+    certificates alone, its speed and slack formed as `detect_event` forms
+    them."""
     speed = scale = 0.0
     for rid, (v, w) in inputs.items():
         speed += abs(v) * (1.0 + 0.5 * h * abs(w))
         scale += abs(states[rid].x) + abs(states[rid].y)
     g0 = gap(pair, states)
     slack = hybrid.BOUND_SLACK * (scale + speed * h + g0 + pair.rsum)
-    b, g_b, probes = reference_bracket(pair, states, inputs, h)
-    a, g_a, lo, hi = 0.0, g0, 0.0, b
+    a, b, probes = bisected_bracket(pair, states, inputs, h, monkeypatch)
+    g_a, g_b = gap_at(pair, states, inputs, a), gap_at(pair, states, inputs, b)
+    lo, hi = a, b
     while hi - lo > EVENT_TIME_TOL:
         mid = 0.5 * (lo + hi)
         if g_a - speed * (mid - a) > slack:
@@ -497,13 +513,20 @@ def first_order_probes(pair, states, inputs, h):
     return lo, probes
 
 
-def assert_reference_bits(pair, states, inputs, h, hit):
+def assert_reference_bits(pair, states, inputs, h, hit, monkeypatch):
     """The hit lands on the bits of a bisection that probes every midpoint
-    of the same bracket, on the side that does not touch exactly."""
+    of the same bracket, on the side that does not touch exactly.  A graze's
+    hit may come earlier, from a crossing the search found back in the
+    bracket, and no later than the substep oracle's first touch."""
     case = (pair, states, inputs, h)
     assert (hit.robot_id, hit.other_id) == (pair.i, pair.j), case
-    hi, _, _ = reference_bracket(pair, states, inputs, h)
-    assert hit.t_offset == plain_bisection(pair, states, inputs, hi)[0], case
+    a, b, _ = bisected_bracket(pair, states, inputs, h, monkeypatch)
+    plain = plain_bisection(pair, states, inputs, b, a)[0]
+    if b == h:
+        assert hit.t_offset == plain, case
+    else:
+        first = first_negative_substep(pair, states, inputs, h)
+        assert hit.t_offset <= plain and (first is None or hit.t_offset <= first), case
     at_hit = {rid: step_flow(states[rid], inputs[rid], hit.t_offset) for rid in states}
     assert not exactly_touching(pair, at_hit), case
 
@@ -538,7 +561,7 @@ def draw_turning(rng, robot_robot):
 
 
 @pytest.mark.parametrize("robot_robot", [False, True], ids=["robot-obstacle", "robot-robot"])
-def test_turning_pairs_keep_the_bits_of_every_hit(robot_robot):
+def test_turning_pairs_keep_the_bits_of_every_hit(robot_robot, monkeypatch):
     rng = random.Random(6)
     hits = grazes = 0
     for _ in range(400):
@@ -550,7 +573,7 @@ def test_turning_pairs_keep_the_bits_of_every_hit(robot_robot):
             continue
         hits += 1
         grazes += gap_at(pair, states, inputs, h) >= 0.0
-        assert_reference_bits(pair, states, inputs, h, hit)
+        assert_reference_bits(pair, states, inputs, h, hit, monkeypatch)
     assert hits >= 100 and grazes >= 10, (hits, grazes)
 
 
@@ -597,8 +620,8 @@ def test_near_contact_hits_keep_their_bits_with_fewer_probes(robot_robot, monkey
         if hit is None:
             continue
         hits += 1
-        assert_reference_bits(pair, states, inputs, h, hit)
-        lo, n_first = first_order_probes(pair, states, inputs, h)
+        assert_reference_bits(pair, states, inputs, h, hit, monkeypatch)
+        lo, n_first = first_order_probes(pair, states, inputs, h, monkeypatch)
         assert lo == hit.t_offset and n <= n_first, (pair, states, inputs, h)
         probes += n
         first_order += n_first
@@ -641,7 +664,7 @@ def draw_thin_pass(rng, robot_robot):
 
 
 @pytest.mark.parametrize("robot_robot", [False, True], ids=["robot-obstacle", "robot-robot"])
-def test_thin_passes_at_the_reach_speed_keep_their_bits(robot_robot):
+def test_thin_passes_at_the_reach_speed_keep_their_bits(robot_robot, monkeypatch):
     rng = random.Random(8)
     hits = 0
     for _ in range(300):
@@ -651,8 +674,137 @@ def test_thin_passes_at_the_reach_speed_keep_their_bits(robot_robot):
         hit = detect([pair], states, inputs, h)
         if hit is not None:
             hits += 1
-            assert_reference_bits(pair, states, inputs, h, hit)
+            assert_reference_bits(pair, states, inputs, h, hit, monkeypatch)
     assert hits >= 100, hits
+
+
+# --- large steps: the first of several dips ----------------------------------
+
+
+def draw_large_step(rng, robot_robot):
+    """A pair that overlaps by up to 5% of its radii sum at a time inside a
+    step of 0.6, 1.0 or 2.0 s (`validate_scenario` bounds no dt), under
+    inputs anywhere in the box |v|, |w| <= 5: a robot turns by up to 10 rad
+    within the step, so the gap can dip more than once.  The pair is apart
+    at both ends of the step (a graze) or ends it in contact."""
+    h = rng.choice([0.6, 1.0, 2.0])
+
+    def draw_input():
+        return ControlInput(rng.uniform(-M_V, M_V), rng.uniform(-M_W, M_W))
+
+    states = {1: RobotState(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(-math.pi, math.pi))}
+    inputs = {1: draw_input()}
+    rsum = math.exp(rng.uniform(math.log(0.1), math.log(2.0)))
+    tau = rng.uniform(0.05, 0.95) * h
+    base = step_flow(states[1], inputs[1], tau)
+    ang = rng.uniform(-math.pi, math.pi)
+    dist = rsum * (1.0 - rng.uniform(0.0, 0.05))
+    pos = (base.x + dist * math.cos(ang), base.y + dist * math.sin(ang))
+    if robot_robot:
+        # robot 2 starts where stepping back from pos for tau takes it, near enough
+        v, w = inputs[2] = draw_input()
+        states[2] = step_flow(RobotState(*pos, rng.uniform(-math.pi, math.pi)), ControlInput(-v, -w), tau)
+        return ContactPair(1, 2, rsum, None), states, inputs, h
+    return ContactPair(1, 3, rsum, pos), states, inputs, h
+
+
+def assert_first_contact(pair, states, inputs, h):
+    """The pair's hit comes whenever the substep oracle sees the pair touch,
+    no later than its first touch, and on the side that does not touch
+    exactly.  Returns the oracle's first touch."""
+    case = (pair, states, inputs, h)
+    first = first_negative_substep(pair, states, inputs, h)
+    hit = detect([pair], states, inputs, h)
+    if first is not None:
+        assert hit is not None and hit.t_offset <= first, case
+    if hit is not None:
+        at_hit = {rid: step_flow(states[rid], inputs[rid], hit.t_offset) for rid in states}
+        assert gap(pair, at_hit) > 0.0 and not exactly_touching(pair, at_hit), case
+    return first
+
+
+# Found by that draw: turning robot pairs whose gap dips more than once in
+# the step, which a search for one in-step minimum gets wrong.  The first
+# two are apart at both ends and its minimum is not below contact, the
+# third is apart at both ends and its minimum is a later dip, and the
+# fourth ends in contact after a dip that a bisection from the step's ends
+# passes.  (radii sum, robot 1 x, y, theta, v, w, robot 2 x, y, theta, v,
+# w, h)
+LARGE_STEP_CASES = [
+    (
+        "0x1.9d9a559843c0ep-3", "-0x1.2035120b0f87ap+3", "0x1.0188cb698e444p+2", "0x1.8d8b9e4896280p-5",
+        "-0x1.8fb7bec929e43p+1", "0x1.32be125b4a262p+2", "-0x1.3b23de11bdaa1p+3", "0x1.198b15b7fecbep+2",
+        "-0x1.4c2e3af3fb3b8p-1", "0x1.7c534f8d0fbe8p+1", "-0x1.0e03e10c7a1ccp+1", "0x1.3333333333333p-1",
+    ),
+    (
+        "0x1.9c0bc2570fa6dp-4", "0x1.58a7ea20ef066p+2", "-0x1.3f0cc12ef6e81p+3", "0x1.05474bdeaf540p-1",
+        "0x1.131650da78cbcp+2", "-0x1.9b5ec0e305a60p+1", "0x1.6a15523066446p+2", "-0x1.382bea66dc82ep+3",
+        "0x1.c971b63f1e9f9p+0", "-0x1.688270dee4e42p+1", "0x1.96be48fc8ccf4p+0", "0x1.0000000000000p+0",
+    ),
+    (
+        "0x1.d4e76c1d9c8ecp-4", "0x1.31abe96c060f4p+3", "0x1.45d15c95e6e10p+1", "-0x1.193e02165cd4cp+0",
+        "0x1.5f959efeae180p+0", "0x1.ed76545fac7acp+1", "0x1.30c4b6bce7adap+3", "0x1.35bc30b86c71cp+1",
+        "0x1.1c6d424327296p+0", "0x1.4fb156ea6dbc8p+0", "-0x1.7acc350b7d31ap+1", "0x1.0000000000000p+0",
+    ),
+    (
+        "0x1.e3bbc0fa28879p-4", "0x1.08c4589dddd52p+3", "-0x1.0b21b26dacd09p+3", "0x1.07498fbeab248p+1",
+        "0x1.de0445cd54458p+0", "-0x1.3f2eb5d5f565ap+0", "0x1.da037aba932a8p+2", "-0x1.bc524f4b24d15p+2",
+        "-0x1.169a1999d6be4p+0", "0x1.8e2cbb35afd24p+0", "0x1.4f79faa723794p+1", "0x1.0000000000000p+0",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "case, ends_in_contact",
+    list(zip(LARGE_STEP_CASES, [False, False, False, True])),
+    ids=["missed-at-0.6", "missed-at-1.0", "later-dip", "later-crossing"],
+)
+def test_large_step_case_hits_the_first_contact(case, ends_in_contact):
+    rsum, x1, y1, theta1, v1, w1, x2, y2, theta2, v2, w2, h = map(float.fromhex, case)
+    pair = ContactPair(1, 2, rsum, None)
+    states = {1: RobotState(x1, y1, theta1), 2: RobotState(x2, y2, theta2)}
+    inputs = {1: ControlInput(v1, w1), 2: ControlInput(v2, w2)}
+    assert gap(pair, states) > 0.0 and (gap_at(pair, states, inputs, h) < 0.0) == ends_in_contact
+    assert assert_first_contact(pair, states, inputs, h) is not None
+
+
+@pytest.mark.parametrize("robot_robot", [False, True], ids=["robot-obstacle", "robot-robot"])
+def test_large_steps_hit_the_first_contact(robot_robot):
+    rng = random.Random(9)
+    seen = {"grazes": 0, "crossings": 0}
+    for _ in range(500):
+        pair, states, inputs, h = draw_large_step(rng, robot_robot)
+        if gap(pair, states) <= 0.0:
+            continue
+        if assert_first_contact(pair, states, inputs, h) is not None:
+            seen["crossings" if gap_at(pair, states, inputs, h) < 0.0 else "grazes"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+# Two robots side by side and 1e-14 apart, less than a slack, driving the
+# same way at the same speed: no bound can prove their gap positive, and
+# with the sum of the robots' speeds for the pair's the search would split
+# the whole step down to EVENT_TIME_TOL, a billion probes at h = 1e-3.
+FORMATION_PAIR = ContactPair(1, 2, 2.0, None)
+FORMATION_STATES = {
+    1: RobotState(3.0, 4.0, 0.3),
+    2: RobotState(3.0 - (2.0 + 1e-14) * math.sin(0.3), 4.0 + (2.0 + 1e-14) * math.cos(0.3), 0.3),
+}
+
+
+@pytest.mark.parametrize("h", [1e-3, 0.1, 2.0])
+def test_a_pair_moving_as_one_within_a_slack_of_contact_is_dropped_unprobed(h, monkeypatch):
+    inputs = {1: ControlInput(5.0, 0.0), 2: ControlInput(5.0, 0.0)}
+    scale = sum(abs(state.x) + abs(state.y) for state in FORMATION_STATES.values())
+    assert 0.0 < gap(FORMATION_PAIR, FORMATION_STATES) < hybrid.BOUND_SLACK * scale
+    gaps0 = [gap(FORMATION_PAIR, FORMATION_STATES)]
+    next_states = {rid: step_flow(FORMATION_STATES[rid], inputs[rid], h) for rid in FORMATION_STATES}
+
+    def no_probe(*args):
+        raise AssertionError("probed")
+
+    monkeypatch.setattr(hybrid, "step_flow", no_probe)
+    assert detect_event([FORMATION_PAIR], gaps0, FORMATION_STATES, inputs, h, next_states) is None
 
 
 # --- step floors: what an instant that measures nothing leaves out ------------

@@ -6,7 +6,8 @@ builtin exception it raises by name, is one of the faults (`hybrid.FAULTS`)
 that `simulate` ends a run with, and no two value classes of the engine
 declare the same field list.  A value class is a NamedTuple, a dataclass,
 or a class that assigns `__slots__` (its fields are its annotated names or,
-without annotations, its slot names).
+without annotations, its slot names).  The engine sources also stay within
+a line budget.
 
 No linter ships with the project, so these stdlib `ast` checks catch the
 imports, parameters, fields and helpers that deleting code leaves behind.
@@ -380,3 +381,14 @@ def test_every_engine_error_is_a_fault(module):
     raised = raised_builtins((SRC / f"{module}.py").read_text(encoding="utf-8"))
     escaping = [(name, line) for name, line in raised if not issubclass(getattr(builtins, name), FAULTS)]
     assert escaping == []
+
+
+# `wc -l src/bumpsim/*.py` when the first-contact search replaced the graze
+# search and the two-sided rule.  A change that cuts lines lowers it; one
+# that must raise it says why in CHANGES.md.
+SOURCE_LINE_BUDGET = 2462
+
+
+def test_source_stays_within_its_line_budget():
+    lines = sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))
+    assert lines <= SOURCE_LINE_BUDGET, lines

@@ -4,12 +4,15 @@ The benchmark's per-layer metrics come from `bench/tracer.py`, which counts
 calls through the module globals the executor looks up at call time.  An
 engine change that keeps the trace bytes but stops calling one of those
 names through its global would silently zero or shift a count; this pins
-every count of the headline run, and of the deadlock run, whose 750
+every count of the headline run, whose 30 probe steps of the flow pin the
+first-contact search (one contact and 14 steps whose pairs end apart: 13
+settle without a probe, where the unimodal graze search it replaced
+stepped the flow 1,294 times), of the deadlock run, whose 750
 contact localizations pin the bisection's certified probe skipping (a
 fallback to the first-order certificates alone steps the flow 16,626
 times there, and one to probing every midpoint about 45,000), and of the
-contact-free bypass run, whose contact, jump and redesign
-counts must stay zero.
+contact-free bypass run, whose contact, jump and redesign counts must
+stay zero.
 """
 
 from pathlib import Path
@@ -25,9 +28,9 @@ CROSSING_COUNTS = {
     "controller.degenerate": 0,
     "hybrid.event.calls": 19711,
     "hybrid.event.hits": 1,
-    "hybrid.event.bisect_iters": 1294,
+    "hybrid.event.bisect_iters": 30,
     "hybrid.event.deferred": 0,
-    "hybrid.flow.calls": 40718,
+    "hybrid.flow.calls": 39454,
     "hybrid.flow.step_calls": 39424,
     "hybrid.jump.calls": 3,
     "collision.query_calls": 1,
