@@ -23,6 +23,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .frames import LocalFrame, build_local_frame, decompose_velocity
+from .scenario import _new
 
 # |gap| <= CONTACT_TOL counts as touching; gap < -CONTACT_TOL is penetration
 # and signals an integration fault.
@@ -69,10 +70,14 @@ class ContactQuery(NamedTuple):
     frame: LocalFrame
 
     @classmethod
-    def build(cls, p_i: tuple[float, float], p_j: tuple[float, float], **fields) -> "ContactQuery":
-        """The query of `fields` (every field but the centers and the frame),
-        with the pair frame built from the two centers."""
-        return cls(p_i=p_i, p_j=p_j, frame=build_local_frame(p_i, p_j), **fields)
+    def build(
+        cls, p_i: tuple[float, float], p_j: tuple[float, float], *, i_id: int, j_id: int, r_i: float,
+        r_j: float, m_i: float, m_j: float, v_i: float, v_j: float, theta_i: float, theta_j: float,
+    ) -> "ContactQuery":
+        """The query of the two centers and the other fields by keyword, with
+        the pair frame built from the two centers."""
+        frame = build_local_frame(p_i, p_j)
+        return _new(cls, (i_id, j_id, p_i, p_j, r_i, r_j, m_i, m_j, v_i, v_j, theta_i, theta_j, frame))
 
 
 class CollisionOutcome(NamedTuple):
@@ -101,9 +106,9 @@ def check_collision(query: ContactQuery) -> ContactStatus:
     drift apart or slide flow on.
     """
     # components along the line of centers
-    phi = query.frame.phi
-    v_iy = decompose_velocity(query.v_i, query.theta_i - phi)[1]
-    v_jy = decompose_velocity(query.v_j, query.theta_j - phi)[1]
+    _, _, _, _, _, _, _, _, v_i, v_j, theta_i, theta_j, (_, _, phi) = query
+    v_iy = decompose_velocity(v_i, theta_i - phi)[1]
+    v_jy = decompose_velocity(v_j, theta_j - phi)[1]
     if v_iy - v_jy > APPROACH_EPS:
         return ContactStatus.JUMP
     return ContactStatus.FLOW
@@ -166,23 +171,17 @@ def resolve_collision(
     angular velocities never change.  A static unbounded body j stays at
     zero velocity and no outcome is produced for it unless it is a robot.
     """
-    phi = query.frame.phi
-    mu_i, v_iy = decompose_velocity(query.v_i, query.theta_i - phi)
-    mu_j, v_jy = decompose_velocity(query.v_j, query.theta_j - phi)
+    _, _, _, _, _, _, m_i, m_j, v_i, v_j, theta_i, theta_j, (_, _, phi) = query
+    mu_i, v_iy = decompose_velocity(v_i, theta_i - phi)
+    mu_j, v_jy = decompose_velocity(v_j, theta_j - phi)
 
-    lam_i, lam_j = resolve_normal(query.m_i, query.m_j, v_iy, v_jy, delta)
+    lam_i, lam_j = resolve_normal(m_i, m_j, v_iy, v_jy, delta)
 
-    def outcome(theta: float, v: float, lam: float, mu: float) -> CollisionOutcome:
-        theta_plus, v_plus = post_velocity(lam, mu, phi, theta)
-        return CollisionOutcome(
-            theta_pre=theta,
-            v_pre=v,
-            theta_plus=theta_plus,
-            v_plus=v_plus,
-            lam=lam,
-            mu=mu,
-            redesign_needed=heading_changed(theta, theta_plus),
-        )
-
-    outcome_j = outcome(query.theta_j, query.v_j, lam_j, mu_j) if body_j_is_robot else None
-    return (outcome(query.theta_i, query.v_i, lam_i, mu_i), outcome_j)
+    # each outcome in field order: theta_pre, v_pre, theta_plus, v_plus, lam, mu, redesign_needed
+    theta_plus, v_plus = post_velocity(lam_i, mu_i, phi, theta_i)
+    out_i = (theta_i, v_i, theta_plus, v_plus, lam_i, mu_i, heading_changed(theta_i, theta_plus))
+    if not body_j_is_robot:
+        return (_new(CollisionOutcome, out_i), None)
+    theta_plus, v_plus = post_velocity(lam_j, mu_j, phi, theta_j)
+    out_j = (theta_j, v_j, theta_plus, v_plus, lam_j, mu_j, heading_changed(theta_j, theta_plus))
+    return (_new(CollisionOutcome, out_i), _new(CollisionOutcome, out_j))

@@ -22,7 +22,7 @@ import math
 from enum import Enum
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .scenario import ControlInput, ControllerParams, RobotState
+from .scenario import ControlInput, ControllerParams, RobotState, _new
 
 if TYPE_CHECKING:
     from .hybrid import ContactPair
@@ -31,9 +31,6 @@ if TYPE_CHECKING:
 # affected region test is decided without the ratio and the affected nominal
 # branch returns (0, 0) with the degeneracy flag set.
 DENOM_EPS = 1e-9
-# Builds a per-call NamedTuple from a tuple of exactly its fields, skipping
-# the generated Python-level `__new__` (about twice the cost per build).
-_new = tuple.__new__
 
 
 class Region(Enum):
@@ -96,6 +93,7 @@ def controller_terms(
     with the heading (h is position-only).
     """
     x, y, theta = states[robot_id]
+    _, sigma1, sigma2, sigma3, _, _, _ = params
     h = 0.0
     gx = 0.0
     gy = 0.0
@@ -121,12 +119,11 @@ def controller_terms(
     dy = y - ty
     s = theta - t_theta
     V = 0.5 * (dx * dx + dy * dy + s * s)
-    a = params.sigma2 * V
+    a = sigma2 * V
     if a >= 0.0:
-        a = params.sigma1 * a
+        a = sigma1 * a
     return _new(
-        ControllerTerms,
-        (V, h, a, params.sigma3 * h, dx * cos_th + dy * sin_th, s, gx * cos_th + gy * sin_th),
+        ControllerTerms, (V, h, a, sigma3 * h, dx * cos_th + dy * sin_th, s, gx * cos_th + gy * sin_th)
     )
 
 
@@ -208,7 +205,8 @@ def predefined_control(
     a snapshot taken at the integration step boundary, and the robot's
     pair-table `rows`.  The returned input always lies inside the input box.
     """
+    rho, _, _, _, m_v, m_w, _ = params
     terms = controller_terms(robot_id, states, target, rows, params)
-    region, u_nom, degenerate = nominal_control(terms, params.rho)
-    u = saturate(u_nom, params.m_v, params.m_w)
+    region, u_nom, degenerate = nominal_control(terms, rho)
+    u = saturate(u_nom, m_v, m_w)
     return _new(ControlDecision, (u, u_nom, region, terms, degenerate))

@@ -11,13 +11,14 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .scenario import RobotState
+from .scenario import RobotState, _new
 
 COINCIDENT_EPS = 1e-12
 
 
 class CoincidentCentersError(ValueError):
-    """Raised when a pair frame is requested for coincident centroids."""
+    """Raised when a pair frame is requested for coincident centroids; the
+    message names both centres and their distance."""
 
 
 class LocalFrame(NamedTuple):
@@ -32,17 +33,21 @@ def build_local_frame(p_i: tuple[float, float], p_j: tuple[float, float]) -> Loc
     Rotating a unit vector (a, b) clockwise by pi/2 yields (b, -a), so the
     x-axis direction is (uy, -ux) for the y-axis unit (ux, uy).
     """
-    dx = p_j[0] - p_i[0]
-    dy = p_j[1] - p_i[1]
+    ox, oy = p_i
+    xj, yj = p_j
+    dx = xj - ox
+    dy = yj - oy
     dist = math.hypot(dx, dy)
     if dist < COINCIDENT_EPS:
-        raise CoincidentCentersError(f"cannot build a pair frame for coincident centers {p_i}")
+        raise CoincidentCentersError(
+            f"cannot build a pair frame for coincident centers {p_i} and {p_j} (distance {dist:.3e} m)"
+        )
     uy_x = dx / dist
     uy_y = dy / dist
     phi = math.atan2(-uy_x, uy_y)  # angle of the x-axis direction (uy_y, -uy_x)
     if phi < 0.0:
         phi += math.tau
-    return LocalFrame(ox=p_i[0], oy=p_i[1], phi=phi + 0.0)  # +0.0 folds -0.0 into 0.0
+    return _new(LocalFrame, (ox, oy, phi + 0.0))  # +0.0 folds -0.0 into 0.0
 
 
 def to_local(state: RobotState, frame: LocalFrame) -> RobotState:

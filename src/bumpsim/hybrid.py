@@ -81,9 +81,19 @@ from .redesign import (
     select_escape_heading,
     tangent_rays,
 )
-from .scenario import Body, ControlInput, RobotState, Scenario, validate_scenario
+from .scenario import Body, ControlInput, RobotState, Scenario, _new, validate_scenario
 
 EVENT_TIME_TOL = 1e-12
+# A bisection of [lo, b] is settled at lo, without halving, once both of its
+# certified ends (`_certified`) lie below lo + EVENT_TIME_TOL / 2 -
+# SETTLE_SLACK * b.  The halving visits a midpoint only while hi - lo >
+# EVENT_TIME_TOL, so b > EVENT_TIME_TOL, and, rounding being monotone, only
+# while the exact difference exceeds it: the exact midpoint lies above lo +
+# EVENT_TIME_TOL / 2, and rounding lo + hi lowers it by at most eps b (eps =
+# ulp(1) / 2, hi <= b).  Rounding the test's two subtractions loosens it by
+# less than 1.1 eps EVENT_TIME_TOL < 1.1 eps b, so with SETTLE_SLACK = 4 eps
+# every midpoint lies past both ends: none probes, and none moves lo.
+SETTLE_SLACK = 2.0 * math.ulp(1.0)
 # Rounding slack of `detect_event`'s bounds, per unit of (robot coordinate
 # scale + gap0 + radii sum + reach).  A probe `step_flow(s, u, tau)` sums
 # six stages of size |v| (up to an ulp each) into an increment within 8
@@ -155,9 +165,6 @@ FAULTS = (
     PenetrationError, NonSeparableError, GeometryError, DegenerateTargetError, RegionError,
     CoincidentCentersError, OverflowError, ValueError,
 )
-# Builds a per-step NamedTuple from a tuple of exactly its fields, skipping
-# the generated Python-level `__new__` (about twice the cost per build).
-_new = tuple.__new__
 
 
 class SimMode(Enum):
@@ -170,9 +177,10 @@ class SimMode(Enum):
 #
 # Each record's fields follow its trace.csv row, so `ROW % record` writes
 # it: "%.17g" gives the bytes of format(x, ".17g"), 17 digits that
-# round-trip IEEE doubles bit-exactly.  Build records by keyword.  The run
-# keeps its samples as columns (`Trace.samples`); a `FlowSample` is built
-# only when `Trace.records` is read.
+# round-trip IEEE doubles bit-exactly.  A `CollisionRecord`, made on every
+# contact, is built positionally (`_new`), every other record by keyword.
+# The run keeps its samples as columns (`Trace.samples`); a `FlowSample` is
+# built only when `Trace.records` is read.
 
 
 class FlowSample(NamedTuple):
@@ -388,26 +396,19 @@ def contact_query(
     """The pair's contact snapshot under the commanded speeds; an obstacle
     j sits at the pair's fixed position with v = theta = 0."""
     i, j, _, fixed = pair
-    si = states[i]
+    xi, yi, theta_i = states[i]
+    v_i, _ = inputs[i]
     if fixed is None:
-        sj = states[j]
-        p_j, v_j, theta_j = sj.position, inputs[j].v, sj.theta
+        xj, yj, theta_j = states[j]
+        p_j = (xj, yj)
+        v_j, _ = inputs[j]
     else:
         p_j, v_j, theta_j = fixed, 0.0, 0.0
-    bi, bj = body[i], body[j]
+    _, _, r_i, m_i, _, _, _ = body[i]
+    _, _, r_j, m_j, _, _, _ = body[j]
     return ContactQuery.build(
-        i_id=i,
-        j_id=j,
-        p_i=si.position,
-        p_j=p_j,
-        r_i=bi.radius,
-        r_j=bj.radius,
-        m_i=bi.mass,
-        m_j=bj.mass,
-        v_i=inputs[i].v,
-        v_j=v_j,
-        theta_i=si.theta,
-        theta_j=theta_j,
+        (xi, yi), p_j, i_id=i, j_id=j, r_i=r_i, r_j=r_j, m_i=m_i, m_j=m_j,
+        v_i=v_i, v_j=v_j, theta_i=theta_i, theta_j=theta_j,
     )
 
 
@@ -487,8 +488,10 @@ def detect_event(
     8, is positive, or once it is EVENT_TIME_TOL wide; else it splits at a
     probed midpoint.  A bracket that ends touching (g_b <= 0) is bisected
     to EVENT_TIME_TOL seconds, landing on the apart side and probing only
-    midpoints that `_certified` cannot decide; each apart probe pushes the
-    span back to the apart probe before it, where a dip may hide.  Brackets
+    midpoints that `_certified` cannot decide, and not halved at all once
+    both certified ends lie within half a tolerance of its apart end, less
+    the margin SETTLE_SLACK derives; each apart probe pushes the span back
+    to the apart probe before it, where a dip may hide.  Brackets
     after a crossing found are dropped, so the last crossing found is the
     earliest, and a step that ends in contact keeps the bisection's bits
     unless it holds an earlier crossing.
@@ -568,6 +571,9 @@ def detect_event(
                 b, g_b = mid, g
             lo, hi = a, b
             apart_to, touching_from = _certified(a, g_a, b, g_b, speed, curve, rsum, slack)
+            if max(apart_to, touching_from) - lo < 0.5 * EVENT_TIME_TOL - SETTLE_SLACK * b:
+                # settled: the halving would keep lo (SETTLE_SLACK)
+                hi = lo
             while hi - lo > EVENT_TIME_TOL:
                 mid = 0.5 * (lo + hi)
                 if not lo < mid < hi:
@@ -595,14 +601,12 @@ def detect_event(
 
     if not hits:
         return None
+    if len(hits) == 1:
+        # a lone crossing has no tie to sort
+        return _new(EventHit, (*hits[0], ()))
     t_first = min(tau for (tau, _, _) in hits)
     tied = sorted((i, j) for (tau, i, j) in hits if tau - t_first <= EVENT_TIME_TOL)
-    return EventHit(
-        t_offset=t_first,
-        robot_id=tied[0][0],
-        other_id=tied[0][1],
-        simultaneous=tuple(tied[1:]),
-    )
+    return EventHit(t_first, *tied[0], tuple(tied[1:]))
 
 
 # --------------------------------------------------------------------------
@@ -663,16 +667,13 @@ def jump(
         hs.jumps += 1
         return post_speeds
 
-    query = event
-    i, j = query.i_id, query.j_id
-    out_i, out_j = resolve_collision(
-        query, delta=scenario.params.delta, body_j_is_robot=j in hs.states
-    )
+    i, j, p_i, p_j, r_i, r_j, _, _, _, _, _, _, (_, _, phi) = event
+    out_i, out_j = resolve_collision(event, delta=scenario.params.delta, body_j_is_robot=j in hs.states)
 
     # (robot, other body, robot position, other position, other radius, outcome)
-    outcomes = [(i, j, query.p_i, query.p_j, query.r_j, out_i)]
+    outcomes = [(i, j, p_i, p_j, r_j, out_i)]
     if out_j is not None:
-        outcomes.append((j, i, query.p_j, query.p_i, query.r_i, out_j))
+        outcomes.append((j, i, p_j, p_i, r_i, out_j))
 
     # Escape headings, deconflicted when both robots of a robot-robot
     # contact need the redesign.
@@ -681,7 +682,7 @@ def jump(
         geo: dict[int, tuple[float, float]] = {}
         for rid, _, p_robot, p_other, _, oc in outcomes:
             if oc.redesign_needed:
-                rays = tangent_rays(p_other, p_robot, query.r_i + query.r_j)
+                rays = tangent_rays(p_other, p_robot, r_i + r_j)
                 target = scenario.targets[rid]
                 geo[rid] = select_escape_heading(rays, (target.x, target.y))
         escapes = {rid: theta for rid, (theta, _) in geo.items()}
@@ -692,32 +693,22 @@ def jump(
     # Every collision row comes first; an escaping robot's local phase,
     # impulse and switch follow its row.  Only building a local phase can
     # fail, so an error part-way still writes the rows it did not reach.
+    t = hs.t
     rows = []
-    for rid, other_id, _, _, _, oc in outcomes:
+    for rid, other_id, _, _, _, (theta_pre, v_pre, theta_plus, v_plus, lam, mu, redesign) in outcomes:
         x, y, _ = hs.states[rid]
-        post_speeds[rid] = oc.v_plus
-        if oc.redesign_needed:
+        post_speeds[rid] = v_plus
+        if redesign:
             # The physics heading theta_plus applies first; in REDESIGNED
             # mode the impulse then retargets it onto the escape heading.
-            hs.states[rid] = RobotState(x, y, escapes.get(rid, oc.theta_plus))
-        rows.append(
-            CollisionRecord(
-                t=hs.t,
-                robot_id=rid,
-                other_id=other_id,
-                x=x,
-                y=y,
-                theta_pre=oc.theta_pre,
-                theta_post=oc.theta_plus if oc.redesign_needed else oc.theta_pre,
-                v_pre=oc.v_pre,
-                v_post=oc.v_plus,
-                phi=query.frame.phi,
-                lam=oc.lam,
-                mu=oc.mu,
-                # the mode after the jump: an escaping robot enters a local phase
-                q=int(rid in escapes or hs.phases[rid] is not None),
-            )
-        )
+            hs.states[rid] = _new(RobotState, (x, y, escapes.get(rid, theta_plus)))
+            theta_post = theta_plus
+        else:
+            theta_post = theta_pre
+        # the mode after the jump: an escaping robot enters a local phase
+        q = int(rid in escapes or hs.phases[rid] is not None)
+        row = (t, rid, other_id, x, y, theta_post, v_plus, q, theta_pre, v_pre, phi, lam, mu)
+        rows.append(_new(CollisionRecord, row))
     hs.jumps += len(rows)
     if not escapes:
         # no local phase to build: the rows are the whole jump
@@ -731,17 +722,12 @@ def jump(
             if rid in escapes:
                 switch_needed = hs.phases[rid] is None
                 v_loc = scenario.params.m_v
-                hs.phases[rid] = LocalPhase(
-                    collided_id=other_id,
-                    v_loc=v_loc,
-                    t_dur=local_duration(v_loc, other_id in hs.states, r_other),
-                )
+                t_dur = local_duration(v_loc, other_id in hs.states, r_other)
+                hs.phases[rid] = LocalPhase(collided_id=other_id, v_loc=v_loc, t_dur=t_dur)
                 dtheta = impulse(escapes[rid], oc.theta_plus)
-                records.append(
-                    ImpulseRecord(t=hs.t, robot_id=rid, theta_escape=escapes[rid], dtheta=dtheta)
-                )
+                records.append(ImpulseRecord(t=t, robot_id=rid, theta_escape=escapes[rid], dtheta=dtheta))
                 if switch_needed:
-                    records.append(SwitchRecord(t=hs.t, robot_id=rid, q_from=0, q_to=1))
+                    records.append(SwitchRecord(t=t, robot_id=rid, q_from=0, q_to=1))
                     hs.jumps += 1
     finally:
         records.extend(rows[written:])

@@ -7,10 +7,8 @@ Every value type here is a NamedTuple: immutable (assigning a field raises
 AttributeError), unpacking like a tuple (`x, y, theta = state`), comparing
 equal to a plain tuple of its fields, and copied with a change by
 `_replace`.  A scenario is never modified after loading, so it can be
-shared read-only across concurrent simulations.  The per-step values
-`RobotState` and `ControlInput` are built positionally on the hot path
-(the flow step's state and OMEGA2's nominal input with `tuple.__new__`,
-which skips the field-count check).
+shared read-only across concurrent simulations.  Values built on every
+step or contact are built positionally, by `_new` below.
 
 `serialize` derives its keys: each from the fields of the value it writes,
 and the params block's JSON keys (`mv` and `mw` name `m_v` and `m_w`) from
@@ -49,6 +47,13 @@ MASS_RATIO_FLOOR = 100.0
 # speed bound or step) can still overflow, which `simulate` ends as a
 # fault.
 MAGNITUDE_LIMIT = 1e150
+
+# The positional build of every value made on each step or contact:
+# `_new(T, (f1, f2, ...))` takes all of NamedTuple T's fields in declaration
+# order.  It skips the generated Python-level `__new__` (about twice the
+# cost per build) and with it the field-count check, so the arity of each
+# such value is pinned in `tests/test_values.py`.
+_new = tuple.__new__
 
 
 class ScenarioError(Exception):

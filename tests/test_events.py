@@ -6,11 +6,13 @@ certificates on turning pairs (whose paths bend) and on pairs that start
 within a few slacks of contact (where the chord saves probes), on
 thin bodies closing at the reach speed, the first of several dips in
 long steps of turning pairs, a pair moving as one within a slack of
-contact, the step floors (every instant that measures nothing would have
-culled every row, reached no contact and no target; on the golden runs,
-on one where a jump turns a robot to its target, and on random scenes),
-the gap budget, the per-instant call budget, and bisection at offsets
-where one ulp exceeds the time tolerance."""
+contact, settled bisections (the bits of every bisection of the
+collision-heavy runs, and brackets at the edge of the shortcut), the step
+floors (every instant that measures nothing would have culled every row,
+reached no contact and no target; on the golden runs, on one where a jump
+turns a robot to its target, and on random scenes), the gap budget, the
+call budgets of `crossing` and `chatter`, and bisection at offsets where
+one ulp exceeds the time tolerance."""
 
 import ast
 import json
@@ -807,6 +809,119 @@ def test_a_pair_moving_as_one_within_a_slack_of_contact_is_dropped_unprobed(h, m
     assert detect_event([FORMATION_PAIR], gaps0, FORMATION_STATES, inputs, h, next_states) is None
 
 
+# --- settled bisections ------------------------------------------------------
+
+
+def hits_of_run(scenario, mode, monkeypatch):
+    """(pair, states, inputs, h, hit) of every pair that a `detect_event`
+    call of the run bisects to a hit, searched again on its own."""
+    calls = []
+    real = hybrid.detect_event
+
+    def recording(rows, gaps0, states, inputs, h, next_states):
+        hit = real(rows, gaps0, states, inputs, h, next_states)
+        if hit is not None:
+            # copies: a jump rewrites headings in the run's own dicts
+            calls.append((rows, list(gaps0), dict(states), dict(inputs), h, dict(next_states)))
+        return hit
+
+    with monkeypatch.context() as m:
+        m.setattr(hybrid, "detect_event", recording)
+        simulate(scenario, mode)
+    for rows, gaps0, states, inputs, h, next_states in calls:
+        for pair, g0 in zip(rows, gaps0):
+            hit = real([pair], [g0], states, inputs, h, next_states)
+            if hit is not None:
+                yield pair, states, inputs, h, hit
+
+
+# (name, mode): the bisections of the run, and how many of them `detect_event`
+# settles without halving (all but 1 on chatter, 101 and 2 on the wedge)
+SETTLED_RUNS = {
+    ("crossing", SimMode.PREDEFINED_ONLY): (750, 749),
+    ("wedge", SimMode.PREDEFINED_ONLY): (300, 199),
+    ("wedge", SimMode.REDESIGNED): (200, 198),
+}
+
+
+@pytest.mark.parametrize("name, mode", SETTLED_RUNS, ids=["chatter", "wedge-predefined", "wedge-redesigned"])
+def test_settled_bisections_keep_the_bits_of_a_full_halving(name, mode, monkeypatch):
+    # Every bisection of the collision-heavy runs lands on the bits of the
+    # plain bisection of its bracket, which probes every midpoint.
+    bisections = kept = 0
+    for pair, states, inputs, h, hit in hits_of_run(golden_scenario(name), mode, monkeypatch):
+        a, b, _ = bisected_bracket(pair, states, inputs, h, monkeypatch)
+        assert hit.t_offset == plain_bisection(pair, states, inputs, b, a)[0], (pair, states, inputs, h)
+        bisections += 1
+        kept += hit.t_offset == a
+    expected, settled = SETTLED_RUNS[name, mode]
+    assert bisections == expected and kept >= settled, (bisections, kept)
+
+
+def halving_midpoints(lo, hi):
+    """The midpoints the halving of [lo, hi] visits while each one touches."""
+    mids = []
+    while hi - lo > EVENT_TIME_TOL and lo < 0.5 * (lo + hi) < hi:
+        hi = 0.5 * (lo + hi)
+        mids.append(hi)
+    return mids
+
+
+def test_a_bracket_within_a_tolerance_of_its_crossing_is_halved(monkeypatch):
+    # The robot meets the obstacle 0.8 tolerances into the step, and the
+    # step's last midpoint lies 0.6 tolerances in: the real certificates
+    # leave the touching end between half a tolerance and a tolerance past
+    # the step start, the loop moves lo to that midpoint, and a shortcut
+    # taken within a full tolerance would return the step start.
+    h = 0.6 * EVENT_TIME_TOL * 2.0**30
+    pair = ContactPair(1, 3, 0.001, (0.001 + 0.8 * EVENT_TIME_TOL, 0.0))
+    states, inputs = {1: RobotState(0.0, 0.0, 0.0)}, {1: ControlInput(1.0, 0.0)}
+    certified = []
+    real = hybrid._certified
+
+    def recording(*args):
+        certified.append(real(*args))
+        return certified[-1]
+
+    monkeypatch.setattr(hybrid, "_certified", recording)
+    hit = detect([pair], states, inputs, h)
+    apart_to, touching_from = certified[0]
+    assert 0.5 * EVENT_TIME_TOL < touching_from < EVENT_TIME_TOL and apart_to < touching_from
+    assert hit.t_offset == plain_bisection(pair, states, inputs, h)[0] == halving_midpoints(0.0, h)[-1] > 0.0
+
+
+def test_a_settled_bracket_allows_for_the_rounding_of_its_midpoints(monkeypatch):
+    # The robot passes through the obstacle inside one long step: apart at
+    # h / 2, touching at 3 h / 4 and apart again at h, so the search
+    # bisects [h / 2, 3 h / 4].  At h = 17.62 that bracket's last midpoint
+    # rounds to below lo + EVENT_TIME_TOL / 2.  The crossing lies past it,
+    # and the certificates are pinned as tight as they can be: nothing
+    # certified apart, touching from the next double after that midpoint,
+    # so the loop probes it, finds it apart and moves lo there.  A shortcut
+    # allowed a few ulps past lo + EVENT_TIME_TOL / 2 (a margin added
+    # instead of taken off) would return lo.  One with no margin at all
+    # returns what the halving does: the next double past a rounded
+    # midpoint already lies beyond lo + EVENT_TIME_TOL / 2.
+    h = 17.62
+    rsum = 3.0 * h / 16.0
+    pair = ContactPair(1, 3, rsum, (0.5 * h + 0.75 * EVENT_TIME_TOL + rsum, 0.0))
+    states, inputs = {1: RobotState(0.0, 0.0, 0.0)}, {1: ControlInput(1.0, 0.0)}
+    a, b = 0.5 * h, 0.5 * (0.5 * h + h)
+    last = halving_midpoints(a, b)[-1]
+    assert Fraction(last) - Fraction(a) < Fraction(EVENT_TIME_TOL) / 2
+    brackets = []
+
+    def pinned(a, g_a, b, g_b, *rest):
+        brackets.append((a, b))
+        return a, math.nextafter(last, math.inf)
+
+    monkeypatch.setattr(hybrid, "_certified", pinned)
+    hit = detect([pair], states, inputs, h)
+    # the bracket, then the one probe, at `last`, which is apart
+    assert brackets[0] == (a, b) and len(brackets) == 2 and gap_at(pair, states, inputs, last) > 0.0
+    assert hit.t_offset == plain_bisection(pair, states, inputs, b, a)[0] == last
+
+
 # --- step floors: what an instant that measures nothing leaves out ------------
 
 
@@ -1012,16 +1127,8 @@ def test_crossing_measures_gaps_at_few_instants_and_folds_each_once(monkeypatch)
 # --- per-instant call budget -------------------------------------------------
 
 
-def test_crossing_makes_no_python_call_outside_its_layers():
-    # An instant calls only the traced layers: two `predefined_control`
-    # (each with `controller_terms`, `nominal_control` and `saturate`), two
-    # `step_flow` and one `detect_event`, 11 calls, plus the rare event,
-    # jump and phase calls: 220,494 in all over 19,712 instants (220,487
-    # before the step floors, whose clearance fold adds a few generator
-    # steps at the end).  An instant that measures nothing calls nothing
-    # more.  A helper or comprehension put back in the per-instant pass
-    # adds 19,711 or more, a helper at each target measurement about 5,400;
-    # a `gap` call per pair and two comprehensions took 358,525.
+def python_calls(mode):
+    """The Python-function calls of one `simulate(crossing(), mode)`."""
     calls = 0
 
     def profile(frame, event, arg):
@@ -1032,10 +1139,34 @@ def test_crossing_makes_no_python_call_outside_its_layers():
     scenario = crossing()
     sys.setprofile(profile)
     try:
-        simulate(scenario, SimMode.REDESIGNED)
+        simulate(scenario, mode)
     finally:
         sys.setprofile(None)
-    assert calls < 224_000
+    return calls
+
+
+def test_crossing_makes_no_python_call_outside_its_layers():
+    # An instant calls only the traced layers: two `predefined_control`
+    # (each with `controller_terms`, `nominal_control` and `saturate`), two
+    # `step_flow` and one `detect_event`, 11 calls, plus the rare event,
+    # jump and phase calls: 220,494 in all over 19,712 instants (220,487
+    # before the step floors, whose clearance fold adds a few generator
+    # steps at the end).  An instant that measures nothing calls nothing
+    # more.  A helper or comprehension put back in the per-instant pass
+    # adds 19,711 or more, a helper at each target measurement about 5,400;
+    # a `gap` call per pair and two comprehensions took 358,525.
+    assert python_calls(SimMode.REDESIGNED) < 224_000
+
+
+def test_chatter_makes_no_python_call_outside_its_contact_layers():
+    # Each of chatter's 750 contacts calls its traced layers (the event's
+    # hit, `ContactQuery.build`, `build_local_frame`, `jump`,
+    # `resolve_collision`) and the collision helpers below them, and builds
+    # every value of that path positionally: 43,289 calls in all, where
+    # keyword builds, a per-call closure, the `position` property and the
+    # tie sort of a lone hit took 56,039.  A keyword build that comes back
+    # adds 750 to 1,500 calls, more than the margin of 500.
+    assert python_calls(SimMode.PREDEFINED_ONLY) < 43_800
 
 
 # --- bisection at large offsets ----------------------------------------------

@@ -4,9 +4,10 @@ other.
 
 Each error is raised at its real site.  Where no valid scenario reaches
 that site, a monkeypatched callee hands the site a corrupted input: two
-coincident centres, a collision position off the contact circle, a target
-on the collision position, a robot that never regains clearance, NaN
-controller terms, or no event localization."""
+centres closer than `COINCIDENT_EPS`, a collision position off the contact
+circle, a target on the collision position, a robot that never regains
+clearance, NaN controller terms, or no event localization.  The
+coincident-centres fault names both centres and their distance."""
 
 import json
 import math
@@ -104,8 +105,9 @@ def nan_terms(monkeypatch):
 
 
 def coincident_centres(monkeypatch):
+    # the other centre a tenth of COINCIDENT_EPS beside the robot's
     real = collision.build_local_frame
-    monkeypatch.setattr(collision, "build_local_frame", lambda p_i, p_j: real(p_i, p_i))
+    monkeypatch.setattr(collision, "build_local_frame", lambda p_i, p_j: real(p_i, (p_i[0] + 1e-13, p_i[1])))
 
 
 BOTH = tuple(SimMode)
@@ -254,6 +256,22 @@ def test_a_controller_overflow_is_named_as_one(mode):
         1, states, scenario.targets[1], hybrid.contact_pairs(scenario.bodies), scenario.params
     )
     assert all(map(math.isfinite, terms)) and str(terms) in fault.reason
+
+
+@pytest.mark.parametrize("mode", list(SimMode), ids=lambda mode: mode.value)
+def test_coincident_centres_are_named_with_their_distance(monkeypatch, mode):
+    coincident_centres(monkeypatch)
+    fault = simulate(load_scenario(json.dumps(RAMMING)), mode).records[-1]
+    number = r"([-+0-9.e]+)"
+    named = re.fullmatch(
+        rf"CoincidentCentersError: cannot build a pair frame for coincident centers "
+        rf"\({number}, {number}\) and \({number}, {number}\) \(distance {number} m\)",
+        fault.reason,
+    )
+    assert named, fault.reason
+    xi, yi, xj, yj, distance = map(float, named.groups())
+    assert (xi, yi) != (xj, yj)
+    assert f"{math.dist((xi, yi), (xj, yj)):.3e}" == f"{distance:.3e}" == "1.000e-13"
 
 
 def test_a_fault_inside_a_jump_keeps_the_contact_it_was_resolving():

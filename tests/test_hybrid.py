@@ -240,6 +240,7 @@ def test_contact_query_fills_the_pair_row(other, j_motion):
     assert (query.p_i, query.v_i, query.theta_i) == ((0.0, 0.0), 2.0, 0.3)
     assert query.p_j == (2.0, 0.5)
     assert (query.v_j, query.theta_j) == j_motion
+    assert (query.r_i, query.m_i) == (sc.body(1).radius, sc.body(1).mass)
     assert (query.r_j, query.m_j) == (other["radius"], sc.body(other["id"]).mass)
     assert query.frame.phi == build_local_frame(query.p_i, query.p_j).phi
 

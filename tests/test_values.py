@@ -4,25 +4,28 @@ mutable states, `HybridState` and `LocalPhase`, are plain slotted classes.
 Each value type here is checked for what a value must give: assigning a
 field raises AttributeError, and it hashes like the tuple of its fields,
 except `Scenario`, `Trace` and `TraceMetrics`, which hold a dict or a list
-and so do not hash.  The executor builds the per-step values on every
-integration step, positionally; the hottest builds go through
-`tuple.__new__`, which skips the NamedTuple's field-count check, so the
-arity of every record of the golden runs and of every flow step and
-controller decision is pinned here too.  Each trace record's fields follow
-its trace.csv row, which one `%` with the type's `ROW` template writes.
-`LocalPhase` checks its speed and duration as it is built.
+and so do not hash.  The values made on every step or contact are built
+positionally by `scenario._new`, which skips the field-count check, so the
+arity of every record of the golden runs, of every flow step and
+controller decision, and of every value of the contact path on the
+collision-heavy runs is pinned here too, with each field's declared type.
+Each trace record's fields follow its trace.csv row, which one `%` with
+the type's `ROW` template writes.  `LocalPhase` checks its speed and
+duration as it is built.
 """
 
 import math
 import random
+import typing
 from array import array
 from pathlib import Path
 
 import pytest
 
-from bumpsim.collision import resolve_collision
+from bumpsim import collision, hybrid
+from bumpsim.collision import CollisionOutcome, ContactQuery, resolve_collision
 from bumpsim.controller import ControlDecision, ControllerTerms, Region, predefined_control
-from bumpsim.frames import build_local_frame
+from bumpsim.frames import LocalFrame, build_local_frame
 from bumpsim.hybrid import (
     CSV_HEADER,
     CollisionRecord,
@@ -32,6 +35,7 @@ from bumpsim.hybrid import (
     HybridState,
     ImpulseRecord,
     ReactivationEvent,
+    SimMode,
     SwitchRecord,
     TargetReachedRecord,
     Trace,
@@ -40,10 +44,12 @@ from bumpsim.hybrid import (
     contact_pairs,
     contact_query,
     metrics,
+    simulate,
     step_flow,
 )
 from bumpsim.redesign import LocalPhase, tangent_rays
 from bumpsim.scenario import ControlInput, RobotState, Scenario, load_scenario
+from conftest import golden_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 CROSSING = load_scenario((ROOT / "scenarios" / "crossing.json").read_text(encoding="utf-8"))
@@ -195,3 +201,57 @@ def test_flow_steps_and_decisions_are_their_declared_types():
             assert_declared(step_flow(state, decision.u, rng.uniform(0.0, 0.1)), RobotState)
     # OMEGA2's nominal input is one of the `tuple.__new__` builds
     assert Region.OMEGA2 in regions and len(regions) >= 2, regions
+
+
+def conforms(value, hint):
+    """`value` is exactly of the declared type `hint`, element by element
+    for a tuple type."""
+    origin = typing.get_origin(hint)
+    if origin is None:
+        return type(value) is hint
+    args = typing.get_args(hint)
+    if type(value) is not origin:
+        return False
+    if args[-1] is Ellipsis:
+        return all(conforms(v, args[0]) for v in value)
+    return len(value) == len(args) and all(map(conforms, value, args))
+
+
+def contact_values(scenario, mode, monkeypatch):
+    """Every LocalFrame, ContactQuery, CollisionOutcome, EventHit and
+    CollisionRecord that one run builds."""
+    built = []
+
+    def keeping(fn):
+        def kept(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            built.extend(v for v in (result if type(result) is tuple else (result,)) if v is not None)
+            return result
+
+        return kept
+
+    monkeypatch.setattr(collision, "build_local_frame", keeping(collision.build_local_frame))
+    monkeypatch.setattr(ContactQuery, "build", classmethod(keeping(ContactQuery.__dict__["build"].__func__)))
+    monkeypatch.setattr(hybrid, "resolve_collision", keeping(hybrid.resolve_collision))
+    monkeypatch.setattr(hybrid, "detect_event", keeping(hybrid.detect_event))
+    trace = simulate(scenario, mode)
+    return built + trace.collisions()
+
+
+@pytest.mark.parametrize(
+    "name, mode",
+    [("crossing", SimMode.PREDEFINED_ONLY), ("wedge", SimMode.PREDEFINED_ONLY), ("wedge", SimMode.REDESIGNED)],
+    ids=["chatter", "wedge-predefined", "wedge-redesigned"],
+)
+def test_contact_path_values_are_their_declared_types(name, mode, monkeypatch):
+    values = contact_values(golden_scenario(name), mode, monkeypatch)
+    kinds = {LocalFrame: 0, ContactQuery: 0, CollisionOutcome: 0, EventHit: 0, CollisionRecord: 0}
+    for value in values:
+        cls = type(value)
+        kinds[cls] += 1
+        hints = typing.get_type_hints(cls)
+        assert len(value) == len(cls._fields), value
+        for field, v in zip(cls._fields, value):
+            assert conforms(v, hints[field]), (field, value)
+    # every contact builds one of each, and one outcome and record per robot
+    assert min(kinds.values()) >= 199, kinds
