@@ -8,11 +8,11 @@ V = 0.5*|state - target|^2 with a summed clearance function
 over all obstacles k (the robot-robot term is dropped when the scenario has
 a single robot).  h and its position gradient fold over the robot's rows of
 the executor's pair table (`hybrid.contact_pairs`), in table order.  One
-pass computes every scalar term (`controller_terms`), and one branch
-decision (`nominal_control`) picks the region of the four closed-form
-branches, depending on which of the two inequality constraints is active,
-and computes its nominal input where its test decides.  The input is then
-saturated component-wise to the input box.  `ControllerTerms` and
+pass computes every scalar term (`controller_terms`), and
+`predefined_control`, in its own body, picks the region of the four
+closed-form branches, depending on which of the two inequality constraints
+is active, computes its nominal input where its test decides and saturates
+that input component-wise to the input box.  `ControllerTerms` and
 `ControlDecision` are immutable NamedTuples like `scenario.RobotState`.
 """
 
@@ -20,17 +20,23 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .scenario import ControlInput, ControllerParams, RobotState, _new
-
-if TYPE_CHECKING:
-    from .hybrid import ContactPair
+from .scenario import ControlInput, RobotState, _new
 
 # Below this magnitude a division denominator counts as degenerate: the
 # affected region test is decided without the ratio and the affected nominal
 # branch returns (0, 0) with the degeneracy flag set.
 DENOM_EPS = 1e-9
+
+# The run's constants as the controller reads them: a target pose, pair-table
+# rows (i, j, radii sum, fixed position) and the gains (rho, sigma1, sigma2,
+# sigma3, m_v, m_w, delta).  `RobotState`, `hybrid.ContactPair` and
+# `scenario.ControllerParams` are such tuples; `simulate` hands over exact
+# tuples, which unpack faster.
+Pose = tuple[float, float, float]
+Row = tuple[int, int, float, tuple[float, float] | None]
+Gains = tuple[float, float, float, float, float, float, float]
 
 
 class Region(Enum):
@@ -78,9 +84,9 @@ class ControlDecision(NamedTuple):
 def controller_terms(
     robot_id: int,
     states: Mapping[int, RobotState],
-    target: RobotState,
-    rows: Sequence[ContactPair],
-    params: ControllerParams,
+    target: Pose,
+    rows: Sequence[Row],
+    params: Gains,
 ) -> ControllerTerms:
     """V, h and the input-direction gradients (c, s, e) in one pass.
 
@@ -104,12 +110,14 @@ def controller_terms(
             ox, oy = fixed
         dx = x - ox
         dy = y - oy
-        # `dx ** 2`, not `dx * dx`: the example1 predefined golden pins these bits
-        h += dx ** 2 + dy ** 2 - rsum * rsum
+        # libm's pow, not `dx * dx`: the two round apart on some inputs, both
+        # example1 goldens pin pow's bits, and only pow raises OverflowError
+        # where a square overflows (`** 2.0` skips converting an int exponent)
+        h += dx ** 2.0 + dy ** 2.0 - rsum * rsum
         gx += dx
         gy += dy
     # doubling is exact, so doubling the sums gives the bits of summing 2 * dx
-    # (a |dx| whose double overflows has already raised on `dx ** 2`)
+    # (a |dx| whose double overflows has already raised on `dx ** 2.0`)
     gx *= 2.0
     gy *= 2.0
     cos_th = math.cos(theta)
@@ -127,86 +135,82 @@ def controller_terms(
     )
 
 
-def nominal_control(terms: ControllerTerms, rho: float) -> tuple[Region, ControlInput, bool]:
-    """First-match region and its closed-form nominal input, before saturation.
+def predefined_control(
+    robot_id: int,
+    states: Mapping[int, RobotState],
+    target: Pose,
+    rows: Sequence[Row],
+    params: Gains,
+) -> ControlDecision:
+    """Evaluate the full controller at one state snapshot, in one body.
 
-    Returns (region, input, degenerate).  The regions are tested in the
-    order 1, 2, 3, 4; the four sets share boundary points, so ordered
-    evaluation makes the result total and deterministic.  Ratio-based tests
-    fall back to fixed outcomes when their denominator is smaller than
-    DENOM_EPS in magnitude: region 2 reduces to b > 0, region 3 is skipped,
-    and region 4's ratio tests pass.  A branch whose own denominator is
-    that small returns (0, 0) with the degeneracy flag set instead of
-    raising.  Finite terms that match no region because a product of the
-    tests overflowed raise OverflowError naming the first such product;
-    other terms that match no region (NaN) raise RegionError.
+    Clearance terms are evaluated against the robot poses in `states`, i.e.
+    a snapshot taken at the integration step boundary, and the robot's
+    pair-table `rows`.  The regions are then tested in the order 1, 2, 3,
+    4; the four sets share boundary points, so ordered evaluation makes the
+    result total and deterministic.  Ratio-based tests fall back to fixed
+    outcomes when their denominator is smaller than DENOM_EPS in magnitude:
+    region 2 reduces to b > 0, region 3 is skipped, and region 4's ratio
+    tests pass.  A branch whose own denominator is that small gives the
+    nominal input (0, 0) with the degeneracy flag set instead of raising.
+    Finite terms that match no region because a product of the tests
+    overflowed raise OverflowError naming the first such product; other
+    terms that match no region (NaN) raise RegionError.  The returned input
+    is the nominal one clamped component-wise to the input box, signs kept:
+    the nominal input itself when it lies inside the box.
     """
+    rho, _, _, _, m_v, m_w, _ = params
+    terms = controller_terms(robot_id, states, target, rows, params)
     _, _, a, b, c, s, e = terms
+    degenerate = False
     if a < 0.0 and b > 0.0:
-        return OMEGA1, ControlInput(0.0, 0.0), False
-
-    cs2 = c * c + s * s
-    flat = cs2 < DENOM_EPS
-    # region 2 is b above this bound (above 0 when (c, s) is degenerate)
-    bound = 0.0 if flat else (rho * e * c * a) / ((rho + 1.0) * cs2)
-    if a >= 0.0 and b > bound:
-        if flat:
-            return OMEGA2, ControlInput(0.0, 0.0), True
-        k = -rho / (rho + 1.0) * a / cs2
-        return OMEGA2, _new(ControlInput, (k * c, k * s)), False
-
-    e_small = abs(e) < DENOM_EPS
-    # NaN when e is degenerate: region 3 fails and region 4 skips the test
-    ratio = math.nan if e_small else (c * b) / e
-    if b <= 0.0 and a < ratio:
-        return OMEGA3, ControlInput(-b / e, 0.0), False
-
-    if (e_small or a >= ratio) and (flat or b <= bound):
-        denom = (1.0 / rho) * c * c + ((rho + 1.0) / rho) * s * s
-        if e_small or denom < DENOM_EPS:
-            return OMEGA4, ControlInput(0.0, 0.0), True
-        return OMEGA4, ControlInput(-b / e, (b * c - a * e) / denom * (s / e)), False
-    if all(map(math.isfinite, terms)):
-        # finite terms match a region, unless a product of the tests overflowed
-        for name, value in (
-            ("c * c + s * s", cs2),
-            ("rho * e * c * a", rho * e * c * a),
-            ("(rho + 1) * (c * c + s * s)", (rho + 1.0) * cs2),
-            ("c * b", c * b),
-        ):
-            if math.isinf(value):
-                raise OverflowError(f"{name} overflows to {value} in the region tests of terms {terms}")
-    raise RegionError(f"no region matches terms {terms}")
-
-
-def saturate(u: ControlInput, m_v: float, m_w: float) -> ControlInput:
-    """Component-wise clamp to the input box, preserving signs; an input
-    inside the box comes back as is."""
-    v, w = u
+        region, v, w = OMEGA1, 0.0, 0.0
+    else:
+        cs2 = c * c + s * s
+        flat = cs2 < DENOM_EPS
+        # region 2 is b above this bound (above 0 when (c, s) is degenerate)
+        bound = 0.0 if flat else (rho * e * c * a) / ((rho + 1.0) * cs2)
+        if a >= 0.0 and b > bound:
+            region = OMEGA2
+            if flat:
+                v = w = 0.0
+                degenerate = True
+            else:
+                k = -rho / (rho + 1.0) * a / cs2
+                v, w = k * c, k * s
+        else:
+            e_small = abs(e) < DENOM_EPS
+            # NaN when e is degenerate: region 3 fails and region 4 skips the test
+            ratio = math.nan if e_small else (c * b) / e
+            if b <= 0.0 and a < ratio:
+                region, v, w = OMEGA3, -b / e, 0.0
+            elif (e_small or a >= ratio) and (flat or b <= bound):
+                region = OMEGA4
+                denom = (1.0 / rho) * c * c + ((rho + 1.0) / rho) * s * s
+                if e_small or denom < DENOM_EPS:
+                    v = w = 0.0
+                    degenerate = True
+                else:
+                    v, w = -b / e, (b * c - a * e) / denom * (s / e)
+            else:
+                if all(map(math.isfinite, terms)):
+                    # finite terms match a region, unless a product of the tests overflowed
+                    for name, value in (
+                        ("c * c + s * s", cs2),
+                        ("rho * e * c * a", rho * e * c * a),
+                        ("(rho + 1) * (c * c + s * s)", (rho + 1.0) * cs2),
+                        ("c * b", c * b),
+                    ):
+                        if math.isinf(value):
+                            raise OverflowError(
+                                f"{name} overflows to {value} in the region tests of terms {terms}"
+                            )
+                raise RegionError(f"no region matches terms {terms}")
+    u_nom = _new(ControlInput, (v, w))
     if abs(v) <= m_v and abs(w) <= m_w:
-        return u
+        return _new(ControlDecision, (u_nom, u_nom, region, terms, degenerate))
     if abs(v) > m_v:
         v = math.copysign(m_v, v)
     if abs(w) > m_w:
         w = math.copysign(m_w, w)
-    return ControlInput(v, w)
-
-
-def predefined_control(
-    robot_id: int,
-    states: Mapping[int, RobotState],
-    target: RobotState,
-    rows: Sequence[ContactPair],
-    params: ControllerParams,
-) -> ControlDecision:
-    """Evaluate the full controller pipeline at one state snapshot.
-
-    Clearance terms are evaluated against the robot poses in `states`, i.e.
-    a snapshot taken at the integration step boundary, and the robot's
-    pair-table `rows`.  The returned input always lies inside the input box.
-    """
-    rho, _, _, _, m_v, m_w, _ = params
-    terms = controller_terms(robot_id, states, target, rows, params)
-    region, u_nom, degenerate = nominal_control(terms, rho)
-    u = saturate(u_nom, m_v, m_w)
-    return _new(ControlDecision, (u, u_nom, region, terms, degenerate))
+    return _new(ControlDecision, (_new(ControlInput, (v, w)), u_nom, region, terms, degenerate))

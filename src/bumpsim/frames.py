@@ -1,4 +1,4 @@
-"""Pairwise local coordinate frame and global/local conversions.
+"""Pairwise local coordinate frame.
 
 For a body pair (i, j) the local frame sits at the centroid of i with its
 y-axis pointing from i to j; the x-axis is the y-axis rotated clockwise by
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .scenario import RobotState, _new
+from .scenario import _new
 
 COINCIDENT_EPS = 1e-12
 
@@ -48,30 +48,6 @@ def build_local_frame(p_i: tuple[float, float], p_j: tuple[float, float]) -> Loc
     if phi < 0.0:
         phi += math.tau
     return _new(LocalFrame, (ox, oy, phi + 0.0))  # +0.0 folds -0.0 into 0.0
-
-
-def to_local(state: RobotState, frame: LocalFrame) -> RobotState:
-    """Express a global pose in the frame; the heading becomes theta - phi."""
-    c = math.cos(frame.phi)
-    s = math.sin(frame.phi)
-    dx = state.x - frame.ox
-    dy = state.y - frame.oy
-    return RobotState(
-        x=c * dx + s * dy,
-        y=-s * dx + c * dy,
-        theta=state.theta - frame.phi,
-    )
-
-
-def to_global(local: RobotState, frame: LocalFrame) -> RobotState:
-    """Exact inverse of to_local."""
-    c = math.cos(frame.phi)
-    s = math.sin(frame.phi)
-    return RobotState(
-        x=frame.ox + c * local.x - s * local.y,
-        y=frame.oy + s * local.x + c * local.y,
-        theta=local.theta + frame.phi,
-    )
 
 
 def decompose_velocity(v: float, theta_bar: float) -> tuple[float, float]:

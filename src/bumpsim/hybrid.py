@@ -84,15 +84,15 @@ from .redesign import (
 from .scenario import Body, ControlInput, RobotState, Scenario, _new, validate_scenario
 
 EVENT_TIME_TOL = 1e-12
-# A bisection of [lo, b] is settled at lo, without halving, once both of its
-# certified ends (`_certified`) lie below lo + EVENT_TIME_TOL / 2 -
-# SETTLE_SLACK * b.  The halving visits a midpoint only while hi - lo >
-# EVENT_TIME_TOL, so b > EVENT_TIME_TOL, and, rounding being monotone, only
-# while the exact difference exceeds it: the exact midpoint lies above lo +
-# EVENT_TIME_TOL / 2, and rounding lo + hi lowers it by at most eps b (eps =
-# ulp(1) / 2, hi <= b).  Rounding the test's two subtractions loosens it by
-# less than 1.1 eps EVENT_TIME_TOL < 1.1 eps b, so with SETTLE_SLACK = 4 eps
-# every midpoint lies past both ends: none probes, and none moves lo.
+# A bisection of [a, b] is settled, and its halving keeps lo >= a, once the
+# certified touching end (`_certified`), and so the apart end below it, lies
+# below a + EVENT_TIME_TOL / 2 - SETTLE_SLACK * b.  The halving visits a
+# midpoint only while hi - lo > EVENT_TIME_TOL (b >= hi > EVENT_TIME_TOL)
+# and, rounding being monotone, only while the exact difference exceeds it:
+# the exact midpoint lies above lo + EVENT_TIME_TOL / 2, and rounding lo + hi
+# lowers it by at most eps b (eps = ulp(1) / 2).  Rounding the test's two
+# subtractions loosens it by less than 1.1 eps EVENT_TIME_TOL < 1.1 eps b, so
+# with SETTLE_SLACK = 4 eps every midpoint lies past both ends: none probes.
 SETTLE_SLACK = 2.0 * math.ulp(1.0)
 # Rounding slack of `detect_event`'s bounds, per unit of (robot coordinate
 # scale + gap0 + radii sum + reach).  A probe `step_flow(s, u, tau)` sums
@@ -332,7 +332,7 @@ def step_flow(state: RobotState, u: ControlInput, dt: float) -> RobotState:
     sixth = dt / 6.0
     x += sixth * (k1x + 2.0 * k2x + 2.0 * k2x + k4x)
     y += sixth * (k1y + 2.0 * k2y + 2.0 * k2y + k4y)
-    return _new(RobotState, (x, y, th1 + dt * w))
+    return _new(RobotState, (x, y, th4))
 
 
 class EventHit(NamedTuple):
@@ -433,7 +433,7 @@ def _certified_end(p: float, g: float, q: float, rate: float, curve: float, slac
 
 def _certified(
     a: float, g_a: float, b: float, g_b: float, speed: float, curve: float, rsum: float, slack: float
-) -> tuple[float, float]:
+) -> tuple[float, float] | None:
     """The bisection's certified ranges on the bracket [a, b] of the last
     probes, apart (g_a > 0) and touching (g_b <= 0): every offset up to the
     first returned one has a positive gap, and every offset from the second
@@ -446,16 +446,20 @@ def _certified(
     curve * tau^2 / 2 is convex.  Where the centre distance is at least
     `near` > 0, the gap's second derivative is at most K = speed^2 / near +
     curve.  A skipped probe would have taken the same branch, so the
-    bisection keeps the bits of one that probes every midpoint.
+    bisection keeps the bits of one that probes every midpoint.  No offset
+    is both apart and touching, so apart_to <= touching_from: None once
+    touching_from settles the bracket (SETTLE_SLACK), apart_to uncomputed.
     """
     slope = (g_a - g_b) / (b - a)
+    touching_from = min(
+        _certified_end(b, -g_b, a, speed, 0.0, slack), _certified_end(b, -g_b, a, slope, curve, slack)
+    )
+    if touching_from - a < 0.5 * EVENT_TIME_TOL - SETTLE_SLACK * b:
+        return None
     apart_to = _certified_end(a, g_a, b, speed, 0.0, slack)
     near = rsum + 0.5 * (g_a + g_b - speed * (b - a)) - slack
     if near > 0.0:
         apart_to = max(apart_to, _certified_end(a, g_a, b, slope, speed * speed / near + curve, slack))
-    touching_from = min(
-        _certified_end(b, -g_b, a, speed, 0.0, slack), _certified_end(b, -g_b, a, slope, curve, slack)
-    )
     return apart_to, touching_from
 
 
@@ -488,10 +492,10 @@ def detect_event(
     8, is positive, or once it is EVENT_TIME_TOL wide; else it splits at a
     probed midpoint.  A bracket that ends touching (g_b <= 0) is bisected
     to EVENT_TIME_TOL seconds, landing on the apart side and probing only
-    midpoints that `_certified` cannot decide, and not halved at all once
-    both certified ends lie within half a tolerance of its apart end, less
-    the margin SETTLE_SLACK derives; each apart probe pushes the span back
-    to the apart probe before it, where a dip may hide.  Brackets
+    midpoints that `_certified` cannot decide, and not halved further once
+    its certified touching end lies within half a tolerance of its apart
+    end, less the margin SETTLE_SLACK derives; each apart probe pushes the
+    span back to the apart probe before it, where a dip may hide.  Brackets
     after a crossing found are dropped, so the last crossing found is the
     earliest, and a step that ends in contact keeps the bisection's bits
     unless it holds an earlier crossing.
@@ -570,18 +574,16 @@ def detect_event(
                 # a crossing after mid comes after one before it
                 b, g_b = mid, g
             lo, hi = a, b
-            apart_to, touching_from = _certified(a, g_a, b, g_b, speed, curve, rsum, slack)
-            if max(apart_to, touching_from) - lo < 0.5 * EVENT_TIME_TOL - SETTLE_SLACK * b:
-                # settled: the halving would keep lo (SETTLE_SLACK)
-                hi = lo
-            while hi - lo > EVENT_TIME_TOL:
+            # None once settled: the halving would keep lo (SETTLE_SLACK)
+            ends = _certified(a, g_a, b, g_b, speed, curve, rsum, slack)
+            while ends and hi - lo > EVENT_TIME_TOL:
                 mid = 0.5 * (lo + hi)
                 if not lo < mid < hi:
                     # one ulp of a large offset exceeds EVENT_TIME_TOL
                     break
-                if mid <= apart_to:
+                if mid <= ends[0]:
                     lo = mid
-                elif mid >= touching_from:
+                elif mid >= ends[1]:
                     hi = mid
                 else:
                     g = gap_at(mid)
@@ -593,7 +595,7 @@ def detect_event(
                     else:
                         hi = b = mid
                         g_b = g
-                    apart_to, touching_from = _certified(a, g_a, b, g_b, speed, curve, rsum, slack)
+                    ends = _certified(a, g_a, b, g_b, speed, curve, rsum, slack)
             # every bracket still searched ends before lo
             first = lo
         if first < math.inf:
@@ -779,8 +781,10 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
     pairs = contact_pairs(scenario.bodies)
     # each robot's own rows of the pair table, and their indices, in table order
     row_ks = {rid: [k for k, p in enumerate(pairs) if rid in (p.i, p.j)] for rid in robot_ids}
-    # (id, target, own rows, own row indices) of each robot, in id order
-    robots = [(rid, targets[rid], [pairs[k] for k in ks], ks) for rid, ks in row_ks.items()]
+    # (id, target, own rows, own row indices) of each robot, in id order; the
+    # target, the rows and the gains as exact tuples, which unpack faster
+    robots = [(rid, tuple(targets[rid]), [tuple(pairs[k]) for k in ks], ks) for rid, ks in row_ks.items()]
+    gains = tuple(params)
     pair_by_ids = {(pair.i, pair.j): pair for pair in pairs}
     n_robots = len(robot_ids)
     t_end = t_max - 1e-12
@@ -951,7 +955,7 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
                             if phase is not None:
                                 inputs[rid] = local_control(phase)
                             else:
-                                inputs[rid] = predefined_control(rid, states, target, own_rows, params).u
+                                inputs[rid] = predefined_control(rid, states, target, own_rows, gains).u
                         if gaps and min(gaps) <= CONTACT_TOL:
                             sweep(states, gaps, inputs)
             except FAULTS:

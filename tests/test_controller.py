@@ -5,16 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from bumpsim import hybrid
+from bumpsim import controller, hybrid
 from bumpsim.controller import (
     DENOM_EPS,
     ControllerTerms,
     Region,
     RegionError,
     controller_terms,
-    nominal_control,
     predefined_control,
-    saturate,
 )
 from bumpsim.hybrid import SimMode, contact_pairs
 from bumpsim.scenario import Body, BodyKind, ControlInput, ControllerParams, RobotState, load_scenario
@@ -53,6 +51,28 @@ def terms_at(bodies, states, target=RobotState(0.0, 0.0, 0.0)):
 def clf_at(state, target):
     """V of a lone robot: it does not depend on the pair-table rows."""
     return controller_terms(1, {1: state}, target, [], EX1_PARAMS).V
+
+
+@pytest.fixture
+def decide(monkeypatch):
+    """`predefined_control(terms, rho, m_v, m_w)`: the decision on the given
+    terms, which `controller.controller_terms` is patched to return (as the
+    fault tests corrupt them), with the other gains of Example 1.  The input
+    box is unbounded unless given."""
+    given = [None]
+    monkeypatch.setattr(controller, "controller_terms", lambda *args: given[0])
+
+    def run(terms, rho=9.0, m_v=math.inf, m_w=math.inf):
+        given[0] = terms
+        params = EX1_PARAMS._replace(rho=rho, m_v=m_v, m_w=m_w)
+        return predefined_control(1, {1: RobotState(0.0, 0.0, 0.0)}, RobotState(0.0, 0.0, 0.0), [], params)
+
+    return run
+
+
+def nominal(decision):
+    """The region, nominal input and degeneracy flag of a decision."""
+    return decision.region, decision.u_nom, decision.degenerate
 
 
 # --- scalar terms -----------------------------------------------------------
@@ -166,84 +186,91 @@ def test_terms_match_body_list_oracle(rid):
 # --- region classification --------------------------------------------------
 
 
-def test_region_omega2_at_target_with_clearance():
+def test_region_omega2_at_target_with_clearance(decide):
     t = ControllerTerms(V=0.0, h=5.0, a=0.0, b=5.0, c=0.0, s=0.0, e=6.0)
-    assert nominal_control(t, 9.0)[0] is Region.OMEGA2
+    assert decide(t).region is Region.OMEGA2
 
 
-def test_region_omega4_by_substitution():
+def test_region_omega4_by_substitution(decide):
     t = ControllerTerms(V=1.0, h=-1.0, a=3.0, b=-1.0, c=1.0, s=0.0, e=2.0)
-    assert nominal_control(t, 9.0)[0] is Region.OMEGA4
+    assert decide(t).region is Region.OMEGA4
 
 
-def test_region_all_zero_terms_fall_to_omega4():
+def test_region_all_zero_terms_fall_to_omega4(decide):
     t = ControllerTerms(V=0.0, h=0.0, a=0.0, b=0.0, c=0.0, s=0.0, e=0.0)
-    assert nominal_control(t, 9.0)[0] is Region.OMEGA4
+    assert decide(t).region is Region.OMEGA4
 
 
-def test_region_omega1_on_raw_terms():
+def test_region_omega1_on_raw_terms(decide):
     # unreachable through controller_terms (a >= 0 always) but classifiable
     t = ControllerTerms(V=-1.0, h=1.0, a=-1.0, b=1.0, c=0.5, s=0.5, e=1.0)
-    assert nominal_control(t, 9.0)[0] is Region.OMEGA1
+    assert decide(t).region is Region.OMEGA1
 
 
-def test_region_omega3_by_substitution():
+def test_region_omega3_by_substitution(decide):
     t = ControllerTerms(V=1.0, h=-2.0, a=1.0, b=-2.0, c=-4.0, s=0.0, e=2.0)
     # c*b/e = (-4)(-2)/2 = 4 > a = 1 and b <= 0
-    assert nominal_control(t, 9.0)[0] is Region.OMEGA3
+    assert decide(t).region is Region.OMEGA3
 
 
-def test_no_region_error_surfaces():
+def test_no_region_error_surfaces(decide):
     # the four sets cover every finite input; non-finite terms (a contract
     # violation upstream) must surface as an error, never default silently
     t = ControllerTerms(V=math.nan, h=0.0, a=math.nan, b=0.0, c=1.0, s=0.0, e=1.0)
     with pytest.raises(RegionError):
-        nominal_control(t, 9.0)
+        decide(t)
 
 
-def test_an_overflowing_product_is_named():
+def test_an_overflowing_product_is_named(decide):
     # finite terms (those of a scenario at the magnitude bound) whose region
     # tests overflow match no region; the error names the product
     t = ControllerTerms(
         V=2.5e300, h=7.75e300, a=1.875e300, b=9.3e300, c=-1.4464144704446882e150, s=1e150, e=-1.3030460276077805e149
     )
     with pytest.raises(OverflowError, match=r"^rho \* e \* c \* a overflows to inf in the region tests of terms "):
-        nominal_control(t, 9.0)
+        decide(t)
 
 
 # --- nominal branches -------------------------------------------------------
 
 
-def test_nominal_omega2_zero_at_target():
+def test_nominal_omega2_zero_at_target(decide):
     t = ControllerTerms(V=0.0, h=5.0, a=0.0, b=5.0, c=0.0, s=0.0, e=6.0)
-    region, u, degenerate = nominal_control(t, 9.0)
+    region, u, degenerate = nominal(decide(t))
     assert region is Region.OMEGA2
     assert (u.v, u.w) == (0.0, 0.0)
     assert degenerate
 
 
-def test_nominal_omega3_ratio():
+def test_nominal_omega3_ratio(decide):
     t = ControllerTerms(V=1.0, h=-4.0, a=1.0, b=-4.0, c=-9.0, s=0.0, e=2.0)
-    region, u, degenerate = nominal_control(t, 9.0)
+    region, u, degenerate = nominal(decide(t))
     assert region is Region.OMEGA3
     assert u.v == pytest.approx(2.0, abs=1e-15)
     assert u.w == 0.0
     assert not degenerate
 
 
-def test_nominal_omega4_substitution():
+def test_nominal_omega4_substitution(decide):
     t = ControllerTerms(V=1.0, h=-1.0, a=3.0, b=-1.0, c=1.0, s=0.0, e=2.0)
-    region, u, degenerate = nominal_control(t, 9.0)
+    region, u, degenerate = nominal(decide(t))
     assert region is Region.OMEGA4
     assert u.v == pytest.approx(0.5, abs=1e-15)
     assert u.w == 0.0
     assert not degenerate
 
 
-def test_saturate_clamps():
-    assert saturate(ControlInput(12.0, 0.0), 10.0, 2.0) == ControlInput(10.0, 0.0)
-    assert saturate(ControlInput(-12.0, 0.0), 10.0, 2.0) == ControlInput(-10.0, 0.0)
-    assert saturate(ControlInput(3.0, -1.0), 10.0, 2.0) == ControlInput(3.0, -1.0)
+def test_saturate_clamps(decide):
+    # nominal inputs (12, 0) and (-12, 0) in region 3, and (3, -1) in region 2
+    for terms, rho, u_nom, u in (
+        (ControllerTerms(1.0, 1.0, 0.0, -24.0, -1.0, 0.0, 2.0), 9.0, (12.0, 0.0), (10.0, 0.0)),
+        (ControllerTerms(1.0, 1.0, 0.0, -24.0, 1.0, 0.0, -2.0), 9.0, (-12.0, 0.0), (-10.0, 0.0)),
+        (ControllerTerms(1.0, 1.0, 20.0, 1.0, -3.0, 1.0, 0.0), 1.0, (3.0, -1.0), (3.0, -1.0)),
+    ):
+        d = decide(terms, rho, 10.0, 2.0)
+        assert d.u_nom == ControlInput(*u_nom) and d.u == ControlInput(*u)
+    # an input inside the box comes back as is
+    assert d.u is d.u_nom
 
 
 # --- predefined_control -----------------------------------------------------
@@ -303,6 +330,33 @@ def test_example1_region_histogram(monkeypatch, mode):
     monkeypatch.setattr(hybrid, "predefined_control", counted)
     hybrid.simulate(scenario, mode)
     assert dict(regions) == {**EXAMPLE1_REGIONS[mode], "degenerate": 0}
+
+
+def test_exact_tuple_constants_decide_as_the_named_tuples(monkeypatch):
+    # `simulate` hands the controller its target, rows and gains as exact
+    # tuples; they decide bit for bit as the NamedTuples do
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "crossing.json"
+    scenario = load_scenario(path.read_text(encoding="utf-8"))
+    control = hybrid.predefined_control
+    handed = []
+
+    def recording(robot_id, states, target, rows, params):
+        handed.append((target, *rows, params))
+        return control(robot_id, states, target, rows, params)
+
+    monkeypatch.setattr(hybrid, "predefined_control", recording)
+    hybrid.simulate(scenario._replace(t_max=0.01))
+    assert len(handed) == 22 and {type(c) for constants in handed for c in constants} == {tuple}
+
+    rng = random.Random(20261020)
+    for _ in range(1000):
+        states = {rid: RobotState(rng.uniform(-15, 35), rng.uniform(-15, 35), rng.uniform(-7, 7)) for rid in (1, 2)}
+        for rid in (1, 2):
+            target = scenario.targets[rid]
+            rows = rows_of(scenario.bodies, rid)
+            named = control(rid, states, target, rows, scenario.params)
+            exact = control(rid, states, tuple(target), [tuple(row) for row in rows], tuple(scenario.params))
+            assert repr(named) == repr(exact), (rid, states)
 
 
 def _random_setup(rng):
@@ -410,7 +464,7 @@ def _qp_active_set_oracle(a, b, c, s, e, rho):
     return candidates[0][1], candidates[0][2]
 
 
-def test_nominal_matches_qp_active_set_oracle():
+def test_nominal_matches_qp_active_set_oracle(decide):
     rng = random.Random(20240903)
     checked = 0
     for _ in range(800):
@@ -426,7 +480,7 @@ def test_nominal_matches_qp_active_set_oracle():
         # keep clear of the branch guards; the oracle assumes clean geometry
         if t.c * t.c + t.s * t.s < 1e-3 or abs(t.e) < 1e-3:
             continue
-        region, u, degenerate = nominal_control(t, 9.0)
+        region, u, degenerate = nominal(decide(t))
         if degenerate:
             continue
         want = _qp_active_set_oracle(t.a, t.b, t.c, t.s, t.e, 9.0)
@@ -479,7 +533,7 @@ def _two_pass_reference(t, rho):
     return region, ControlInput(-b / e, (b * c - a * e) / denom * (s / e)), False
 
 
-def test_one_pass_branch_matches_two_pass_reference_bit_for_bit():
+def test_one_pass_branch_matches_two_pass_reference_bit_for_bit(decide):
     # special values reach the guards, signed zeros, NaN and the infinities
     special = [0.0, -0.0, 1e-10, -1e-10, 1e-9, 1.0, -1.0, 2.0, -4.0, math.nan, math.inf, -math.inf]
     rng = random.Random(20241018)
@@ -490,7 +544,7 @@ def test_one_pass_branch_matches_two_pass_reference_bit_for_bit():
         )
         for rho in (9.0, 0.5):
             outcomes = []
-            for law in (nominal_control, _two_pass_reference):
+            for law in (lambda t, rho: nominal(decide(t, rho)), _two_pass_reference):
                 try:
                     outcomes.append(repr(law(t, rho)))
                 except RegionError:

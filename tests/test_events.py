@@ -7,7 +7,8 @@ within a few slacks of contact (where the chord saves probes), on
 thin bodies closing at the reach speed, the first of several dips in
 long steps of turning pairs, a pair moving as one within a slack of
 contact, settled bisections (the bits of every bisection of the
-collision-heavy runs, and brackets at the edge of the shortcut), the step
+collision-heavy runs, the order of their certified ends, and brackets at
+the edge of the shortcut), the step
 floors (every instant that measures nothing would have culled every row,
 reached no contact and no target; on the golden runs, on one where a jump
 turns a robot to its target, and on random scenes), the gap budget, the
@@ -844,14 +845,37 @@ SETTLED_RUNS = {
 }
 
 
+def unsettled_search(pair, states, inputs, h, monkeypatch):
+    """The pair's hit with no bracket settled (an infinite SETTLE_SLACK), so
+    that `_certified` computes both ends of every bracket, and those ends."""
+    ends = []
+    real = hybrid._certified
+
+    def recording(*args):
+        ends.append(real(*args))
+        return ends[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(hybrid, "SETTLE_SLACK", math.inf)
+        m.setattr(hybrid, "_certified", recording)
+        return detect([pair], states, inputs, h), ends
+
+
 @pytest.mark.parametrize("name, mode", SETTLED_RUNS, ids=["chatter", "wedge-predefined", "wedge-redesigned"])
 def test_settled_bisections_keep_the_bits_of_a_full_halving(name, mode, monkeypatch):
     # Every bisection of the collision-heavy runs lands on the bits of the
-    # plain bisection of its bracket, which probes every midpoint.
+    # plain bisection of its bracket, which probes every midpoint, and of
+    # the search that settles no bracket.  That search's certified ends
+    # never cross (apart_to <= touching_from), which lets a settle test read
+    # the touching end alone.
     bisections = kept = 0
     for pair, states, inputs, h, hit in hits_of_run(golden_scenario(name), mode, monkeypatch):
+        case = (pair, states, inputs, h)
         a, b, _ = bisected_bracket(pair, states, inputs, h, monkeypatch)
-        assert hit.t_offset == plain_bisection(pair, states, inputs, b, a)[0], (pair, states, inputs, h)
+        assert hit.t_offset == plain_bisection(pair, states, inputs, b, a)[0], case
+        unsettled, ends = unsettled_search(pair, states, inputs, h, monkeypatch)
+        assert unsettled.t_offset == hit.t_offset and ends, case
+        assert all(apart_to <= touching_from for apart_to, touching_from in ends), case
         bisections += 1
         kept += hit.t_offset == a
     expected, settled = SETTLED_RUNS[name, mode]
@@ -910,12 +934,18 @@ def test_a_settled_bracket_allows_for_the_rounding_of_its_midpoints(monkeypatch)
     last = halving_midpoints(a, b)[-1]
     assert Fraction(last) - Fraction(a) < Fraction(EVENT_TIME_TOL) / 2
     brackets = []
+    real = hybrid._certified
 
-    def pinned(a, g_a, b, g_b, *rest):
+    def recording(a, g_a, b, g_b, *rest):
         brackets.append((a, b))
-        return a, math.nextafter(last, math.inf)
+        return real(a, g_a, b, g_b, *rest)
 
-    monkeypatch.setattr(hybrid, "_certified", pinned)
+    def pinned_end(p, g, q, *rest):
+        # an apart end (q > p) certifies nothing past p
+        return p if q > p else math.nextafter(last, math.inf)
+
+    monkeypatch.setattr(hybrid, "_certified", recording)
+    monkeypatch.setattr(hybrid, "_certified_end", pinned_end)
     hit = detect([pair], states, inputs, h)
     # the bracket, then the one probe, at `last`, which is apart
     assert brackets[0] == (a, b) and len(brackets) == 2 and gap_at(pair, states, inputs, last) > 0.0
@@ -1147,26 +1177,30 @@ def python_calls(mode):
 
 def test_crossing_makes_no_python_call_outside_its_layers():
     # An instant calls only the traced layers: two `predefined_control`
-    # (each with `controller_terms`, `nominal_control` and `saturate`), two
-    # `step_flow` and one `detect_event`, 11 calls, plus the rare event,
-    # jump and phase calls: 220,494 in all over 19,712 instants (220,487
-    # before the step floors, whose clearance fold adds a few generator
-    # steps at the end).  An instant that measures nothing calls nothing
-    # more.  A helper or comprehension put back in the per-instant pass
-    # adds 19,711 or more, a helper at each target measurement about 5,400;
-    # a `gap` call per pair and two comprehensions took 358,525.
-    assert python_calls(SimMode.REDESIGNED) < 224_000
+    # (each with `controller_terms`), two `step_flow` and one
+    # `detect_event`, 7 calls, plus the rare event, jump and phase calls:
+    # 138,887 in all over 19,712 instants (217,935 when each controller
+    # call also called its branch decision and its clamp, 11 calls an
+    # instant).  An instant that measures nothing calls nothing more.  A
+    # helper or comprehension put back in the per-instant pass adds 19,711
+    # or more, a helper at each target measurement about 5,400, both more
+    # than the margin of 3,113; a `gap` call per pair and two comprehensions
+    # took 358,525.
+    assert python_calls(SimMode.REDESIGNED) < 142_000
 
 
 def test_chatter_makes_no_python_call_outside_its_contact_layers():
     # Each of chatter's 750 contacts calls its traced layers (the event's
     # hit, `ContactQuery.build`, `build_local_frame`, `jump`,
     # `resolve_collision`) and the collision helpers below them, and builds
-    # every value of that path positionally: 43,289 calls in all, where
-    # keyword builds, a per-call closure, the `position` property and the
-    # tie sort of a lone hit took 56,039.  A keyword build that comes back
-    # adds 750 to 1,500 calls, more than the margin of 500.
-    assert python_calls(SimMode.PREDEFINED_ONLY) < 43_800
+    # every value of that path positionally; a settled bisection certifies
+    # only its touching end: 32,062 calls in all.  Keyword builds, a
+    # per-call closure, the `position` property and the tie sort of a lone
+    # hit took 56,039; the separate branch decision and clamp of each
+    # controller call and all four certificates of each bisection 43,289.
+    # A keyword build that comes back adds 750 to 1,500 calls, more than
+    # the margin of 438.
+    assert python_calls(SimMode.PREDEFINED_ONLY) < 32_500
 
 
 # --- bisection at large offsets ----------------------------------------------

@@ -5,13 +5,15 @@ import pytest
 
 from bumpsim.frames import (
     CoincidentCentersError,
-    LocalFrame,
     build_local_frame,
     decompose_velocity,
-    to_global,
-    to_local,
 )
-from bumpsim.scenario import RobotState
+
+
+def axes(f):
+    """The frame's unit x- and y-axis directions: the y-axis is the x-axis
+    rotated counter-clockwise by pi/2."""
+    return (math.cos(f.phi), math.sin(f.phi)), (-math.sin(f.phi), math.cos(f.phi))
 
 
 def test_frame_aligned_with_global():
@@ -24,6 +26,11 @@ def test_frame_pair_along_x():
     # y-axis points +x, so the frame x-axis points -y: phi = 1.5*pi
     f = build_local_frame((0.0, 0.0), (2.0, 0.0))
     assert f.phi == pytest.approx(1.5 * math.pi, abs=1e-15)
+    # independent oracle: the partner (2, 0) projected on the frame's axes
+    # sits at local (0, 2)
+    (xx, _), (yx, _) = axes(f)
+    assert 2.0 * xx == pytest.approx(0.0, abs=1e-12)
+    assert 2.0 * yx == pytest.approx(2.0, abs=1e-12)
 
 
 def test_coincident_centers_rejected():
@@ -31,44 +38,13 @@ def test_coincident_centers_rejected():
         build_local_frame((1.0, 1.0), (1.0, 1.0))
 
 
-def test_to_local_identity_frame():
-    f = LocalFrame(0.0, 0.0, 0.0)
-    ls = to_local(RobotState(1.0, 2.0, 0.3), f)
-    assert (ls.x, ls.y, ls.theta) == (1.0, 2.0, 0.3)
-
-
-def test_to_local_rotated_frame():
-    # independent oracle: explicit rotation matrix application
-    f = build_local_frame((0.0, 0.0), (2.0, 0.0))
-    ls = to_local(RobotState(2.0, 0.0, 0.0), f)
-    assert ls.x == pytest.approx(0.0, abs=1e-12)
-    assert ls.y == pytest.approx(2.0, abs=1e-12)
-    assert ls.theta == pytest.approx(-1.5 * math.pi, abs=1e-12)
-
-
 def test_origin_maps_to_zero():
+    # the frame sits at p_i, whatever the direction to p_j
     f = build_local_frame((3.0, -1.0), (4.0, 5.0))
-    ls = to_local(RobotState(3.0, -1.0, 0.7), f)
-    assert ls.x == pytest.approx(0.0, abs=1e-12)
-    assert ls.y == pytest.approx(0.0, abs=1e-12)
-    assert ls.theta == pytest.approx(0.7 - f.phi, abs=1e-15)
+    assert (f.ox, f.oy) == (3.0, -1.0)
 
 
-def test_to_global_inverts_example():
-    f = build_local_frame((0.0, 0.0), (2.0, 0.0))
-    back = to_global(RobotState(0.0, 2.0, -1.5 * math.pi), f)
-    assert back.x == pytest.approx(2.0, abs=1e-12)
-    assert back.y == pytest.approx(0.0, abs=1e-12)
-    assert back.theta == pytest.approx(0.0, abs=1e-12)
-
-
-def test_to_global_translation_only():
-    f = LocalFrame(5.0, 5.0, 0.0)
-    back = to_global(RobotState(0.0, 0.0, 0.0), f)
-    assert (back.x, back.y, back.theta) == (5.0, 5.0, 0.0)
-
-
-def test_round_trip_isometry_and_axis():
+def test_random_frames_put_the_partner_on_the_positive_y_axis():
     rng = random.Random(20240901)
     for _ in range(1000):
         p_i = (rng.uniform(-10, 10), rng.uniform(-10, 10))
@@ -77,23 +53,13 @@ def test_round_trip_isometry_and_axis():
             continue
         f = build_local_frame(p_i, p_j)
         assert 0.0 <= f.phi < 2.0 * math.pi
-
-        s1 = RobotState(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(-7, 7))
-        s2 = RobotState(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(-7, 7))
-        b1 = to_global(to_local(s1, f), f)
-        assert b1.x == pytest.approx(s1.x, abs=1e-12)
-        assert b1.y == pytest.approx(s1.y, abs=1e-12)
-        assert b1.theta == pytest.approx(s1.theta, abs=1e-12)
-
-        l1, l2 = to_local(s1, f), to_local(s2, f)
-        d_local = math.hypot(l1.x - l2.x, l1.y - l2.y)
-        d_global = math.hypot(s1.x - s2.x, s1.y - s2.y)
-        assert d_local == pytest.approx(d_global, abs=1e-12)
+        assert (f.ox, f.oy) == p_i
 
         # the partner body sits on the positive local y-axis
-        lj = to_local(RobotState(p_j[0], p_j[1], 0.0), f)
-        assert abs(lj.x) <= 1e-12 * max(1.0, abs(lj.y))
-        assert lj.y == pytest.approx(math.hypot(p_j[0] - p_i[0], p_j[1] - p_i[1]), abs=1e-12)
+        (xx, xy), (yx, yy) = axes(f)
+        dx, dy = p_j[0] - p_i[0], p_j[1] - p_i[1]
+        assert abs(xx * dx + xy * dy) <= 1e-12 * max(1.0, math.hypot(dx, dy))
+        assert yx * dx + yy * dy == pytest.approx(math.hypot(dx, dy), abs=1e-12)
 
 
 def test_decompose_axis_aligned():
