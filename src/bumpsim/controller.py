@@ -12,8 +12,8 @@ pass computes every scalar term (`controller_terms`), and
 `predefined_control`, in its own body, picks the region of the four
 closed-form branches, depending on which of the two inequality constraints
 is active, computes its nominal input where its test decides and saturates
-that input component-wise to the input box.  `ControllerTerms` and
-`ControlDecision` are immutable NamedTuples like `scenario.RobotState`.
+that input component-wise to the input box.  The terms and inputs are
+exact tuples; a call's one NamedTuple is its `ControlDecision`.
 """
 
 from __future__ import annotations
@@ -22,21 +22,22 @@ import math
 from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
-from .scenario import ControlInput, RobotState, _new
+from .scenario import _new
 
 # Below this magnitude a division denominator counts as degenerate: the
 # affected region test is decided without the ratio and the affected nominal
 # branch returns (0, 0) with the degeneracy flag set.
 DENOM_EPS = 1e-9
 
-# The run's constants as the controller reads them: a target pose, pair-table
-# rows (i, j, radii sum, fixed position) and the gains (rho, sigma1, sigma2,
-# sigma3, m_v, m_w, delta).  `RobotState`, `hybrid.ContactPair` and
-# `scenario.ControllerParams` are such tuples; `simulate` hands over exact
-# tuples, which unpack faster.
+# The values the controller reads and makes, as the tuples `RobotState`,
+# `hybrid.ContactPair`, `scenario.ControllerParams`, `ControlInput` and
+# `ControllerTerms` lay them out; `simulate` hands over exact tuples, which
+# build and unpack faster, and the controller returns exact ones.
 Pose = tuple[float, float, float]
 Row = tuple[int, int, float, tuple[float, float] | None]
 Gains = tuple[float, float, float, float, float, float, float]
+Input = tuple[float, float]
+Terms = tuple[float, float, float, float, float, float, float]
 
 
 class Region(Enum):
@@ -74,21 +75,21 @@ class ControllerTerms(NamedTuple):
 class ControlDecision(NamedTuple):
     """Full controller output: saturated input plus diagnostic payload."""
 
-    u: ControlInput
-    u_nom: ControlInput
+    u: Input
+    u_nom: Input
     region: Region
-    terms: ControllerTerms
+    terms: Terms
     degenerate: bool
 
 
 def controller_terms(
     robot_id: int,
-    states: Mapping[int, RobotState],
+    states: Mapping[int, Pose],
     target: Pose,
     rows: Sequence[Row],
     params: Gains,
-) -> ControllerTerms:
-    """V, h and the input-direction gradients (c, s, e) in one pass.
+) -> Terms:
+    """The terms (V, h, a, b, c, s, e) in one pass, as an exact tuple.
 
     `rows` are the pair-table rows that contain `robot_id`; h and its
     position gradient fold over them in table order.  The other body sits
@@ -130,14 +131,12 @@ def controller_terms(
     a = sigma2 * V
     if a >= 0.0:
         a = sigma1 * a
-    return _new(
-        ControllerTerms, (V, h, a, sigma3 * h, dx * cos_th + dy * sin_th, s, gx * cos_th + gy * sin_th)
-    )
+    return V, h, a, sigma3 * h, dx * cos_th + dy * sin_th, s, gx * cos_th + gy * sin_th
 
 
 def predefined_control(
     robot_id: int,
-    states: Mapping[int, RobotState],
+    states: Mapping[int, Pose],
     target: Pose,
     rows: Sequence[Row],
     params: Gains,
@@ -193,6 +192,7 @@ def predefined_control(
                 else:
                     v, w = -b / e, (b * c - a * e) / denom * (s / e)
             else:
+                named = ControllerTerms(*terms)
                 if all(map(math.isfinite, terms)):
                     # finite terms match a region, unless a product of the tests overflowed
                     for name, value in (
@@ -203,14 +203,14 @@ def predefined_control(
                     ):
                         if math.isinf(value):
                             raise OverflowError(
-                                f"{name} overflows to {value} in the region tests of terms {terms}"
+                                f"{name} overflows to {value} in the region tests of terms {named}"
                             )
-                raise RegionError(f"no region matches terms {terms}")
-    u_nom = _new(ControlInput, (v, w))
+                raise RegionError(f"no region matches terms {named}")
+    u_nom = (v, w)
     if abs(v) <= m_v and abs(w) <= m_w:
         return _new(ControlDecision, (u_nom, u_nom, region, terms, degenerate))
     if abs(v) > m_v:
         v = math.copysign(m_v, v)
     if abs(w) > m_w:
         w = math.copysign(m_w, w)
-    return _new(ControlDecision, (_new(ControlInput, (v, w)), u_nom, region, terms, degenerate))
+    return _new(ControlDecision, ((v, w), u_nom, region, terms, degenerate))

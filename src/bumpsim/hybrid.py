@@ -6,25 +6,22 @@ controller installed after a heading-changing collision.  q is 1 exactly
 while the robot holds a LocalPhase; `HybridState.phases` is its only
 record.  Every contact, found by event localization or by the sweep at
 an instant, goes through one pair-table row and one ContactQuery.  An
-instant measures the pair gaps, by one pass that applies `gap`'s
-expression inline, only when the step floor carried from the last
-measurement (FLOOR_SLACK) cannot show that every row is culled and none
-is in contact; a jump or a held local phase makes the next instant
-measure.  That list is the instant's only measurement: reactivation
-reads its robot's rows, the sweep decides touching and penetration on it
-(`collision.check_collision` adds only the approach test), and event
-detection starts from it, or gets no rows at all.  Each robot's target
-distance is measured under the same kind of floor.  The trace's
-`clearance`, which `metrics` reports, is one fold over the sample
-columns at the end of the run; `gap` itself serves event localization.
+instant measures the pair gaps (one pass of `gap`'s expression, inline)
+and target distances only when the step floors cannot settle their tests
+(FLOOR_SLACK states the rule).  The gaps are the instant's only
+measurement: reactivation, the sweep's touching and penetration tests and
+event detection all read them.  The trace's `clearance`, which `metrics`
+reports, is one fold over the sample columns at the end of the run.
 The executor integrates the unicycle flow with fixed-step classical RK4
 under zero-order-hold inputs, and `detect_event` finds the first contact
 inside a step: a cull by how far the step can move each pair, then one
-certified depth-first search of the step for each pair left.  It
-applies the collision/impulse jump maps (which change headings, speeds
-and phases in place, never positions), and records everything in an
-ordered trace.  Every value here is an immutable NamedTuple like
-`RobotState`: the trace records, `EventHit`, `ReactivationEvent`, the
+certified depth-first search of the step for each pair left.  It applies
+the collision/impulse jump maps (which change headings, speeds and phases
+in place, never positions), and records everything in an ordered trace.
+Inside a run poses (x, y, theta) and inputs (v, w) are exact tuples, which
+build and unpack faster than `RobotState` and `ControlInput` (callers and
+`local_control` may still pass those).  Every value that leaves the loop
+is a NamedTuple: the trace records, `EventHit`, `ReactivationEvent`, the
 `Trace` and its metrics.  The one mutable state is `HybridState`, a plain
 slotted class that jumps change in place.  The trace is columnar: each
 robot sample is seven packed doubles in one `array("d")`, every other
@@ -33,9 +30,9 @@ only when read.  Each trace record's fields follow its trace.csv row's
 column order, so one `%` with the type's `ROW` template writes the row.
 `trace_lines` formats each record once, each sample straight from the
 columns; `write_trace_csv` streams those lines, and `write_plot_csv`
-projects each robot's plot file from them by copying the sample cells,
-or, with no trace.csv, formats only those cells from the columns.
-`metrics` is a pure fold over the log into immutable `RobotMetrics`.
+projects each robot's plot file from them by copying the sample cells, or,
+with no trace.csv, formats only those cells from the columns.  `metrics`
+is a pure fold over the log into immutable `RobotMetrics`.
 
 Hybrid time is the pair (t, jumps).  A run stops at t_max, when every
 robot has reached its target, when the jump counter reaches the
@@ -67,7 +64,7 @@ from .collision import (
     check_collision,
     resolve_collision,
 )
-from .controller import RegionError, predefined_control
+from .controller import Input, Pose, RegionError, predefined_control
 from .frames import CoincidentCentersError
 from .redesign import (
     DegenerateTargetError,
@@ -81,7 +78,7 @@ from .redesign import (
     select_escape_heading,
     tangent_rays,
 )
-from .scenario import Body, ControlInput, RobotState, Scenario, _new, validate_scenario
+from .scenario import Body, Scenario, _new, validate_scenario
 
 EVENT_TIME_TOL = 1e-12
 # A bisection of [a, b] is settled, and its halving keeps lo >= a, once the
@@ -125,10 +122,13 @@ SETTLE_SLACK = 2.0 * math.ulp(1.0)
 # its error, below the slack, leaves the exact gap of a bracket it drops
 # above minus one slack.
 BOUND_SLACK = 32.0 * math.ulp(1.0)
-# Step floors: relative slack s of the bounds `simulate` carries from one
-# measurement of the pair gaps or target distances to the next, kept as a
-# count of the steps they settle, so that no rounding builds up.  Until a
-# jump or a held phase forces a measurement, every step is at most dt long
+# Step floors, the rule and its relative slack s.  One measurement of the
+# pair gaps (or target distances) settles them for the k steps the robots
+# need at full speed to close them less a margin: for k instants `simulate`
+# measures none, runs no sweep and hands `detect_event` no rows (or tests
+# no target), as each skipped test would take the same branch.  k is kept
+# as a count, so no rounding builds up; a jump, or a local phase held
+# through a step, sets it to 0.  Until then every step is at most dt long
 # and every input lies in the box |v| <= m_v, |w| <= m_w (saturated
 # controls, and `local_control`'s (m_v, 0)).  An RK4 step's computed
 # increment is then at most |v| dt (1 + 16 eps) long (eps = ulp(1) / 2),
@@ -314,8 +314,9 @@ class Trace(NamedTuple):
 # Flow integration and event localization
 
 
-def step_flow(state: RobotState, u: ControlInput, dt: float) -> RobotState:
-    """One classical RK4 step of the unicycle flow under a held input.
+def step_flow(state: Pose, u: Input, dt: float) -> Pose:
+    """One classical RK4 step of the unicycle flow under a held input: the
+    pose (x, y, theta) after dt, as an exact tuple.
 
     Constant-heading motion (w = 0) integrates exactly; the general case
     carries O(dt^5) local error.
@@ -332,7 +333,7 @@ def step_flow(state: RobotState, u: ControlInput, dt: float) -> RobotState:
     sixth = dt / 6.0
     x += sixth * (k1x + 2.0 * k2x + 2.0 * k2x + k4x)
     y += sixth * (k1y + 2.0 * k2y + 2.0 * k2y + k4y)
-    return _new(RobotState, (x, y, th4))
+    return x, y, th4
 
 
 class EventHit(NamedTuple):
@@ -371,26 +372,25 @@ def contact_pairs(bodies: Sequence[Body]) -> list[ContactPair]:
     return pairs
 
 
-def gap(pair: ContactPair, states: Mapping[int, RobotState]) -> float:
+def gap(pair: ContactPair, states: Mapping[int, Pose]) -> float:
     """Center distance minus radii sum: positive apart, zero touching,
-    negative overlapping.  `states` maps robot id to anything with x, y.
-    Event localization calls it; `simulate`'s measuring pass applies the
-    same expression inline, operand for operand, and its clearance fold
-    the same hypot and subtraction."""
+    negative overlapping.  `states` maps robot id to a pose (x, y, theta),
+    never a longer record.  Event localization calls it; `simulate`'s
+    measuring pass applies the same expression inline, operand for operand,
+    and its clearance fold the same hypot and subtraction."""
     i, j, rsum, fixed = pair
-    si = states[i]
+    xi, yi, _ = states[i]
     if fixed is None:
-        sj = states[j]
-        jx, jy = sj.x, sj.y
+        jx, jy, _ = states[j]
     else:
         jx, jy = fixed
-    return math.hypot(jx - si.x, jy - si.y) - rsum
+    return math.hypot(jx - xi, jy - yi) - rsum
 
 
 def contact_query(
     pair: ContactPair,
-    states: Mapping[int, RobotState],
-    inputs: Mapping[int, ControlInput],
+    states: Mapping[int, Pose],
+    inputs: Mapping[int, Input],
     body: Mapping[int, Body],
 ) -> ContactQuery:
     """The pair's contact snapshot under the commanded speeds; an obstacle
@@ -466,10 +466,10 @@ def _certified(
 def detect_event(
     pairs: list[ContactPair],
     gaps0: Sequence[float],
-    states: Mapping[int, RobotState],
-    inputs: Mapping[int, ControlInput],
+    states: Mapping[int, Pose],
+    inputs: Mapping[int, Input],
     h: float,
-    next_states: Mapping[int, RobotState],
+    next_states: Mapping[int, Pose],
 ) -> EventHit | None:
     """Find the earliest pair gap zero-crossing inside the step [0, h].
 
@@ -528,7 +528,7 @@ def detect_event(
             # culled, or not apart at the step start
             continue
         i, j, rsum, fixed = pair
-        probe: dict[int, RobotState] = {}
+        probe: dict[int, Pose] = {}
 
         def gap_at(tau: float) -> float:
             # called only in this pass: each probe steps only the pair's robots
@@ -541,12 +541,14 @@ def detect_event(
         # robot, and so how far their relative speed strays from the start's;
         # one slack of speed covers the rounding of that speed bound
         v, w = inputs[i]
+        _, _, theta = states[i]
         curve = abs(v * w) * (1.0 + abs(w) * h / 3.0)
-        ux, uy = v * math.cos(states[i].theta), v * math.sin(states[i].theta)
+        ux, uy = v * math.cos(theta), v * math.sin(theta)
         if fixed is None:
             v, w = inputs[j]
+            _, _, theta = states[j]
             curve += abs(v * w) * (1.0 + abs(w) * h / 3.0)
-            ux, uy = ux - v * math.cos(states[j].theta), uy - v * math.sin(states[j].theta)
+            ux, uy = ux - v * math.cos(theta), uy - v * math.sin(theta)
         rate = min(speed, math.hypot(ux, uy) + curve * h + BOUND_SLACK * speed)
         # the search: brackets (a, g_a, b, g_b), the earliest on top
         first = math.inf
@@ -624,7 +626,7 @@ class HybridState:
     def __init__(
         self,
         t: float,
-        states: dict[int, RobotState],
+        states: dict[int, Pose],
         phases: dict[int, LocalPhase | None],
         jumps: int = 0,
     ) -> None:
@@ -703,7 +705,7 @@ def jump(
         if redesign:
             # The physics heading theta_plus applies first; in REDESIGNED
             # mode the impulse then retargets it onto the escape heading.
-            hs.states[rid] = _new(RobotState, (x, y, escapes.get(rid, theta_plus)))
+            hs.states[rid] = (x, y, escapes.get(rid, theta_plus))
             theta_post = theta_plus
         else:
             theta_post = theta_pre
@@ -789,9 +791,7 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
     n_robots = len(robot_ids)
     t_end = t_max - 1e-12
     hypot = math.hypot
-    # The step floors (FLOOR_SLACK): the instants the last measurement of the
-    # pair gaps, and of the target distances, still settles.  A jump, or a
-    # phase held through a step, sets a count to 0, so the next instant measures.
+    # the step floors' counts (FLOOR_SLACK)
     gaps_left = targets_left = 0
     no_rows: list[ContactPair] = []
     near = n_robots * params.m_v * dt * (1.0 + 0.5 * params.m_w * dt) + CONTACT_TOL
@@ -801,7 +801,7 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
 
     hs = HybridState(
         t=0.0,
-        states={rid: body[rid].state() for rid in robot_ids},
+        states={rid: tuple(body[rid].state()) for rid in robot_ids},
         phases={rid: None for rid in robot_ids},
     )
     # jumps replace entries of hs.phases but never rebind it
@@ -814,9 +814,9 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
     append_sample = samples.frombytes
     pack_sample = SAMPLE.pack
     # the poses of an instant that faults before writing its samples
-    unsampled: dict[int, RobotState] | None = None
+    unsampled: dict[int, Pose] | None = None
     reached: set[int] = set()
-    stopped = {rid: ControlInput(0.0, 0.0) for rid in robot_ids}
+    stopped = {rid: (0.0, 0.0) for rid in robot_ids}
     # Per-instant bookkeeping (cleared whenever t advances): robots already
     # involved in a collision, and the pairs already jumped or deferred.
     collided_marks: set[int] = set()
@@ -840,7 +840,7 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
         return post_speeds
 
     def sweep(
-        states: dict[int, RobotState], gaps: list[float], inputs: dict[int, ControlInput]
+        states: dict[int, Pose], gaps: list[float], inputs: dict[int, Input]
     ) -> None:
         """Resolve every touching-and-approaching pair at the instant hs.t
         (`gaps` in table order), updating `inputs` to what the samples show.
@@ -877,7 +877,7 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
                     if phase is not None:
                         inputs[rid] = local_control(phase)
                     else:
-                        inputs[rid] = ControlInput(v_plus, inputs[rid].w)
+                        inputs[rid] = (v_plus, inputs[rid][1])
                 if hs.jumps >= cap:
                     return
 

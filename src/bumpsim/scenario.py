@@ -7,8 +7,8 @@ Every value type here is a NamedTuple: immutable (assigning a field raises
 AttributeError), unpacking like a tuple (`x, y, theta = state`), comparing
 equal to a plain tuple of its fields, and copied with a change by
 `_replace`.  A scenario is never modified after loading, so it can be
-shared read-only across concurrent simulations.  Values built on every
-step or contact are built positionally, by `_new` below.
+shared read-only across concurrent simulations.  Each controller decision
+and contact value is built positionally, by `_new` below.
 
 `serialize` derives its keys: each from the fields of the value it writes,
 and the params block's JSON keys (`mv` and `mw` name `m_v` and `m_w`) from
@@ -48,7 +48,7 @@ MASS_RATIO_FLOOR = 100.0
 # fault.
 MAGNITUDE_LIMIT = 1e150
 
-# The positional build of every value made on each step or contact:
+# The positional build of each controller decision and contact value:
 # `_new(T, (f1, f2, ...))` takes all of NamedTuple T's fields in declaration
 # order.  It skips the generated Python-level `__new__` (about twice the
 # cost per build) and with it the field-count check, so the arity of each

@@ -13,7 +13,7 @@ import pytest
 
 from bumpsim.cli import main as cli_main
 from bumpsim.collision import ContactQuery, resolve_collision
-from bumpsim.controller import controller_terms, predefined_control
+from bumpsim.controller import ControllerTerms, controller_terms, predefined_control
 from bumpsim.frames import build_local_frame
 from bumpsim.hybrid import (
     FaultRecord,
@@ -176,7 +176,10 @@ def _barrier_steps(trace):
     rows = contact_pairs(sc.bodies)
     first_contact = min((c.t for c in trace.collisions()), default=math.inf)
     samples = [r for r in trace.records if isinstance(r, FlowSample) and r.t <= first_contact]
-    hs = [controller_terms(1, {1: RobotState(s.x, s.y, s.theta)}, sc.targets[1], rows, sc.params).h for s in samples]
+    hs = [
+        ControllerTerms(*controller_terms(1, {1: RobotState(s.x, s.y, s.theta)}, sc.targets[1], rows, sc.params)).h
+        for s in samples
+    ]
     steps = []
     for k, (a, b) in enumerate(zip(samples, samples[1:])):
         dt = b.t - a.t
@@ -333,7 +336,8 @@ def test_c6_geometry_suite():
             state = step_flow(state, u, 1e-3)
             remaining -= 1e-3
         state = step_flow(state, u, remaining)
-        travelled = math.hypot(state.x - p_ic[0], state.y - p_ic[1])
+        x, y, _ = state
+        travelled = math.hypot(x - p_ic[0], y - p_ic[1])
         err = abs(travelled - escape_distance(other_is_robot, r_other))
         worst_dist = max(worst_dist, err)
         ok = ok and err <= 1e-6
@@ -381,21 +385,23 @@ def test_c8_controller_suite():
         target = RobotState(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(-7, 7))
         rows = [p for p in contact_pairs(bodies) if 1 in (p.i, p.j)]
         decision = predefined_control(1, {1: state, 2: RobotState(p2[0], p2[1], 0.0)}, target, rows, params)
-        ok = ok and abs(decision.u.v) <= params.m_v and abs(decision.u.w) <= params.m_w
-        terms = decision.terms
+        v, w = decision.u
+        ok = ok and abs(v) <= params.m_v and abs(w) <= params.m_w
+        terms = ControllerTerms(*decision.terms)
+        v_nom, _ = decision.u_nom
         if abs(terms.e) >= 1e-9:
-            ok = ok and (terms.b + terms.e * decision.u_nom.v) >= -1e-9
+            ok = ok and (terms.b + terms.e * v_nom) >= -1e-9
     # integrator accuracy against the analytic arc
     worst = 0.0
     for k in range(0, 5000, 13):
         t = k * 1e-3
         start = RobotState(math.sin(t), 1.0 - math.cos(t), t)
-        got = step_flow(start, ControlInput(1.0, 1.0), 1e-3)
+        x, y, theta = step_flow(start, ControlInput(1.0, 1.0), 1e-3)
         worst = max(
             worst,
-            abs(got.x - math.sin(t + 1e-3)),
-            abs(got.y - (1.0 - math.cos(t + 1e-3))),
-            abs(got.theta - (t + 1e-3)),
+            abs(x - math.sin(t + 1e-3)),
+            abs(y - (1.0 - math.cos(t + 1e-3))),
+            abs(theta - (t + 1e-3)),
         )
     ok = ok and worst <= 1e-10
     _report(8, ok, f"10000 random states bounded and safe; arc error per step {worst:.2e} <= 1e-10")

@@ -44,13 +44,18 @@ def rows_of(bodies, robot_id):
     return [p for p in contact_pairs(bodies) if robot_id in (p.i, p.j)]
 
 
+def named_terms(*args):
+    """`controller_terms(*args)`, its exact tuple read through the named type."""
+    return ControllerTerms(*controller_terms(*args))
+
+
 def terms_at(bodies, states, target=RobotState(0.0, 0.0, 0.0)):
-    return controller_terms(1, states, target, rows_of(bodies, 1), EX1_PARAMS)
+    return named_terms(1, states, target, rows_of(bodies, 1), EX1_PARAMS)
 
 
 def clf_at(state, target):
     """V of a lone robot: it does not depend on the pair-table rows."""
-    return controller_terms(1, {1: state}, target, [], EX1_PARAMS).V
+    return named_terms(1, {1: state}, target, [], EX1_PARAMS).V
 
 
 @pytest.fixture
@@ -71,8 +76,9 @@ def decide(monkeypatch):
 
 
 def nominal(decision):
-    """The region, nominal input and degeneracy flag of a decision."""
-    return decision.region, decision.u_nom, decision.degenerate
+    """The region, nominal input (read through `ControlInput`) and
+    degeneracy flag of a decision."""
+    return decision.region, ControlInput(*decision.u_nom), decision.degenerate
 
 
 # --- scalar terms -----------------------------------------------------------
@@ -99,7 +105,7 @@ def test_gain_scales_only_nonnegative_arguments():
     state, target = RobotState(1.0, 2.0, 0.5), RobotState(0.0, 0.0, 0.0)
     for sigma2 in (0.6, -0.6):
         params = EX1_PARAMS._replace(sigma2=sigma2)
-        t = controller_terms(1, {1: state}, target, [], params)
+        t = named_terms(1, {1: state}, target, [], params)
         assert t.a == (1.25 * (sigma2 * t.V) if sigma2 > 0 else sigma2 * t.V)
 
 
@@ -177,7 +183,7 @@ def test_terms_match_body_list_oracle(rid):
             radius, x, y = rng.uniform(0.3, 1.5), rng.uniform(-8, 8), rng.uniform(-8, 8)
             bodies.append(Body(k, BodyKind.OBSTACLE, radius, UNBOUNDED, x, y))
         target = RobotState(rng.uniform(-8, 8), rng.uniform(-8, 8), rng.uniform(-7, 7))
-        t = controller_terms(rid, states, target, rows_of(bodies, rid), EX1_PARAMS)
+        t = named_terms(rid, states, target, rows_of(bodies, rid), EX1_PARAMS)
         h, e = _summed_clearance_oracle(rid, bodies, states)
         assert t.h == pytest.approx(h, rel=1e-12)
         assert t.e == pytest.approx(e, rel=1e-12)
@@ -280,7 +286,7 @@ def test_predefined_zero_at_exact_target():
     bodies = ex1_bodies(robot_xy=(0.0, 7.0))
     target = RobotState(0.0, 7.0, 0.5 * math.pi)
     d = predefined_control(1, {1: RobotState(0.0, 7.0, 0.5 * math.pi)}, target, rows_of(bodies, 1), EX1_PARAMS)
-    assert (d.u.v, d.u.w) == (0.0, 0.0)
+    assert d.u == (0.0, 0.0)
 
 
 def test_predefined_example1_state_bounded():
@@ -292,9 +298,10 @@ def test_predefined_example1_state_bounded():
         rows_of(bodies, 1),
         EX1_PARAMS,
     )
-    assert abs(d.u.v) <= 5.0
-    assert abs(d.u.w) <= 5.0
-    assert math.isfinite(d.u.v) and math.isfinite(d.u.w)
+    v, w = d.u
+    assert abs(v) <= 5.0
+    assert abs(w) <= 5.0
+    assert math.isfinite(v) and math.isfinite(w)
 
 
 def test_predefined_degenerate_flag():
@@ -302,7 +309,7 @@ def test_predefined_degenerate_flag():
     bodies = [Body(1, BodyKind.ROBOT, 1.0, 1.0, 0.0, 0.0, 0.0)]
     target = RobotState(0.0, 0.0, 0.0)
     d = predefined_control(1, {1: RobotState(0.0, 0.0, 0.0)}, target, rows_of(bodies, 1), EX1_PARAMS)
-    assert (d.u.v, d.u.w) == (0.0, 0.0)
+    assert d.u == (0.0, 0.0)
     assert d.degenerate
 
 
@@ -376,13 +383,14 @@ def test_random_states_bounded_and_total():
     for _ in range(3000):
         rows, states, target = _random_setup(rng)
         d = predefined_control(1, states, target, rows, EX1_PARAMS)
-        assert abs(d.u.v) <= EX1_PARAMS.m_v + 1e-15
-        assert abs(d.u.w) <= EX1_PARAMS.m_w + 1e-15
+        v, w = d.u
+        assert abs(v) <= EX1_PARAMS.m_v + 1e-15
+        assert abs(w) <= EX1_PARAMS.m_w + 1e-15
         assert d.region is not Region.OMEGA1  # a >= 0 for real states
         # pre-saturation clearance inequality
-        t = d.terms
+        t = ControllerTerms(*d.terms)
         if abs(t.e) >= 1e-9:
-            slack = t.b + t.e * d.u_nom.v
+            slack = t.b + t.e * d.u_nom[0]
             assert slack >= -1e-9
             if d.region in (Region.OMEGA3, Region.OMEGA4) and not d.degenerate:
                 assert abs(slack) <= 1e-9 * max(1.0, abs(t.b))
@@ -556,6 +564,6 @@ def test_terms_nonnegative_a():
     rng = random.Random(5)
     for _ in range(500):
         rows, states, target = _random_setup(rng)
-        t = controller_terms(1, states, target, rows, EX1_PARAMS)
+        t = named_terms(1, states, target, rows, EX1_PARAMS)
         assert t.V >= 0.0
         assert t.a >= 0.0

@@ -12,8 +12,8 @@ the edge of the shortcut), the step
 floors (every instant that measures nothing would have culled every row,
 reached no contact and no target; on the golden runs, on one where a jump
 turns a robot to its target, and on random scenes), the gap budget, the
-call budgets of `crossing` and `chatter`, and bisection at offsets where
-one ulp exceeds the time tolerance."""
+call and NamedTuple-build budgets of `crossing` and `chatter`, and
+bisection at offsets where one ulp exceeds the time tolerance."""
 
 import ast
 import json
@@ -163,7 +163,7 @@ def draw_case(rng, robot_robot):
     else:
         # abreast of the robot at a time inside the step, nearly touching
         tau = rng.uniform(0.2 * h, 0.8 * h)
-        base = step_flow(states[1], inputs[1], tau)
+        base = RobotState(*step_flow(states[1], inputs[1], tau))
         clearance = rng.uniform(-0.5, 1.0) * (reach + 1e-9) * rng.choice([1.0, 1e-3, 1e-6])
         ang = base.theta + rng.choice([-0.5, 0.5]) * math.pi
     pos = (base.x + (rsum + clearance) * math.cos(ang), base.y + (rsum + clearance) * math.sin(ang))
@@ -173,8 +173,8 @@ def draw_case(rng, robot_robot):
         heading = rng.uniform(-math.pi, math.pi)
         if tau > 0.0:
             heading = base.theta + rng.choice([0.0, math.pi]) + rng.uniform(-0.1, 0.1)
-        ahead = step_flow(RobotState(*pos, heading), inputs[2], tau)
-        states[2] = RobotState(2.0 * pos[0] - ahead.x, 2.0 * pos[1] - ahead.y, heading)
+        ahead_x, ahead_y, _ = step_flow(RobotState(*pos, heading), inputs[2], tau)
+        states[2] = RobotState(2.0 * pos[0] - ahead_x, 2.0 * pos[1] - ahead_y, heading)
         pair = ContactPair(1, 2, rsum, None)
     else:
         pair = ContactPair(1, 3, rsum, pos)
@@ -290,12 +290,12 @@ def draw_cull_edge(rng):
     v = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, M_V)
     theta = rng.uniform(-math.pi, math.pi)
     state = RobotState(rng.uniform(-10, 10), rng.uniform(-10, 10), theta)
-    end = step_flow(state, ControlInput(v, 0.0), h)
+    end_x, end_y, _ = step_flow(state, ControlInput(v, 0.0), h)
     rsum = math.exp(rng.uniform(math.log(0.01), math.log(2.0)))
     ahead = math.copysign(rsum, v)
-    ox = end.x + ahead * math.cos(theta)
+    ox = end_x + ahead * math.cos(theta)
     ox += rng.randint(-40, 40) * math.ulp(ox)
-    pos = (ox, end.y + ahead * math.sin(theta))
+    pos = (ox, end_y + ahead * math.sin(theta))
     return ContactPair(1, 3, rsum, pos), {1: state}, {1: ControlInput(v, 0.0)}, h
 
 
@@ -358,7 +358,8 @@ def exactly_touching(pair, states):
     trust in `hypot`'s rounding."""
     i, j, rsum, fixed = pair
     jx, jy = fixed if fixed is not None else states[j][:2]
-    dx, dy = Fraction(jx) - Fraction(states[i].x), Fraction(jy) - Fraction(states[i].y)
+    xi, yi, _ = states[i]
+    dx, dy = Fraction(jx) - Fraction(xi), Fraction(jy) - Fraction(yi)
     return dx * dx + dy * dy <= Fraction(rsum) ** 2
 
 
@@ -369,8 +370,8 @@ def draw_straight_inputs(rng, robot_robot):
 
 def place_robot_2(pos, heading, v, tau):
     """Robot 2's start, from which it drives straight at speed v to pos in tau."""
-    back = step_flow(RobotState(*pos, heading), ControlInput(-v, 0.0), tau)
-    return RobotState(back.x, back.y, heading)
+    back_x, back_y, _ = step_flow(RobotState(*pos, heading), ControlInput(-v, 0.0), tau)
+    return RobotState(back_x, back_y, heading)
 
 
 def draw_thin_graze(rng, robot_robot):
@@ -380,7 +381,7 @@ def draw_thin_graze(rng, robot_robot):
     h = math.exp(rng.uniform(math.log(1e-4), math.log(0.1)))
     inputs = draw_straight_inputs(rng, robot_robot)
     states = {1: RobotState(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(-math.pi, math.pi))}
-    mid = step_flow(states[1], inputs[1], 0.5 * h)
+    mid = RobotState(*step_flow(states[1], inputs[1], 0.5 * h))
     rsum = math.exp(rng.uniform(math.log(1e-17), math.log(1e-13)))
     side = mid.theta + rng.choice([-0.5, 0.5]) * math.pi
     offset = rsum * rng.uniform(0.0, 2.0)
@@ -418,7 +419,7 @@ def draw_mid_crossing(rng, robot_robot):
     # the direction robot 1 drives in
     ang = rng.uniform(-math.pi, math.pi)
     states = {1: RobotState(rng.uniform(-10, 10), rng.uniform(-10, 10), ang + (inputs[1].v < 0.0) * math.pi)}
-    mid = step_flow(states[1], inputs[1], 0.5 * h)
+    mid = RobotState(*step_flow(states[1], inputs[1], 0.5 * h))
     rsum = math.exp(rng.uniform(math.log(0.01), math.log(2.0)))
     px = mid.x + rsum * math.cos(ang)
     px += rng.randint(-40, 40) * math.ulp(px)
@@ -492,7 +493,8 @@ def first_order_probes(pair, states, inputs, h, monkeypatch):
     speed = scale = 0.0
     for rid, (v, w) in inputs.items():
         speed += abs(v) * (1.0 + 0.5 * h * abs(w))
-        scale += abs(states[rid].x) + abs(states[rid].y)
+        x, y, _ = states[rid]
+        scale += abs(x) + abs(y)
     g0 = gap(pair, states)
     slack = hybrid.BOUND_SLACK * (scale + speed * h + g0 + pair.rsum)
     a, b, probes = bisected_bracket(pair, states, inputs, h, monkeypatch)
@@ -550,15 +552,15 @@ def draw_turning(rng, robot_robot):
     rsum = math.exp(rng.uniform(math.log(0.01), math.log(2.0)))
     reach = sum(abs(u.v) for u in inputs.values()) * h
     tau = rng.uniform(0.2 * h, 0.8 * h)
-    base = step_flow(states[1], inputs[1], tau)
+    base = RobotState(*step_flow(states[1], inputs[1], tau))
     clearance = rng.uniform(-0.5, 1.0) * reach * rng.choice([1.0, 1e-2, 1e-4])
     ang = base.theta + rng.uniform(-math.pi, math.pi)
     pos = (base.x + (rsum + clearance) * math.cos(ang), base.y + (rsum + clearance) * math.sin(ang))
     if robot_robot:
         # robot 2 starts where it reaches pos at tau
         heading = rng.uniform(-math.pi, math.pi)
-        ahead = step_flow(RobotState(*pos, heading), inputs[2], tau)
-        states[2] = RobotState(2.0 * pos[0] - ahead.x, 2.0 * pos[1] - ahead.y, heading)
+        ahead_x, ahead_y, _ = step_flow(RobotState(*pos, heading), inputs[2], tau)
+        states[2] = RobotState(2.0 * pos[0] - ahead_x, 2.0 * pos[1] - ahead_y, heading)
         return ContactPair(1, 2, rsum, None), states, inputs, h
     return ContactPair(1, 3, rsum, pos), states, inputs, h
 
@@ -649,7 +651,7 @@ def draw_thin_pass(rng, robot_robot):
     scale = math.exp(rng.uniform(math.log(1e-3), math.log(10.0)))
     states = {1: RobotState(rng.uniform(-scale, scale), rng.uniform(-scale, scale), rng.uniform(-math.pi, math.pi))}
     tau = rng.uniform(0.0, h)
-    base = step_flow(states[1], inputs[1], tau)
+    base = RobotState(*step_flow(states[1], inputs[1], tau))
     rsum = hybrid.BOUND_SLACK * scale * math.exp(rng.uniform(math.log(0.1), math.log(100.0)))
     # the direction robot 1 drives in, and the other body's offset from its path
     ang = base.theta + (inputs[1].v < 0.0) * math.pi
@@ -699,7 +701,7 @@ def draw_large_step(rng, robot_robot):
     inputs = {1: draw_input()}
     rsum = math.exp(rng.uniform(math.log(0.1), math.log(2.0)))
     tau = rng.uniform(0.05, 0.95) * h
-    base = step_flow(states[1], inputs[1], tau)
+    base = RobotState(*step_flow(states[1], inputs[1], tau))
     ang = rng.uniform(-math.pi, math.pi)
     dist = rsum * (1.0 - rng.uniform(0.0, 0.05))
     pos = (base.x + dist * math.cos(ang), base.y + dist * math.sin(ang))
@@ -1157,14 +1159,17 @@ def test_crossing_measures_gaps_at_few_instants_and_folds_each_once(monkeypatch)
 # --- per-instant call budget -------------------------------------------------
 
 
-def python_calls(mode):
-    """The Python-function calls of one `simulate(crossing(), mode)`."""
+def profiled_calls(mode, builtin=None):
+    """The Python-function calls of one `simulate(crossing(), mode)`, or,
+    given a builtin, the calls of that builtin."""
     calls = 0
 
     def profile(frame, event, arg):
         nonlocal calls
-        if event == "call":
-            calls += 1
+        if builtin is None:
+            calls += event == "call"
+        else:
+            calls += event == "c_call" and arg is builtin
 
     scenario = crossing()
     sys.setprofile(profile)
@@ -1179,14 +1184,14 @@ def test_crossing_makes_no_python_call_outside_its_layers():
     # An instant calls only the traced layers: two `predefined_control`
     # (each with `controller_terms`), two `step_flow` and one
     # `detect_event`, 7 calls, plus the rare event, jump and phase calls:
-    # 138,887 in all over 19,712 instants (217,935 when each controller
+    # 138,885 in all over 19,712 instants (217,935 when each controller
     # call also called its branch decision and its clamp, 11 calls an
     # instant).  An instant that measures nothing calls nothing more.  A
     # helper or comprehension put back in the per-instant pass adds 19,711
     # or more, a helper at each target measurement about 5,400, both more
-    # than the margin of 3,113; a `gap` call per pair and two comprehensions
+    # than the margin of 3,115; a `gap` call per pair and two comprehensions
     # took 358,525.
-    assert python_calls(SimMode.REDESIGNED) < 142_000
+    assert profiled_calls(SimMode.REDESIGNED) < 142_000
 
 
 def test_chatter_makes_no_python_call_outside_its_contact_layers():
@@ -1194,13 +1199,32 @@ def test_chatter_makes_no_python_call_outside_its_contact_layers():
     # hit, `ContactQuery.build`, `build_local_frame`, `jump`,
     # `resolve_collision`) and the collision helpers below them, and builds
     # every value of that path positionally; a settled bisection certifies
-    # only its touching end: 32,062 calls in all.  Keyword builds, a
+    # only its touching end: 32,060 calls in all.  Keyword builds, a
     # per-call closure, the `position` property and the tie sort of a lone
     # hit took 56,039; the separate branch decision and clamp of each
     # controller call and all four certificates of each bisection 43,289.
     # A keyword build that comes back adds 750 to 1,500 calls, more than
-    # the margin of 438.
-    assert python_calls(SimMode.PREDEFINED_ONLY) < 32_500
+    # the margin of 440.
+    assert profiled_calls(SimMode.PREDEFINED_ONLY) < 32_500
+
+
+def test_crossing_builds_no_named_tuple_per_instant_but_its_decisions():
+    # Poses, inputs and controller terms are exact tuple displays, which
+    # call no `tuple.__new__`; each of the 39,224 controller calls builds its
+    # `ControlDecision` by it, and the rest of the run, its contacts
+    # included, 227 more values: 39,451 in all.  A NamedTuple per robot step, input or
+    # terms put back adds 39,224 or more, one per instant 19,711, both more
+    # than the margin of 549 (157,955 when the poses, the nominal input and
+    # the terms were NamedTuples).
+    assert profiled_calls(SimMode.REDESIGNED, tuple.__new__) < 40_000
+
+
+def test_chatter_builds_no_named_tuple_per_instant_but_its_decisions():
+    # 4,616 decisions over 2,308 instants, and the values of 750 contacts:
+    # 9,873 builds in all (27,222 with NamedTuple poses, nominal inputs and
+    # terms).  One build more per instant adds 2,308, and one more per
+    # contact 750, both more than the margin of 627.
+    assert profiled_calls(SimMode.PREDEFINED_ONLY, tuple.__new__) < 10_500
 
 
 # --- bisection at large offsets ----------------------------------------------

@@ -19,7 +19,7 @@ import pytest
 from bumpsim import collision, controller, hybrid
 from bumpsim.cli import main
 from bumpsim.collision import PenetrationError
-from bumpsim.controller import RegionError
+from bumpsim.controller import ControllerTerms, RegionError
 from bumpsim.frames import CoincidentCentersError
 from bumpsim.hybrid import FAULTS, CollisionRecord, FaultRecord, FlowSample, SimMode, metrics, simulate
 from bumpsim.redesign import DegenerateTargetError, GeometryError, NonSeparableError
@@ -101,7 +101,7 @@ def target_on_contact(monkeypatch):
 
 def nan_terms(monkeypatch):
     real = controller.controller_terms
-    monkeypatch.setattr(controller, "controller_terms", lambda *args: real(*args)._replace(a=math.nan))
+    monkeypatch.setattr(controller, "controller_terms", lambda *args: ControllerTerms(*real(*args))._replace(a=math.nan))
 
 
 def coincident_centres(monkeypatch):
@@ -255,7 +255,7 @@ def test_a_controller_overflow_is_named_as_one(mode):
     terms = controller.controller_terms(
         1, states, scenario.targets[1], hybrid.contact_pairs(scenario.bodies), scenario.params
     )
-    assert all(map(math.isfinite, terms)) and str(terms) in fault.reason
+    assert all(map(math.isfinite, terms)) and str(ControllerTerms(*terms)) in fault.reason
 
 
 @pytest.mark.parametrize("mode", list(SimMode), ids=lambda mode: mode.value)
@@ -322,7 +322,7 @@ def test_an_instant_that_faults_before_its_samples_counts_towards_the_clearance(
     pairs = hybrid.contact_pairs(scenario.bodies)
     at_fault = min(hybrid.gap(pair, faulted) for pair in pairs)
     sampled = min(
-        hybrid.gap(pair, {1: sample}) for sample in trace.records if type(sample) is FlowSample for pair in pairs
+        hybrid.gap(pair, {1: (s.x, s.y, s.theta)}) for s in trace.records if type(s) is FlowSample for pair in pairs
     )
     assert 0.0 < at_fault < sampled
     assert metrics(trace).robots[1].min_clearance == at_fault

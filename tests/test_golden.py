@@ -161,7 +161,7 @@ def sample_fold_clearance(trace):
     """Each robot's smallest row gap over the trace's sampling passes, from
     the samples alone: a pass writes one FlowSample per robot in id order,
     and when the last robot's sample lands every pair-table row's gap is
-    measured at the pass's positions."""
+    measured at the pass's poses (`gap` reads (x, y, theta), not a sample)."""
     robot_ids = sorted(trace.scenario.robot_ids())
     pairs = contact_pairs(trace.scenario.bodies)
     least = {rid: None for rid in robot_ids}
@@ -169,7 +169,7 @@ def sample_fold_clearance(trace):
     for record in trace.records:
         if not isinstance(record, FlowSample):
             continue
-        sample_pass[record.robot_id] = record
+        sample_pass[record.robot_id] = (record.x, record.y, record.theta)
         if record.robot_id != robot_ids[-1]:
             continue
         for pair in pairs:

@@ -62,13 +62,13 @@ def obstacle(body_id, x, y, radius=1.0):
 
 def test_step_flow_straight_is_exact():
     out = step_flow(RobotState(0.0, 0.0, 0.0), ControlInput(1.0, 0.0), 0.1)
-    assert (out.x, out.y, out.theta) == (0.1, 0.0, 0.0)
+    assert out == (0.1, 0.0, 0.0)
 
 
 def test_step_flow_pure_rotation():
-    out = step_flow(RobotState(2.0, 3.0, 1.0), ControlInput(0.0, 1.0), 0.5)
-    assert (out.x, out.y) == (2.0, 3.0)
-    assert out.theta == pytest.approx(1.5, abs=1e-15)
+    x, y, theta = step_flow(RobotState(2.0, 3.0, 1.0), ControlInput(0.0, 1.0), 0.5)
+    assert (x, y) == (2.0, 3.0)
+    assert theta == pytest.approx(1.5, abs=1e-15)
 
 
 def test_step_flow_matches_analytic_arc():
@@ -77,10 +77,10 @@ def test_step_flow_matches_analytic_arc():
     for k in range(0, 2000, 97):
         t = k * dt
         start = RobotState(math.sin(t), 1.0 - math.cos(t), t)
-        got = step_flow(start, ControlInput(1.0, 1.0), dt)
-        assert got.x == pytest.approx(math.sin(t + dt), abs=1e-10)
-        assert got.y == pytest.approx(1.0 - math.cos(t + dt), abs=1e-10)
-        assert got.theta == pytest.approx(t + dt, abs=1e-12)
+        x, y, theta = step_flow(start, ControlInput(1.0, 1.0), dt)
+        assert x == pytest.approx(math.sin(t + dt), abs=1e-10)
+        assert y == pytest.approx(1.0 - math.cos(t + dt), abs=1e-10)
+        assert theta == pytest.approx(t + dt, abs=1e-12)
 
 
 # --- detect_event ------------------------------------------------------------
@@ -268,8 +268,7 @@ def test_jump_head_on_obstacle_redesign():
     assert col.v_post == pytest.approx(3.0, abs=1e-12)  # unbounded body: speed preserved
     # escape heading: tie between the horizontal rays resolves to the first (-x)
     assert imp.theta_escape == pytest.approx(math.pi, abs=1e-12)
-    assert hs.states[1].theta == imp.theta_escape
-    assert (hs.states[1].x, hs.states[1].y) == (0.0, 6.0)  # position continuous
+    assert hs.states[1] == (0.0, 6.0, imp.theta_escape)  # position continuous
     assert hs.phases[1] is not None
     assert hs.phases[1].t_dur == pytest.approx(0.2, abs=1e-15)  # r_j / m_v = 1/5
     assert (sw.q_from, sw.q_to) == (0, 1)
@@ -285,7 +284,8 @@ def test_jump_predefined_only_applies_physics_without_redesign():
     jump(hs, query, sc, SimMode.PREDEFINED_ONLY, records)
     assert [type(r) for r in records] == [CollisionRecord]
     # reflected heading applied, no mode change, no phase
-    assert hs.states[1].theta == pytest.approx(0.5 * math.pi, abs=1e-12)
+    _, _, theta = hs.states[1]
+    assert theta == pytest.approx(0.5 * math.pi, abs=1e-12)
     assert hs.phases[1] is None
 
 
@@ -320,8 +320,7 @@ def test_jump_rear_end_same_heading_no_redesign():
     post_speeds = jump(hs, query, sc, SimMode.REDESIGNED, records)
     # speeds swap, headings unchanged: physics only, no impulse, no switches
     assert [type(r) for r in records] == [CollisionRecord, CollisionRecord]
-    assert hs.states[1].theta == 0.5 * math.pi
-    assert hs.states[2].theta == 0.5 * math.pi
+    assert hs.states[1][2] == hs.states[2][2] == 0.5 * math.pi
     assert hs.phases[1] is None and hs.phases[2] is None
     assert post_speeds[1] == pytest.approx(0.5, abs=1e-12)
     assert post_speeds[2] == pytest.approx(2.0, abs=1e-12)

@@ -383,9 +383,10 @@ def test_every_engine_error_is_a_fault(module):
     assert escaping == []
 
 
-# `wc -l src/bumpsim/*.py` when the controller came to decide and saturate
-# in one body.  A change that cuts lines lowers it; one that must raise it
-# says why in CHANGES.md.
+# `wc -l src/bumpsim/*.py` when poses, inputs and controller terms became
+# exact tuples inside a run, as when the controller came to decide and
+# saturate in one body.  A change that cuts lines lowers it; one that must
+# raise it says why in CHANGES.md.
 SOURCE_LINE_BUDGET = 2439
 
 

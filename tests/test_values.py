@@ -1,14 +1,17 @@
-"""Every value of the engine is an immutable NamedTuple; the executor's two
-mutable states, `HybridState` and `LocalPhase`, are plain slotted classes.
+"""Every value type of the engine is an immutable NamedTuple; the
+executor's two mutable states, `HybridState` and `LocalPhase`, are plain
+slotted classes.  Inside a run, poses, inputs and controller terms are
+exact tuples in those types' field order.
 
 Each value type here is checked for what a value must give: assigning a
 field raises AttributeError, and it hashes like the tuple of its fields,
 except `Scenario`, `Trace` and `TraceMetrics`, which hold a dict or a list
-and so do not hash.  The values made on every step or contact are built
-positionally by `scenario._new`, which skips the field-count check, so the
-arity of every record of the golden runs, of every flow step and
-controller decision, and of every value of the contact path on the
-collision-heavy runs is pinned here too, with each field's declared type.
+and so do not hash.  The values made on every contact, and each controller
+decision, are built positionally by `scenario._new`, which skips the
+field-count check, so the arity of every record of the golden runs, of
+every flow step and controller decision, and of every value of the contact
+path on the collision-heavy runs is pinned here too, with each field's
+declared type.
 Each trace record's fields follow its trace.csv row, which one `%` with
 the type's `ROW` template writes.  `LocalPhase` checks its speed and
 duration as it is built.
@@ -24,7 +27,7 @@ import pytest
 
 from bumpsim import collision, hybrid
 from bumpsim.collision import CollisionOutcome, ContactQuery, resolve_collision
-from bumpsim.controller import ControlDecision, ControllerTerms, Region, predefined_control
+from bumpsim.controller import ControlDecision, ControllerTerms, Input, Pose, Region, predefined_control
 from bumpsim.frames import LocalFrame, build_local_frame
 from bumpsim.hybrid import (
     CSV_HEADER,
@@ -165,11 +168,27 @@ def test_record_row_writes_each_field_under_its_column(record_type):
             assert row[column] == format(value, ".17g")
 
 
-def assert_declared(value, cls, field_type=float):
-    """`value` is exactly a `cls`, with one value of `field_type` per field."""
-    assert type(value) is cls, value
-    assert len(value) == len(cls._fields), value
-    assert all(type(v) is field_type for v in value), value
+def conforms(value, hint):
+    """`value` is exactly of the declared type `hint`, element by element
+    for a tuple type."""
+    origin = typing.get_origin(hint)
+    if origin is None:
+        return type(value) is hint
+    args = typing.get_args(hint)
+    if type(value) is not origin:
+        return False
+    if args[-1] is Ellipsis:
+        return all(conforms(v, args[0]) for v in value)
+    return len(value) == len(args) and all(map(conforms, value, args))
+
+
+def assert_decision(decision):
+    """`decision` is exactly a `ControlDecision` whose fields are exactly
+    their declared types: the inputs and terms exact tuples of floats."""
+    assert type(decision) is ControlDecision and len(decision) == len(ControlDecision._fields), decision
+    hints = typing.get_type_hints(ControlDecision)
+    for field, v in zip(ControlDecision._fields, decision):
+        assert conforms(v, hints[field]), (field, decision)
 
 
 def test_every_golden_record_has_its_declared_arity(golden_run):
@@ -192,29 +211,53 @@ def test_flow_steps_and_decisions_are_their_declared_types():
         for rid, state in states.items():
             rows = [p for p in pairs if rid in (p.i, p.j)]
             decision = predefined_control(rid, states, scenario.targets[rid], rows, scenario.params)
-            assert type(decision) is ControlDecision and len(decision) == len(ControlDecision._fields)
-            assert_declared(decision.u, ControlInput)
-            assert_declared(decision.u_nom, ControlInput)
-            assert_declared(decision.terms, ControllerTerms)
-            assert type(decision.region) is Region and type(decision.degenerate) is bool
+            assert_decision(decision)
+            assert len(decision.terms) == len(ControllerTerms._fields)
             regions.add(decision.region)
-            assert_declared(step_flow(state, decision.u, rng.uniform(0.0, 0.1)), RobotState)
-    # OMEGA2's nominal input is one of the `tuple.__new__` builds
+            assert conforms(step_flow(state, decision.u, rng.uniform(0.0, 0.1)), Pose)
+    # OMEGA2, the region of every decision on crossing, and another
     assert Region.OMEGA2 in regions and len(regions) >= 2, regions
 
 
-def conforms(value, hint):
-    """`value` is exactly of the declared type `hint`, element by element
-    for a tuple type."""
-    origin = typing.get_origin(hint)
-    if origin is None:
-        return type(value) is hint
-    args = typing.get_args(hint)
-    if type(value) is not origin:
-        return False
-    if args[-1] is Ellipsis:
-        return all(conforms(v, args[0]) for v in value)
-    return len(value) == len(args) and all(map(conforms, value, args))
+@pytest.mark.parametrize(
+    "name, mode",
+    [("crossing", SimMode.REDESIGNED), ("crossing", SimMode.PREDEFINED_ONLY), ("example1", SimMode.PREDEFINED_ONLY)],
+    ids=["crossing", "chatter", "example1-predefined"],
+)
+def test_a_run_carries_poses_and_inputs_as_exact_tuples(name, mode, monkeypatch):
+    # every pose `step_flow` takes or returns, every input it holds and every
+    # decision the loop reads its `u` from, over a whole run; only a local
+    # phase's input is a `ControlInput`.  Of the golden runs only
+    # example1-predefined steps on inputs the contact sweep refreshed.
+    steps, decisions, local = [], [], {}
+    real_step, real_control, real_local = hybrid.step_flow, hybrid.predefined_control, hybrid.local_control
+
+    def stepping(state, u, dt):
+        pose = real_step(state, u, dt)
+        steps.append((state, u, pose))
+        return pose
+
+    def controlling(*args):
+        decision = real_control(*args)
+        decisions.append(decision)
+        return decision
+
+    def escaping(phase):
+        u = real_local(phase)
+        # kept alive, so no other value takes its id
+        local[id(u)] = u
+        return u
+
+    monkeypatch.setattr(hybrid, "step_flow", stepping)
+    monkeypatch.setattr(hybrid, "predefined_control", controlling)
+    monkeypatch.setattr(hybrid, "local_control", escaping)
+    simulate(golden_scenario(name), mode)
+    assert len(steps) > 1000 and len(decisions) > 1000
+    for state, u, pose in steps:
+        assert conforms(state, Pose) and conforms(pose, Pose), (state, pose)
+        assert conforms(u, Input) or (type(u) is ControlInput and id(u) in local), u
+    for decision in decisions:
+        assert_decision(decision)
 
 
 def contact_values(scenario, mode, monkeypatch):
