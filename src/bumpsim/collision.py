@@ -1,14 +1,16 @@
-"""Approach test and elastic collision resolution for cylinder pairs.
+"""Pair frame, approach test and elastic collision resolution for cylinder pairs.
 
-The executor decides whether a pair touches or overlaps, on the pair-table
-gap (`hybrid.gap`); this module takes a touching pair from there.  A
-contact event changes only headings and linear speeds: positions and
-angular velocities are untouched, and the velocity component along the
-pair frame's x-axis (tangential) is preserved exactly.  The component
-along the y-axis (the line of centers) follows the one-dimensional
-momentum/kinetic-energy exchange, optionally damped by the scenario-wide
-loss coefficient delta (`params.delta`), with the unbounded-mass case
-handled as an exact limit.
+A pair (i, j)'s local frame sits at i's centre, its y-axis toward j's
+centre and its x-axis the y-axis turned clockwise by pi/2, at the angle
+phi in [0, 2*pi) from the global x-axis.  The executor decides whether a
+pair touches or overlaps, on the pair-table gap (`hybrid.gap`); this
+module takes a touching pair from there.  A contact event changes only
+headings and linear speeds: positions and angular velocities are
+untouched, and the velocity component along the pair frame's x-axis
+(tangential) is preserved exactly.  The component along the y-axis (the
+line of centers) follows the one-dimensional momentum/kinetic-energy
+exchange, optionally damped by the scenario-wide loss coefficient delta
+(`params.delta`), with the unbounded-mass case handled as an exact limit.
 
 Post-collision velocities are reported in canonical form: a nonnegative
 speed plus a quadrant-aware global heading.  (Carrying the normal sign on
@@ -22,7 +24,6 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .frames import LocalFrame, build_local_frame, decompose_velocity
 from .scenario import _new
 
 # |gap| <= CONTACT_TOL counts as touching; gap < -CONTACT_TOL is penetration
@@ -37,6 +38,9 @@ HEADING_TOL = 1e-9
 # sin() rounding noise when a robot slides exactly along the tangent.
 APPROACH_EPS = 1e-12
 
+# Centres closer than this have no pair frame (CoincidentCentersError).
+COINCIDENT_EPS = 1e-12
+
 
 class ContactStatus(Enum):
     FLOW = "flow"
@@ -45,6 +49,45 @@ class ContactStatus(Enum):
 
 class PenetrationError(RuntimeError):
     """Bodies overlap beyond tolerance; event localization was missed."""
+
+
+class CoincidentCentersError(ValueError):
+    """Raised when a pair frame is requested for coincident centroids; the
+    message names both centres and their distance."""
+
+
+class LocalFrame(NamedTuple):
+    ox: float
+    oy: float
+    phi: float  # in [0, 2*pi)
+
+
+def build_local_frame(p_i: tuple[float, float], p_j: tuple[float, float]) -> LocalFrame:
+    """Construct the pair frame anchored at p_i with +y toward p_j.
+
+    Rotating a unit vector (a, b) clockwise by pi/2 yields (b, -a), so the
+    x-axis direction is (uy, -ux) for the y-axis unit (ux, uy).
+    """
+    ox, oy = p_i
+    xj, yj = p_j
+    dx = xj - ox
+    dy = yj - oy
+    dist = math.hypot(dx, dy)
+    if dist < COINCIDENT_EPS:
+        raise CoincidentCentersError(
+            f"cannot build a pair frame for coincident centers {p_i} and {p_j} (distance {dist:.3e} m)"
+        )
+    uy_x = dx / dist
+    uy_y = dy / dist
+    phi = math.atan2(-uy_x, uy_y)  # angle of the x-axis direction (uy_y, -uy_x)
+    if phi < 0.0:
+        phi += math.tau
+    return _new(LocalFrame, (ox, oy, phi + 0.0))  # +0.0 folds -0.0 into 0.0
+
+
+def decompose_velocity(v: float, theta_bar: float) -> tuple[float, float]:
+    """Split a scalar speed along a frame-relative heading into (vx, vy)."""
+    return (v * math.cos(theta_bar), v * math.sin(theta_bar))
 
 
 class ContactQuery(NamedTuple):

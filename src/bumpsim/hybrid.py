@@ -4,35 +4,11 @@ Each robot carries a discrete mode q alongside its pose: q = 0 runs the
 predefined controller, q = 1 runs the constant-heading local escape
 controller installed after a heading-changing collision.  q is 1 exactly
 while the robot holds a LocalPhase; `HybridState.phases` is its only
-record.  Every contact, found by event localization or by the sweep at
-an instant, goes through one pair-table row and one ContactQuery.  An
-instant measures the pair gaps (one pass of `gap`'s expression, inline)
-and target distances only when the step floors cannot settle their tests
-(FLOOR_SLACK states the rule).  The gaps are the instant's only
-measurement: reactivation, the sweep's touching and penetration tests and
-event detection all read them.  The trace's `clearance`, which `metrics`
-reports, is one fold over the sample columns at the end of the run.
-The executor integrates the unicycle flow with fixed-step classical RK4
-under zero-order-hold inputs, and `detect_event` finds the first contact
-inside a step: a cull by how far the step can move each pair, then one
-certified depth-first search of the step for each pair left.  It applies
-the collision/impulse jump maps (which change headings, speeds and phases
-in place, never positions), and records everything in an ordered trace.
-Inside a run poses (x, y, theta) and inputs (v, w) are exact tuples, which
-build and unpack faster than `RobotState` and `ControlInput` (callers and
-`local_control` may still pass those).  Every value that leaves the loop
-is a NamedTuple: the trace records, `EventHit`, `ReactivationEvent`, the
-`Trace` and its metrics.  The one mutable state is `HybridState`, a plain
-slotted class that jumps change in place.  The trace is columnar: each
-robot sample is seven packed doubles in one `array("d")`, every other
-record sits in the log, and `Trace.records` rebuilds the interleaved list
-only when read.  Each trace record's fields follow its trace.csv row's
-column order, so one `%` with the type's `ROW` template writes the row.
-`trace_lines` formats each record once, each sample straight from the
-columns; `write_trace_csv` streams those lines, and `write_plot_csv`
-projects each robot's plot file from them by copying the sample cells, or,
-with no trace.csv, formats only those cells from the columns.  `metrics`
-is a pure fold over the log into immutable `RobotMetrics`.
+record.  The executor integrates the unicycle flow with fixed-step
+classical RK4 under zero-order-hold inputs (`step_flow`), finds the first
+contact inside a step (`detect_event`), applies the collision/impulse
+jump maps, which change headings, speeds and phases in place, never
+positions, and records everything in an ordered trace (`Trace`).
 
 Hybrid time is the pair (t, jumps).  A run stops at t_max, when every
 robot has reached its target, when the jump counter reaches the
@@ -43,6 +19,10 @@ The SimMode REDESIGNED runs the full strategy, while
 PREDEFINED_ONLY still resolves collision physics (headings and speeds
 jump) but never applies impulses or local phases - the ablation that
 exhibits chattering/deadlock.
+
+`FLOOR_SLACK` states when an instant measures; `Trace` and the section
+"Trace records" give the trace's layout, and `trace_lines` its CSV rows;
+README's opening states which values are exact tuples inside a run.
 """
 
 from __future__ import annotations
@@ -58,6 +38,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .collision import (
     CONTACT_TOL,
+    CoincidentCentersError,
     ContactQuery,
     ContactStatus,
     PenetrationError,
@@ -65,7 +46,6 @@ from .collision import (
     resolve_collision,
 )
 from .controller import Input, Pose, RegionError, predefined_control
-from .frames import CoincidentCentersError
 from .redesign import (
     DegenerateTargetError,
     GeometryError,
@@ -290,7 +270,7 @@ class Trace(NamedTuple):
     def records(self) -> list:
         """Every record in run order, each sample rebuilt as a FlowSample;
         built on each read, so a run's writers never read it."""
-        robot_ids = sorted(self.scenario.robot_ids())
+        robot_ids = self.scenario.robot_ids()
         rows = SAMPLE.iter_unpack(self.samples)
         out = []
         for record in self.log:
@@ -772,7 +752,7 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
     if violations:
         raise ValueError("scenario does not validate: " + "; ".join(violations))
 
-    robot_ids = sorted(scenario.robot_ids())
+    robot_ids = scenario.robot_ids()
     params = scenario.params
     targets = scenario.targets
     tolerance = scenario.target_tolerance
@@ -1063,7 +1043,7 @@ def metrics(trace: Trace) -> TraceMetrics:
     """Pure fold over the trace's log (the samples are not read); each
     robot's minimum clearance is the trace's `clearance`, its smallest row
     gap at any instant the run settled."""
-    robot_ids = sorted(trace.scenario.robot_ids())
+    robot_ids = trace.scenario.robot_ids()
     collisions = dict.fromkeys(robot_ids, 0)
     # each robot's first target-reached time
     completion: dict[int, float] = {}
@@ -1118,7 +1098,7 @@ def trace_lines(trace: Trace) -> Iterator[str]:
     one robot's row template (its id filled in) per sample."""
     yield CSV_HEADER + "\n"
     # the first `%d` of the sample row is the robot id
-    robot_ids = sorted(trace.scenario.robot_ids())
+    robot_ids = trace.scenario.robot_ids()
     templates = [FlowSample.ROW.replace("%d", str(rid), 1) for rid in robot_ids]
     values = SAMPLE.iter_unpack(trace.samples)
     for record in trace.log:
@@ -1139,15 +1119,11 @@ def write_trace_csv(trace: Trace, path) -> None:
         fh.writelines(trace_lines(trace))
 
 
-PLOT_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
-
-
-def write_plot_csv(source: Trace | Iterable[str], paths: Mapping) -> None:
+def write_plot_csv(lines: Iterable[str], paths: Mapping) -> None:
     """Write each robot's samples to `paths[robot_id]` as `t,x,y,theta,v,w`
-    rows.  Given trace.csv's lines, stream them once and copy the cells of
-    each sample row, never formatting them again (the header and every
-    other record type are skipped).  Given the `Trace` itself, format only
-    those six cells of each sample, from its columns."""
+    rows: stream trace.csv's lines once and copy the cells of each sample
+    row, never formatting them again (the header and every other record
+    type are skipped)."""
     with ExitStack() as stack:
         files = {
             str(rid): stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
@@ -1155,16 +1131,7 @@ def write_plot_csv(source: Trace | Iterable[str], paths: Mapping) -> None:
         }
         for fh in files.values():
             fh.write("t,x,y,theta,v,w\n")
-        if isinstance(source, Trace):
-            robot_ids = sorted(source.scenario.robot_ids())
-            stride = SAMPLE_WIDTH * len(robot_ids)
-            for k, rid in enumerate(robot_ids):
-                start = SAMPLE_WIDTH * k
-                # t, x, y, theta, v and w: every column but q
-                columns = [source.samples[start + c :: stride] for c in range(6)]
-                files[str(rid)].writelines(map(PLOT_ROW.__mod__, zip(*columns)))
-            return
-        for line in source:
+        for line in lines:
             # sample row: t,sample,robot_id,,x,y,theta,v,w,q,
             t, kind, rid, _, rest = line.split(",", 4)
             if kind == "sample":

@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .scenario import ControlInput
-
 ON_CIRCLE_TOL = 1e-6
 VERTICAL_EPS = 1e-9
 HEADING_TIE_TOL = 1e-9
@@ -177,9 +175,10 @@ def impulse(theta_escape: float, theta_plus: float) -> float:
     return theta_escape - theta_plus
 
 
-def local_control(phase: LocalPhase) -> ControlInput:
-    """Constant escape input (v_loc, 0); zero spin keeps the heading pinned."""
-    return ControlInput(phase.v_loc, 0.0)
+def local_control(phase: LocalPhase) -> tuple[float, float]:
+    """Constant escape input (v_loc, 0) as an exact tuple; zero spin keeps
+    the heading pinned."""
+    return (phase.v_loc, 0.0)
 
 
 def escape_distance(other_is_robot: bool, r_other: float) -> float:

@@ -174,7 +174,8 @@ class Scenario(NamedTuple):
         return tuple(b for b in self.bodies if not b.is_robot)
 
     def robot_ids(self) -> tuple[int, ...]:
-        return tuple(b.id for b in self.robots())
+        """The robots' ids in id order, the order of every per-robot output."""
+        return tuple(sorted(b.id for b in self.robots()))
 
     def body(self, body_id: int) -> Body:
         for b in self.bodies:

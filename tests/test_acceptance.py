@@ -12,9 +12,8 @@ from pathlib import Path
 import pytest
 
 from bumpsim.cli import main as cli_main
-from bumpsim.collision import ContactQuery, resolve_collision
+from bumpsim.collision import ContactQuery, build_local_frame, resolve_collision
 from bumpsim.controller import ControllerTerms, controller_terms, predefined_control
-from bumpsim.frames import build_local_frame
 from bumpsim.hybrid import (
     FaultRecord,
     FlowSample,

@@ -6,13 +6,13 @@ import pytest
 from bumpsim.collision import (
     ContactQuery,
     ContactStatus,
+    build_local_frame,
     check_collision,
     heading_changed,
     post_velocity,
     resolve_collision,
     resolve_normal,
 )
-from bumpsim.frames import build_local_frame
 
 UNBOUNDED = math.inf
 

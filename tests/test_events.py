@@ -1184,12 +1184,12 @@ def test_crossing_makes_no_python_call_outside_its_layers():
     # An instant calls only the traced layers: two `predefined_control`
     # (each with `controller_terms`), two `step_flow` and one
     # `detect_event`, 7 calls, plus the rare event, jump and phase calls:
-    # 138,885 in all over 19,712 instants (217,935 when each controller
+    # 138,685 in all over 19,712 instants (217,935 when each controller
     # call also called its branch decision and its clamp, 11 calls an
     # instant).  An instant that measures nothing calls nothing more.  A
     # helper or comprehension put back in the per-instant pass adds 19,711
     # or more, a helper at each target measurement about 5,400, both more
-    # than the margin of 3,115; a `gap` call per pair and two comprehensions
+    # than the margin of 3,315; a `gap` call per pair and two comprehensions
     # took 358,525.
     assert profiled_calls(SimMode.REDESIGNED) < 142_000
 
@@ -1212,10 +1212,11 @@ def test_crossing_builds_no_named_tuple_per_instant_but_its_decisions():
     # Poses, inputs and controller terms are exact tuple displays, which
     # call no `tuple.__new__`; each of the 39,224 controller calls builds its
     # `ControlDecision` by it, and the rest of the run, its contacts
-    # included, 227 more values: 39,451 in all.  A NamedTuple per robot step, input or
-    # terms put back adds 39,224 or more, one per instant 19,711, both more
-    # than the margin of 549 (157,955 when the poses, the nominal input and
-    # the terms were NamedTuples).
+    # included, 27 more values: 39,251 in all (39,451 when each local
+    # phase's input was a `ControlInput`).  A NamedTuple per robot step,
+    # input or terms put back adds 39,224 or more, one per instant 19,711,
+    # both more than the margin of 749 (157,955 when the poses, the nominal
+    # input and the terms were NamedTuples).
     assert profiled_calls(SimMode.REDESIGNED, tuple.__new__) < 40_000
 
 

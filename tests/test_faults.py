@@ -18,9 +18,8 @@ import pytest
 
 from bumpsim import collision, controller, hybrid
 from bumpsim.cli import main
-from bumpsim.collision import PenetrationError
+from bumpsim.collision import CoincidentCentersError, PenetrationError
 from bumpsim.controller import ControllerTerms, RegionError
-from bumpsim.frames import CoincidentCentersError
 from bumpsim.hybrid import FAULTS, CollisionRecord, FaultRecord, FlowSample, SimMode, metrics, simulate
 from bumpsim.redesign import DegenerateTargetError, GeometryError, NonSeparableError
 from bumpsim.scenario import load_scenario, validate_scenario

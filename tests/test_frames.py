@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from bumpsim.frames import (
+from bumpsim.collision import (
     CoincidentCentersError,
     build_local_frame,
     decompose_velocity,

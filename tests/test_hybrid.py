@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from bumpsim import hybrid
+from bumpsim.collision import build_local_frame
 from bumpsim.hybrid import (
     CollisionRecord,
     FaultRecord,
@@ -31,7 +32,6 @@ from bumpsim.hybrid import (
     step_flow,
     trace_to_csv,
 )
-from bumpsim.frames import build_local_frame
 from bumpsim.redesign import LocalPhase
 from bumpsim.scenario import ControlInput, RobotState, load_scenario
 from conftest import audit_passes

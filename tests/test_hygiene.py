@@ -7,7 +7,7 @@ that `simulate` ends a run with, and no two value classes of the engine
 declare the same field list.  A value class is a NamedTuple, a dataclass,
 or a class that assigns `__slots__` (its fields are its annotated names or,
 without annotations, its slot names).  The engine sources also stay within
-a line budget.
+a line budget, and README's "Layout" names each engine module once.
 
 No linter ships with the project, so these stdlib `ast` checks catch the
 imports, parameters, fields and helpers that deleting code leaves behind.
@@ -22,6 +22,7 @@ field).
 import ast
 import builtins
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -366,7 +367,7 @@ def test_check_flags_a_builtin_raise():
     assert raised_builtins(source) == [("ValueError", 3), ("KeyError", 5)]
 
 
-@pytest.mark.parametrize("module", ["collision", "controller", "frames", "redesign"])
+@pytest.mark.parametrize("module", ["collision", "controller", "redesign"])
 def test_every_engine_error_is_a_fault(module):
     # an error missing from FAULTS would escape `simulate` as a traceback
     # instead of ending the run as a fatal FaultRecord
@@ -383,13 +384,21 @@ def test_every_engine_error_is_a_fault(module):
     assert escaping == []
 
 
-# `wc -l src/bumpsim/*.py` when poses, inputs and controller terms became
-# exact tuples inside a run, as when the controller came to decide and
-# saturate in one body.  A change that cuts lines lowers it; one that must
-# raise it says why in CHANGES.md.
-SOURCE_LINE_BUDGET = 2439
+# `wc -l src/bumpsim/*.py` once the pair frame folded into `collision` and
+# the plot files came to project only trace.csv lines.  A change that cuts
+# lines lowers it; one that must raise it says why in CHANGES.md.
+SOURCE_LINE_BUDGET = 2394
 
 
 def test_source_stays_within_its_line_budget():
     lines = sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))
     assert lines <= SOURCE_LINE_BUDGET, lines
+
+
+def test_readme_layout_names_exactly_the_engine_modules():
+    # a merged, split or renamed module leaves no stale or missing bullet
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    layout = readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    named = re.findall(r"^- `src/bumpsim/(\w+)\.py`", layout, re.MULTILINE)
+    engine = [p.stem for p in SRC.glob("*.py") if p.stem not in ("__init__", "__main__")]
+    assert sorted(named) == sorted(engine)

@@ -163,7 +163,8 @@ def test_impulse_no_wrapping():
 def test_local_control_constant():
     phase = LocalPhase(collided_id=9, v_loc=5.0, t_dur=0.2)
     u = local_control(phase)
-    assert (u.v, u.w) == (5.0, 0.0)
+    assert u == (5.0, 0.0)
+    assert type(u) is tuple
 
 
 def test_local_speed_must_be_positive():

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import WEDGE
 
-from bumpsim.hybrid import simulate
+from bumpsim.hybrid import simulate, trace_to_csv
 from bumpsim.scenario import (
     MAGNITUDE_LIMIT,
     PARAM_FIELDS,
@@ -222,6 +222,17 @@ def crossing_with_body(index, **changes):
     bodies = list(sc.bodies)
     bodies[index] = bodies[index]._replace(**changes)
     return sc._replace(bodies=tuple(bodies))
+
+
+def test_robot_ids_are_in_id_order():
+    # robot 2 listed first: the ids, and so every per-robot output, still
+    # go robot 1, robot 2, and the run writes the same trace
+    sc = load_crossing()._replace(t_max=1.0)
+    robot_1, robot_2, *obstacles = sc.bodies
+    swapped = sc._replace(bodies=(robot_2, robot_1, *obstacles))
+    assert [b.id for b in swapped.robots()] == [2, 1]
+    assert swapped.robot_ids() == (1, 2)
+    assert trace_to_csv(simulate(swapped)) == trace_to_csv(simulate(sc))
 
 
 def assert_rejected(sc, violation):

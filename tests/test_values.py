@@ -26,9 +26,8 @@ from pathlib import Path
 import pytest
 
 from bumpsim import collision, hybrid
-from bumpsim.collision import CollisionOutcome, ContactQuery, resolve_collision
+from bumpsim.collision import CollisionOutcome, ContactQuery, LocalFrame, build_local_frame, resolve_collision
 from bumpsim.controller import ControlDecision, ControllerTerms, Input, Pose, Region, predefined_control
-from bumpsim.frames import LocalFrame, build_local_frame
 from bumpsim.hybrid import (
     CSV_HEADER,
     CollisionRecord,
@@ -225,11 +224,12 @@ def test_flow_steps_and_decisions_are_their_declared_types():
     ids=["crossing", "chatter", "example1-predefined"],
 )
 def test_a_run_carries_poses_and_inputs_as_exact_tuples(name, mode, monkeypatch):
-    # every pose `step_flow` takes or returns, every input it holds and every
-    # decision the loop reads its `u` from, over a whole run; only a local
-    # phase's input is a `ControlInput`.  Of the golden runs only
-    # example1-predefined steps on inputs the contact sweep refreshed.
-    steps, decisions, local = [], [], {}
+    # every pose `step_flow` takes or returns, every input it holds, every
+    # local phase's input and every decision the loop reads its `u` from,
+    # over a whole run.  Of the golden runs only example1-predefined steps on
+    # inputs the contact sweep refreshed, and only crossing redesigned runs
+    # local phases.
+    steps, decisions, local = [], [], []
     real_step, real_control, real_local = hybrid.step_flow, hybrid.predefined_control, hybrid.local_control
 
     def stepping(state, u, dt):
@@ -244,8 +244,7 @@ def test_a_run_carries_poses_and_inputs_as_exact_tuples(name, mode, monkeypatch)
 
     def escaping(phase):
         u = real_local(phase)
-        # kept alive, so no other value takes its id
-        local[id(u)] = u
+        local.append(u)
         return u
 
     monkeypatch.setattr(hybrid, "step_flow", stepping)
@@ -253,9 +252,12 @@ def test_a_run_carries_poses_and_inputs_as_exact_tuples(name, mode, monkeypatch)
     monkeypatch.setattr(hybrid, "local_control", escaping)
     simulate(golden_scenario(name), mode)
     assert len(steps) > 1000 and len(decisions) > 1000
+    assert len(local) == (200 if mode is SimMode.REDESIGNED else 0)
     for state, u, pose in steps:
         assert conforms(state, Pose) and conforms(pose, Pose), (state, pose)
-        assert conforms(u, Input) or (type(u) is ControlInput and id(u) in local), u
+        assert conforms(u, Input), u
+    for u in local:
+        assert conforms(u, Input), u
     for decision in decisions:
         assert_decision(decision)
 
