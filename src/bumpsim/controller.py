@@ -14,6 +14,19 @@ closed-form branches, depending on which of the two inequality constraints
 is active, computes its nominal input where its test decides and saturates
 that input component-wise to the input box.  The terms and inputs are
 exact tuples; a call's one NamedTuple is its `ControlDecision`.
+
+Region floors.  The fold decides only region 2's test b > bound.  The
+executor's floor (h_lo, grad_hi) has h_lo at most the h and grad_hi at
+least the |e| that the fold would compute, wherever h_lo > 0
+(`hybrid.REGION_SLACK`).  Given one, a call reads a, c and s alone
+(`controller_terms` with no rows) and certifies region 2 where a >= 0,
+(c, s) is not flat and sigma3 h_lo > rho grad_hi |c| a / ((rho + 1) (c^2 +
+s^2)): the test with h_lo for h and grad_hi for |e|, in the same order of
+operations, whose right side is at least 0.  Rounding is monotone and rho,
+sigma3 > 0, so the fold would give b > bound; the call returns region 2
+with the same input bits and no terms.  With the nominal speed |v| = |k c|
+the test reads sigma3 h_lo > grad_hi |v|: dh/dt = e v > -sigma3 h at any
+heading.
 """
 
 from __future__ import annotations
@@ -78,7 +91,7 @@ class ControlDecision(NamedTuple):
     u: Input
     u_nom: Input
     region: Region
-    terms: Terms
+    terms: Terms | None
     degenerate: bool
 
 
@@ -140,6 +153,7 @@ def predefined_control(
     target: Pose,
     rows: Sequence[Row],
     params: Gains,
+    floor: tuple[float, float] | None = None,
 ) -> ControlDecision:
     """Evaluate the full controller at one state snapshot, in one body.
 
@@ -156,13 +170,29 @@ def predefined_control(
     overflowed raise OverflowError naming the first such product; other
     terms that match no region (NaN) raise RegionError.  The returned input
     is the nominal one clamped component-wise to the input box, signs kept:
-    the nominal input itself when it lies inside the box.
+    the nominal input itself when it lies inside the box.  With a `floor`,
+    a call the module's region-floor test certifies skips the clearance
+    terms and returns region 2 with `terms` None; any other runs the full
+    evaluation, as a call without one does.
     """
-    rho, _, _, _, m_v, m_w, _ = params
-    terms = controller_terms(robot_id, states, target, rows, params)
-    _, _, a, b, c, s, e = terms
-    degenerate = False
-    if a < 0.0 and b > 0.0:
+    rho, _, _, sigma3, m_v, m_w, _ = params
+    degenerate = certified = False
+    if floor is not None:
+        # the region floor (module docstring): region 2 on the tracking terms
+        h_lo, grad_hi = floor
+        _, _, a, _, c, s, _ = controller_terms(robot_id, states, target, (), params)
+        cs2 = c * c + s * s
+        certified = (
+            a >= 0.0 and cs2 >= DENOM_EPS and sigma3 * h_lo > rho * grad_hi * abs(c) * a / ((rho + 1.0) * cs2)
+        )
+    if not certified:
+        terms = controller_terms(robot_id, states, target, rows, params)
+        _, _, a, b, c, s, e = terms
+    if certified:
+        region, terms = OMEGA2, None
+        k = -rho / (rho + 1.0) * a / cs2
+        v, w = k * c, k * s
+    elif a < 0.0 and b > 0.0:
         region, v, w = OMEGA1, 0.0, 0.0
     else:
         cs2 = c * c + s * s

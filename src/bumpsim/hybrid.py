@@ -45,7 +45,7 @@ from .collision import (
     check_collision,
     resolve_collision,
 )
-from .controller import Input, Pose, RegionError, predefined_control
+from .controller import OMEGA2, ControlDecision, Input, Pose, RegionError, predefined_control
 from .redesign import (
     DegenerateTargetError,
     GeometryError,
@@ -139,6 +139,23 @@ BOUND_SLACK = 32.0 * math.ulp(1.0)
 #   every skipped square stays below (2 d)^2 < 2^1022: none could have
 #   overflowed; a robot farther away measures every instant.
 FLOOR_SLACK = 8.0 * BOUND_SLACK
+# Region floors, the rule and the relative slack s = REGION_SLACK (n + 8) of
+# a robot with n rows.  A full controller evaluation in region 2, not
+# degenerate, anchors the robot's floor at its fold h0 (`region_floor`).
+# With P = h0 + the rows' sum of rsum^2 and D = sqrt(n P) (1 + s), the j-th
+# instant on gets h_lo = h0 - s P - 2 D M j and grad_hi = 2 (D + n M j) (1 +
+# s), M the pairs' with S + 2 g replaced by S + h0 / D.  They need hold only
+# while h_lo > 0, as no lower floor certifies, so j M < h0 / (2 D).  j is a
+# count, and a sweep jump, whose refreshed speed may leave the box, clears
+# every anchor.  The fold computes h within b (sum d^2 + sum rsum^2), b =
+# (n + 6) eps, so the exact sum d0^2 <= P (1 + 4 b), and sum d0 <= D by
+# Cauchy-Schwarz (with 4 eps for D's rounding).  Each row distance moves by
+# at most j M, so h >= h(anchor) - 2 j M D and sum d^2 <= 2.25 P: the exact
+# and computed h stay above h_lo, which rounds by 6 eps P, as 5.3 b + 6 eps
+# < s.  |grad h| = 2 |sum (p - o)| <= 2 sum d <= 2 (D + n j M), the computed
+# |e| <= 2 sum d (1 + (n + 4) eps), and grad_hi rounds by 5 eps.  D < 2^500
+# keeps each skipped square below 2^1002, so none overflows.
+REGION_SLACK = 4.0 * math.ulp(1.0)
 # Every error the engine raises during a run, builtin or its own, and arithmetic
 # overflow: `simulate` ends the run on any of them with a fatal FaultRecord.
 FAULTS = (
@@ -738,6 +755,34 @@ def reactivation_due(phase: LocalPhase, row_gaps: Iterable[float]) -> bool:
     return False
 
 
+def region_floor(
+    steps: int, decision: ControlDecision, consts: tuple[int, float, float, float], states: Mapping[int, Pose]
+) -> tuple[int, float, float, float, float] | None:
+    """The floor (steps, h_top, h_drop, g_top, g_rise) that a full evaluation
+    at instant `steps` anchors: j steps on, h_lo = h_top - h_drop j and
+    grad_hi = g_top + g_rise j (REGION_SLACK's rule; `consts` is n, the rows'
+    sum of rsum^2, `pair_drift` and sigma3).  None unless the decision is
+    region 2, not degenerate, and its nominal speed |v| passes sigma3 h0 >
+    2 sqrt(n P) |v|: the certificate sigma3 h_lo > grad_hi |v| fails at
+    once for any other, as h_lo <= h0 and grad_hi >= 2 sqrt(n P)."""
+    n, r2, drift, sigma3 = consts
+    h0, speed = decision.terms[1], decision.u_nom[0]
+    p0 = h0 + r2
+    if decision.region is not OMEGA2 or decision.degenerate or not (
+        h0 > 0.0 and sigma3 * h0 * sigma3 * h0 > 4.0 * n * p0 * speed * speed
+    ):
+        return None
+    slack = REGION_SLACK * (n + 8)
+    d0 = math.sqrt(n * p0) * (1.0 + slack)
+    if not d0 < 2.0**500:
+        return None
+    scale = 0.0
+    for x, y, _ in states.values():
+        scale += abs(x) + abs(y)
+    drift += FLOOR_SLACK * (scale + h0 / d0)
+    return steps, h0 - slack * p0, 2.0 * d0 * drift, 2.0 * d0 * (1.0 + slack), 2.0 * n * drift * (1.0 + slack)
+
+
 def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trace:
     """Run one deterministic simulation and return the full trace.
 
@@ -778,6 +823,14 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
     rsum_max = max((pair.rsum for pair in pairs), default=0.0)
     pair_drift = n_robots * params.m_v * dt * (1.0 + FLOOR_SLACK)
     pose_drift = (params.m_v + params.m_w) * dt * (1.0 + FLOOR_SLACK)
+    # the region floors (REGION_SLACK): the steps taken, and each robot's
+    # anchor (`region_floor`) or None and the constants it reads
+    steps = 0
+    anchors = dict.fromkeys(robot_ids)
+    floor_consts = {
+        rid: (len(rows), sum(rsum * rsum for _, _, rsum, _ in rows), pair_drift, params.sigma3)
+        for rid, _, rows, _ in robots
+    }
 
     hs = HybridState(
         t=0.0,
@@ -852,6 +905,8 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
                     resolved_pairs.add((i, j))
                     continue
                 progress = True
+                # the refreshed speed below may leave the input box
+                anchors.update(dict.fromkeys(robot_ids))
                 for rid, v_plus in apply_jump(query).items():
                     phase = phases[rid]
                     if phase is not None:
@@ -935,7 +990,17 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
                             if phase is not None:
                                 inputs[rid] = local_control(phase)
                             else:
-                                inputs[rid] = predefined_control(rid, states, target, own_rows, gains).u
+                                anchor = anchors[rid]
+                                floor = None
+                                if anchor is not None:
+                                    j0, h_top, h_drop, g_top, g_rise = anchor
+                                    j = steps - j0
+                                    floor = (h_top - h_drop * j, g_top + g_rise * j)
+                                decision = predefined_control(rid, states, target, own_rows, gains, floor)
+                                inputs[rid] = decision.u
+                                if (anchor is not None or decision.region is OMEGA2) and decision.terms is not None:
+                                    # a full evaluation re-anchors the floor, or clears it
+                                    anchors[rid] = region_floor(steps, decision, floor_consts[rid], states)
                         if gaps and min(gaps) <= CONTACT_TOL:
                             sweep(states, gaps, inputs)
             except FAULTS:
@@ -979,6 +1044,7 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
                     rid: step_flow(states[rid], inputs[rid], advance) for rid in robot_ids
                 }
             hs.t += advance
+            steps += 1
             for phase in held:
                 phase.elapsed += advance
             if resolved_pairs:

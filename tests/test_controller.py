@@ -347,9 +347,9 @@ def test_exact_tuple_constants_decide_as_the_named_tuples(monkeypatch):
     control = hybrid.predefined_control
     handed = []
 
-    def recording(robot_id, states, target, rows, params):
+    def recording(robot_id, states, target, rows, params, floor):
         handed.append((target, *rows, params))
-        return control(robot_id, states, target, rows, params)
+        return control(robot_id, states, target, rows, params, floor)
 
     monkeypatch.setattr(hybrid, "predefined_control", recording)
     hybrid.simulate(scenario._replace(t_max=0.01))
@@ -404,6 +404,39 @@ def test_determinism_bit_identical():
     assert d1.u == d2.u
     assert d1.u_nom == d2.u_nom
     assert d1.region is d2.region
+
+
+def test_a_floor_at_zero_clearance_certifies_nothing():
+    # The robot touches the obstacle (h = 3^2 + 4^2 - 5^2 = 0 exactly) with
+    # its target straight ahead of its side (c = 0), so b = 0 = bound and the
+    # full evaluation leaves region 2.  The floor (0, |e|) holds, and its test
+    # 0 > 0 must fail: a non-strict one would certify region 2.
+    bodies = [Body(1, BodyKind.ROBOT, 2.0, 1.0, 0.0, 0.0, 0.0), Body(3, BodyKind.OBSTACLE, 3.0, UNBOUNDED, 3.0, 4.0)]
+    states, target, rows = {1: RobotState(0.0, 0.0, 0.0)}, RobotState(0.0, 5.0, 1.0), rows_of(bodies, 1)
+    full = predefined_control(1, states, target, rows, EX1_PARAMS)
+    t = ControllerTerms(*full.terms)
+    assert (t.h, t.c, abs(t.e)) == (0.0, 0.0, 6.0) and full.region is Region.OMEGA4
+    assert predefined_control(1, states, target, rows, EX1_PARAMS, (0.0, 6.0)) == full
+
+
+def test_a_tight_floor_certifies_region_2_with_the_bits_of_the_full_evaluation():
+    # The tightest floor the certificate accepts: the fold's own h and |e|.
+    # Wherever it certifies, the full evaluation gives region 2 and the same
+    # input bits; elsewhere the call is the full evaluation.
+    rng = random.Random(20261021)
+    certified = 0
+    for _ in range(3000):
+        rows, states, target = _random_setup(rng)
+        full = predefined_control(1, states, target, rows, EX1_PARAMS)
+        t = ControllerTerms(*full.terms)
+        floored = predefined_control(1, states, target, rows, EX1_PARAMS, (t.h, abs(t.e)))
+        if floored.terms is None:
+            certified += 1
+            assert full.region is Region.OMEGA2 and not full.degenerate
+            assert repr((floored.u, floored.u_nom)) == repr((full.u, full.u_nom))
+        else:
+            assert repr(floored) == repr(full)
+    assert certified > 1000
 
 
 def _solve_linear(A, rhs):

@@ -11,15 +11,22 @@ collision-heavy runs, the order of their certified ends, and brackets at
 the edge of the shortcut), the step
 floors (every instant that measures nothing would have culled every row,
 reached no contact and no target; on the golden runs, on one where a jump
-turns a robot to its target, and on random scenes), the gap budget, the
-call and NamedTuple-build budgets of `crossing` and `chatter`, and
-bisection at offsets where one ulp exceeds the time tolerance."""
+turns a robot to its target, and on random scenes), the region floors
+(every certified controller call is the full evaluation's region 2 with
+its bits, on the same runs; a floor follows only a region-2 fold and
+never crosses a sweep jump; no floor anchors past a row bound of 2^500 or
+certifies a flat tracking gradient; the folds the all-region-2 runs still
+take; a step cut short lowers the floor as a full one does), the gap
+budget, the call and NamedTuple-build budgets of `crossing` and
+`chatter`, and bisection at offsets where one ulp exceeds the time
+tolerance."""
 
 import ast
 import json
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 from fractions import Fraction
@@ -31,6 +38,7 @@ from hypothesis import strategies as st
 
 from bumpsim import hybrid
 from bumpsim.collision import CONTACT_TOL
+from bumpsim.controller import ControlDecision, Region
 from bumpsim.hybrid import (
     EVENT_TIME_TOL,
     SAMPLE,
@@ -1117,6 +1125,181 @@ def test_random_scenes_leave_no_skipped_test_undecided(case):
     assert_target_marks(trace)
 
 
+# --- region floors: what a certified controller call leaves out --------------
+
+
+def run_under_region_oracle(scenario, mode):
+    """`simulate` with `predefined_control` wrapped.  Each call that the
+    region floor certified (a floor in, no terms out) is evaluated again
+    with no floor, which must give region 2, not degenerate, with the same
+    bits of `u` and `u_nom`; a robot gets a floor only after a full
+    evaluation of its own that landed in region 2, not degenerate, and none
+    across a jump of the contact sweep, whose refreshed speed the next step
+    holds and may leave the input box.  Returns the trace and each call's
+    (robot id, floor, decision), in run order."""
+    real = hybrid.predefined_control
+    real_check, real_jump, real_flow = hybrid.check_collision, hybrid.jump, hybrid.step_flow
+    calls = []
+    anchored = {}
+    # the sweep alone tests for a collision before a jump, and a step ends it
+    sweeping = [False]
+    swept = set()
+
+    def checking(query):
+        sweeping[0] = True
+        return real_check(query)
+
+    def jumping(hs, *args):
+        if sweeping[0]:
+            swept.update(hs.states)
+        return real_jump(hs, *args)
+
+    def flowing(*args):
+        sweeping[0] = False
+        return real_flow(*args)
+
+    def checked(robot_id, states, target, rows, params, floor):
+        decision = real(robot_id, states, target, rows, params, floor)
+        assert floor is None or anchored[robot_id] and robot_id not in swept, (robot_id, floor)
+        swept.discard(robot_id)
+        if decision.terms is None:
+            full = real(robot_id, states, target, rows, params)
+            assert floor is not None and full.region is Region.OMEGA2 and not full.degenerate, full
+            assert struct.pack("4d", *full.u, *full.u_nom) == struct.pack("4d", *decision.u, *decision.u_nom)
+        else:
+            anchored[robot_id] = decision.region is Region.OMEGA2 and not decision.degenerate
+        calls.append((robot_id, floor, decision))
+        return decision
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(hybrid, "predefined_control", checked)
+        m.setattr(hybrid, "check_collision", checking)
+        m.setattr(hybrid, "jump", jumping)
+        m.setattr(hybrid, "step_flow", flowing)
+        trace = simulate(scenario, mode)
+    return trace, calls
+
+
+def test_only_a_region_2_fold_that_is_not_degenerate_anchors():
+    # a fold with clearance to spare, at rest at its target: only its region
+    # and degeneracy flag decide whether it anchors a floor
+    terms = (0.0, 16.0, 0.0, 19.2, 0.0, 0.0, 0.0)
+    consts, states = (1, 1.0, 1e-3, 1.2), {1: (0.0, 0.0, 0.0)}
+    for region in Region:
+        for degenerate in (False, True):
+            decision = ControlDecision((0.0, 0.0), (0.0, 0.0), region, terms, degenerate)
+            anchor = hybrid.region_floor(7, decision, consts, states)
+            assert (anchor is not None) == (region is Region.OMEGA2 and not degenerate), (region, degenerate)
+            assert anchor is None or anchor[0] == 7
+
+
+def test_a_fold_whose_row_bound_reaches_two_to_the_500_anchors_nothing():
+    # past D = 2^500 a skipped square could overflow, which the fold raises
+    consts, states = (1, 1.0, 1e-3, 1.2), {1: (0.0, 0.0, 0.0)}
+    for h0, anchors in ((2.0**998, True), (2.0**1001, False)):
+        terms = (0.0, h0, 0.0, 1.2 * h0, 0.0, 0.0, 0.0)
+        decision = ControlDecision((0.0, 0.0), (0.0, 0.0), Region.OMEGA2, terms, False)
+        assert (hybrid.region_floor(0, decision, consts, states) is not None) == anchors
+
+
+def test_a_flat_tracking_gradient_is_left_to_the_full_evaluation():
+    # A robot closes on the target straight ahead of it (c = x - xd, s = 0)
+    # under floors until c^2 falls below DENOM_EPS, where the full
+    # evaluation takes region 2's degenerate branch and input (0, 0)
+    scenario = load_scenario(json.dumps({
+        "workspace": {"x_min": -20, "x_max": 20, "y_min": -20, "y_max": 20},
+        "bodies": [
+            {"id": 1, "kind": "robot", "radius": 0.5, "mass": 1.0, "x": 0.0, "y": 0.0, "theta": 0.0},
+            {"id": 3, "kind": "obstacle", "radius": 0.5, "mass": "unbounded", "x": 0.0, "y": 10.0},
+        ],
+        "targets": {"1": {"x": 0.01, "y": 0.0, "theta": 0.0}},
+        "params": {"rho": 9, "sigma1": 1.25, "sigma2": 0.6, "sigma3": 1.2, "mv": 5, "mw": 5},
+        "sim": {"dt": 0.01, "t_max": 22.0, "target_tolerance": 1e-6},
+    }))
+    _, calls = run_under_region_oracle(scenario, SimMode.PREDEFINED_ONLY)
+    flat = next(k for k, (_, _, decision) in enumerate(calls) if decision.degenerate)
+    assert sum(decision.terms is None for _, _, decision in calls[:flat]) > 1000
+    assert all(decision.degenerate for _, _, decision in calls[flat:])
+
+
+# Robots 1 and 2 drive side by side, each into its own obstacle, so their
+# crossings tie: the event jumps robot 1, and the same instant's sweep robot
+# 2 (`tests/test_hybrid.py`'s tied crossing), both under floors.
+TIED_CROSSINGS = {
+    "workspace": {"x_min": -50, "x_max": 50, "y_min": -50, "y_max": 50},
+    "bodies": [
+        {"id": 1, "kind": "robot", "radius": 1.0, "mass": 1.0, "x": 0.0, "y": 10.0, "theta": math.pi},
+        {"id": 2, "kind": "robot", "radius": 1.0, "mass": 1.0, "x": 0.0, "y": -10.0, "theta": math.pi},
+        {"id": 3, "kind": "obstacle", "radius": 1.0, "mass": "unbounded", "x": -5.0, "y": 10.0},
+        {"id": 4, "kind": "obstacle", "radius": 1.0, "mass": "unbounded", "x": -5.0, "y": -10.0},
+    ],
+    "targets": {"1": {"x": -10.0, "y": 10.0, "theta": math.pi}, "2": {"x": -10.0, "y": -10.0, "theta": math.pi}},
+    "params": {"rho": 9, "sigma1": 1.25, "sigma2": 0.6, "sigma3": 1.2, "mv": 5, "mw": 5},
+    "sim": {"t_max": 3.0, "jump_cap": 50},
+}
+
+
+@pytest.mark.parametrize("mode", list(SimMode), ids=lambda m: m.value)
+def test_a_sweep_jump_clears_every_region_floor(mode):
+    # the oracle fails a floor handed across the sweep's jump
+    _, calls = run_under_region_oracle(load_scenario(json.dumps(TIED_CROSSINGS)), mode)
+    assert sum(decision.terms is None for _, _, decision in calls) > 2000
+
+
+# Full evaluations (folds) of the runs whose every call lands in region 2:
+# the rest of their 39,224, 4,614 and 39,608 calls are certified.  A change
+# that stops certifying, or anchors less often, moves these counts.
+REGION_FOLDS = {"crossing-redesigned": 66, "crossing-predefined": 17, "open_field-redesigned": 96}
+
+
+@pytest.mark.parametrize("name, mode", GOLDEN_CASES, ids=GOLDEN_IDS)
+def test_region_floor_certifies_only_what_the_full_controller_decides(name, mode):
+    _, calls = run_under_region_oracle(golden_scenario(name), mode)
+    folds = sum(decision.terms is not None for _, _, decision in calls)
+    case = f"{name}-{mode.value}"
+    if case in REGION_FOLDS:
+        assert folds == REGION_FOLDS[case]
+    if name in ("crossing", "open_field"):
+        assert len(calls) - folds > 4000
+    if case == "example1-predefined":
+        # 54 calls in region 2, then the barrier holds the robot in region 4:
+        # no floor certifies past that flip
+        flip = next(k for k, (_, _, decision) in enumerate(calls) if decision.region is not Region.OMEGA2)
+        assert flip == 54 and all(decision.terms is not None for _, _, decision in calls[flip:])
+
+
+# derandomized: the same examples as the step floor oracle's
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(random_scenes())
+def test_random_scenes_certify_only_what_the_full_controller_decides(case):
+    run_under_region_oracle(*case)
+
+
+def test_every_step_lowers_the_region_floor_by_a_full_step():
+    # The floor counts steps, not time: a step that an event cuts to almost
+    # nothing still rounds every coordinate.  On chatter both robots take
+    # the controller at every instant but the capped last one, so a robot's
+    # k-th call is at instant k; within one anchor, h_lo falls by the same
+    # amount at every step, across the cut ones too.
+    trace, calls = run_under_region_oracle(crossing(), SimMode.PREDEFINED_ONLY)
+    times = [t for t, *_ in SAMPLE.iter_unpack(trace.samples)][::2]
+    dt = trace.scenario.dt
+    cut_inside = 0
+    for rid in (1, 2):
+        floors = [floor for robot_id, floor, _ in calls if robot_id == rid]
+        assert len(floors) == len(times) - 1
+        drops = []
+        for k in range(1, len(floors)):
+            if floors[k] is None or floors[k - 1] is None or floors[k][0] >= floors[k - 1][0]:
+                drops = []  # a new anchor
+                continue
+            drops.append(floors[k - 1][0] - floors[k][0])
+            cut_inside += times[k] - times[k - 1] < 0.5 * dt
+            assert drops[-1] == pytest.approx(drops[0], rel=1e-9), (rid, k, times[k] - times[k - 1])
+    # most of the 750 steps that end in contact lie inside one anchor
+    assert cut_inside > 1000
+
+
 # --- one gap per pair per instant --------------------------------------------
 
 
@@ -1182,15 +1365,18 @@ def profiled_calls(mode, builtin=None):
 
 def test_crossing_makes_no_python_call_outside_its_layers():
     # An instant calls only the traced layers: two `predefined_control`
-    # (each with `controller_terms`), two `step_flow` and one
-    # `detect_event`, 7 calls, plus the rare event, jump and phase calls:
-    # 138,685 in all over 19,712 instants (217,935 when each controller
-    # call also called its branch decision and its clamp, 11 calls an
-    # instant).  An instant that measures nothing calls nothing more.  A
-    # helper or comprehension put back in the per-instant pass adds 19,711
-    # or more, a helper at each target measurement about 5,400, both more
-    # than the margin of 3,315; a `gap` call per pair and two comprehensions
-    # took 358,525.
+    # (each with one `controller_terms`, which folds no row where the region
+    # floor certifies), two `step_flow` and one `detect_event`, 7 calls,
+    # plus the rare event, jump and phase calls, and at each of the 66 folds
+    # one `region_floor` (64 of them follow a floor that failed, whose call
+    # took `controller_terms` twice), and 9 for the floors' constants:
+    # 138,824 in all over 19,712 instants (217,935 when each controller call
+    # also called its branch decision and its clamp, 11 calls an instant).
+    # An instant that measures nothing calls nothing more.  A helper or
+    # comprehension put back in the per-instant pass adds 19,711 or more, a
+    # helper at each target measurement about 5,400, both more than the
+    # margin of 3,176; a `gap` call per pair and two comprehensions took
+    # 358,525.
     assert profiled_calls(SimMode.REDESIGNED) < 142_000
 
 
@@ -1199,29 +1385,32 @@ def test_chatter_makes_no_python_call_outside_its_contact_layers():
     # hit, `ContactQuery.build`, `build_local_frame`, `jump`,
     # `resolve_collision`) and the collision helpers below them, and builds
     # every value of that path positionally; a settled bisection certifies
-    # only its touching end: 32,060 calls in all.  Keyword builds, a
-    # per-call closure, the `position` property and the tie sort of a lone
-    # hit took 56,039; the separate branch decision and clamp of each
-    # controller call and all four certificates of each bisection 43,289.
-    # A keyword build that comes back adds 750 to 1,500 calls, more than
-    # the margin of 440.
+    # only its touching end; the region floor adds 41 calls (17 folds, 15
+    # failed floors and 9 for its constants): 32,101 in all.  Keyword
+    # builds, a per-call closure, the `position` property and the tie sort
+    # of a lone hit took 56,039; the separate branch decision and clamp of
+    # each controller call and all four certificates of each bisection
+    # 43,289.  A keyword build that comes back adds 750 to 1,500 calls, more
+    # than the margin of 399.
     assert profiled_calls(SimMode.PREDEFINED_ONLY) < 32_500
 
 
 def test_crossing_builds_no_named_tuple_per_instant_but_its_decisions():
-    # Poses, inputs and controller terms are exact tuple displays, which
-    # call no `tuple.__new__`; each of the 39,224 controller calls builds its
-    # `ControlDecision` by it, and the rest of the run, its contacts
-    # included, 27 more values: 39,251 in all (39,451 when each local
-    # phase's input was a `ControlInput`).  A NamedTuple per robot step,
-    # input or terms put back adds 39,224 or more, one per instant 19,711,
-    # both more than the margin of 749 (157,955 when the poses, the nominal
-    # input and the terms were NamedTuples).
+    # Poses, inputs, controller terms and region floors are exact tuple
+    # displays, which call no `tuple.__new__`; each of the 39,224 controller
+    # calls, certified or not, builds its `ControlDecision` by it, and the
+    # rest of the run, its contacts included, 27 more values: 39,251 in all
+    # (39,451 when each local phase's input was a `ControlInput`).  A
+    # NamedTuple per robot step, input or terms put back adds 39,224 or
+    # more, one per instant 19,711, both more than the margin of 749
+    # (157,955 when the poses, the nominal input and the terms were
+    # NamedTuples).
     assert profiled_calls(SimMode.REDESIGNED, tuple.__new__) < 40_000
 
 
 def test_chatter_builds_no_named_tuple_per_instant_but_its_decisions():
-    # 4,616 decisions over 2,308 instants, and the values of 750 contacts:
+    # 4,614 decisions, two at each of 2,308 instants but the capped last
+    # one, certified or not, and the values of 750 contacts:
     # 9,873 builds in all (27,222 with NamedTuple poses, nominal inputs and
     # terms).  One build more per instant adds 2,308, and one more per
     # contact 750, both more than the margin of 627.

@@ -384,10 +384,10 @@ def test_every_engine_error_is_a_fault(module):
     assert escaping == []
 
 
-# `wc -l src/bumpsim/*.py` once the pair frame folded into `collision` and
-# the plot files came to project only trace.csv lines.  A change that cuts
-# lines lowers it; one that must raise it says why in CHANGES.md.
-SOURCE_LINE_BUDGET = 2394
+# `wc -l src/bumpsim/*.py` once the controller's region floor landed (its
+# certificate, `region_floor` and their derivation; 2394 before).  A change
+# that cuts lines lowers it; one that must raise it says why in CHANGES.md.
+SOURCE_LINE_BUDGET = 2490
 
 
 def test_source_stays_within_its_line_budget():
