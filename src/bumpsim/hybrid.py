@@ -3,8 +3,8 @@
 Each robot carries a discrete mode q alongside its pose: q = 0 runs the
 predefined controller, q = 1 runs the constant-heading local escape
 controller installed after a heading-changing collision.  q is 1 exactly
-while the robot holds a LocalPhase; `HybridState.phases` is its only
-record.  The executor integrates the unicycle flow with fixed-step
+while the robot holds a LocalPhase, which `simulate`'s `phases` alone
+records.  The executor integrates the unicycle flow with fixed-step
 classical RK4 under zero-order-hold inputs (`step_flow`), finds the first
 contact inside a step (`detect_event`), applies the collision/impulse
 jump maps, which change headings, speeds and phases in place, never
@@ -353,12 +353,12 @@ class ContactPair(NamedTuple):
     fixed: tuple[float, float] | None
 
 
-def contact_pairs(bodies: Sequence[Body]) -> list[ContactPair]:
+def contact_pairs(scenario: Scenario) -> list[ContactPair]:
     """The pair table: the robot-robot pair first, then every robot against
-    every obstacle in body order, robots sorted by id."""
+    every obstacle in body order, robots in id order."""
     pairs: list[ContactPair] = []
-    robots = sorted((b for b in bodies if b.is_robot), key=lambda b: b.id)
-    obstacles = [b for b in bodies if not b.is_robot]
+    robots = [scenario.body(rid) for rid in scenario.robot_ids()]
+    obstacles = scenario.obstacles()
     if len(robots) == 2:
         pairs.append(ContactPair(robots[0].id, robots[1].id, robots[0].radius + robots[1].radius, None))
     for robot in robots:
@@ -611,65 +611,36 @@ def detect_event(
 
 
 # --------------------------------------------------------------------------
-# Hybrid state and jump maps
-
-
-class HybridState:
-    """The executor's mutable state: hybrid time (t, jumps), each robot's
-    pose, and each robot's local phase (None while q = 0)."""
-
-    __slots__ = ("t", "states", "phases", "jumps")
-
-    def __init__(
-        self,
-        t: float,
-        states: dict[int, Pose],
-        phases: dict[int, LocalPhase | None],
-        jumps: int = 0,
-    ) -> None:
-        self.t = t
-        self.states = states
-        self.phases = phases
-        self.jumps = jumps
-
-
-class ReactivationEvent(NamedTuple):
-    robot_id: int
+# Jump maps
 
 
 def jump(
-    hs: HybridState,
-    event: ContactQuery | ReactivationEvent,
+    query: ContactQuery,
+    t: float,
+    states: dict[int, Pose],
+    phases: dict[int, LocalPhase | None],
     scenario: Scenario,
     sim_mode: SimMode,
     records: list,
-) -> dict[int, float]:
-    """Apply one hybrid jump to `hs` in place, append its records to
-    `records` as it makes them, and return the post-collision speeds.
+) -> tuple[dict[int, float], int]:
+    """Apply the jump of one contact at instant `t` to the robots' `states`
+    and `phases` in place, append its records to `records` as it makes them,
+    and return the post-collision speeds and the number of jumps made (its
+    collision rows plus its switches).
 
-    A jump changes headings, speeds and local phases, never positions.
-    A ReactivationEvent clears the robot's local phase and switches it back
-    to the predefined controller with the pose untouched.  A ContactQuery
-    resolves the collision physics for its pair; robots whose heading
-    changes get the redesign treatment (escape impulse plus a fresh local
-    phase) in REDESIGNED mode, while PREDEFINED_ONLY applies the heading
-    jump alone.  Headings unchanged within tolerance leave the robot
-    flowing in its current mode.  The returned speeds are the
-    post-collision linear speeds of the involved robots.  An error part-way
-    (a local phase whose construction fails) keeps the records made before
-    it and still writes the collision record of every robot of the contact.
+    A jump changes headings, speeds and local phases, never positions.  The
+    collision physics of the query's pair resolves first; robots whose
+    heading changes get the redesign treatment (escape impulse plus a fresh
+    local phase) in REDESIGNED mode, while PREDEFINED_ONLY applies the
+    heading jump alone.  Headings unchanged within tolerance leave the robot
+    flowing in its current mode.  The returned speeds are the post-collision
+    linear speeds of the involved robots.  An error part-way (a local phase
+    whose construction fails) keeps the records made before it and still
+    writes the collision record of every robot of the contact.
     """
     post_speeds: dict[int, float] = {}
-
-    if isinstance(event, ReactivationEvent):
-        rid = event.robot_id
-        hs.phases[rid] = None
-        records.append(SwitchRecord(t=hs.t, robot_id=rid, q_from=1, q_to=0))
-        hs.jumps += 1
-        return post_speeds
-
-    i, j, p_i, p_j, r_i, r_j, _, _, _, _, _, _, (_, _, phi) = event
-    out_i, out_j = resolve_collision(event, delta=scenario.params.delta, body_j_is_robot=j in hs.states)
+    i, j, p_i, p_j, r_i, r_j, _, _, _, _, _, _, (_, _, phi) = query
+    out_i, out_j = resolve_collision(query, delta=scenario.params.delta, body_j_is_robot=j in states)
 
     # (robot, other body, robot position, other position, other radius, outcome)
     outcomes = [(i, j, p_i, p_j, r_j, out_i)]
@@ -694,45 +665,44 @@ def jump(
     # Every collision row comes first; an escaping robot's local phase,
     # impulse and switch follow its row.  Only building a local phase can
     # fail, so an error part-way still writes the rows it did not reach.
-    t = hs.t
     rows = []
     for rid, other_id, _, _, _, (theta_pre, v_pre, theta_plus, v_plus, lam, mu, redesign) in outcomes:
-        x, y, _ = hs.states[rid]
+        x, y, _ = states[rid]
         post_speeds[rid] = v_plus
         if redesign:
             # The physics heading theta_plus applies first; in REDESIGNED
             # mode the impulse then retargets it onto the escape heading.
-            hs.states[rid] = (x, y, escapes.get(rid, theta_plus))
+            states[rid] = (x, y, escapes.get(rid, theta_plus))
             theta_post = theta_plus
         else:
             theta_post = theta_pre
         # the mode after the jump: an escaping robot enters a local phase
-        q = int(rid in escapes or hs.phases[rid] is not None)
+        q = int(rid in escapes or phases[rid] is not None)
         row = (t, rid, other_id, x, y, theta_post, v_plus, q, theta_pre, v_pre, phi, lam, mu)
         rows.append(_new(CollisionRecord, row))
-    hs.jumps += len(rows)
+    made = len(rows)
     if not escapes:
         # no local phase to build: the rows are the whole jump
         records.extend(rows)
-        return post_speeds
+        return post_speeds, made
     written = 0
     try:
         for (rid, other_id, _, _, r_other, oc), row in zip(outcomes, rows):
             records.append(row)
             written += 1
             if rid in escapes:
-                switch_needed = hs.phases[rid] is None
+                switch_needed = phases[rid] is None
                 v_loc = scenario.params.m_v
-                t_dur = local_duration(v_loc, other_id in hs.states, r_other)
-                hs.phases[rid] = LocalPhase(collided_id=other_id, v_loc=v_loc, t_dur=t_dur)
+                t_dur = local_duration(v_loc, other_id in states, r_other)
+                phases[rid] = LocalPhase(collided_id=other_id, v_loc=v_loc, t_dur=t_dur)
                 dtheta = impulse(escapes[rid], oc.theta_plus)
                 records.append(ImpulseRecord(t=t, robot_id=rid, theta_escape=escapes[rid], dtheta=dtheta))
                 if switch_needed:
                     records.append(SwitchRecord(t=t, robot_id=rid, q_from=0, q_to=1))
-                    hs.jumps += 1
+                    made += 1
     finally:
         records.extend(rows[written:])
-    return post_speeds
+    return post_speeds, made
 
 
 # --------------------------------------------------------------------------
@@ -788,9 +758,10 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
 
     Terminates when every robot has been within target tolerance, when
     t reaches t_max, when the jump counter reaches the scenario's cap
-    (recorded as a fatal non-convergence fault; jumps happen only in
-    `apply_jump`, and none follows the cap), or when an error of `FAULTS`
-    is raised, which ends the trace with a fatal FaultRecord naming it.
+    (recorded as a fatal non-convergence fault; `count_jumps` counts every
+    jump, a contact's and a reactivation's, and none follows the cap), or
+    when an error of `FAULTS` is raised, which ends the trace with a fatal
+    FaultRecord naming it.
     Raises ValueError when the scenario does not validate.
     """
     violations = validate_scenario(scenario)
@@ -805,7 +776,7 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
     dt = scenario.dt
     t_max = scenario.t_max
     body = {b.id: b for b in scenario.bodies}
-    pairs = contact_pairs(scenario.bodies)
+    pairs = contact_pairs(scenario)
     # each robot's own rows of the pair table, and their indices, in table order
     row_ks = {rid: [k for k, p in enumerate(pairs) if rid in (p.i, p.j)] for rid in robot_ids}
     # (id, target, own rows, own row indices) of each robot, in id order; the
@@ -832,13 +803,12 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
         for rid, _, rows, _ in robots
     }
 
-    hs = HybridState(
-        t=0.0,
-        states={rid: tuple(body[rid].state()) for rid in robot_ids},
-        phases={rid: None for rid in robot_ids},
-    )
-    # jumps replace entries of hs.phases but never rebind it
-    phases = hs.phases
+    # hybrid time (t, jumps), each robot's pose, and its local phase (None
+    # while q = 0); jumps replace entries of `states` and `phases` in place
+    t = 0.0
+    jumps = 0
+    states = {rid: tuple(body[rid].state()) for rid in robot_ids}
+    phases = dict.fromkeys(robot_ids)
     # the trace: every record but the samples, with one None per sampling
     # pass, and each robot sample's seven doubles (packed and appended as
     # bytes: `array.extend` would insert them one item at a time)
@@ -856,26 +826,22 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
     resolved_pairs: set[tuple[int, int]] = set()
 
     def fault(reason: str, fatal: bool) -> None:
-        log.append(FaultRecord(t=hs.t, reason=reason, fatal=fatal))
+        log.append(FaultRecord(t=t, reason=reason, fatal=fatal))
 
-    def apply_jump(event: ContactQuery | ReactivationEvent) -> dict[int, float]:
-        """Jump, record it, and return the post-collision speeds.  A jump
-        changes headings, speeds or phases, so the next instant measures."""
-        nonlocal gaps_left, targets_left
+    def count_jumps(made: int) -> None:
+        """Count `made` jumps, a contact's or a reactivation's.  A jump
+        changes headings, speeds or phases, so the next instant measures; the
+        count that reaches the cap writes the run's closing fault."""
+        nonlocal jumps, gaps_left, targets_left
+        jumps += made
         gaps_left = targets_left = 0
-        post_speeds = jump(hs, event, scenario, sim_mode, log)
-        if isinstance(event, ContactQuery):
-            # post_speeds is keyed by exactly the robots of the contact
-            collided_marks.update(post_speeds)
-            resolved_pairs.add((event.i_id, event.j_id))
-        if hs.jumps >= cap:
+        if jumps >= cap:
             fault(f"non-convergent: jump counter reached the cap ({cap})", True)
-        return post_speeds
 
     def sweep(
         states: dict[int, Pose], gaps: list[float], inputs: dict[int, Input]
     ) -> None:
-        """Resolve every touching-and-approaching pair at the instant hs.t
+        """Resolve every touching-and-approaching pair at the instant t
         (`gaps` in table order), updating `inputs` to what the samples show.
         Each robot takes at most one collision per instant; extra
         simultaneous contacts are deferred, each with one warning.  Jumps never move
@@ -907,19 +873,22 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
                 progress = True
                 # the refreshed speed below may leave the input box
                 anchors.update(dict.fromkeys(robot_ids))
-                for rid, v_plus in apply_jump(query).items():
+                post_speeds, made = jump(query, t, states, phases, scenario, sim_mode, log)
+                # post_speeds is keyed by exactly the robots of the contact
+                collided_marks.update(post_speeds)
+                resolved_pairs.add((i, j))
+                for rid, v_plus in post_speeds.items():
                     phase = phases[rid]
                     if phase is not None:
                         inputs[rid] = local_control(phase)
                     else:
                         inputs[rid] = (v_plus, inputs[rid][1])
-                if hs.jumps >= cap:
+                count_jumps(made)
+                if jumps >= cap:
                     return
 
     try:
         while True:
-            states = hs.states
-            t = hs.t
             if gaps_left:
                 # the last measurement settles every row's cull and sweep test
                 gaps_left -= 1
@@ -951,12 +920,15 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
                 # reached by an event jump or a reactivation closes with zero
                 # inputs, one in the sweep with its refreshed post-jump inputs.
                 inputs = stopped
-                if hs.jumps < cap:
+                if jumps < cap:
                     for rid, _, _, ks in robots:
                         phase = phases[rid]
                         if phase is not None and reactivation_due(phase, (gaps[k] for k in ks)):
-                            apply_jump(ReactivationEvent(rid))
-                            if hs.jumps >= cap:
+                            # q: 1 -> 0, the pose untouched
+                            phases[rid] = None
+                            log.append(SwitchRecord(t=t, robot_id=rid, q_from=1, q_to=0))
+                            count_jumps(1)
+                            if jumps >= cap:
                                 break
                     else:
                         # no reactivation reached the cap
@@ -1013,7 +985,7 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
                 v, w = inputs[rid]
                 append_sample(pack_sample(t, x, y, theta, v, w, phases[rid] is not None))
 
-            if hs.jumps >= cap or len(reached) == n_robots or t >= t_end:
+            if jumps >= cap or len(reached) == n_robots or t >= t_end:
                 break
 
             # the step: dt, cut at t_max and at the end of every held local phase
@@ -1036,14 +1008,12 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
                 next_states[rid] = step_flow(states[rid], inputs[rid], h)
             hit = detect_event(rows, gaps, states, inputs, h, next_states)
             if hit is None:
-                hs.states = next_states
+                states = next_states
                 advance = h
             else:
                 advance = hit.t_offset
-                hs.states = {
-                    rid: step_flow(states[rid], inputs[rid], advance) for rid in robot_ids
-                }
-            hs.t += advance
+                states = {rid: step_flow(states[rid], inputs[rid], advance) for rid in robot_ids}
+            t += advance
             steps += 1
             for phase in held:
                 phase.elapsed += advance
@@ -1055,8 +1025,12 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
             if hit is not None:
                 # the next pass's sweep settles every tied crossing
                 pair = pair_by_ids[(hit.robot_id, hit.other_id)]
+                query = contact_query(pair, states, inputs, body)
+                post_speeds, made = jump(query, t, states, phases, scenario, sim_mode, log)
+                collided_marks.update(post_speeds)
+                resolved_pairs.add((pair.i, pair.j))
                 # a cap fault here makes the next pass emit the closing samples
-                apply_jump(contact_query(pair, hs.states, inputs, body))
+                count_jumps(made)
     except FAULTS as exc:
         # the one fault channel: the run ends here, as at the jump cap
         fault(f"{type(exc).__name__}: {exc}", True)

@@ -172,7 +172,7 @@ def _barrier_steps(trace):
     sc = trace.scenario
     (ox, oy), rsum = sc.body(3).position, sc.body(1).radius + sc.body(3).radius
     sigma3 = sc.params.sigma3
-    rows = contact_pairs(sc.bodies)
+    rows = contact_pairs(sc)
     first_contact = min((c.t for c in trace.collisions()), default=math.inf)
     samples = [r for r in trace.records if isinstance(r, FlowSample) and r.t <= first_contact]
     hs = [
@@ -368,6 +368,8 @@ def test_c7_frame_suite():
 def test_c8_controller_suite():
     rng = random.Random(80_81)
     params = ControllerParams(rho=9.0, sigma1=1.25, sigma2=0.6, sigma3=1.2, m_v=5.0, m_w=5.0)
+    # the pair table reads only the bodies of the scenario it is given
+    crossing = load_scenario((SCENARIOS / "crossing.json").read_text())
     ok = True
     for _ in range(10_000):
         p1 = (rng.uniform(-10, 10), rng.uniform(-10, 10))
@@ -382,7 +384,7 @@ def test_c8_controller_suite():
             bodies.append(Body(3 + k, BodyKind.OBSTACLE, 1.0, math.inf, rng.uniform(-10, 10), rng.uniform(-10, 10)))
         state = RobotState(p1[0], p1[1], rng.uniform(-7, 7))
         target = RobotState(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(-7, 7))
-        rows = [p for p in contact_pairs(bodies) if 1 in (p.i, p.j)]
+        rows = [p for p in contact_pairs(crossing._replace(bodies=tuple(bodies))) if 1 in (p.i, p.j)]
         decision = predefined_control(1, {1: state, 2: RobotState(p2[0], p2[1], 0.0)}, target, rows, params)
         v, w = decision.u
         ok = ok and abs(v) <= params.m_v and abs(w) <= params.m_w

@@ -20,6 +20,7 @@ from bumpsim.scenario import Body, BodyKind, ControlInput, ControllerParams, Rob
 UNBOUNDED = math.inf
 
 EX1_PARAMS = ControllerParams(rho=9.0, sigma1=1.25, sigma2=0.6, sigma3=1.2, m_v=5.0, m_w=5.0)
+CROSSING = load_scenario((Path(__file__).resolve().parents[1] / "scenarios" / "crossing.json").read_text())
 
 
 def ex1_bodies(robot_xy=(0.0, 7.0), robot_theta=0.5 * math.pi):
@@ -40,8 +41,9 @@ def two_robot_bodies(p1, p2, obstacles=()):
 
 
 def rows_of(bodies, robot_id):
-    """The robot's rows of the pair table, as the executor hands them over."""
-    return [p for p in contact_pairs(bodies) if robot_id in (p.i, p.j)]
+    """The robot's rows of the pair table of a scenario with these bodies, as
+    the executor hands them over."""
+    return [p for p in contact_pairs(CROSSING._replace(bodies=tuple(bodies))) if robot_id in (p.i, p.j)]
 
 
 def named_terms(*args):

@@ -972,7 +972,7 @@ def run_under_floor_oracle(scenario, mode):
     nothing to do, and that the real `detect_event`, given every row, culls
     each one: it measures no end gap and finds no hit.  Returns the trace
     and the number of such calls."""
-    pairs = contact_pairs(scenario.bodies)
+    pairs = contact_pairs(scenario)
     real = hybrid.detect_event
     skipped = 0
 
@@ -1149,10 +1149,10 @@ def run_under_region_oracle(scenario, mode):
         sweeping[0] = True
         return real_check(query)
 
-    def jumping(hs, *args):
+    def jumping(query, t, states, *args):
         if sweeping[0]:
-            swept.update(hs.states)
-        return real_jump(hs, *args)
+            swept.update(states)
+        return real_jump(query, t, states, *args)
 
     def flowing(*args):
         sweeping[0] = False
@@ -1370,12 +1370,12 @@ def test_crossing_makes_no_python_call_outside_its_layers():
     # plus the rare event, jump and phase calls, and at each of the 66 folds
     # one `region_floor` (64 of them follow a floor that failed, whose call
     # took `controller_terms` twice), and 9 for the floors' constants:
-    # 138,824 in all over 19,712 instants (217,935 when each controller call
+    # 138,827 in all over 19,712 instants (217,935 when each controller call
     # also called its branch decision and its clamp, 11 calls an instant).
     # An instant that measures nothing calls nothing more.  A helper or
     # comprehension put back in the per-instant pass adds 19,711 or more, a
     # helper at each target measurement about 5,400, both more than the
-    # margin of 3,176; a `gap` call per pair and two comprehensions took
+    # margin of 3,173; a `gap` call per pair and two comprehensions took
     # 358,525.
     assert profiled_calls(SimMode.REDESIGNED) < 142_000
 
@@ -1386,12 +1386,12 @@ def test_chatter_makes_no_python_call_outside_its_contact_layers():
     # `resolve_collision`) and the collision helpers below them, and builds
     # every value of that path positionally; a settled bisection certifies
     # only its touching end; the region floor adds 41 calls (17 folds, 15
-    # failed floors and 9 for its constants): 32,101 in all.  Keyword
+    # failed floors and 9 for its constants): 32,108 in all.  Keyword
     # builds, a per-call closure, the `position` property and the tie sort
     # of a lone hit took 56,039; the separate branch decision and clamp of
     # each controller call and all four certificates of each bisection
-    # 43,289.  A keyword build that comes back adds 750 to 1,500 calls, more
-    # than the margin of 399.
+    # 43,289.  A keyword build that comes back adds 750 to 1,500 calls, and
+    # a helper call per contact 750, more than the margin of 392.
     assert profiled_calls(SimMode.PREDEFINED_ONLY) < 32_500
 
 
@@ -1399,10 +1399,10 @@ def test_crossing_builds_no_named_tuple_per_instant_but_its_decisions():
     # Poses, inputs, controller terms and region floors are exact tuple
     # displays, which call no `tuple.__new__`; each of the 39,224 controller
     # calls, certified or not, builds its `ControlDecision` by it, and the
-    # rest of the run, its contacts included, 27 more values: 39,251 in all
+    # rest of the run, its contacts included, 25 more values: 39,249 in all
     # (39,451 when each local phase's input was a `ControlInput`).  A
     # NamedTuple per robot step, input or terms put back adds 39,224 or
-    # more, one per instant 19,711, both more than the margin of 749
+    # more, one per instant 19,711, both more than the margin of 751
     # (157,955 when the poses, the nominal input and the terms were
     # NamedTuples).
     assert profiled_calls(SimMode.REDESIGNED, tuple.__new__) < 40_000

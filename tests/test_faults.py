@@ -252,7 +252,7 @@ def test_a_controller_overflow_is_named_as_one(mode):
     assert fault.reason.startswith("OverflowError: rho * e * c * a overflows to inf in the region tests of terms ")
     states = {1: scenario.body(1).state()}
     terms = controller.controller_terms(
-        1, states, scenario.targets[1], hybrid.contact_pairs(scenario.bodies), scenario.params
+        1, states, scenario.targets[1], hybrid.contact_pairs(scenario), scenario.params
     )
     assert all(map(math.isfinite, terms)) and str(ControllerTerms(*terms)) in fault.reason
 
@@ -318,7 +318,7 @@ def test_an_instant_that_faults_before_its_samples_counts_towards_the_clearance(
     assert trace.log[-1] == FaultRecord(t=trace.log[-1].t, reason="RegionError: injected", fatal=True)
     assert calls == 301 and trace.collisions() == []
 
-    pairs = hybrid.contact_pairs(scenario.bodies)
+    pairs = hybrid.contact_pairs(scenario)
     at_fault = min(hybrid.gap(pair, faulted) for pair in pairs)
     sampled = min(
         hybrid.gap(pair, {1: (s.x, s.y, s.theta)}) for s in trace.records if type(s) is FlowSample for pair in pairs

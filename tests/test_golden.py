@@ -163,7 +163,7 @@ def sample_fold_clearance(trace):
     and when the last robot's sample lands every pair-table row's gap is
     measured at the pass's poses (`gap` reads (x, y, theta), not a sample)."""
     robot_ids = sorted(trace.scenario.robot_ids())
-    pairs = contact_pairs(trace.scenario.bodies)
+    pairs = contact_pairs(trace.scenario)
     least = {rid: None for rid in robot_ids}
     sample_pass = {}
     for record in trace.records:

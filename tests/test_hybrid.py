@@ -14,9 +14,8 @@ from bumpsim.hybrid import (
     CollisionRecord,
     FaultRecord,
     FlowSample,
-    HybridState,
+    SAMPLE_WIDTH,
     ImpulseRecord,
-    ReactivationEvent,
     SimMode,
     SwitchRecord,
     TargetReachedRecord,
@@ -101,7 +100,7 @@ def test_event_linear_closing():
     )
     states = {1: RobotState(0.0, 0.0, 0.0)}
     inputs = {1: ControlInput(1.0, 0.0)}
-    hit = detect_at_start(contact_pairs(sc.bodies), states, inputs, 0.1)
+    hit = detect_at_start(contact_pairs(sc), states, inputs, 0.1)
     assert hit is not None
     assert (hit.robot_id, hit.other_id) == (1, 3)
     assert hit.t_offset == pytest.approx(0.05, abs=1e-9)
@@ -114,7 +113,7 @@ def test_event_separating_none():
     )
     states = {1: RobotState(0.0, 0.0, math.pi)}
     inputs = {1: ControlInput(1.0, 0.0)}
-    assert detect_at_start(contact_pairs(sc.bodies), states, inputs, 0.1) is None
+    assert detect_at_start(contact_pairs(sc), states, inputs, 0.1) is None
 
 
 def test_event_robot_robot_closing():
@@ -124,7 +123,7 @@ def test_event_robot_robot_closing():
     )
     states = {1: RobotState(0.0, 0.0, 0.0), 2: RobotState(2.1, 0.0, math.pi)}
     inputs = {1: ControlInput(1.0, 0.0), 2: ControlInput(1.0, 0.0)}
-    hit = detect_at_start(contact_pairs(sc.bodies), states, inputs, 0.1)
+    hit = detect_at_start(contact_pairs(sc), states, inputs, 0.1)
     assert hit is not None
     assert (hit.robot_id, hit.other_id) == (1, 2)
     # gap 0.1 closes at combined speed 2
@@ -139,10 +138,10 @@ def test_loss_coefficient_damps_rebound():
         params={"rho": 9, "sigma1": 1.25, "sigma2": 0.6, "sigma3": 1.2, "mv": 5, "mw": 5, "delta": 0.5},
         sim={"t_max": 2.0, "jump_cap": 50},
     )
-    hs = HybridState(t=0.0, states={1: RobotState(0.0, 6.0, -0.5 * math.pi)}, phases={1: None})
-    query = first_contact_query(sc, hs, {1: ControlInput(2.0, 0.0)})
+    states, phases = {1: RobotState(0.0, 6.0, -0.5 * math.pi)}, {1: None}
+    query = first_contact_query(sc, states, {1: ControlInput(2.0, 0.0)})
     records = []
-    post_speeds = jump(hs, query, sc, SimMode.PREDEFINED_ONLY, records)
+    post_speeds, _ = jump(query, 0.0, states, phases, sc, SimMode.PREDEFINED_ONLY, records)
     col = records[0]
     # reflected normal component (1 - 0.5) * (-2.0), reported along the pair y-axis
     assert col.lam == pytest.approx(-1.0, abs=1e-12)
@@ -157,7 +156,7 @@ def test_event_tie_reports_smallest_pair():
     )
     states = {1: RobotState(0.0, 0.0, 0.0)}
     inputs = {1: ControlInput(1.0, 0.0)}
-    hit = detect_at_start(contact_pairs(sc.bodies), states, inputs, 3.0)
+    hit = detect_at_start(contact_pairs(sc), states, inputs, 3.0)
     assert hit is not None
     assert (hit.robot_id, hit.other_id) == (1, 3)
     assert (1, 4) in hit.simultaneous
@@ -186,7 +185,7 @@ def test_reactivation_needs_expiry_and_strictly_positive_gaps(obstacle_x, elapse
     states = {1: RobotState(-1.0, 2.0, math.pi)}
     phase = LocalPhase(collided_id=3, v_loc=1.0, t_dur=1.0, elapsed=elapsed)
     # every row of the table is robot 1's
-    row_gaps = [gap(pair, states) for pair in contact_pairs(sc.bodies)]
+    row_gaps = [gap(pair, states) for pair in contact_pairs(sc)]
     assert reactivation_due(phase, row_gaps) is due
     assert phase.extension == extension
 
@@ -199,7 +198,7 @@ def test_pair_table_lists_the_robot_pair_then_robots_by_id_against_obstacles():
         [obstacle(4, 0.0, 9.0, radius=0.5), robot(2, 0.0, 5.0), obstacle(3, 5.0, 0.0), robot(1, 0.0, 0.0)],
         {"1": {"x": 1.0, "y": 1.0, "theta": 0.0}, "2": {"x": 1.0, "y": 6.0, "theta": 0.0}},
     )
-    table = [(p.i, p.j, p.rsum, p.fixed) for p in contact_pairs(sc.bodies)]
+    table = [(p.i, p.j, p.rsum, p.fixed) for p in contact_pairs(sc)]
     assert table == [
         (1, 2, 2.0, None),
         (1, 4, 1.5, (0.0, 9.0)),
@@ -212,10 +211,10 @@ def test_pair_table_lists_the_robot_pair_then_robots_by_id_against_obstacles():
 # --- contact_query -----------------------------------------------------------
 
 
-def first_contact_query(sc, hs, inputs):
+def first_contact_query(sc, states, inputs):
     """The contact query of the scenario's first pair-table row."""
     body = {b.id: b for b in sc.bodies}
-    return contact_query(contact_pairs(sc.bodies)[0], hs.states, inputs, body)
+    return contact_query(contact_pairs(sc)[0], states, inputs, body)
 
 
 @pytest.mark.parametrize(
@@ -234,7 +233,7 @@ def test_contact_query_fills_the_pair_row(other, j_motion):
     sc = make_scenario(bodies, targets)
     states = {b.id: b.state() for b in sc.robots()}
     inputs = {1: ControlInput(2.0, 0.1), 2: ControlInput(0.7, -0.2)}
-    pair = contact_pairs(sc.bodies)[0]
+    pair = contact_pairs(sc)[0]
     query = contact_query(pair, states, inputs, {b.id: b for b in sc.bodies})
     assert (query.i_id, query.j_id) == (1, other["id"])
     assert (query.p_i, query.v_i, query.theta_i) == ((0.0, 0.0), 2.0, 0.3)
@@ -257,10 +256,10 @@ def head_on_scenario():
 
 def test_jump_head_on_obstacle_redesign():
     sc = head_on_scenario()
-    hs = HybridState(t=1.0, states={1: RobotState(0.0, 6.0, -0.5 * math.pi)}, phases={1: None})
-    query = first_contact_query(sc, hs, {1: ControlInput(3.0, 0.0)})
+    states, phases = {1: RobotState(0.0, 6.0, -0.5 * math.pi)}, {1: None}
+    query = first_contact_query(sc, states, {1: ControlInput(3.0, 0.0)})
     records = []
-    post_speeds = jump(hs, query, sc, SimMode.REDESIGNED, records)
+    post_speeds, made = jump(query, 1.0, states, phases, sc, SimMode.REDESIGNED, records)
     kinds = [type(r) for r in records]
     assert kinds == [CollisionRecord, ImpulseRecord, SwitchRecord]
     col, imp, sw = records
@@ -268,38 +267,25 @@ def test_jump_head_on_obstacle_redesign():
     assert col.v_post == pytest.approx(3.0, abs=1e-12)  # unbounded body: speed preserved
     # escape heading: tie between the horizontal rays resolves to the first (-x)
     assert imp.theta_escape == pytest.approx(math.pi, abs=1e-12)
-    assert hs.states[1] == (0.0, 6.0, imp.theta_escape)  # position continuous
-    assert hs.phases[1] is not None
-    assert hs.phases[1].t_dur == pytest.approx(0.2, abs=1e-15)  # r_j / m_v = 1/5
+    assert states[1] == (0.0, 6.0, imp.theta_escape)  # position continuous
+    assert phases[1] is not None
+    assert phases[1].t_dur == pytest.approx(0.2, abs=1e-15)  # r_j / m_v = 1/5
     assert (sw.q_from, sw.q_to) == (0, 1)
     assert post_speeds[1] == pytest.approx(3.0, abs=1e-12)
-    assert hs.jumps == 2  # one collision + one switch
+    assert made == 2  # one collision + one switch
 
 
 def test_jump_predefined_only_applies_physics_without_redesign():
     sc = head_on_scenario()
-    hs = HybridState(t=0.5, states={1: RobotState(0.0, 6.0, -0.5 * math.pi)}, phases={1: None})
-    query = first_contact_query(sc, hs, {1: ControlInput(3.0, 0.0)})
+    states, phases = {1: RobotState(0.0, 6.0, -0.5 * math.pi)}, {1: None}
+    query = first_contact_query(sc, states, {1: ControlInput(3.0, 0.0)})
     records = []
-    jump(hs, query, sc, SimMode.PREDEFINED_ONLY, records)
+    jump(query, 0.5, states, phases, sc, SimMode.PREDEFINED_ONLY, records)
     assert [type(r) for r in records] == [CollisionRecord]
     # reflected heading applied, no mode change, no phase
-    _, _, theta = hs.states[1]
+    _, _, theta = states[1]
     assert theta == pytest.approx(0.5 * math.pi, abs=1e-12)
-    assert hs.phases[1] is None
-
-
-def test_jump_reactivation_identity_on_state():
-    sc = head_on_scenario()
-    state = RobotState(-1.0, 6.0, math.pi)
-    phase = LocalPhase(collided_id=3, v_loc=5.0, t_dur=0.2, elapsed=0.2)
-    hs = HybridState(t=2.0, states={1: state}, phases={1: phase})
-    records = []
-    jump(hs, ReactivationEvent(1), sc, SimMode.REDESIGNED, records)
-    assert [type(r) for r in records] == [SwitchRecord]
-    assert records[0].q_from == 1 and records[0].q_to == 0
-    assert hs.states[1] is state  # bitwise unchanged
-    assert hs.phases[1] is None
+    assert phases[1] is None
 
 
 def test_jump_rear_end_same_heading_no_redesign():
@@ -310,18 +296,15 @@ def test_jump_rear_end_same_heading_no_redesign():
             "2": {"x": 0.0, "y": 12.0, "theta": 0.5 * math.pi},
         },
     )
-    hs = HybridState(
-        t=0.0,
-        states={1: RobotState(0.0, 0.0, 0.5 * math.pi), 2: RobotState(0.0, 2.0, 0.5 * math.pi)},
-        phases={1: None, 2: None},
-    )
-    query = first_contact_query(sc, hs, {1: ControlInput(2.0, 0.0), 2: ControlInput(0.5, 0.0)})
+    states = {1: RobotState(0.0, 0.0, 0.5 * math.pi), 2: RobotState(0.0, 2.0, 0.5 * math.pi)}
+    phases = {1: None, 2: None}
+    query = first_contact_query(sc, states, {1: ControlInput(2.0, 0.0), 2: ControlInput(0.5, 0.0)})
     records = []
-    post_speeds = jump(hs, query, sc, SimMode.REDESIGNED, records)
+    post_speeds, _ = jump(query, 0.0, states, phases, sc, SimMode.REDESIGNED, records)
     # speeds swap, headings unchanged: physics only, no impulse, no switches
     assert [type(r) for r in records] == [CollisionRecord, CollisionRecord]
-    assert hs.states[1][2] == hs.states[2][2] == 0.5 * math.pi
-    assert hs.phases[1] is None and hs.phases[2] is None
+    assert states[1][2] == states[2][2] == 0.5 * math.pi
+    assert phases[1] is None and phases[2] is None
     assert post_speeds[1] == pytest.approx(0.5, abs=1e-12)
     assert post_speeds[2] == pytest.approx(2.0, abs=1e-12)
 
@@ -617,6 +600,60 @@ def shipped(name, **changes):
     scenarios = Path(__file__).resolve().parents[1] / "scenarios"
     sc = load_scenario((scenarios / f"{name}.json").read_text())
     return sc._replace(**changes)
+
+
+def test_a_reactivation_flips_q_alone_before_its_sample_block(monkeypatch):
+    # A reactivation is a jump of q alone (1 -> 0) at the instant its local
+    # phase ends: the switch precedes that instant's sample block, and every
+    # pose there is the bits `step_flow` ended the step before with.
+    real_flow, real_detect = hybrid.step_flow, hybrid.detect_event
+    # the flow's results outside event localization, and where each step's
+    # flow calls start among them
+    flowed, step_starts = [], []
+    probing = [False]
+
+    def flowing(*args):
+        pose = real_flow(*args)
+        if not probing[0]:
+            flowed.append(pose)
+        return pose
+
+    def detecting(rows, gaps, states, *args):
+        step_starts.append(len(flowed) - len(states))
+        probing[0] = True
+        try:
+            return real_detect(rows, gaps, states, *args)
+        finally:
+            probing[0] = False
+
+    monkeypatch.setattr(hybrid, "step_flow", flowing)
+    monkeypatch.setattr(hybrid, "detect_event", detecting)
+    trace = simulate(shipped("crossing"), SimMode.REDESIGNED)
+    n = len(trace.scenario.robot_ids())
+    step_starts.append(len(flowed))
+
+    def block(b):
+        """Sample block b's (t, x, y, theta, q) of each robot, in id order."""
+        starts = [(b * n + k) * SAMPLE_WIDTH for k in range(n)]
+        rows = [trace.samples[start : start + SAMPLE_WIDTH] for start in starts]
+        return [(row[0], *row[1:4], row[6]) for row in rows]
+
+    switches = []
+    blocks = 0
+    for record in trace.log:
+        if record is None:
+            blocks += 1
+        elif isinstance(record, SwitchRecord) and record.q_to == 0:
+            switches.append((record, blocks))
+    assert [(sw.q_from, sw.q_to) for sw, _ in switches] == [(1, 0), (1, 0)]
+    for sw, b in switches:
+        k = trace.scenario.robot_ids().index(sw.robot_id)
+        after, before = block(b), block(b - 1)
+        assert {row[0] for row in after} == {sw.t}
+        assert (before[k][4], after[k][4]) == (1.0, 0.0)
+        # step b ends with the last n poses the flow gave before step b + 1
+        ended = flowed[step_starts[b] - n : step_starts[b]]
+        assert [struct.pack("3d", *row[1:4]) for row in after] == [struct.pack("3d", *pose) for pose in ended]
 
 
 def test_cap_during_reactivation_closes_with_zero_inputs():

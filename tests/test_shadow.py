@@ -50,7 +50,7 @@ def gap_error_ratio(pair, states):
 def test_gap_error_on_the_golden_poses(golden_run):
     (name, mode), trace = golden_run
     ids = trace.scenario.robot_ids()
-    pairs = contact_pairs(trace.scenario.bodies)
+    pairs = contact_pairs(trace.scenario)
     poses = [(x, y, theta) for _, x, y, theta, _, _, _ in SAMPLE.iter_unpack(trace.samples)]
     worst = Decimal(0)
     for k in range(0, len(poses), len(ids)):

@@ -1,7 +1,7 @@
-"""Every value type of the engine is an immutable NamedTuple; the
-executor's two mutable states, `HybridState` and `LocalPhase`, are plain
-slotted classes.  Inside a run, poses, inputs and controller terms are
-exact tuples in those types' field order.
+"""Every value type of the engine is an immutable NamedTuple; the one
+mutable state, a robot's `LocalPhase`, is a plain slotted class
+(`tests/test_hygiene.py` finds every such class).  Inside a run, poses,
+inputs and controller terms are exact tuples in those types' field order.
 
 Each value type here is checked for what a value must give: assigning a
 field raises AttributeError, and it hashes like the tuple of its fields,
@@ -34,9 +34,7 @@ from bumpsim.hybrid import (
     EventHit,
     FaultRecord,
     FlowSample,
-    HybridState,
     ImpulseRecord,
-    ReactivationEvent,
     SimMode,
     SwitchRecord,
     TargetReachedRecord,
@@ -59,7 +57,7 @@ CROSSING = load_scenario((ROOT / "scenarios" / "crossing.json").read_text(encodi
 TERMS = ControllerTerms(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
 # robots 1 and 2 of crossing touching head-on, each at speed 1
 HEAD_ON = contact_query(
-    contact_pairs(CROSSING.bodies)[0],
+    contact_pairs(CROSSING)[0],
     {1: RobotState(0.0, 0.0, 0.0), 2: RobotState(2.0, 0.0, math.pi)},
     {1: ControlInput(1.0, 0.0), 2: ControlInput(1.0, 0.0)},
     {b.id: b for b in CROSSING.bodies},
@@ -84,7 +82,6 @@ VALUES = [
     resolve_collision(HEAD_ON, body_j_is_robot=True)[0],
     tangent_rays((0.0, 0.0), (2.0, 0.0), 2.0),
     EventHit(t_offset=0.25, robot_id=1, other_id=3, simultaneous=((2, 4),)),
-    ReactivationEvent(1),
     TRACE,
     metrics(TRACE).robots[1],
     metrics(TRACE),
@@ -133,17 +130,6 @@ def test_value_is_an_immutable_hashable_tuple(value):
 def test_local_phase_rejects_a_non_positive_speed_or_duration(v_loc, t_dur, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         LocalPhase(collided_id=3, v_loc=v_loc, t_dur=t_dur)
-
-
-@pytest.mark.parametrize(
-    "state",
-    [LocalPhase(collided_id=3, v_loc=5.0, t_dur=0.2), HybridState(t=0.0, states={}, phases={})],
-    ids=lambda s: type(s).__name__,
-)
-def test_mutable_state_is_slotted(state):
-    assert not hasattr(state, "__dict__")
-    with pytest.raises(AttributeError):
-        state.spare = 0.0
 
 
 def test_flow_sample_fields_follow_the_sample_row():
@@ -206,7 +192,7 @@ def test_every_golden_record_has_its_declared_arity(golden_run):
 
 def test_flow_steps_and_decisions_are_their_declared_types():
     scenario = CROSSING
-    pairs = contact_pairs(scenario.bodies)
+    pairs = contact_pairs(scenario)
     rng = random.Random(1)
     regions = set()
     for _ in range(200):
