@@ -6,8 +6,8 @@ controller installed after a heading-changing collision.  q is 1 exactly
 while the robot holds a LocalPhase, which `simulate`'s `phases` alone
 records.  The executor integrates the unicycle flow with fixed-step
 classical RK4 under zero-order-hold inputs (`step_flow`), finds the first
-contact inside a step (`detect_event`), applies the collision/impulse
-jump maps, which change headings, speeds and phases in place, never
+contact inside a step (`detect_event`), jumps each contact in one place
+(`simulate`'s `contact`), changing headings, speeds and phases, never
 positions, and records everything in an ordered trace (`Trace`).
 
 Hybrid time is the pair (t, jumps).  A run stops at t_max, when every
@@ -761,7 +761,8 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
     (recorded as a fatal non-convergence fault; `count_jumps` counts every
     jump, a contact's and a reactivation's, and none follows the cap), or
     when an error of `FAULTS` is raised, which ends the trace with a fatal
-    FaultRecord naming it.
+    FaultRecord naming it.  `contact` is the one place where a contact
+    jumps, the event hit's and the sweep's alike.
     Raises ValueError when the scenario does not validate.
     """
     violations = validate_scenario(scenario)
@@ -838,54 +839,15 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
         if jumps >= cap:
             fault(f"non-convergent: jump counter reached the cap ({cap})", True)
 
-    def sweep(
-        states: dict[int, Pose], gaps: list[float], inputs: dict[int, Input]
-    ) -> None:
-        """Resolve every touching-and-approaching pair at the instant t
-        (`gaps` in table order), updating `inputs` to what the samples show.
-        Each robot takes at most one collision per instant; extra
-        simultaneous contacts are deferred, each with one warning.  Jumps never move
-        positions, so the gaps hold for every pass."""
-        progress = True
-        while progress:
-            progress = False
-            for pair, g in zip(pairs, gaps):
-                if g > CONTACT_TOL:
-                    # apart: it flows on
-                    continue
-                i, j = pair.i, pair.j
-                if (i, j) in resolved_pairs:
-                    # already jumped or deferred at this instant
-                    continue
-                if g < -CONTACT_TOL:
-                    raise PenetrationError(
-                        f"bodies {i} and {j} overlap by {-g:.3e} m (tolerance {CONTACT_TOL:.1e})"
-                    )
-                query = contact_query(pair, states, inputs, body)
-                if check_collision(query) is not ContactStatus.JUMP:
-                    continue
-                if i in collided_marks or j in collided_marks:
-                    # a robot can take only one collision per instant, so the
-                    # pair stays deferred for the rest of it: warn once
-                    fault(f"simultaneous contacts at one instant; pair ({i}, {j}) deferred", False)
-                    resolved_pairs.add((i, j))
-                    continue
-                progress = True
-                # the refreshed speed below may leave the input box
-                anchors.update(dict.fromkeys(robot_ids))
-                post_speeds, made = jump(query, t, states, phases, scenario, sim_mode, log)
-                # post_speeds is keyed by exactly the robots of the contact
-                collided_marks.update(post_speeds)
-                resolved_pairs.add((i, j))
-                for rid, v_plus in post_speeds.items():
-                    phase = phases[rid]
-                    if phase is not None:
-                        inputs[rid] = local_control(phase)
-                    else:
-                        inputs[rid] = (v_plus, inputs[rid][1])
-                count_jumps(made)
-                if jumps >= cap:
-                    return
+    def contact(query: ContactQuery, states: dict[int, Pose]) -> dict[int, float]:
+        """Jump one contact at the instant t (`states` is passed, so it stays
+        a fast local), mark its robots collided and its pair resolved, count
+        its jumps, and return its post-collision speeds, keyed by its robots."""
+        post_speeds, made = jump(query, t, states, phases, scenario, sim_mode, log)
+        collided_marks.update(post_speeds)
+        resolved_pairs.add(query[:2])
+        count_jumps(made)
+        return post_speeds
 
     try:
         while True:
@@ -973,8 +935,42 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
                                 if (anchor is not None or decision.region is OMEGA2) and decision.terms is not None:
                                     # a full evaluation re-anchors the floor, or clears it
                                     anchors[rid] = region_floor(steps, decision, floor_consts[rid], states)
-                        if gaps and min(gaps) <= CONTACT_TOL:
-                            sweep(states, gaps, inputs)
+                        # The contact sweep: jump each touching, approaching pair and refresh its
+                        # inputs; a robot takes one collision per instant, a pair deferred warns
+                        # once, and the gaps hold for every pass, as jumps move no position.
+                        progress = bool(gaps) and min(gaps) <= CONTACT_TOL
+                        while progress and jumps < cap:
+                            progress = False
+                            for pair, g in zip(pairs, gaps):
+                                if g > CONTACT_TOL:
+                                    # apart: it flows on
+                                    continue
+                                i, j = pair.i, pair.j
+                                if (i, j) in resolved_pairs:
+                                    # already jumped or deferred at this instant
+                                    continue
+                                if g < -CONTACT_TOL:
+                                    raise PenetrationError(
+                                        f"bodies {i} and {j} overlap by {-g:.3e} m (tolerance {CONTACT_TOL:.1e})"
+                                    )
+                                query = contact_query(pair, states, inputs, body)
+                                if check_collision(query) is not ContactStatus.JUMP:
+                                    continue
+                                if i in collided_marks or j in collided_marks:
+                                    fault(f"simultaneous contacts at one instant; pair ({i}, {j}) deferred", False)
+                                    resolved_pairs.add((i, j))
+                                    continue
+                                progress = True
+                                # the refreshed speed below may leave the input box
+                                anchors.update(dict.fromkeys(robot_ids))
+                                for rid, v_plus in contact(query, states).items():
+                                    phase = phases[rid]
+                                    if phase is not None:
+                                        inputs[rid] = local_control(phase)
+                                    else:
+                                        inputs[rid] = (v_plus, inputs[rid][1])
+                                if jumps >= cap:
+                                    break
             except FAULTS:
                 # the clearance also counts this instant, which writes no samples
                 unsampled = states
@@ -1024,13 +1020,9 @@ def simulate(scenario: Scenario, sim_mode: SimMode = SimMode.REDESIGNED) -> Trac
 
             if hit is not None:
                 # the next pass's sweep settles every tied crossing
-                pair = pair_by_ids[(hit.robot_id, hit.other_id)]
-                query = contact_query(pair, states, inputs, body)
-                post_speeds, made = jump(query, t, states, phases, scenario, sim_mode, log)
-                collided_marks.update(post_speeds)
-                resolved_pairs.add((pair.i, pair.j))
                 # a cap fault here makes the next pass emit the closing samples
-                count_jumps(made)
+                pair = pair_by_ids[(hit.robot_id, hit.other_id)]
+                contact(contact_query(pair, states, inputs, body), states)
     except FAULTS as exc:
         # the one fault channel: the run ends here, as at the jump cap
         fault(f"{type(exc).__name__}: {exc}", True)

@@ -192,6 +192,4 @@ def escape_distance(other_is_robot: bool, r_other: float) -> float:
 
 def local_duration(v_loc: float, other_is_robot: bool, r_other: float) -> float:
     """Duration of the constant-speed local phase: escape distance / speed."""
-    if not v_loc > 0.0:
-        raise ValueError(f"local speed must be positive, got {v_loc}")
     return escape_distance(other_is_robot, r_other) / v_loc

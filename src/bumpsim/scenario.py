@@ -80,10 +80,6 @@ class RobotState(NamedTuple):
     y: float
     theta: float
 
-    @property
-    def position(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
 
 class ControlInput(NamedTuple):
     """Unicycle input: linear velocity v [m/s] and angular velocity w [rad/s]."""

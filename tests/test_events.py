@@ -1367,11 +1367,12 @@ def test_crossing_makes_no_python_call_outside_its_layers():
     # An instant calls only the traced layers: two `predefined_control`
     # (each with one `controller_terms`, which folds no row where the region
     # floor certifies), two `step_flow` and one `detect_event`, 7 calls,
-    # plus the rare event, jump and phase calls, and at each of the 66 folds
-    # one `region_floor` (64 of them follow a floor that failed, whose call
-    # took `controller_terms` twice), and 9 for the floors' constants:
-    # 138,827 in all over 19,712 instants (217,935 when each controller call
-    # also called its branch decision and its clamp, 11 calls an instant).
+    # plus the rare event, contact, jump and phase calls (its one contact
+    # jumps through one `contact` call), and at each of the 66 folds one
+    # `region_floor` (64 of them follow a floor that failed, whose call took
+    # `controller_terms` twice), and 9 for the floors' constants: 138,827 in
+    # all over 19,712 instants (217,935 when each controller call also
+    # called its branch decision and its clamp, 11 calls an instant).
     # An instant that measures nothing calls nothing more.  A helper or
     # comprehension put back in the per-instant pass adds 19,711 or more, a
     # helper at each target measurement about 5,400, both more than the
@@ -1386,12 +1387,14 @@ def test_chatter_makes_no_python_call_outside_its_contact_layers():
     # `resolve_collision`) and the collision helpers below them, and builds
     # every value of that path positionally; a settled bisection certifies
     # only its touching end; the region floor adds 41 calls (17 folds, 15
-    # failed floors and 9 for its constants): 32,108 in all.  Keyword
-    # builds, a per-call closure, the `position` property and the tie sort
-    # of a lone hit took 56,039; the separate branch decision and clamp of
-    # each controller call and all four certificates of each bisection
-    # 43,289.  A keyword build that comes back adds 750 to 1,500 calls, and
-    # a helper call per contact 750, more than the margin of 392.
+    # failed floors and 9 for its constants), and each contact jumps through
+    # one `contact` call, 750 calls (a sweep closure in their place took
+    # 749): 32,109 in all.  Keyword builds, a per-call closure, the
+    # `position` property and the tie sort of a lone hit took 56,039; the
+    # separate branch decision and clamp of each controller call and all
+    # four certificates of each bisection 43,289.  A keyword build that comes
+    # back adds 750 to 1,500 calls, and a helper call per contact 750, more
+    # than the margin of 391: a helper fits only where it replaces a call.
     assert profiled_calls(SimMode.PREDEFINED_ONLY) < 32_500
 
 

@@ -679,6 +679,22 @@ def test_cap_in_sweep_closes_with_the_refreshed_inputs():
     assert closing.w != 0.0
 
 
+def test_cap_in_sweep_ends_its_pass():
+    # At t = 0 robots 1 and 2 each touch their own obstacle ahead (gaps of
+    # 5e-10).  Robot 1's bounce reaches the cap of one jump, so the sweep
+    # stops there: robot 2's contact, later in the same pass, never jumps.
+    d = 5e-10
+    sc = make_scenario(
+        [robot(1, 0.0, 10.0), robot(2, 0.0, -10.0), obstacle(3, 2.0 + d, 10.0), obstacle(4, 2.0 + d, -10.0)],
+        {"1": {"x": 10.0, "y": 10.0, "theta": 0.0}, "2": {"x": 10.0, "y": -10.0, "theta": 0.0}},
+        sim={"t_max": 0.01, "jump_cap": 1},
+    )
+    collision, fault, *closing = simulate(sc, SimMode.PREDEFINED_ONLY).records
+    assert isinstance(collision, CollisionRecord) and (collision.robot_id, collision.other_id) == (1, 3)
+    assert isinstance(fault, FaultRecord) and fault.fatal
+    assert [(s.robot_id, s.t) for s in closing] == [(1, 0.0), (2, 0.0)]
+
+
 def test_cap_on_event_hit_closes_with_zero_inputs():
     records = simulate(shipped("crossing"), SimMode.PREDEFINED_ONLY).records
     *collisions, fault = records[-5:-2]

@@ -372,6 +372,14 @@ def test_body_ids_must_be_unique():
     assert_rejected(crossing_with_body(3, id=3), "bodies[3].id: duplicate body id 3")
 
 
+def test_body_lookup_names_a_missing_id():
+    crossing = load_crossing()
+    assert crossing.body(3).id == 3
+    with pytest.raises(KeyError) as missing:
+        crossing.body(9)
+    assert missing.value.args == ("no body with id 9",)
+
+
 def test_scenario_needs_a_robot():
     crossing = load_crossing()
     empty = crossing._replace(bodies=crossing.obstacles(), targets={})
